@@ -3,8 +3,8 @@
 Operates on precomputed visual features: global frame vectors, spatial
 grid features, and per-video action vectors. Provides embedding heads,
 sentence-conditioned spatial attention, gated similarity fusion, triplet
-training, and a retrieval evaluation harness, all on a small tape-based
-autodiff engine.
+training and the fused similarity grid that retrieval ranks, all on a
+small tape-based autodiff engine.
 """
 
 from mvse.autodiff import Tensor, Tape, grad_check

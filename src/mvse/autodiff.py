@@ -21,11 +21,6 @@ import numpy as np
 
 NORM_GUARD = 1e-12  # below this an embedding is considered degenerate
 
-# Debug hook: when set to an op name (e.g. "tanh"), that op's backward rule
-# is deliberately perturbed. Used by the gradcheck command's mutation test.
-_CORRUPT_BACKWARD: str | None = None
-
-
 class ShapeError(ValueError):
     """Operands do not conform to an operation's shape contract."""
 
@@ -113,10 +108,6 @@ class Tensor:
         if isinstance(other, Tensor):
             return div(self, other)
         return scale(self, 1.0 / float(other))
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _Node:
@@ -302,14 +293,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-
-    def bk(g):
-        d = g * (1.0 - y * y)
-        if _CORRUPT_BACKWARD == "tanh":
-            d = d * 1.01
-        return (d,)
-
-    return _emit(y, (a,), bk)
+    return _emit(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -319,14 +303,7 @@ def sigmoid(a: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
-
-    def bk(g):
-        d = g * y * (1.0 - y)
-        if _CORRUPT_BACKWARD == "sigmoid":
-            d = d * 1.01
-        return (d,)
-
-    return _emit(y, (a,), bk)
+    return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -384,20 +361,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _emit(y, (a,), lambda g: (g / (2.0 * y),))
 
 
-def l2_normalize(a: Tensor) -> Tensor:
-    if a.data.ndim != 1:
-        raise ShapeError("l2_normalize", a.data.shape, detail="expected rank-1")
-    n = float(np.linalg.norm(a.data))
-    if n < NORM_GUARD:
-        raise DegenerateEmbeddingError("degenerate embedding: norm below 1e-12")
-    y = a.data / n
-
-    def bk(g):
-        return ((g - y * (g @ y)) / n,)
-
-    return _emit(y, (a,), bk)
-
-
 def concat(parts: Iterable[Tensor]) -> Tensor:
     parts = tuple(parts)
     if not parts:
@@ -414,22 +377,6 @@ def concat(parts: Iterable[Tensor]) -> Tensor:
         )
 
     return _emit(out, parts, bk)
-
-
-def slice_vec(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise ShapeError("slice", a.data.shape, detail="expected rank-1")
-    n = a.data.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ShapeError("slice", a.data.shape, detail=f"bounds [{start}:{stop}] invalid")
-    out = a.data[start:stop].copy()
-
-    def bk(g):
-        full = np.zeros(n)
-        full[start:stop] = g
-        return (full,)
-
-    return _emit(out, (a,), bk)
 
 
 def pick(a: Tensor, index: int) -> Tensor:
@@ -486,37 +433,6 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     if na2 < NORM_GUARD * NORM_GUARD or nb2 < NORM_GUARD * NORM_GUARD:
         raise DegenerateEmbeddingError("degenerate embedding: norm below 1e-12")
     return div(dot(a, b), mul(sqrt(dot(a, a)), sqrt(dot(b, b))))
-
-
-# ---------------------------------------------------------------------------
-# Generic dispatch surface
-# ---------------------------------------------------------------------------
-
-_KINDS: dict[str, Callable] = {
-    "matvec": lambda ins, kw: matvec(ins[0], ins[1]),
-    "add": lambda ins, kw: add(ins[0], ins[1]),
-    "elementwise_mul": lambda ins, kw: mul(ins[0], ins[1]),
-    "tanh": lambda ins, kw: tanh(ins[0]),
-    "sigmoid": lambda ins, kw: sigmoid(ins[0]),
-    "softmax": lambda ins, kw: softmax(ins[0]),
-    "mean_over_axis": lambda ins, kw: mean_over_axis(ins[0], kw["axis"]),
-    "l2_normalize": lambda ins, kw: l2_normalize(ins[0]),
-    "concat": lambda ins, kw: concat(ins),
-    "slice": lambda ins, kw: slice_vec(ins[0], kw["start"], kw["stop"]),
-}
-
-
-def apply(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply a named primitive to the given tensors.
-
-    Single-tensor convenience: ``apply("tanh", t)``. Shape violations raise
-    :class:`ShapeError` naming the kind and the offending shapes.
-    """
-    fn = _KINDS.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown op kind {kind!r}; known: {sorted(_KINDS)}")
-    ins = tuple(as_tensor(x) for x in inputs)
-    return fn(ins, kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Dimension presets, space-set naming, and run configuration."""
+"""Architecture dimensions, embedding-space sets, and training
+hyperparameters."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 SPACE_GLOBAL = "global"
 SPACE_SEQUENTIAL = "sequential"
@@ -20,15 +19,13 @@ SPACE_SETS: dict[str, tuple[str, ...]] = {
     "triple": (SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_ACTION),
 }
 
-FUSE_MODES = ("weighted", "average")
-
 
 @dataclass(frozen=True)
 class Dims:
     """Every architectural dimension, all configurable.
 
     Defaults are the production-scale values; ``small()`` is the test
-    preset used throughout the suite and by the gradcheck command.
+    preset used throughout the suite.
     """
 
     n_chunks: int = 20      # frames sampled per video
@@ -67,21 +64,11 @@ class Dims:
         )
 
 
-PRESETS = {"paper": Dims(), "small": Dims.small()}
-
-
 def resolve_spaces(name: str) -> tuple[str, ...]:
     try:
         return SPACE_SETS[name]
     except KeyError:
         raise ValueError(f"unknown space set {name!r}; choose from {sorted(SPACE_SETS)}") from None
-
-
-def space_set_name(spaces: tuple[str, ...]) -> str:
-    for name, members in SPACE_SETS.items():
-        if members == tuple(spaces):
-            return name
-    return "+".join(spaces)
 
 
 @dataclass
@@ -111,79 +98,3 @@ class TripletConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-
-
-@dataclass
-class RunConfig:
-    """Everything a CLI command needs; file values overridden by flags."""
-
-    preset: str = "small"
-    spaces: str = "single"
-    fuse_mode: str = "weighted"
-    seed: int = 0
-    margin: float = 0.2
-    negative_mode: str = "hardest"
-    lr: float = 0.05
-    epochs: int = 30
-    batch_size: int = 8
-    k: tuple[int, ...] = (1, 5, 10)
-    out_dir: str = "out"
-    data: str | None = None
-    manifest: str | None = None
-    checkpoint: str | None = None
-    # synthesis knobs
-    videos: int = 200
-    sentences_per_video: int = 2
-    rho: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    sigma: float = 0.05
-    latent_total: int = 12
-    sentence_mode: str = "full"
-    train_fraction: float = 0.75
-
-    def validate(self) -> None:
-        if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
-        resolve_spaces(self.spaces)
-        if self.fuse_mode not in FUSE_MODES:
-            raise ValueError(f"unknown fuse mode {self.fuse_mode!r}; choose from {FUSE_MODES}")
-        if any(x < 1 for x in self.k):
-            raise ValueError(f"k values must be >= 1, got {self.k}")
-        # delegates the rest
-        self.triplet()
-
-    def dims(self) -> Dims:
-        return PRESETS[self.preset]
-
-    def triplet(self) -> TripletConfig:
-        return TripletConfig(
-            margin=self.margin,
-            negative_mode=self.negative_mode,
-            learning_rate=self.lr,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            rng_seed=self.seed,
-        )
-
-
-_TUPLE_FIELDS = {"k": int, "rho": float}
-
-
-def load_run_config(path: str | Path | None, overrides: dict) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus flag overrides."""
-    values: dict = {}
-    if path is not None:
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"config file {path} must contain a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"config file {path} has unknown keys: {sorted(unknown)}")
-        values.update(raw)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    for name, cast in _TUPLE_FIELDS.items():
-        if name in values:
-            values[name] = tuple(cast(x) for x in values[name])
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg

@@ -48,26 +48,14 @@ def fuse(similarities: list[Tensor], weights: Tensor) -> Tensor:
     return dot(concat(similarities), weights)
 
 
-def make_fuser(mode: str):
-    """Configured fuser: (phi, sims, gate) -> (fused value, weights)."""
+def space_weights(phi: Tensor, gate: GateParams, mode: str) -> Tensor:
+    """One sentence's fusion weights: the gate's softmax in "weighted"
+    mode, uniform in "average" mode."""
     if mode == "weighted":
-        def fuser(phi: Tensor, sims: list[Tensor], gate: GateParams):
-            w = gate_weights(phi, gate)
-            return fuse(sims, w), w
-    elif mode == "average":
-        def fuser(phi: Tensor, sims: list[Tensor], gate: GateParams):
-            w = uniform_weights(len(sims))
-            return fuse(sims, w), w
-    else:
-        raise ValueError(f"unknown fuse mode {mode!r}; expected 'weighted' or 'average'")
-    return fuser
-
-
-@dataclass
-class FusedSimilarity:
-    per_space: list[tuple[str, float]]
-    weights: np.ndarray
-    value: float
+        return gate_weights(phi, gate)
+    if mode == "average":
+        return uniform_weights(gate.n_spaces)
+    raise ValueError(f"unknown fuse mode {mode!r}; expected 'weighted' or 'average'")
 
 
 HIST_BIN_WIDTH = 0.01

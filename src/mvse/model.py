@@ -1,5 +1,5 @@
-"""Model assembly: parameter construction, naming, and the forward paths
-that turn a (video, sentence) pair into per-space and fused similarities.
+"""Model assembly: parameter construction, naming, and the per-sentence
+and per-video embeddings that training and retrieval score.
 
 Every learnable tensor is addressable as "module.name" in a flat map so
 the optimizer and the checkpoint format stay format-agnostic about the
@@ -9,10 +9,8 @@ applies its own affine projection to the shared sentence vector.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,13 +22,12 @@ from mvse.config import (
     Dims,
     resolve_spaces,
 )
-from mvse.fusion import GateParams, make_fuser
+from mvse.fusion import GateParams
 from mvse.text import (
     EmbeddingTable,
     GruParams,
     TextProjections,
     gru_encode,
-    lookup,
     lookup_indices,
     project_text,
     projection_out_dim,
@@ -42,10 +39,8 @@ from mvse.visual import (
     SequentialHeadParams,
     VideoFeature,
     action_embed,
-    chunk_sample,
     global_embed,
     sequential_embed,
-    space_similarity,
 )
 
 _INIT_SALT = 0x1417
@@ -163,7 +158,7 @@ def params_from_arrays(
 
 class Model:
     """Bundles parameters with the embedding table and exposes the
-    similarity computations used by training and retrieval."""
+    embeddings that training and retrieval score."""
 
     def __init__(self, params: ModelParams, table: EmbeddingTable):
         self.params = params
@@ -185,24 +180,14 @@ class Model:
 
     # -- sentence side ------------------------------------------------
 
-    def phi_from_tokens(self, tokens: list[str]) -> Tensor:
-        vecs = lookup(tokens, self.table)
-        return gru_encode(vecs, self.params.gru)
-
     def phi_from_indices(self, indices: list[int]) -> Tensor:
         vecs = lookup_indices(indices, self.table.vectors)
         return gru_encode(vecs, self.params.gru)
 
-    def text_embedding(self, phi: Tensor, space: str) -> Tensor:
-        return project_text(phi, space, self.params.projections)
-
     def text_embeddings(self, phi: Tensor) -> dict[str, Tensor]:
-        return {space: self.text_embedding(phi, space) for space in self.spaces}
+        return {space: project_text(phi, space, self.params.projections) for space in self.spaces}
 
     # -- video side ----------------------------------------------------
-
-    def frame_indices(self, video: VideoFeature, mode: str = "first", rng=0) -> list[int]:
-        return chunk_sample(video.n_frames, self.dims.n_chunks, mode=mode, rng_seed=rng)
 
     def video_static_embeddings(
         self, video: VideoFeature, indices: list[int]
@@ -217,40 +202,3 @@ class Model:
 
     def sequential_embedding(self, video: VideoFeature, indices: list[int], phi: Tensor) -> Tensor:
         return sequential_embed(video, indices, phi, self.params.sequential_head)
-
-    # -- pair similarity ------------------------------------------------
-
-    def pair_similarities(
-        self,
-        video: VideoFeature,
-        phi: Tensor,
-        text_embs: dict[str, Tensor] | None = None,
-        static_embs: dict[str, Tensor] | None = None,
-        indices: list[int] | None = None,
-    ) -> dict[str, Tensor]:
-        """Per-space cosine similarities for one (video, sentence) pair.
-
-        ``text_embs``/``static_embs`` allow batch callers to reuse
-        per-sentence and per-video work across the pair grid.
-        """
-        if indices is None:
-            indices = self.frame_indices(video)
-        if text_embs is None:
-            text_embs = self.text_embeddings(phi)
-        if static_embs is None:
-            static_embs = self.video_static_embeddings(video, indices)
-        sims: dict[str, Tensor] = {}
-        for space in self.spaces:
-            if space == SPACE_SEQUENTIAL:
-                f = self.sequential_embedding(video, indices, phi)
-            else:
-                f = static_embs[space]
-            sims[space] = space_similarity(f, text_embs[space])
-        return sims
-
-    def fused_similarity(
-        self, phi: Tensor, sims: dict[str, Tensor], fuse_mode: str = "weighted"
-    ) -> tuple[Tensor, Tensor]:
-        fuser = make_fuser(fuse_mode)
-        ordered = [sims[space] for space in self.spaces]
-        return fuser(phi, ordered, self.params.gate)

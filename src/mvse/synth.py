@@ -23,7 +23,7 @@ and compute information-theoretic ceilings for single-space probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,12 +9,12 @@ derives from the run seed, so a run is reproducible bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from mvse import fusion
 from mvse.autodiff import Tape, Tensor, concat, relu, sum_all
 from mvse.config import SPACE_SEQUENTIAL, TripletConfig
 from mvse.dataio import Dataset, Manifest
@@ -30,19 +30,13 @@ class TrainingDivergedError(RuntimeError):
 
 
 def triplet_losses(
-    s_pos: Tensor | float,
-    s_neg_sentence: Tensor | float,
-    s_neg_video: Tensor | float,
-    alpha: float,
+    s_pos: Tensor, s_neg_sentence: Tensor, s_neg_video: Tensor, alpha: float
 ) -> tuple[Tensor, Tensor]:
     """Hinge losses for one triplet, in both directions: a mismatched
     sentence against the anchor video, and a mismatched video against the
     anchor sentence."""
-    s_pos = s_pos if isinstance(s_pos, Tensor) else Tensor(s_pos)
-    s_ns = s_neg_sentence if isinstance(s_neg_sentence, Tensor) else Tensor(s_neg_sentence)
-    s_nv = s_neg_video if isinstance(s_neg_video, Tensor) else Tensor(s_neg_video)
-    loss_sentence = relu(s_ns - s_pos + alpha)
-    loss_video = relu(s_nv - s_pos + alpha)
+    loss_sentence = relu(s_neg_sentence - s_pos + alpha)
+    loss_video = relu(s_neg_video - s_pos + alpha)
     return loss_sentence, loss_video
 
 
@@ -88,41 +82,39 @@ def fused_similarity_matrix(
     fuse_mode: str = "weighted",
     frame_rngs: list[np.random.Generator] | None = None,
 ) -> list[list[Tensor]]:
-    """s(x_i, y_j) for every pair in the batch.
+    """s(x_i, y_j) for every video i and sentence j: a V x Q grid.
 
-    Sentence vectors, text projections, gate weights, and the
-    sentence-independent video embeddings are each computed once; only the
-    sequential head runs per pair (its attention depends on the sentence).
+    Sentence vectors, text projections and fusion weights are computed
+    once per sentence, and the sentence-independent video embeddings once
+    per video; only the sequential head runs per pair (its attention
+    depends on the sentence). With ``frame_rngs`` (one per video) the
+    global head samples a random frame per chunk; without them it takes
+    each chunk's first frame. The sequential head always takes the first.
     """
-    b = len(videos)
     n = model.dims.n_chunks
     phis = [model.phi_from_indices(s) for s in sentences]
     text_embs = [model.text_embeddings(phi) for phi in phis]
+    weights = [fusion.space_weights(phi, model.params.gate, fuse_mode) for phi in phis]
 
-    idx_global = []
+    statics = []
     idx_seq = []
     for i, v in enumerate(videos):
-        rng = frame_rngs[i] if frame_rngs is not None else "first"
-        if isinstance(rng, np.random.Generator):
-            idx_global.append(chunk_sample(v.n_frames, n, "random", rng))
-        else:
-            idx_global.append(chunk_sample(v.n_frames, n, "first"))
+        mode, rng = ("first", 0) if frame_rngs is None else ("random", frame_rngs[i])
+        statics.append(model.video_static_embeddings(v, chunk_sample(v.n_frames, n, mode, rng)))
         idx_seq.append(chunk_sample(v.n_frames, n, "first"))
-    statics = [model.video_static_embeddings(v, idx_global[i]) for i, v in enumerate(videos)]
 
     fused: list[list[Tensor]] = []
     for i, video in enumerate(videos):
         row = []
-        for j in range(b):
-            sims = {}
+        for j, phi in enumerate(phis):
+            sims = []
             for space in model.spaces:
                 if space == SPACE_SEQUENTIAL:
-                    f = model.sequential_embedding(video, idx_seq[i], phis[j])
+                    f = model.sequential_embedding(video, idx_seq[i], phi)
                 else:
                     f = statics[i][space]
-                sims[space] = space_similarity(f, text_embs[j][space])
-            value, _ = model.fused_similarity(phis[j], sims, fuse_mode)
-            row.append(value)
+                sims.append(space_similarity(f, text_embs[j][space]))
+            row.append(fusion.fuse(sims, weights[j]))
         fused.append(row)
     return fused
 

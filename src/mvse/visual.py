@@ -23,7 +23,6 @@ from mvse.autodiff import (
     softmax,
     tanh,
 )
-from mvse.config import Dims
 
 
 class SpaceUnavailableError(ValueError):
@@ -210,7 +209,3 @@ def action_embed(video: VideoFeature) -> Tensor:
 
 def space_similarity(f: Tensor, g: Tensor) -> Tensor:
     return cosine(f, g)
-
-
-def attention_input_dim(dims: Dims) -> int:
-    return dims.grid_flat

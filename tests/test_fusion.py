@@ -10,8 +10,7 @@ from mvse.fusion import (
     GateStats,
     fuse,
     gate_weights,
-    make_fuser,
-    uniform_weights,
+    space_weights,
 )
 
 H = 8
@@ -100,9 +99,9 @@ class TestFuse:
 
 class TestFuseMode:
     def test_average_mode(self):
-        fuser = make_fuser("average")
         phi = Tensor(np.random.default_rng(0).normal(size=H))
-        value, w = fuser(phi, [Tensor(0.4), Tensor(0.6)], _gate(2))
+        w = space_weights(phi, _gate(2), "average")
+        value = fuse([Tensor(0.4), Tensor(0.6)], w)
         assert value.item() == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(w.data, [0.5, 0.5])
 
@@ -116,8 +115,8 @@ class TestFuseMode:
         phi = Tensor(np.random.default_rng(seed).normal(size=H))
         zero_gate = GateParams(w=Tensor(np.zeros((m, H))))
         tensors = [Tensor(s) for s in sims]
-        weighted, _ = make_fuser("weighted")(phi, tensors, zero_gate)
-        average, _ = make_fuser("average")(phi, tensors, zero_gate)
+        weighted = fuse(tensors, space_weights(phi, zero_gate, "weighted"))
+        average = fuse(tensors, space_weights(phi, zero_gate, "average"))
         assert weighted.item() == pytest.approx(average.item(), abs=1e-12)
 
     def test_weighted_three_way_matches_composition_oracle(self):
@@ -128,14 +127,13 @@ class TestFuseMode:
         logits = gate.w.data @ phi
         e = np.exp(logits - logits.max())
         expected = float((e / e.sum()) @ np.array(sims))
-        value, _ = make_fuser("weighted")(
-            Tensor(phi), [Tensor(s) for s in sims], gate
-        )
+        value = fuse([Tensor(s) for s in sims], space_weights(Tensor(phi), gate, "weighted"))
         assert value.item() == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_mode(self):
+        phi = Tensor(np.zeros(H))
         with pytest.raises(ValueError, match="fuse mode"):
-            make_fuser("median")
+            space_weights(phi, _gate(2), "median")
 
 
 def test_gate_and_fusion_gradients():
@@ -147,7 +145,7 @@ def test_gate_and_fusion_gradients():
 
     def loss(_):
         sims = [cosine(a, b), cosine(c, d)]
-        value, _ = make_fuser("weighted")(phi, sims, gate)
+        value = fuse(sims, space_weights(phi, gate, "weighted"))
         return relu(0.2 - value)
 
     assert grad_check(loss, gate.w) < 1e-4

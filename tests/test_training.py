@@ -1,0 +1,183 @@
+"""The shared scoring path: ``fused_similarity_matrix`` against a per-pair
+reference built from public functions, and the reproducibility of
+``train``."""
+
+import numpy as np
+import pytest
+
+from mvse import model as mvse_model
+from mvse import training
+from mvse.autodiff import Tape, grad_check
+from mvse.config import SPACE_SEQUENTIAL, Dims, TripletConfig
+from mvse.fusion import fuse, gate_weights, uniform_weights
+from mvse.model import Model
+from mvse.synth import SynthConfig, synth_generate
+from mvse.visual import chunk_sample, global_embed, sequential_embed, space_similarity
+
+DIMS = Dims.small()
+N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
+
+
+def _corpus(n_videos: int = 8):
+    return synth_generate(SynthConfig(
+        dims=DIMS, n_videos=n_videos, sentences_per_video=2,
+        rho=(0.5, 0.25, 0.25), seed=3, train_fraction=0.5, n_frames=N_FRAMES,
+    ))
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return _corpus()
+
+
+def _batch(corpus, k: int = 4):
+    ds = corpus.dataset
+    return [
+        (ds.video_feature(idx, vid), ds.sentences[sents[0]])
+        for vid, idx, sents in corpus.manifests["train"].entries[:k]
+    ]
+
+
+def _rngs(videos, epoch: int = 0):
+    return [training.frame_rng(5, epoch, v.video_id) for v in videos]
+
+
+def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
+    """The grid with the gate rebuilt for every (video, sentence) pair."""
+    n = model.dims.n_chunks
+    phis = [model.phi_from_indices(s) for s in sentences]
+    grid = []
+    for i, video in enumerate(videos):
+        idx_global = chunk_sample(video.n_frames, n, "random", frame_rngs[i])
+        idx_seq = chunk_sample(video.n_frames, n, "first")
+        statics = model.video_static_embeddings(video, idx_global)
+        row = []
+        for phi in phis:
+            text = model.text_embeddings(phi)
+            sims = []
+            for space in model.spaces:
+                if space == SPACE_SEQUENTIAL:
+                    f = model.sequential_embedding(video, idx_seq, phi)
+                else:
+                    f = statics[space]
+                sims.append(space_similarity(f, text[space]))
+            if fuse_mode == "weighted":
+                w = gate_weights(phi, model.params.gate)
+            else:
+                w = uniform_weights(len(model.spaces))
+            row.append(fuse(sims, w))
+        grid.append(row)
+    return grid
+
+
+def _grid_and_grads(build, model):
+    config = TripletConfig(negative_mode="sum-all")
+    with Tape() as tape:
+        grid = build()
+        loss = training.loss_from_matrix(grid, config.margin, config.negative_mode)
+        tape.backward(loss)
+        grads = {name: tape.grad(t) for name, t in model.params.named().items()}
+    return np.array([[t.item() for t in row] for row in grid]), grads
+
+
+@pytest.mark.parametrize("spaces", ["dual-I", "triple"])
+@pytest.mark.parametrize("fuse_mode", ["weighted", "average"])
+def test_matrix_matches_per_pair_gate_reference(corpus, spaces, fuse_mode):
+    model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
+    videos, sentences = zip(*_batch(corpus))
+    new_values, new_grads = _grid_and_grads(
+        lambda: training.fused_similarity_matrix(
+            model, list(videos), list(sentences), fuse_mode, _rngs(videos)
+        ),
+        model,
+    )
+    ref_values, ref_grads = _grid_and_grads(
+        lambda: _reference_grid(model, videos, sentences, fuse_mode, _rngs(videos)), model
+    )
+    assert np.array_equal(new_values, ref_values)
+    for name, ref in ref_grads.items():
+        scale = max(np.max(np.abs(ref)), 1e-300)
+        assert np.max(np.abs(new_grads[name] - ref)) <= 1e-12 * scale, name
+
+
+def test_grid_is_videos_by_sentences(corpus):
+    model = Model.new(DIMS, "triple", seed=1, table=corpus.dataset.embedding_table())
+    videos, sentences = zip(*_batch(corpus, k=3))
+    grid = training.fused_similarity_matrix(model, list(videos), list(sentences[:2]))
+    assert len(grid) == 3 and all(len(row) == 2 for row in grid)
+
+
+@pytest.mark.parametrize("spaces", ["dual-I", "triple"])
+def test_batch_loss_gradient_wrt_gate(corpus, spaces):
+    model = Model.new(DIMS, spaces, seed=2, table=corpus.dataset.embedding_table())
+    batch = _batch(corpus)
+    videos = [v for v, _ in batch]
+    config = TripletConfig(negative_mode="sum-all")
+
+    def loss(_):
+        return training.batch_loss(batch, model, config, "weighted", _rngs(videos))
+
+    assert grad_check(loss, model.params.gate.w, max_coords=16) < 1e-6
+
+
+def test_unknown_fuse_mode_raises_before_any_pair_is_scored(corpus, monkeypatch):
+    model = Model.new(DIMS, "dual-I", seed=1, table=corpus.dataset.embedding_table())
+    scored = []
+    monkeypatch.setattr(training, "space_similarity", lambda f, g: scored.append(1))
+    videos, sentences = zip(*_batch(corpus))
+    with pytest.raises(ValueError, match="fuse mode"):
+        training.fused_similarity_matrix(model, list(videos), list(sentences), "median")
+    assert scored == []
+
+
+def _train_once(corpus, monkeypatch):
+    """One seeded run, recording the frames each video head was given."""
+    epoch = [0]
+    frames = {"global": [], "sequential": []}
+
+    def spy_global(video, indices, params):
+        frames["global"].append((epoch[0], video.video_id, tuple(indices)))
+        return global_embed(video, indices, params)
+
+    def spy_sequential(video, indices, phi, params):
+        frames["sequential"].append((video.video_id, tuple(indices)))
+        return sequential_embed(video, indices, phi, params)
+
+    monkeypatch.setattr(mvse_model, "global_embed", spy_global)
+    monkeypatch.setattr(mvse_model, "sequential_embed", spy_sequential)
+    model = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=2, batch_size=4, learning_rate=0.05, rng_seed=5)
+
+    def log_fn(e, _loss):
+        epoch[0] = e + 1
+
+    result = training.train(
+        corpus.dataset, corpus.manifests["train"], model, config, "weighted", log_fn
+    )
+    params = {name: t.data.copy() for name, t in model.params.named().items()}
+    return result.loss_log, params, frames
+
+
+def test_train_is_bit_reproducible_from_the_seed(monkeypatch):
+    corpus = _corpus(n_videos=16)
+    log_a, params_a, frames_a = _train_once(corpus, monkeypatch)
+    log_b, params_b, frames_b = _train_once(corpus, monkeypatch)
+    assert len(log_a) == 2 and all(np.isfinite(v) for _, v in log_a)
+    assert log_a == log_b
+    assert params_a.keys() == params_b.keys()
+    for name in params_a:
+        assert np.array_equal(params_a[name], params_b[name]), name
+    assert frames_a == frames_b
+
+    # The global head samples a random frame per chunk from the run's
+    # frame generators; the sequential head always takes the first.
+    first = chunk_sample(N_FRAMES, DIMS.n_chunks, "first")
+    assert {idx for _, idx in frames_a["sequential"]} == {tuple(first)}
+    for epoch, vid, idx in frames_a["global"]:
+        expected = chunk_sample(N_FRAMES, DIMS.n_chunks, "random", training.frame_rng(5, epoch, vid))
+        assert idx == tuple(expected)
+    assert any(idx != tuple(first) for _, _, idx in frames_a["global"])
+
+    fresh = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
+    initial = {name: t.data for name, t in fresh.params.named().items()}
+    assert any(not np.array_equal(initial[n], params_a[n]) for n in initial)
