@@ -220,13 +220,6 @@ def no_tape():
         _ACTIVE_TAPE.reset(token)
 
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Run reverse-mode differentiation on the tape that produced ``loss``."""
-    if loss.tape is None:
-        raise ValueError("backward: loss was not recorded on any tape")
-    return loss.tape.backward(loss)
-
-
 def _emit(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = _ACTIVE_TAPE.get()
     if tape is None:

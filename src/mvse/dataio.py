@@ -140,11 +140,8 @@ class Dataset:
             action_vec=self.action_vecs[index] if self.has_action else None,
         )
 
-    def embedding_table(self, oov_policy: str = "zero") -> EmbeddingTable:
-        vocab = {f"w{i}": i for i in range(self.vocab_size)}
-        return EmbeddingTable(
-            vocab=vocab, vectors=self.embedding_vectors, oov_policy=oov_policy
-        )
+    def embedding_table(self) -> EmbeddingTable:
+        return EmbeddingTable(vectors=self.embedding_vectors)
 
 
 def default_video_id(index: int) -> str:
@@ -223,10 +220,13 @@ def read_container(blob: bytes) -> Dataset:
             f"header promises {total_tokens} sentence tokens, sections carry {seen_tokens}"
         )
     r.done("container")
-    return Dataset(
-        global_frames=global_frames, grid_frames=grid_frames,
-        action_vecs=action_vecs, embedding_vectors=table, sentences=sentences,
-    )
+    try:
+        return Dataset(
+            global_frames=global_frames, grid_frames=grid_frames,
+            action_vecs=action_vecs, embedding_vectors=table, sentences=sentences,
+        )
+    except ValueError as exc:
+        raise ContainerError(f"inconsistent container: {exc}") from exc
 
 
 def save_container(ds: Dataset, path: str | Path) -> None:
@@ -240,6 +240,13 @@ def load_container(path: str | Path) -> Dataset:
 # ---------------------------------------------------------------------------
 # Manifests
 # ---------------------------------------------------------------------------
+
+
+def _manifest_int(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ManifestError(f"line {lineno}: {what} {text!r} is not an integer") from None
 
 
 @dataclass
@@ -259,9 +266,6 @@ class Manifest:
 
     split: str
     entries: list[tuple[str, int, tuple[int, ...]]] = field(default_factory=list)
-
-    def video_ids(self) -> list[str]:
-        return [e[0] for e in self.entries]
 
     def queries(self) -> list[tuple[str, int, int]]:
         """(video_id, video_index, sentence_id) triples, one per query."""
@@ -294,15 +298,15 @@ class Manifest:
                 split = line.split(":", 1)[1].strip()
                 continue
             if line.startswith("videos:"):
-                promised = int(line.split(":", 1)[1].strip())
+                promised = _manifest_int(line.split(":", 1)[1].strip(), lineno, "video count")
                 continue
             if line.startswith("video "):
                 head, _, tail = line.partition(":")
                 parts = head.split()
                 if len(parts) != 3:
                     raise ManifestError(f"line {lineno}: expected 'video <id> <index> : <sentences>'")
-                vid, idx = parts[1], int(parts[2])
-                sents = tuple(int(s) for s in tail.split())
+                vid, idx = parts[1], _manifest_int(parts[2], lineno, "video index")
+                sents = tuple(_manifest_int(s, lineno, "sentence id") for s in tail.split())
                 entries.append((vid, idx, sents))
                 continue
             raise ManifestError(f"line {lineno}: unrecognized manifest line {line!r}")
@@ -361,12 +365,18 @@ def read_checkpoint(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"checkpoint version {version}, expected {FORMAT_VERSION}")
     (json_len,) = struct.unpack("<I", r.take(4, "config length"))
-    config = json.loads(r.take(json_len, "config").decode("utf-8"))
+    try:
+        config = json.loads(r.take(json_len, "config").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerError(f"checkpoint config is not valid UTF-8 JSON: {exc}") from exc
     (count,) = struct.unpack("<I", r.take(4, "tensor count"))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2, "tensor name length"))
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        try:
+            name = r.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"checkpoint tensor name is not valid UTF-8: {exc}") from exc
         (rank,) = struct.unpack("<B", r.take(1, "tensor rank"))
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, "tensor shape"))
         size = int(np.prod(shape, dtype=np.int64)) if rank else 1

@@ -77,8 +77,6 @@ class ModelParams:
         if self.sequential_head is not None:
             out.update(self.sequential_head.named())
         out.update(self.gate.named())
-        if len(out) != len(set(out)):
-            raise ValueError("duplicate parameter names")
         return out
 
 
@@ -173,10 +171,9 @@ class Model:
         return self.params.spaces
 
     @classmethod
-    def new(cls, dims: Dims, spaces: tuple[str, ...] | str, seed: int, table: EmbeddingTable) -> "Model":
-        if isinstance(spaces, str):
-            spaces = resolve_spaces(spaces)
-        return cls(init_params(dims, spaces, seed), table)
+    def new(cls, dims: Dims, spaces: str, seed: int, table: EmbeddingTable) -> "Model":
+        """A freshly initialised model for the named space set (e.g. "triple")."""
+        return cls(init_params(dims, resolve_spaces(spaces), seed), table)
 
     # -- sentence side ------------------------------------------------
 

@@ -1,15 +1,14 @@
-"""Sentence side: tokenization, token embedding lookup, GRU encoding,
-and the per-space affine projections of the sentence vector.
+"""Sentence side: token embedding lookup, GRU encoding, and the
+per-space affine projections of the sentence vector.
 
-The token embedding table is frozen (it stands in for a pre-trained
-word-vector model); lookups produce plain constants, so the table never
-appears on a gradient tape.
+Sentences arrive as lists of token ids into a frozen float table, which
+is what a container stores; there is no tokenizer and no word
+vocabulary. The table stands in for a pre-trained word-vector model;
+lookups produce plain constants, so it never appears on a gradient tape.
 """
 
 from __future__ import annotations
 
-import string
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,88 +16,28 @@ import numpy as np
 from mvse.autodiff import Tensor, add, matvec, mul, sigmoid, tanh
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, Dims
 
-_PUNCT = str.maketrans("", "", string.punctuation)
-_OOV_SALT = 0x0FF5EED
-
 
 class EmptySentenceError(ValueError):
     pass
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, strip ASCII punctuation."""
-    if not text or not text.strip():
-        raise EmptySentenceError("empty sentence")
-    tokens = [w.translate(_PUNCT) for w in text.lower().split()]
-    tokens = [t for t in tokens if t]
-    if not tokens:
-        raise EmptySentenceError("empty sentence after punctuation stripping")
-    return tokens
-
-
-def stable_token_hash(token: str) -> int:
-    return zlib.crc32(token.encode("utf-8"))
-
-
 @dataclass
 class EmbeddingTable:
-    """Frozen token-vector table with a configurable OOV policy."""
+    """Frozen token-vector table, one row per token id."""
 
-    vocab: dict[str, int]
     vectors: np.ndarray  # [V, E]
-    oov_policy: str = "zero"  # or "hashed-random"
 
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ValueError(f"embedding table must be [V, E], got {self.vectors.shape}")
-        if self.vocab and max(self.vocab.values()) >= self.vectors.shape[0]:
-            raise ValueError("vocab index exceeds table rows")
-        if self.oov_policy not in ("zero", "hashed-random"):
-            raise ValueError(f"unknown oov policy {self.oov_policy!r}")
-
-    @property
-    def token_dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def _oov_vector(self, token: str) -> np.ndarray:
-        if self.oov_policy == "zero":
-            return np.zeros(self.token_dim)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([_OOV_SALT, stable_token_hash(token)])
-        )
-        return rng.normal(scale=1.0 / np.sqrt(self.token_dim), size=self.token_dim)
-
-    def row(self, token: str) -> tuple[np.ndarray, bool]:
-        """(vector, in_vocab) for one token."""
-        idx = self.vocab.get(token)
-        if idx is None:
-            return self._oov_vector(token), False
-        return self.vectors[idx].copy(), True
-
-    @staticmethod
-    def random(vocab_size: int, token_dim: int, seed: int, oov_policy: str = "zero") -> "EmbeddingTable":
-        """Deterministic stand-in table when no pre-trained vectors exist."""
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7AB1E]))
-        vectors = rng.normal(scale=1.0 / np.sqrt(token_dim), size=(vocab_size, token_dim))
-        vocab = {f"w{i}": i for i in range(vocab_size)}
-        return EmbeddingTable(vocab=vocab, vectors=vectors, oov_policy=oov_policy)
-
-
-def lookup(tokens: list[str], table: EmbeddingTable) -> Tensor:
-    """Stack token vectors into a [T, E] constant."""
-    if not tokens:
-        raise EmptySentenceError("empty sentence")
-    rows = [table.row(t)[0] for t in tokens]
-    return Tensor(np.stack(rows))
 
 
 def lookup_indices(indices: list[int], table_vectors: np.ndarray) -> Tensor:
-    """Index-based lookup used for corpus sentences stored as id lists."""
+    """Stack the rows of the given token ids into a [T, E] constant."""
     if len(indices) == 0:
         raise EmptySentenceError("empty sentence")
-    arr = np.asarray(table_vectors, dtype=np.float64)
-    return Tensor(arr[np.asarray(indices, dtype=np.int64)])
+    return Tensor(table_vectors[np.asarray(indices, dtype=np.int64)])
 
 
 @dataclass

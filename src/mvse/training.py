@@ -99,7 +99,7 @@ def fused_similarity_matrix(
     statics = []
     idx_seq = []
     for i, v in enumerate(videos):
-        mode, rng = ("first", 0) if frame_rngs is None else ("random", frame_rngs[i])
+        mode, rng = ("first", None) if frame_rngs is None else ("random", frame_rngs[i])
         statics.append(model.video_static_embeddings(v, chunk_sample(v.n_frames, n, mode, rng)))
         idx_seq.append(chunk_sample(v.n_frames, n, "first"))
 
@@ -162,11 +162,6 @@ def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:
 class TrainResult:
     model: Model
     loss_log: list[tuple[int, float]]
-
-    def loss_csv(self) -> str:
-        lines = ["epoch,loss"]
-        lines += [f"{e},{v:.10f}" for e, v in self.loss_log]
-        return "\n".join(lines) + "\n"
 
 
 def train(

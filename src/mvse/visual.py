@@ -58,24 +58,22 @@ def chunk_sample(
     n_frames: int,
     n_chunks: int,
     mode: str = "first",
-    rng_seed: int | np.random.Generator = 0,
+    rng: np.random.Generator | None = None,
 ) -> list[int]:
     """Pick one frame index per chunk; indices are nondecreasing.
 
     Chunk i covers [floor(i*F/N), floor((i+1)*F/N)). "first" takes the
-    chunk start; "random" draws uniformly inside the chunk. Short videos
-    (F < N) repeat frames deterministically because empty chunks collapse
-    onto their start boundary.
+    chunk start and ignores ``rng``; "random" draws uniformly inside the
+    chunk from ``rng``, which it requires. Short videos (F < N) repeat
+    frames deterministically because empty chunks collapse onto their
+    start boundary.
     """
     if n_frames < 1 or n_chunks < 1:
         raise ValueError(f"need n_frames >= 1 and n_chunks >= 1, got {n_frames}, {n_chunks}")
     if mode not in ("first", "random"):
         raise ValueError(f"unknown sampling mode {mode!r}")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    if mode == "random" and rng is None:
+        raise ValueError("'random' sampling needs a generator")
     indices = []
     for i in range(n_chunks):
         lo = (i * n_frames) // n_chunks
@@ -118,7 +116,7 @@ class AttentionParams:
 
 
 def spatial_attention(
-    grid_frame: Tensor | np.ndarray,
+    grid_frame: np.ndarray,
     phi: Tensor,
     params: AttentionParams,
 ) -> tuple[Tensor, Tensor]:
@@ -129,7 +127,7 @@ def spatial_attention(
     Grid flattening is row-major (row, column, channel innermost) -- the
     visual-branch weight columns are laid out against that order.
     """
-    grid = grid_frame if isinstance(grid_frame, Tensor) else Tensor(grid_frame)
+    grid = Tensor(grid_frame)
     g1, g2, _ = grid.data.shape
     flat = reshape(grid, (grid.data.size,))
     p = tanh(add(matvec(params.w_p, flat), params.b_p))

@@ -13,7 +13,6 @@ from mvse.autodiff import (
     Tape,
     Tensor,
     add,
-    backward,
     concat,
     cosine,
     dot,
@@ -146,11 +145,11 @@ class TestBackward:
         with pytest.raises(ValueError):
             Tape().backward(y)
 
-    def test_module_level_backward(self):
+    def test_backward_after_recording_ends(self):
         with Tape() as tape:
             x = Tensor([3.0])
             loss = sum_all(mul(x, x))
-        backward(loss)
+        tape.backward(loss)
         np.testing.assert_allclose(tape.grad(x), [6.0])
 
     def test_composed_loss_matches_finite_differences(self):

@@ -4,6 +4,7 @@ import pytest
 from mvse.config import Dims
 from mvse.dataio import (
     BadMagicError,
+    ContainerError,
     Dataset,
     Manifest,
     ManifestError,
@@ -100,6 +101,13 @@ class TestContainer:
                 sentences=[[99]],
             )
 
+    def test_out_of_vocabulary_token_is_a_container_error(self):
+        ds = _tiny_dataset()
+        blob = bytearray(write_container(ds))
+        blob[-4:] = (ds.vocab_size).to_bytes(4, "little")  # the last sentence's only token id
+        with pytest.raises(ContainerError, match="outside vocabulary"):
+            read_container(bytes(blob))
+
     def test_video_feature_view(self):
         ds = _tiny_dataset()
         feat = ds.video_feature(0)
@@ -143,6 +151,12 @@ class TestManifest:
             Manifest.from_text("split: t\nvideos: 2\nvideo v0 0 : 1\n")
         with pytest.raises(ManifestError, match="unrecognized"):
             Manifest.from_text("split: t\nwat\n")
+        with pytest.raises(ManifestError, match="line 2: video index 'x'"):
+            Manifest.from_text("split: t\nvideo v0 x : 1\n")
+        with pytest.raises(ManifestError, match="line 2: sentence id 'a'"):
+            Manifest.from_text("split: t\nvideo v0 0 : 1 a\n")
+        with pytest.raises(ManifestError, match="line 1: video count 'two'"):
+            Manifest.from_text("videos: two\nsplit: t\n")
 
     def test_validate_against_dataset(self):
         ds = _tiny_dataset()
@@ -193,6 +207,18 @@ class TestCheckpoint:
             read_container(blob)
         with pytest.raises(BadMagicError):
             read_checkpoint(write_container(_tiny_dataset()))
+
+    def test_undecodable_config_or_name_is_a_container_error(self):
+        blob = write_checkpoint(self._params(), {"a": 1})
+        config_at = 4 + 2 + 4  # magic, version, config length
+        name_at = config_at + len(b'{"a":1}') + 4 + 2  # config, tensor count, name length
+        assert blob[name_at: name_at + 6] == b"gate.w"
+        # not UTF-8 in the config; UTF-8 but not JSON; not UTF-8 in a tensor name
+        for at, byte in ((config_at, 0xFF), (config_at, ord("x")), (name_at, 0xFF)):
+            bad = bytearray(blob)
+            bad[at] = byte
+            with pytest.raises(ContainerError, match="checkpoint"):
+                read_checkpoint(bytes(bad))
 
     def test_truncated_checkpoint(self):
         blob = write_checkpoint(self._params(), {})

@@ -12,10 +12,8 @@ from mvse.text import (
     GruParams,
     TextProjections,
     gru_encode,
-    lookup,
     lookup_indices,
     project_text,
-    tokenize,
 )
 
 DIMS = Dims.small()
@@ -52,48 +50,17 @@ def _reference_gru(xs: np.ndarray, p: GruParams) -> np.ndarray:
     return h
 
 
-class TestTokenize:
-    def test_sentence(self):
-        assert tokenize("A man is singing.") == ["a", "man", "is", "singing"]
-
-    def test_single(self):
-        assert tokenize("dog") == ["dog"]
-
-    def test_punctuation_stripped(self):
-        assert tokenize("Two dogs, one cat!") == ["two", "dogs", "one", "cat"]
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySentenceError):
-            tokenize("   ")
-        with pytest.raises(EmptySentenceError):
-            tokenize("!!! ...")
-
-
 class TestLookup:
-    def _table(self, policy="zero"):
-        vectors = np.arange(12, dtype=np.float64).reshape(3, 4)
-        return EmbeddingTable(vocab={"cat": 0, "dog": 1, "run": 2}, vectors=vectors, oov_policy=policy)
+    def _table(self):
+        return EmbeddingTable(vectors=np.arange(12, dtype=np.float64).reshape(3, 4))
 
     def test_known_token_verbatim(self):
-        out = lookup(["dog", "cat"], self._table())
+        out = lookup_indices([1, 0], self._table().vectors)
         np.testing.assert_array_equal(out.data, [[4, 5, 6, 7], [0, 1, 2, 3]])
-
-    def test_oov_zero_policy(self):
-        out = lookup(["zebra"], self._table("zero"))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
-
-    def test_oov_hashed_is_deterministic(self):
-        t = self._table("hashed-random")
-        a = lookup(["zebra"], t).data
-        b = lookup(["zebra", "zebra"], t).data
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(b[0], b[1])
-        other = lookup(["okapi"], t).data
-        assert not np.array_equal(a[0], other[0])
 
     def test_lookup_copies_rows(self):
         t = self._table()
-        out = lookup(["cat"], t)
+        out = lookup_indices([0], t.vectors)
         out.data[0, 0] = 99.0
         assert t.vectors[0, 0] == 0.0
 
@@ -102,9 +69,9 @@ class TestLookup:
         out = lookup_indices([2, 0], t.vectors)
         np.testing.assert_array_equal(out.data, t.vectors[[2, 0]])
 
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable(vocab={}, vectors=np.zeros((1, 2)), oov_policy="ones")
+    def test_empty_raises(self):
+        with pytest.raises(EmptySentenceError):
+            lookup_indices([], self._table().vectors)
 
 
 class TestGru:
@@ -155,11 +122,11 @@ class TestGru:
             assert err < 1e-4
 
     def test_embedding_table_stays_frozen(self):
-        table = EmbeddingTable.random(vocab_size=6, token_dim=4, seed=0)
+        table = EmbeddingTable(vectors=np.random.default_rng(0).normal(size=(6, 4)))
         before = table.vectors.copy()
         params = _random_gru(4, 4, seed=2)
         with Tape() as tape:
-            vecs = lookup(["w0", "w3"], table)
+            vecs = lookup_indices([0, 3], table.vectors)
             loss = sum_all(gru_encode(vecs, params))
             tape.backward(loss)
         np.testing.assert_array_equal(table.vectors, before)

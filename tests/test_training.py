@@ -7,8 +7,9 @@ import pytest
 
 from mvse import model as mvse_model
 from mvse import training
-from mvse.autodiff import Tape, grad_check
+from mvse.autodiff import Tape, Tensor, grad_check, no_tape
 from mvse.config import SPACE_SEQUENTIAL, Dims, TripletConfig
+from mvse.dataio import read_checkpoint, write_checkpoint
 from mvse.fusion import fuse, gate_weights, uniform_weights
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
@@ -181,3 +182,40 @@ def test_train_is_bit_reproducible_from_the_seed(monkeypatch):
     fresh = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
     initial = {name: t.data for name, t in fresh.params.named().items()}
     assert any(not np.array_equal(initial[n], params_a[n]) for n in initial)
+
+
+def test_hardest_mode_breaks_ties_to_the_lowest_index():
+    values = [[0.5, 0.4, 0.4], [0.1, 0.5, 0.45], [0.1, 0.2, 0.5]]
+    alpha = 1.0  # every picked hinge is active, so every picked entry gets a gradient
+    with Tape() as tape:
+        fused = [[Tensor(v) for v in row] for row in values]
+        loss = training.loss_from_matrix(fused, alpha, "hardest")
+        tape.backward(loss)
+    # anchor 0 ties (0,1)/(0,2) along its row and (1,0)/(2,0) down its column
+    assert tape.grad(fused[0][1]) != 0 and tape.grad(fused[0][2]) == 0
+    assert tape.grad(fused[1][0]) != 0 and tape.grad(fused[2][0]) == 0
+    picked = [(0.4, 0.1), (0.45, 0.4), (0.2, 0.45)]  # (wrong sentence, wrong video) per anchor
+    expected = sum(2 * alpha + s + v - 2 * values[i][i] for i, (s, v) in enumerate(picked))
+    assert loss.item() == pytest.approx(expected, abs=1e-12)
+
+
+def test_non_finite_loss_stops_training(corpus, monkeypatch):
+    monkeypatch.setattr(training, "loss_from_matrix", lambda fused, alpha, mode: Tensor(np.nan))
+    model = Model.new(DIMS, "dual-I", seed=1, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=1, batch_size=4, rng_seed=5)
+    with pytest.raises(training.TrainingDivergedError, match=r"epoch 0.*videos \['v"):
+        training.train(corpus.dataset, corpus.manifests["train"], model, config)
+
+
+@pytest.mark.parametrize("spaces", ["dual-I", "triple"])
+def test_checkpoint_round_trip_scores_bit_identically(corpus, spaces):
+    table = corpus.dataset.embedding_table()
+    model = Model.new(DIMS, spaces, seed=6, table=table)
+    arrays = {name: t.data for name, t in model.params.named().items()}
+    loaded, _ = read_checkpoint(write_checkpoint(arrays, {"spaces": spaces}))
+    reloaded = Model(mvse_model.params_from_arrays(DIMS, model.spaces, loaded), table)
+    videos, sentences = zip(*_batch(corpus))
+    with no_tape():
+        before = training.fused_similarity_matrix(model, list(videos), list(sentences))
+        after = training.fused_similarity_matrix(reloaded, list(videos), list(sentences))
+    assert [[t.item() for t in row] for row in after] == [[t.item() for t in row] for row in before]

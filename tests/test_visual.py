@@ -53,16 +53,16 @@ class TestChunkSample:
             assert chunk_sample(f, n, "first") == expected
 
     def test_random_is_seed_deterministic(self):
-        a = chunk_sample(50, 10, "random", rng_seed=123)
-        b = chunk_sample(50, 10, "random", rng_seed=123)
-        c = chunk_sample(50, 10, "random", rng_seed=124)
+        a = chunk_sample(50, 10, "random", np.random.default_rng(123))
+        b = chunk_sample(50, 10, "random", np.random.default_rng(123))
+        c = chunk_sample(50, 10, "random", np.random.default_rng(124))
         assert a == b
         assert a != c  # almost surely
 
     @given(f=st.integers(1, 200), n=st.integers(1, 50), seed=st.integers(0, 1000))
     @settings(max_examples=200, deadline=None)
     def test_random_indices_nondecreasing_and_in_chunk(self, f, n, seed):
-        idx = chunk_sample(f, n, "random", rng_seed=seed)
+        idx = chunk_sample(f, n, "random", np.random.default_rng(seed))
         assert len(idx) == n
         assert all(0 <= i < f for i in idx)
         assert all(a <= b for a, b in zip(idx, idx[1:]))
@@ -77,6 +77,8 @@ class TestChunkSample:
             chunk_sample(5, 0)
         with pytest.raises(ValueError):
             chunk_sample(5, 2, mode="middle")
+        with pytest.raises(ValueError, match="generator"):
+            chunk_sample(5, 2, mode="random")
 
 
 class TestGlobalEmbed:
