@@ -104,11 +104,6 @@ class Tensor:
     def __neg__(self):
         return scale(self, -1.0)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return scale(self, 1.0 / float(other))
-
 
 class _Node:
     __slots__ = ("parents", "backward")
@@ -271,19 +266,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError("div", a.data.shape, b.data.shape)
-    if np.any(np.abs(b.data) < NORM_GUARD):
-        raise ValueError("div: divisor entry below guard threshold")
-    out = a.data / b.data
-
-    def bk(g):
-        return g / b.data, -g * a.data / (b.data * b.data)
-
-    return _emit(out, (a, b), bk)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return _emit(y, (a,), lambda g: (g * (1.0 - y * y),))
@@ -345,15 +327,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise ValueError("sqrt: negative input")
-    y = np.sqrt(a.data)
-    if np.any(y < NORM_GUARD):
-        raise ValueError("sqrt: input too close to zero to differentiate")
-    return _emit(y, (a,), lambda g: (g / (2.0 * y),))
-
-
 def concat(parts: Iterable[Tensor]) -> Tensor:
     parts = tuple(parts)
     if not parts:
@@ -413,19 +386,26 @@ def scale_cells(grid: Tensor, amap: Tensor) -> Tensor:
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two rank-1 tensors; differentiable in both.
+    """Cosine similarity of two rank-1 tensors, recorded as one tape node.
 
-    Raises :class:`DegenerateEmbeddingError` when either vector's norm is
-    below 1e-12 -- in training that is a bug signal, never a value to
-    silently clamp.
+    The backward is the closed form ``ga = g·(b/den − c·a/|a|²)``,
+    ``gb = g·(a/den − c·b/|b|²)`` with ``den = |a|·|b|``. For finite inputs
+    the only error is :class:`DegenerateEmbeddingError`, raised when either
+    norm is below 1e-12 -- in training that is a bug signal, never a value
+    to silently clamp.
     """
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape or a.data.size < 1:
         raise ShapeError("cosine", a.data.shape, b.data.shape)
-    na2 = float(a.data @ a.data)
-    nb2 = float(b.data @ b.data)
-    if na2 < NORM_GUARD * NORM_GUARD or nb2 < NORM_GUARD * NORM_GUARD:
+    na2, nb2 = float(a.data @ a.data), float(b.data @ b.data)
+    if min(na2, nb2) < NORM_GUARD * NORM_GUARD:
         raise DegenerateEmbeddingError("degenerate embedding: norm below 1e-12")
-    return div(dot(a, b), mul(sqrt(dot(a, a)), sqrt(dot(b, b))))
+    den = np.sqrt(na2) * np.sqrt(nb2)
+    c = float((a.data @ b.data) / den)
+
+    def bk(g):
+        return g * (b.data / den - c * a.data / na2), g * (a.data / den - c * b.data / nb2)
+
+    return _emit(np.asarray(c), (a, b), bk)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,12 @@ class Manifest:
         return Manifest(split=split, entries=entries)
 
     def validate_against(self, ds: Dataset) -> None:
+        seen: set[tuple[str, str | int]] = set()
         for vid, idx, sents in self.entries:
+            for key in (("id", vid), ("index", idx)):
+                if key in seen:
+                    raise ManifestError(f"video {vid}: {key[0]} {key[1]!r} is listed twice")
+                seen.add(key)
             if not 0 <= idx < ds.n_videos:
                 raise ManifestError(f"video {vid}: index {idx} not in container (V={ds.n_videos})")
             for s in sents:

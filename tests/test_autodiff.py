@@ -71,6 +71,30 @@ def test_mean_over_axis_oracle():
     np.testing.assert_allclose(m.data, [3.0, 5.0])
 
 
+def _composed_cosine(a, b):
+    """Value and gradients of div(dot(a, b), mul(sqrt(dot(a, a)), sqrt(dot(b, b)))),
+    swept node by node in reverse."""
+    d, na2, nb2 = a @ b, a @ a, b @ b
+    sa, sb = np.sqrt(na2), np.sqrt(nb2)
+    den = sa * sb
+    g_d, g_den = 1.0 / den, -d / (den * den)  # div
+    g_sa, g_sb = g_den * sb, g_den * sa  # mul
+    g_na2, g_nb2 = g_sa / (2.0 * sa), g_sb / (2.0 * sb)  # sqrt
+    # dot(a, b); dot(a, a) and dot(b, b) pass their gradient to both sides
+    return d / den, g_d * b + 2.0 * g_na2 * a, g_d * a + 2.0 * g_nb2 * b
+
+
+def _direction(n):
+    unit_box = arrays(np.float64, n, elements=st.floats(min_value=-1, max_value=1))
+    return unit_box.filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+direction_pairs = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(_direction(n), _direction(n))
+)
+log_norm = st.floats(min_value=-6, max_value=3)
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = Tensor([0.3, -1.2, 4.0])
@@ -94,6 +118,13 @@ class TestCosine:
         with pytest.raises(DegenerateEmbeddingError):
             cosine(Tensor([1.0, 2.0]), Tensor([1e-13, 0.0]))
 
+    def test_small_norms_are_not_degenerate(self):
+        # norms 5e-7 and 5e-12 sit above the 1e-12 degenerate threshold
+        small = cosine(Tensor([3e-7, 4e-7]), Tensor([6e-7, 8e-7]))
+        assert small.item() == pytest.approx(1.0, abs=1e-12)
+        v = Tensor([3e-12, 4e-12])
+        assert cosine(v, v).item() == pytest.approx(1.0, abs=1e-12)
+
     @given(
         v=arrays(np.float64, 4, elements=st.floats(min_value=-5, max_value=5)),
         w=arrays(np.float64, 4, elements=st.floats(min_value=-5, max_value=5)),
@@ -106,6 +137,31 @@ class TestCosine:
         base = cosine(Tensor(v), Tensor(w)).item()
         scaled = cosine(Tensor(alpha * v), Tensor(beta * w)).item()
         assert scaled == pytest.approx(base, abs=1e-9)
+
+    def test_records_one_tape_node(self):
+        with Tape() as tape:
+            cosine(Tensor([1.0, 2.0]), Tensor([3.0, -1.0]))
+        assert len(tape) == 3  # two leaves and the cosine node
+
+    @given(uw=direction_pairs, log_sa=log_norm, log_sb=log_norm)
+    @settings(max_examples=200)
+    def test_matches_the_composed_chain(self, uw, log_sa, log_sb):
+        u, w = uw
+        sa, sb = 10.0**log_sa, 10.0**log_sb
+        a = u * (sa / np.linalg.norm(u))
+        b = w * (sb / np.linalg.norm(w))
+        with Tape() as tape:
+            ta, tb = Tensor(a), Tensor(b)
+            out = cosine(ta, tb)
+            tape.backward(out)
+        value, ga, gb = _composed_cosine(a, b)
+        assert out.item() == value
+        assert np.max(np.abs(tape.grad(ta) - ga)) * sa <= 1e-12
+        assert np.max(np.abs(tape.grad(tb) - gb)) * sb <= 1e-12
+        # grad_check on unit-scale inputs, scaled up to the drawn norms inside f
+        ua, ub = Tensor(a / sa), Tensor(b / sb)
+        assert grad_check(lambda t: cosine(scale(t, sa), Tensor(b)), ua) < 1e-6
+        assert grad_check(lambda t: cosine(Tensor(a), scale(t, sb)), ub) < 1e-6
 
 
 class TestBackward:

@@ -159,12 +159,16 @@ class TestManifest:
             Manifest.from_text("videos: two\nsplit: t\n")
 
     def test_validate_against_dataset(self):
-        ds = _tiny_dataset()
-        Manifest("t", [("v0000", 0, (0, 1))]).validate_against(ds)
+        ds = _tiny_dataset(v=2)
+        Manifest("t", [("v0000", 0, (0, 1)), ("v0001", 1, (1,))]).validate_against(ds)
         with pytest.raises(ManifestError, match="index"):
             Manifest("t", [("v9", 9, (0,))]).validate_against(ds)
         with pytest.raises(ManifestError, match="sentence"):
             Manifest("t", [("v0000", 0, (7,))]).validate_against(ds)
+        with pytest.raises(ManifestError, match="id 'v0000' is listed twice"):
+            Manifest("t", [("v0000", 0, (0,)), ("v0000", 1, (1,))]).validate_against(ds)
+        with pytest.raises(ManifestError, match="index 0 is listed twice"):
+            Manifest("t", [("v0000", 0, (0,)), ("v0001", 0, (1,))]).validate_against(ds)
 
     def test_file_round_trip(self, tmp_path):
         m = Manifest("test", [("v0002", 2, (4, 5))])

@@ -8,7 +8,7 @@ import pytest
 from mvse import model as mvse_model
 from mvse import training
 from mvse.autodiff import Tape, Tensor, grad_check, no_tape
-from mvse.config import SPACE_SEQUENTIAL, Dims, TripletConfig
+from mvse.config import SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
 from mvse.dataio import read_checkpoint, write_checkpoint
 from mvse.fusion import fuse, gate_weights, uniform_weights
 from mvse.model import Model
@@ -108,17 +108,30 @@ def test_grid_is_videos_by_sentences(corpus):
     assert len(grid) == 3 and all(len(row) == 2 for row in grid)
 
 
-@pytest.mark.parametrize("spaces", ["dual-I", "triple"])
-def test_batch_loss_gradient_wrt_gate(corpus, spaces):
+def _gradient_cases():
+    """One tensor from each parameter group the space set has, for both
+    negative modes."""
+    for spaces, names in SPACE_SETS.items():
+        groups = ["gru.w_z", f"proj.{names[-1]}.w", "head.global.w", "gate.w"]
+        if SPACE_SEQUENTIAL in names:
+            groups += ["attn.w_q", "lstm.u_i"]
+        for mode in ("sum-all", "hardest"):
+            for tensor in groups:
+                yield spaces, mode, tensor
+
+
+@pytest.mark.parametrize("spaces,negative_mode,tensor", list(_gradient_cases()))
+def test_batch_loss_gradient_per_parameter_group(corpus, spaces, negative_mode, tensor):
     model = Model.new(DIMS, spaces, seed=2, table=corpus.dataset.embedding_table())
     batch = _batch(corpus)
     videos = [v for v, _ in batch]
-    config = TripletConfig(negative_mode="sum-all")
+    config = TripletConfig(negative_mode=negative_mode)
 
     def loss(_):
         return training.batch_loss(batch, model, config, "weighted", _rngs(videos))
 
-    assert grad_check(loss, model.params.gate.w, max_coords=16) < 1e-6
+    x = model.params.named()[tensor]
+    assert grad_check(loss, x, max_coords=3) < 1e-6
 
 
 def test_unknown_fuse_mode_raises_before_any_pair_is_scored(corpus, monkeypatch):
