@@ -78,32 +78,6 @@ class Tensor:
         tracked = f", node={self.node_id}" if self.node_id is not None else ""
         return f"Tensor(shape={self.data.shape}{tracked})"
 
-    # Arithmetic sugar; dispatches to the module-level ops.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(scale(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class _Node:
     __slots__ = ("parents", "backward")
@@ -151,15 +125,11 @@ class Tape:
             self._leaf_refs.append(t)
         return nid
 
-    def _record(self, out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-        out = Tensor.__new__(Tensor)
-        out.data = out_data
+    def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward) -> None:
         pids = tuple(self._node_for(p) for p in parents)
-        nid = len(self._nodes)
-        self._nodes.append(_Node(pids, backward))
-        out.node_id = nid
+        out.node_id = len(self._nodes)
         out.tape = self
-        return out
+        self._nodes.append(_Node(pids, backward))
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Populate gradients of ``loss`` w.r.t. every ancestor node."""
@@ -216,10 +186,11 @@ def no_tape():
 
 
 def _emit(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    out = Tensor(out_data, copy=False)
     tape = _ACTIVE_TAPE.get()
-    if tape is None:
-        return Tensor(out_data, copy=False)
-    return tape._record(out_data, parents, backward_fn)
+    if tape is not None:
+        tape._record(out, parents, backward_fn)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +213,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError("add", a.data.shape, b.data.shape)
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError("sub", a.data.shape, b.data.shape)
-    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
@@ -279,12 +244,6 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
     return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-    mask = a.data > 0  # subgradient 0 at the kink
-    return _emit(y, (a,), lambda g: (g * mask,))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -383,6 +342,37 @@ def scale_cells(grid: Tensor, amap: Tensor) -> Tensor:
         return g * amap.data[:, :, None], (g * grid.data).sum(axis=2)
 
     return _emit(out, (grid, amap), bk)
+
+
+def hinge_sum(negatives: Sequence[Tensor], positives: Sequence[Tensor], margin: float) -> Tensor:
+    """Sum over k of max(0, negatives[k] - positives[k] + margin), one tape node.
+
+    Every input is 0-d; the node's parents are the distinct tensors given.
+    An active term (above 0) passes +g to its negative and -g to its
+    positive; both parents of an inactive term get 0, the subgradient at
+    the kink.
+    """
+    inputs = (*negatives, *positives)
+    if len(negatives) != len(positives) or not negatives:
+        raise ShapeError("hinge_sum", (len(negatives),), (len(positives),), detail="list lengths")
+    bad = [t.data.shape for t in inputs if t.data.shape != ()]
+    if bad:
+        raise ShapeError("hinge_sum", *bad, detail="expected 0-d inputs")
+    parents = tuple({id(t): t for t in inputs}.values())
+    slot = {id(t): k for k, t in enumerate(parents)}
+    slots = [slot[id(t)] for t in inputs]
+    terms = np.array([t.item() for t in negatives]) - np.array([t.item() for t in positives]) + margin
+    active = terms > 0
+
+    def bk(g):
+        g_terms = g * active
+        # start from -0.0, the exact additive identity, so each parent gets
+        # exactly the sum of its terms' contributions, signed zeros included
+        out = np.full(len(parents), -0.0)
+        np.add.at(out, slots, np.concatenate([g_terms, -g_terms]))
+        return tuple(out)
+
+    return _emit(np.maximum(terms, 0.0).sum(), parents, bk)
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvse.autodiff import Tensor, add, matvec, mul, sigmoid, tanh
+from mvse.autodiff import Tensor, add, add_scalar, matvec, mul, scale, sigmoid, tanh
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, Dims
 
 
@@ -78,7 +78,7 @@ def gru_encode(token_vectors: Tensor, params: GruParams) -> Tensor:
         z = sigmoid(add(add(matvec(params.w_z, x), matvec(params.u_z, h)), params.b_z))
         r = sigmoid(add(add(matvec(params.w_r, x), matvec(params.u_r, h)), params.b_r))
         c = tanh(add(add(matvec(params.w_c, x), matvec(params.u_c, mul(r, h))), params.b_c))
-        h = add(mul(1.0 - z, h), mul(z, c))
+        h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
     return h
 
 

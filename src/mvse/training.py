@@ -1,9 +1,11 @@
 """Triplet ranking training.
 
 The batch objective compares every matched pair against the in-batch
-negatives, either summing all hinge violations or, in hardest mode,
-keeping only the strongest violator per anchor and direction. Plain SGD;
-all randomness (shuffling, per-epoch sentence choice, frame sampling)
+negatives in both directions, either summing all hinge violations or, in
+hardest mode, keeping only the strongest violator per anchor and
+direction. The two modes differ only in which grid entries they pick;
+one ``hinge_sum`` tape node sums the hinges of either. Plain SGD; all
+randomness (shuffling, per-epoch sentence choice, frame sampling)
 derives from the run seed, so a run is reproducible bit for bit.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvse import fusion
-from mvse.autodiff import Tape, Tensor, concat, relu, sum_all
+from mvse.autodiff import Tape, Tensor, hinge_sum
 from mvse.config import SPACE_SEQUENTIAL, TripletConfig
 from mvse.dataio import Dataset, Manifest
 from mvse.model import Model
@@ -29,50 +31,35 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
-def triplet_losses(
-    s_pos: Tensor, s_neg_sentence: Tensor, s_neg_video: Tensor, alpha: float
-) -> tuple[Tensor, Tensor]:
-    """Hinge losses for one triplet, in both directions: a mismatched
-    sentence against the anchor video, and a mismatched video against the
-    anchor sentence."""
-    loss_sentence = relu(s_neg_sentence - s_pos + alpha)
-    loss_video = relu(s_neg_video - s_pos + alpha)
-    return loss_sentence, loss_video
-
-
 def loss_from_matrix(fused: list[list[Tensor]], alpha: float, mode: str) -> Tensor:
     """Aggregate a B x B fused-similarity grid into the batch loss.
 
     ``fused[i][j]`` is s(x_i, y_j); diagonal entries are the positives.
-    Hardest mode picks, per anchor, the most similar wrong sentence and
-    the most similar wrong video (ties to the lowest index).
+    Each anchor i contributes picks (i, j_sentence, j_video), each giving
+    two hinges against s(x_i, y_i): the wrong sentence y_{j_sentence} for
+    video x_i, then the wrong video x_{j_video} for sentence y_i. Sum-all
+    mode picks every j != i for both; hardest mode picks the most similar
+    wrong sentence and wrong video (ties to the lowest index). All hinges,
+    in that order, are one ``hinge_sum`` node, which reads only the
+    picked entries.
     """
     b = len(fused)
     if b < 2 or any(len(row) != b for row in fused):
         raise ValueError(f"similarity grid must be square with size >= 2, got {b}")
     if mode not in ("sum-all", "hardest"):
         raise ValueError(f"unknown negative mode {mode!r}")
-    values = np.array([[t.item() for t in row] for row in fused])
-    terms: list[Tensor] = []
-    for i in range(b):
-        if mode == "sum-all":
-            for j in range(b):
-                if j == i:
-                    continue
-                l_s, l_v = triplet_losses(fused[i][i], fused[i][j], fused[j][i], alpha)
-                terms.append(l_s)
-                terms.append(l_v)
-        else:
-            row = values[i].copy()
-            row[i] = -np.inf
-            j_sentence = int(np.argmax(row))
-            col = values[:, i].copy()
-            col[i] = -np.inf
-            j_video = int(np.argmax(col))
-            l_s, l_v = triplet_losses(fused[i][i], fused[i][j_sentence], fused[j_video][i], alpha)
-            terms.append(l_s)
-            terms.append(l_v)
-    return sum_all(concat(terms))
+    if mode == "sum-all":
+        picks = [(i, j, j) for i in range(b) for j in range(b) if j != i]
+    else:
+        values = np.array([[t.item() for t in row] for row in fused])
+        np.fill_diagonal(values, -np.inf)
+        picks = zip(range(b), values.argmax(axis=1), values.argmax(axis=0))
+    negatives: list[Tensor] = []
+    positives: list[Tensor] = []
+    for i, j_sentence, j_video in picks:
+        negatives += [fused[i][j_sentence], fused[j_video][i]]
+        positives += [fused[i][i], fused[i][i]]
+    return hinge_sum(negatives, positives, alpha)
 
 
 def fused_similarity_matrix(

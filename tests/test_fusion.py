@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, relu
+from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum
 from mvse.fusion import (
     GateParams,
     GateStats,
@@ -146,7 +146,7 @@ def test_gate_and_fusion_gradients():
     def loss(_):
         sims = [cosine(a, b), cosine(c, d)]
         value = fuse(sims, space_weights(phi, gate, "weighted"))
-        return relu(0.2 - value)
+        return hinge_sum([Tensor(0.0)], [value], 0.2)
 
     assert grad_check(loss, gate.w) < 1e-4
     assert grad_check(loss, phi) < 1e-4

@@ -7,7 +7,7 @@ import pytest
 
 from mvse import model as mvse_model
 from mvse import training
-from mvse.autodiff import Tape, Tensor, grad_check, no_tape
+from mvse.autodiff import Tape, Tensor, grad_check, no_tape, pick
 from mvse.config import SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
 from mvse.dataio import read_checkpoint, write_checkpoint
 from mvse.fusion import fuse, gate_weights, uniform_weights
@@ -210,6 +210,52 @@ def test_hardest_mode_breaks_ties_to_the_lowest_index():
     picked = [(0.4, 0.1), (0.45, 0.4), (0.2, 0.45)]  # (wrong sentence, wrong video) per anchor
     expected = sum(2 * alpha + s + v - 2 * values[i][i] for i, (s, v) in enumerate(picked))
     assert loss.item() == pytest.approx(expected, abs=1e-12)
+
+
+MARGIN = 0.205  # entries on a 0.01 grid keep every hinge >= 0.005 off its kink
+
+
+def _reference_loss(values, alpha, mode):
+    """The hinges in the documented order -- by anchor, wrong sentence
+    before wrong video -- reduced by numpy's sum, and the grid entries
+    they read."""
+    b = len(values)
+    terms, picked = [], set()
+    for i in range(b):
+        if mode == "sum-all":
+            pairs = [(j, j) for j in range(b) if j != i]
+        else:
+            row, col = values[i].copy(), values[:, i].copy()
+            row[i] = col[i] = -np.inf
+            pairs = [(int(np.argmax(row)), int(np.argmax(col)))]
+        for j_sentence, j_video in pairs:
+            terms.append(max(0.0, values[i, j_sentence] - values[i, i] + alpha))
+            terms.append(max(0.0, values[j_video, i] - values[i, i] + alpha))
+            picked |= {(i, i), (i, j_sentence), (j_video, i)}
+    return np.array(terms).sum(), picked
+
+
+@pytest.mark.parametrize("mode", ["sum-all", "hardest"])
+@pytest.mark.parametrize("b", range(2, 11))
+def test_loss_is_one_hinge_node_over_the_picked_entries(b, mode):
+    values = np.random.default_rng(b).permutation(b * b) * 0.01  # distinct, 0.01 apart
+
+    def grid_of(x):
+        return [[pick(x, i * b + j) for j in range(b)] for i in range(b)]
+
+    x = Tensor(values)
+    with Tape() as tape:
+        grid = grid_of(x)
+        before = len(tape)
+        loss = training.loss_from_matrix(grid, MARGIN, mode)
+        assert len(tape) == before + 1
+        tape.backward(loss)
+    expected, picked = _reference_loss(values.reshape(b, b), MARGIN, mode)
+    assert loss.item() == expected
+    for i in range(b):
+        for j in range(b):
+            assert (grid[i][j].node_id in tape.gradients) == ((i, j) in picked), (i, j)
+    assert grad_check(lambda t: training.loss_from_matrix(grid_of(t), MARGIN, mode), x) < 1e-6
 
 
 def test_non_finite_loss_stops_training(corpus, monkeypatch):
