@@ -6,15 +6,23 @@ appends a node recording its parents and a backward rule. The tape is
 rebuilt on each forward pass, which keeps variable-length recurrences
 (GRU/LSTM unrolls) trivially correct.
 
-Broadcasting is restricted to scalar*tensor and the explicit grid-cell
-broadcast in :func:`scale_cells`; everything else requires exact shape
-agreement so shape bugs surface immediately.
+Broadcasting happens only where an op's name says so: scalar*tensor,
+:func:`broadcast_add`, the grid-cell broadcast in :func:`scale_cells`, and
+the explicit index spec of :func:`einsum`; everything else requires exact
+shape agreement so shape bugs surface immediately.
+
+Backward rules capture ndarrays, shapes and counts, never a
+:class:`Tensor`: a tensor on a tape refers to its tape, so capturing one
+would make a reference cycle and keep a finished tape alive until the
+cyclic garbage collector runs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -201,10 +209,11 @@ def _emit(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 def matvec(w: Tensor, x: Tensor) -> Tensor:
     if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
         raise ShapeError("matvec", w.data.shape, x.data.shape, detail="expected [m,n] x [n]")
-    out = w.data @ x.data
+    wd, xd = w.data, x.data
+    out = wd @ xd
 
     def bk(g):
-        return np.outer(g, x.data), w.data.T @ g
+        return np.outer(g, xd), wd.T @ g
 
     return _emit(out, (w, x), bk)
 
@@ -228,7 +237,29 @@ def scale(a: Tensor, c: float) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError("elementwise_mul", a.data.shape, b.data.shape)
-    return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+
+
+def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b under numpy broadcasting; the backward sums each operand's
+    gradient over the axes it was broadcast along."""
+    sa, sb = a.data.shape, b.data.shape
+    try:
+        np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise ShapeError("broadcast_add", sa, sb) from None
+    return _emit(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
+    )
+    return g.sum(axis=axes).reshape(shape)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -267,23 +298,25 @@ def mean_over_axis(a: Tensor, axis: int) -> Tensor:
     if n == 0:
         raise ShapeError("mean_over_axis", a.data.shape, detail="empty axis")
     out = a.data.mean(axis=axis)
+    shape = a.data.shape
 
     def bk(g):
-        return (np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g / n, axis), shape).copy(),)
 
     return _emit(out, (a,), bk)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=np.float64)
-    return _emit(out, (a,), lambda g: (np.full(a.data.shape, float(g)),))
+    shape = a.data.shape
+    return _emit(out, (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ShapeError("dot", a.data.shape, b.data.shape)
-    out = np.asarray(a.data @ b.data, dtype=np.float64)
-    return _emit(out, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _emit(np.asarray(ad @ bd, dtype=np.float64), (a, b), lambda g: (g * bd, g * ad))
 
 
 def concat(parts: Iterable[Tensor]) -> Tensor:
@@ -295,37 +328,43 @@ def concat(parts: Iterable[Tensor]) -> Tensor:
     shapes = [p.data.shape for p in parts]
     sizes = [f.size for f in flats]
     offsets = np.cumsum([0] + sizes)
+    n = len(parts)
 
     def bk(g):
-        return tuple(
-            g[offsets[i]: offsets[i + 1]].reshape(shapes[i]) for i in range(len(parts))
-        )
+        return tuple(g[offsets[i]: offsets[i + 1]].reshape(shapes[i]) for i in range(n))
 
     return _emit(out, parts, bk)
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Scalar entry of a rank-1 tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError("pick", a.data.shape, detail="expected rank-1")
-    if not 0 <= index < a.data.shape[0]:
-        raise ShapeError("pick", a.data.shape, detail=f"index {index} out of range")
-    out = np.asarray(a.data[index], dtype=np.float64)
+def stack(parts: Iterable[Tensor]) -> Tensor:
+    """Equal-shape tensors stacked along a new leading axis."""
+    parts = tuple(parts)
+    if not parts or any(p.data.shape != parts[0].data.shape for p in parts):
+        raise ShapeError("stack", *(p.data.shape for p in parts), detail="need equal shapes")
+    return _emit(np.stack([p.data for p in parts]), parts, lambda g: tuple(g))
+
+
+def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
+    """The slice of ``a`` at ``index`` along ``axis``; of a rank-1 tensor,
+    a 0-d scalar."""
+    if not 0 <= axis < a.data.ndim or not 0 <= index < a.data.shape[axis]:
+        raise ShapeError("take", a.data.shape, detail=f"index {index} on axis {axis} out of range")
+    shape = a.data.shape
 
     def bk(g):
-        full = np.zeros(a.data.shape)
-        full[index] = g
+        full = np.zeros(shape)
+        np.moveaxis(full, axis, 0)[index] = g
         return (full,)
 
-    return _emit(out, (a,), bk)
+    return _emit(np.take(a.data, index, axis=axis), (a,), bk)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError("reshape", a.data.shape, shape)
-    out = a.data.reshape(shape).copy()
-    return _emit(out, (a,), lambda g: (g.reshape(a.data.shape),))
+    old = a.data.shape
+    return _emit(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),))
 
 
 def scale_cells(grid: Tensor, amap: Tensor) -> Tensor:
@@ -336,10 +375,11 @@ def scale_cells(grid: Tensor, amap: Tensor) -> Tensor:
     """
     if grid.data.ndim != 3 or amap.data.ndim != 2 or grid.data.shape[:2] != amap.data.shape:
         raise ShapeError("scale_cells", grid.data.shape, amap.data.shape)
-    out = grid.data * amap.data[:, :, None]
+    gd, cell = grid.data, amap.data[:, :, None]
+    out = gd * cell
 
     def bk(g):
-        return g * amap.data[:, :, None], (g * grid.data).sum(axis=2)
+        return g * cell, (g * gd).sum(axis=2)
 
     return _emit(out, (grid, amap), bk)
 
@@ -363,12 +403,13 @@ def hinge_sum(negatives: Sequence[Tensor], positives: Sequence[Tensor], margin: 
     slots = [slot[id(t)] for t in inputs]
     terms = np.array([t.item() for t in negatives]) - np.array([t.item() for t in positives]) + margin
     active = terms > 0
+    n = len(parents)
 
     def bk(g):
         g_terms = g * active
         # start from -0.0, the exact additive identity, so each parent gets
         # exactly the sum of its terms' contributions, signed zeros included
-        out = np.full(len(parents), -0.0)
+        out = np.full(n, -0.0)
         np.add.at(out, slots, np.concatenate([g_terms, -g_terms]))
         return tuple(out)
 
@@ -382,20 +423,85 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     ``gb = g·(a/den − c·b/|b|²)`` with ``den = |a|·|b|``. For finite inputs
     the only error is :class:`DegenerateEmbeddingError`, raised when either
     norm is below 1e-12 -- in training that is a bug signal, never a value
-    to silently clamp.
+    to silently clamp -- or when a squared norm or the dot product is not
+    finite, which for finite inputs means it overflowed float64.
     """
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape or a.data.size < 1:
         raise ShapeError("cosine", a.data.shape, b.data.shape)
-    na2, nb2 = float(a.data @ a.data), float(b.data @ b.data)
+    ad, bd = a.data, b.data
+    # np.vdot gives the same bits as ``@`` here, but it does not report
+    # float64 overflow as a warning, so an overflow shows only as the
+    # non-finite value checked next; an np.errstate block around ``@`` costs
+    # more than the rest of the forward
+    na2, nb2, ab = float(np.vdot(ad, ad)), float(np.vdot(bd, bd)), float(np.vdot(ad, bd))
+    if not (math.isfinite(na2) and math.isfinite(nb2) and math.isfinite(ab)):
+        raise DegenerateEmbeddingError(
+            "degenerate embedding: squared norm or dot product is not finite (float64 overflow)"
+        )
     if min(na2, nb2) < NORM_GUARD * NORM_GUARD:
         raise DegenerateEmbeddingError("degenerate embedding: norm below 1e-12")
     den = np.sqrt(na2) * np.sqrt(nb2)
-    c = float((a.data @ b.data) / den)
+    c = float(ab / den)
 
     def bk(g):
-        return g * (b.data / den - c * a.data / na2), g * (a.data / den - c * b.data / nb2)
+        return g * (bd / den - c * ad / na2), g * (ad / den - c * bd / nb2)
 
     return _emit(np.asarray(c), (a, b), bk)
+
+
+@functools.lru_cache(maxsize=64)
+def _einsum_specs(spec: str) -> tuple[str, str, str, str, str]:
+    """Validate a two-operand spec; return the two operand subscripts, the
+    forward spec and the two backward specs (gradient w.r.t. the first and
+    the second operand)."""
+    lhs, arrow, out = spec.replace(" ", "").partition("->")
+    left, comma, right = lhs.partition(",")
+    subs = (left, right, out)
+    if (
+        not arrow or not comma or "," in right
+        or not all(x.isalpha() and x.isascii() for x in left + right + out)
+        or any(len(set(x)) != len(x) for x in subs)
+        or not set(out) <= set(left + right)
+        or not set(left) <= set(right + out)
+        or not set(right) <= set(left + out)
+    ):
+        raise ValueError(
+            f"einsum: spec {spec!r} must be explicit 'ab,bc->ac' with no index repeated in a "
+            "term, and every operand index must appear in the other operand or the output"
+        )
+    return left, right, f"{left},{right}->{out}", f"{out},{right}->{left}", f"{left},{out}->{right}"
+
+
+def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
+    """Two-operand ``np.einsum`` as one tape node, e.g. a batched matmul
+    ``einsum("vij,vjk->vik", a, b)``.
+
+    The forward and both backward contractions are again two-operand
+    einsums, run with ``optimize=True`` so they go through BLAS. An operand
+    given as a plain ndarray is a constant: it is not recorded, and no
+    gradient is computed for it. An index must have the same length in
+    both operands; unlike ``np.einsum``, length 1 does not broadcast.
+    """
+    left, right, fwd, grad_a, grad_b = _einsum_specs(spec)
+    a_tracked, b_tracked = isinstance(a, Tensor), isinstance(b, Tensor)
+    ad = a.data if a_tracked else a
+    bd = b.data if b_tracked else b
+    sizes: dict[str, int] = {}
+    for sub, shape in ((left, ad.shape), (right, bd.shape)):
+        if len(sub) != len(shape) or any(sizes.setdefault(k, n) != n for k, n in zip(sub, shape)):
+            raise ShapeError("einsum", ad.shape, bd.shape, detail=spec)
+    out = np.einsum(fwd, ad, bd, optimize=True)
+    parents = tuple(t for t, tracked in ((a, a_tracked), (b, b_tracked)) if tracked)
+
+    def bk(g):
+        grads = []
+        if a_tracked:
+            grads.append(np.einsum(grad_a, g, bd, optimize=True))
+        if b_tracked:
+            grads.append(np.einsum(grad_b, ad, g, optimize=True))
+        return grads
+
+    return _emit(out, parents, bk)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ SPACE_SETS: dict[str, tuple[str, ...]] = {
 class Dims:
     """Every architectural dimension, all configurable.
 
-    Defaults are the production-scale values; ``small()`` is the test
-    preset used throughout the suite.
+    Defaults are the paper-scale values; ``small()`` is the test preset
+    used throughout the suite.
     """
 
     n_chunks: int = 20      # frames sampled per video

@@ -1,5 +1,6 @@
-"""Model assembly: parameter construction, naming, and the per-sentence
-and per-video embeddings that training and retrieval score.
+"""Model assembly: parameter construction, naming, and the per-sentence,
+per-video and (for the sequential space) per-pair embeddings that
+training and retrieval score.
 
 Every learnable tensor is addressable as "module.name" in a flat map so
 the optimizer and the checkpoint format stay format-agnostic about the
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvse.autodiff import Tensor
+from mvse.autodiff import Tensor, stack
 from mvse.config import (
     SPACE_ACTION,
     SPACE_GLOBAL,
@@ -197,5 +198,8 @@ class Model:
             out[SPACE_ACTION] = action_embed(video)
         return out
 
-    def sequential_embedding(self, video: VideoFeature, indices: list[int], phi: Tensor) -> Tensor:
-        return sequential_embed(video, indices, phi, self.params.sequential_head)
+    def sequential_embedding(
+        self, videos: list[VideoFeature], indices: list[list[int]], phis: list[Tensor]
+    ) -> Tensor:
+        """The sequential head for every (video, sentence) pair: [V, Q, H]."""
+        return sequential_embed(videos, indices, stack(phis), self.params.sequential_head)

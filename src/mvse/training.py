@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvse import fusion
-from mvse.autodiff import Tape, Tensor, hinge_sum
+from mvse.autodiff import Tape, Tensor, hinge_sum, take
 from mvse.config import SPACE_SEQUENTIAL, TripletConfig
 from mvse.dataio import Dataset, Manifest
 from mvse.model import Model
@@ -73,8 +73,9 @@ def fused_similarity_matrix(
 
     Sentence vectors, text projections and fusion weights are computed
     once per sentence, and the sentence-independent video embeddings once
-    per video; only the sequential head runs per pair (its attention
-    depends on the sentence). With ``frame_rngs`` (one per video) the
+    per video. The sequential head, whose attention depends on the
+    sentence, runs once for the whole grid; only the per-space cosines and
+    their fusion run per pair. With ``frame_rngs`` (one per video) the
     global head samples a random frame per chunk; without them it takes
     each chunk's first frame. The sequential head always takes the first.
     """
@@ -83,23 +84,23 @@ def fused_similarity_matrix(
     text_embs = [model.text_embeddings(phi) for phi in phis]
     weights = [fusion.space_weights(phi, model.params.gate, fuse_mode) for phi in phis]
 
-    statics = []
-    idx_seq = []
+    video_embs = []
     for i, v in enumerate(videos):
         mode, rng = ("first", None) if frame_rngs is None else ("random", frame_rngs[i])
-        statics.append(model.video_static_embeddings(v, chunk_sample(v.n_frames, n, mode, rng)))
-        idx_seq.append(chunk_sample(v.n_frames, n, "first"))
+        video_embs.append(model.video_static_embeddings(v, chunk_sample(v.n_frames, n, mode, rng)))
+    if SPACE_SEQUENTIAL in model.spaces:
+        idx_seq = [chunk_sample(v.n_frames, n, "first") for v in videos]
+        seq = model.sequential_embedding(videos, idx_seq, phis)
+        for i, embs in enumerate(video_embs):
+            embs[SPACE_SEQUENTIAL] = take(seq, i)  # [Q, H]
 
     fused: list[list[Tensor]] = []
-    for i, video in enumerate(videos):
+    for embs in video_embs:
         row = []
-        for j, phi in enumerate(phis):
+        for j in range(len(phis)):
             sims = []
             for space in model.spaces:
-                if space == SPACE_SEQUENTIAL:
-                    f = model.sequential_embedding(video, idx_seq[i], phi)
-                else:
-                    f = statics[i][space]
+                f = take(embs[space], j) if space == SPACE_SEQUENTIAL else embs[space]
                 sims.append(space_similarity(f, text_embs[j][space]))
             row.append(fusion.fuse(sims, weights[j]))
         fused.append(row)

@@ -2,6 +2,12 @@
 (sentence-conditioned spatial attention feeding an LSTM), and the action
 space, whose video side is an externally extracted vector passed through
 unchanged. Per-space similarity is cosine.
+
+The sequential head depends on the sentence, so it yields one embedding
+per (video, sentence) pair. It runs once for a whole V x Q grid, in a
+factored form: the attention's visual branch and the LSTM's input weights
+applied to each grid cell are computed once per (video, frame), and only
+the attention map and the ``U·h`` recurrence run per pair, batched.
 """
 
 from __future__ import annotations
@@ -13,14 +19,17 @@ import numpy as np
 from mvse.autodiff import (
     Tensor,
     add,
+    broadcast_add,
     cosine,
+    einsum,
     matvec,
     mean_over_axis,
     mul,
     reshape,
-    scale_cells,
     sigmoid,
     softmax,
+    stack,
+    take,
     tanh,
 )
 
@@ -115,27 +124,25 @@ class AttentionParams:
         return {f"attn.{k}": v for k, v in vars(self).items()}
 
 
-def spatial_attention(
-    grid_frame: np.ndarray,
-    phi: Tensor,
-    params: AttentionParams,
-) -> tuple[Tensor, Tensor]:
-    """Sentence-conditioned attention over the G x G grid of one frame.
+def spatial_attention(grids: np.ndarray, phis: Tensor, params: AttentionParams) -> Tensor:
+    """Sentence-conditioned attention over the G x G grid of every frame,
+    for every sentence.
 
-    Returns (map, attended): the map is a softmax over all cells, the
-    attended feature multiplies each cell's channels by its map weight.
+    ``grids`` is [V, T, G, G, C_s], the selected frames of V videos, and
+    ``phis`` is [Q, H], one sentence vector per row. Returns the map
+    [V, Q, T, G*G]: per (video, sentence, frame), a softmax over the cells
+    in row-major order. The visual branch ``p = tanh(w_p·vec(grid) + b_p)``
+    does not depend on the sentence, so it runs once per (video, frame).
     Grid flattening is row-major (row, column, channel innermost) -- the
     visual-branch weight columns are laid out against that order.
     """
-    grid = Tensor(grid_frame)
-    g1, g2, _ = grid.data.shape
-    flat = reshape(grid, (grid.data.size,))
-    p = tanh(add(matvec(params.w_p, flat), params.b_p))
-    q = tanh(add(matvec(params.w_q, phi), params.b_q))
-    logits = tanh(add(matvec(params.w_a, add(p, q)), params.b_a))
-    amap = reshape(softmax(logits), (g1, g2))
-    attended = scale_cells(grid, amap)
-    return amap, attended
+    n_v, n_t = grids.shape[:2]
+    flat = grids.reshape(n_v, n_t, -1)
+    p = tanh(broadcast_add(einsum("af,vtf->vta", params.w_p, flat), params.b_p))
+    q = tanh(broadcast_add(einsum("ah,qh->qa", params.w_q, phis), params.b_q))
+    s = broadcast_add(p, reshape(q, (q.shape[0], 1, 1, q.shape[1])))  # [Q, V, T, A]
+    logits = tanh(broadcast_add(einsum("ca,qvta->vqtc", params.w_a, s), params.b_a))
+    return softmax(logits)
 
 
 @dataclass
@@ -168,32 +175,45 @@ class SequentialHeadParams:
         return {**self.attention.named(), **self.lstm.named()}
 
 
-def _lstm_step(x: Tensor, h: Tensor, c: Tensor, p: LstmParams) -> tuple[Tensor, Tensor]:
-    i = sigmoid(add(add(matvec(p.w_i, x), matvec(p.u_i, h)), p.b_i))
-    f = sigmoid(add(add(matvec(p.w_f, x), matvec(p.u_f, h)), p.b_f))
-    g = tanh(add(add(matvec(p.w_g, x), matvec(p.u_g, h)), p.b_g))
-    o = sigmoid(add(add(matvec(p.w_o, x), matvec(p.u_o, h)), p.b_o))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
-
-
 def sequential_embed(
-    video: VideoFeature,
-    indices: list[int],
-    phi: Tensor,
+    videos: list[VideoFeature],
+    indices: list[list[int]],
+    phis: Tensor,
     params: SequentialHeadParams,
 ) -> Tensor:
-    """Attend each selected frame with the sentence vector, then run the
-    attended features through the LSTM; the final hidden state is the
-    video's sequential embedding."""
-    hidden = params.lstm.b_i.data.shape[0]
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    for idx in indices:
-        _, attended = spatial_attention(video.grid_frames[idx], phi, params.attention)
-        x = reshape(attended, (attended.data.size,))
-        h, c = _lstm_step(x, h, c, params.lstm)
+    """Attend each selected frame of every video with every sentence vector
+    of ``phis`` [Q, H], then run the attended features through the LSTM;
+    the final hidden states [V, Q, H] are the sequential embeddings.
+
+    ``indices[v]`` are video v's frames, the same count for every video.
+    The LSTM input term is factored: ``W·vec(grid ⊙ map) = K·map`` with
+    ``K[h, cell] = W[h, cell, :]·grid[cell, :]``, so K is computed once per
+    (video, frame) for the four gates together, and the input terms of all
+    steps in one contraction with the maps. Only the ``U·h`` recurrence
+    loops over the steps, batched over [V, Q, H].
+    """
+    frames = [v.grid_frames[np.asarray(idx, dtype=np.int64)] for v, idx in zip(videos, indices)]
+    grids = np.stack(frames)  # [V, T, G, G, C_s]
+    n_v, n_t, g1, g2, c_s = grids.shape
+    amap = spatial_attention(grids, phis, params.attention)  # [V, Q, T, G*G]
+
+    lstm = params.lstm
+    hidden = lstm.b_i.shape[0]
+    w = reshape(stack([lstm.w_i, lstm.w_f, lstm.w_g, lstm.w_o]), (4, hidden, g1 * g2, c_s))
+    k = einsum("gjnc,vtnc->vtgjn", w, grids.reshape(n_v, n_t, g1 * g2, c_s))
+    # input terms of every step, [V, T, Q, 4, H]: numpy's own output order
+    # for this contraction, so the result needs no transposing copy
+    x = einsum("vtgjn,vqtn->vtqgj", k, amap)
+    u = stack([lstm.u_i, lstm.u_f, lstm.u_g, lstm.u_o])
+    b = stack([lstm.b_i, lstm.b_f, lstm.b_g, lstm.b_o])
+
+    h = Tensor(np.zeros((n_v, phis.shape[0], hidden)))
+    c = Tensor(np.zeros(h.shape))
+    for t in range(n_t):
+        gates = broadcast_add(add(take(x, t, axis=1), einsum("gjk,vqk->vqgj", u, h)), b)
+        i, f, g, o = (take(gates, n, axis=2) for n in range(4))
+        c = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
+        h = mul(sigmoid(o), tanh(c))
     return h
 
 

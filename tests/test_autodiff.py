@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -14,21 +17,24 @@ from mvse.autodiff import (
     Tensor,
     add,
     add_scalar,
+    broadcast_add,
     concat,
     cosine,
     dot,
+    einsum,
     grad_check,
     hinge_sum,
     matvec,
     mean_over_axis,
     mul,
-    pick,
     reshape,
     scale,
     scale_cells,
     sigmoid,
     softmax,
+    stack,
     sum_all,
+    take,
     tanh,
 )
 
@@ -228,7 +234,7 @@ class TestGradCheck:
         assert grad_check(lambda v: dot(v, v), Tensor([1.0, 2.0]), eps=1e-5) < 1e-6
 
     def test_softmax_pick_first(self):
-        err = grad_check(lambda v: pick(softmax(v), 0), Tensor([0.0, 0.0]), eps=1e-5)
+        err = grad_check(lambda v: take(softmax(v), 0), Tensor([0.0, 0.0]), eps=1e-5)
         assert err < 1e-5
 
     def test_bad_eps_rejected(self):
@@ -262,9 +268,9 @@ class TestGradCheck:
 
 def _hinges(v):
     # entry 0 is a negative in one term and a positive in another
-    first = pick(v, 0)
-    negatives = [first, pick(v, 1), pick(v, 2)]
-    positives = [pick(v, 3), first, pick(v, 4)]
+    first = take(v, 0)
+    negatives = [first, take(v, 1), take(v, 2)]
+    positives = [take(v, 3), first, take(v, 4)]
     return hinge_sum(negatives, positives, 0.3)
 
 
@@ -274,13 +280,18 @@ def _hinges(v):
         ("tanh", lambda v: sum_all(tanh(v)), (5,)),
         ("sigmoid", lambda v: sum_all(sigmoid(v)), (5,)),
         ("hinge_sum", _hinges, (5,)),
-        ("softmax", lambda v: pick(softmax(v), 1), (5,)),
+        ("softmax", lambda v: take(softmax(v), 1), (5,)),
         ("concat", lambda v: dot(concat([v, tanh(v)]), Tensor(np.arange(10.0))), (5,)),
-        ("mean0", lambda v: pick(mean_over_axis(reshape(v, (2, 3)), 0), 2), (6,)),
+        ("mean0", lambda v: take(mean_over_axis(reshape(v, (2, 3)), 0), 2), (6,)),
+        # v is both operands, so both backward contractions are checked
+        ("einsum", lambda v: sum_all(tanh(einsum("bij,bkj->bik", v, v))), (2, 3, 4)),
+        ("broadcast_add", lambda v: sum_all(tanh(broadcast_add(v, reshape(take(v, 1), (1, 3))))), (2, 3)),
+        ("stack", lambda v: dot(reshape(stack([v, tanh(v)]), (10,)), Tensor(np.arange(10.0))), (5,)),
+        ("take", lambda v: sum_all(tanh(mul(take(v, 0), take(v, 2, axis=1)))), (4, 4)),
     ],
 )
 def test_primitive_gradients_at_random_points(name, fn, shape):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(10):
         x = Tensor(rng.normal(size=shape))
         assert grad_check(fn, x) < 1e-4, name
@@ -304,6 +315,89 @@ def test_scale_cells_gradients_and_values():
     assert grad_check(lambda t: sum_all(tanh(scale_cells(t, amap))), grid) < 1e-4
     with pytest.raises(ShapeError):
         scale_cells(grid, Tensor(np.zeros((3, 2))))
+
+
+class TestEinsum:
+    def test_batched_matmul_oracle(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+        out = einsum("vij,vjk->vik", Tensor(a), Tensor(b))
+        np.testing.assert_allclose(out.data, a @ b, atol=1e-12)
+
+    def test_constant_operand_is_not_recorded(self):
+        rng = np.random.default_rng(6)
+        w, x = Tensor(rng.normal(size=(3, 4))), rng.normal(size=(2, 4))
+        with Tape() as tape:
+            out = einsum("hc,vc->vh", w, x)
+            tape.backward(sum_all(out))
+        assert len(tape) == 3  # the w leaf, the einsum and the sum
+        np.testing.assert_allclose(tape.grad(w), np.tile(x.sum(axis=0), (3, 1)), atol=1e-12)
+        assert grad_check(lambda t: sum_all(tanh(einsum("hc,vc->vh", t, x))), w) < 1e-6
+
+    def test_length_one_does_not_broadcast(self):
+        with pytest.raises(ShapeError, match="einsum"):
+            einsum("ij,jk->ik", Tensor(np.ones((2, 1))), Tensor(np.ones((3, 4))))
+        with pytest.raises(ShapeError, match="einsum"):
+            einsum("ij,jk->ik", Tensor(np.ones((2, 3, 1))), Tensor(np.ones((3, 4))))
+
+    @pytest.mark.parametrize("spec", ["ij,jk", "ij->i", "ii,ij->j", "ij,jk->ikk", "ij,jk->iz", "ij,k->ij", "i...,i->i"])
+    def test_rejects_specs_without_a_two_operand_backward(self, spec):
+        with pytest.raises(ValueError, match="einsum"):
+            einsum(spec, Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+
+
+def test_broadcast_add_values_and_errors():
+    a = np.arange(6.0).reshape(2, 3)
+    b = np.array([10.0, 20.0, 30.0])
+    np.testing.assert_array_equal(broadcast_add(Tensor(a), Tensor(b)).data, a + b)
+    with Tape() as tape:
+        ta, tb = Tensor(a), Tensor(b.reshape(1, 3))
+        tape.backward(sum_all(broadcast_add(ta, tb)))
+    np.testing.assert_array_equal(tape.grad(tb), [[2.0, 2.0, 2.0]])
+    with pytest.raises(ShapeError, match="broadcast_add"):
+        broadcast_add(Tensor(a), Tensor(np.ones(2)))
+
+
+def test_stack_and_take_shape_errors():
+    with pytest.raises(ShapeError, match="stack"):
+        stack([Tensor(np.ones(2)), Tensor(np.ones(3))])
+    with pytest.raises(ShapeError, match="stack"):
+        stack([])
+    with pytest.raises(ShapeError, match="take"):
+        take(Tensor(np.ones(2)), 2)
+    with pytest.raises(ShapeError, match="take"):
+        take(Tensor(1.0), 0)
+    with pytest.raises(ShapeError, match="take"):
+        take(Tensor(np.ones((2, 3))), 0, axis=2)
+    np.testing.assert_array_equal(take(Tensor(np.arange(6.0).reshape(2, 3)), 1, axis=1).data, [1.0, 4.0])
+
+
+def test_cosine_overflow_is_a_typed_error():
+    with pytest.raises(DegenerateEmbeddingError, match="overflow"):
+        cosine(Tensor([1e200, 1e200]), Tensor([1e200, 1.0]))
+    # the norms fit but the dot product's terms cancel to inf - inf
+    with pytest.raises(DegenerateEmbeddingError, match="overflow"):
+        cosine(Tensor([1e154, 1e154]), Tensor([1e300, -1e300]))
+
+
+def test_finished_tape_is_freed_without_the_cycle_collector():
+    rng = np.random.default_rng(8)
+    w = Tensor(rng.normal(size=(3, 4)))
+    gc.disable()
+    try:
+        with Tape() as tape:
+            x = Tensor(rng.normal(size=4))
+            h = tanh(matvec(w, x))
+            grid = scale_cells(reshape(stack([h, h]), (2, 3, 1)), Tensor(np.ones((2, 3))))
+            v = concat([reshape(grid, (6,)), mean_over_axis(einsum("ij,ik->jk", w, w), 0)])
+            s = add(dot(v, v), sum_all(mul(broadcast_add(v, Tensor(1.0)), softmax(sigmoid(v)))))
+            loss = hinge_sum([take(concat([cosine(h, h), s]), 1)], [cosine(x, x)], 0.1)
+            tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape, loss, x, h, grid, v, s
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @given(logits=finite_vec)

@@ -1,13 +1,28 @@
 """The shared scoring path: ``fused_similarity_matrix`` against a per-pair
-reference built from public functions, and the reproducibility of
-``train``."""
+reference built from public functions and the per-pair sequential head,
+and the reproducibility of ``train``."""
 
 import numpy as np
 import pytest
 
 from mvse import model as mvse_model
 from mvse import training
-from mvse.autodiff import Tape, Tensor, grad_check, no_tape, pick
+from mvse.autodiff import (
+    Tape,
+    Tensor,
+    active_tape,
+    add,
+    grad_check,
+    matvec,
+    mul,
+    no_tape,
+    reshape,
+    scale_cells,
+    sigmoid,
+    softmax,
+    take,
+    tanh,
+)
 from mvse.config import SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
 from mvse.dataio import read_checkpoint, write_checkpoint
 from mvse.fusion import fuse, gate_weights, uniform_weights
@@ -43,8 +58,37 @@ def _rngs(videos, epoch: int = 0):
     return [training.frame_rng(5, epoch, v.video_id) for v in videos]
 
 
+def _per_pair_sequential(video, indices, phi, params):
+    """The sequential head of one (video, sentence) pair, unfactored: per
+    frame, attention over the grid, then an LSTM step on the flattened
+    attended grid."""
+    at, lstm = params.attention, params.lstm
+    h = Tensor(np.zeros(lstm.b_i.shape))
+    c = Tensor(np.zeros(lstm.b_i.shape))
+    for idx in indices:
+        grid = Tensor(video.grid_frames[idx])
+        g1, g2, _ = grid.shape
+        p = tanh(add(matvec(at.w_p, reshape(grid, (grid.size,))), at.b_p))
+        q = tanh(add(matvec(at.w_q, phi), at.b_q))
+        logits = tanh(add(matvec(at.w_a, add(p, q)), at.b_a))
+        attended = scale_cells(grid, reshape(softmax(logits), (g1, g2)))
+        x = reshape(attended, (attended.size,))
+
+        def gate(w, u, b):
+            return add(add(matvec(w, x), matvec(u, h)), b)
+
+        i = sigmoid(gate(lstm.w_i, lstm.u_i, lstm.b_i))
+        f = sigmoid(gate(lstm.w_f, lstm.u_f, lstm.b_f))
+        g = tanh(gate(lstm.w_g, lstm.u_g, lstm.b_g))
+        o = sigmoid(gate(lstm.w_o, lstm.u_o, lstm.b_o))
+        c = add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
+    return h
+
+
 def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
-    """The grid with the gate rebuilt for every (video, sentence) pair."""
+    """The grid with the gate rebuilt and the sequential head run for every
+    (video, sentence) pair."""
     n = model.dims.n_chunks
     phis = [model.phi_from_indices(s) for s in sentences]
     grid = []
@@ -58,7 +102,7 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
             sims = []
             for space in model.spaces:
                 if space == SPACE_SEQUENTIAL:
-                    f = model.sequential_embedding(video, idx_seq, phi)
+                    f = _per_pair_sequential(video, idx_seq, phi, model.params.sequential_head)
                 else:
                     f = statics[space]
                 sims.append(space_similarity(f, text[space]))
@@ -71,8 +115,8 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
     return grid
 
 
-def _grid_and_grads(build, model):
-    config = TripletConfig(negative_mode="sum-all")
+def _grid_and_grads(build, model, negative_mode):
+    config = TripletConfig(negative_mode=negative_mode)
     with Tape() as tape:
         grid = build()
         loss = training.loss_from_matrix(grid, config.margin, config.negative_mode)
@@ -81,24 +125,60 @@ def _grid_and_grads(build, model):
     return np.array([[t.item() for t in row] for row in grid]), grads
 
 
-@pytest.mark.parametrize("spaces", ["dual-I", "triple"])
+@pytest.mark.parametrize("spaces", ["dual-I", "triple", "dual-S"])
 @pytest.mark.parametrize("fuse_mode", ["weighted", "average"])
 def test_matrix_matches_per_pair_gate_reference(corpus, spaces, fuse_mode):
+    """Without the sequential space the grid is bit-identical. The batched
+    sequential head sums in a different order than the per-pair one, so
+    with it values and gradients agree to 1e-12 relative."""
     model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
     videos, sentences = zip(*_batch(corpus))
-    new_values, new_grads = _grid_and_grads(
-        lambda: training.fused_similarity_matrix(
-            model, list(videos), list(sentences), fuse_mode, _rngs(videos)
-        ),
-        model,
-    )
-    ref_values, ref_grads = _grid_and_grads(
-        lambda: _reference_grid(model, videos, sentences, fuse_mode, _rngs(videos)), model
-    )
-    assert np.array_equal(new_values, ref_values)
-    for name, ref in ref_grads.items():
-        scale = max(np.max(np.abs(ref)), 1e-300)
-        assert np.max(np.abs(new_grads[name] - ref)) <= 1e-12 * scale, name
+    for negative_mode in ("sum-all", "hardest"):
+        new_values, new_grads = _grid_and_grads(
+            lambda: training.fused_similarity_matrix(
+                model, list(videos), list(sentences), fuse_mode, _rngs(videos)
+            ),
+            model, negative_mode,
+        )
+        ref_values, ref_grads = _grid_and_grads(
+            lambda: _reference_grid(model, videos, sentences, fuse_mode, _rngs(videos)),
+            model, negative_mode,
+        )
+        if SPACE_SEQUENTIAL in model.spaces:
+            assert np.max(np.abs(new_values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
+        else:
+            assert np.array_equal(new_values, ref_values)
+        for name, ref in ref_grads.items():
+            scale = max(np.max(np.abs(ref)), 1e-300)
+            assert np.max(np.abs(new_grads[name] - ref)) <= 1e-12 * scale, (negative_mode, name)
+
+
+def _all_pairs(corpus):
+    """Every video of the corpus and its first sentence."""
+    ds = corpus.dataset
+    entries = corpus.manifests["train"].entries + corpus.manifests["test"].entries
+    videos = [ds.video_feature(idx, vid) for vid, idx, _ in entries]
+    return videos, [ds.sentences[sents[0]] for _, _, sents in entries]
+
+
+def test_sequential_head_runs_once_with_a_grid_independent_tape(corpus, monkeypatch):
+    model = Model.new(DIMS, "triple", seed=1, table=corpus.dataset.embedding_table())
+    calls = []
+
+    def spy(videos, indices, phis, params):
+        tape = active_tape()
+        before = len(tape)
+        out = sequential_embed(videos, indices, phis, params)
+        calls.append((len(videos), phis.shape[0], len(tape) - before))
+        return out
+
+    monkeypatch.setattr(mvse_model, "sequential_embed", spy)
+    videos, sentences = _all_pairs(corpus)
+    for n in (2, 5):
+        with Tape():
+            training.fused_similarity_matrix(model, videos[:n], sentences[:n])
+    assert [c[:2] for c in calls] == [(2, 2), (5, 5)]
+    assert calls[0][2] == calls[1][2] > 0
 
 
 def test_grid_is_videos_by_sentences(corpus):
@@ -153,9 +233,9 @@ def _train_once(corpus, monkeypatch):
         frames["global"].append((epoch[0], video.video_id, tuple(indices)))
         return global_embed(video, indices, params)
 
-    def spy_sequential(video, indices, phi, params):
-        frames["sequential"].append((video.video_id, tuple(indices)))
-        return sequential_embed(video, indices, phi, params)
+    def spy_sequential(videos, indices, phis, params):
+        frames["sequential"] += [(v.video_id, tuple(idx)) for v, idx in zip(videos, indices)]
+        return sequential_embed(videos, indices, phis, params)
 
     monkeypatch.setattr(mvse_model, "global_embed", spy_global)
     monkeypatch.setattr(mvse_model, "sequential_embed", spy_sequential)
@@ -241,7 +321,7 @@ def test_loss_is_one_hinge_node_over_the_picked_entries(b, mode):
     values = np.random.default_rng(b).permutation(b * b) * 0.01  # distinct, 0.01 apart
 
     def grid_of(x):
-        return [[pick(x, i * b + j) for j in range(b)] for i in range(b)]
+        return [[take(x, i * b + j) for j in range(b)] for i in range(b)]
 
     x = Tensor(values)
     with Tape() as tape:
