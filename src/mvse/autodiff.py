@@ -3,13 +3,15 @@
 A deliberately small define-by-run engine: forward values are computed
 eagerly with numpy, and while a :class:`Tape` is active every operation
 appends a node recording its parents and a backward rule. The tape is
-rebuilt on each forward pass, which keeps variable-length recurrences
-(GRU/LSTM unrolls) trivially correct.
+rebuilt on each forward pass, so a recurrence is recorded for exactly the
+steps it ran.
 
-Broadcasting happens only where an op's name says so: scalar*tensor,
-:func:`broadcast_add`, the grid-cell broadcast in :func:`scale_cells`, and
-the explicit index spec of :func:`einsum`; everything else requires exact
-shape agreement so shape bugs surface immediately.
+Broadcasting happens only where an op's name or contract says so:
+scalar*tensor, :func:`matvec` over the leading axes of its vector operand,
+:func:`cosine` over its [V, Q] grid, :func:`broadcast_add`, the grid-cell
+broadcast in :func:`scale_cells`, and the explicit index spec of
+:func:`einsum`; everything else requires exact shape agreement so shape
+bugs surface immediately.
 
 Backward rules capture ndarrays, shapes and counts, never a
 :class:`Tensor`: a tensor on a tape refers to its tape, so capturing one
@@ -22,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -207,15 +208,16 @@ def _emit(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 
 
 def matvec(w: Tensor, x: Tensor) -> Tensor:
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise ShapeError("matvec", w.data.shape, x.data.shape, detail="expected [m,n] x [n]")
+    """``w`` [m, n] applied to every row of ``x`` [..., n]: [..., m]."""
+    if w.data.ndim != 2 or x.data.ndim < 1 or w.data.shape[1] != x.data.shape[-1]:
+        raise ShapeError("matvec", w.data.shape, x.data.shape, detail="expected [m,n] x [...,n]")
     wd, xd = w.data, x.data
-    out = wd @ xd
+    m, n = wd.shape
 
     def bk(g):
-        return np.outer(g, xd), wd.T @ g
+        return g.reshape(-1, m).T @ xd.reshape(-1, n), g @ wd
 
-    return _emit(out, (w, x), bk)
+    return _emit(xd @ wd.T, (w, x), bk)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -291,49 +293,10 @@ def softmax(a: Tensor) -> Tensor:
     return _emit(y, (a,), bk)
 
 
-def mean_over_axis(a: Tensor, axis: int) -> Tensor:
-    if not 0 <= axis < a.data.ndim:
-        raise ShapeError("mean_over_axis", a.data.shape, detail=f"axis {axis} out of range")
-    n = a.data.shape[axis]
-    if n == 0:
-        raise ShapeError("mean_over_axis", a.data.shape, detail="empty axis")
-    out = a.data.mean(axis=axis)
-    shape = a.data.shape
-
-    def bk(g):
-        return (np.broadcast_to(np.expand_dims(g / n, axis), shape).copy(),)
-
-    return _emit(out, (a,), bk)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=np.float64)
     shape = a.data.shape
     return _emit(out, (a,), lambda g: (np.full(shape, float(g)),))
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError("dot", a.data.shape, b.data.shape)
-    ad, bd = a.data, b.data
-    return _emit(np.asarray(ad @ bd, dtype=np.float64), (a, b), lambda g: (g * bd, g * ad))
-
-
-def concat(parts: Iterable[Tensor]) -> Tensor:
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeError("concat", (), detail="no inputs")
-    flats = [p.data.reshape(-1) for p in parts]
-    out = np.concatenate(flats)
-    shapes = [p.data.shape for p in parts]
-    sizes = [f.size for f in flats]
-    offsets = np.cumsum([0] + sizes)
-    n = len(parts)
-
-    def bk(g):
-        return tuple(g[offsets[i]: offsets[i + 1]].reshape(shapes[i]) for i in range(n))
-
-    return _emit(out, parts, bk)
 
 
 def stack(parts: Iterable[Tensor]) -> Tensor:
@@ -350,13 +313,14 @@ def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
     if not 0 <= axis < a.data.ndim or not 0 <= index < a.data.shape[axis]:
         raise ShapeError("take", a.data.shape, detail=f"index {index} on axis {axis} out of range")
     shape = a.data.shape
+    key = (slice(None),) * axis + (index,)
 
     def bk(g):
         full = np.zeros(shape)
-        np.moveaxis(full, axis, 0)[index] = g
+        full[key] = g
         return (full,)
 
-    return _emit(np.take(a.data, index, axis=axis), (a,), bk)
+    return _emit(a.data.take(index, axis=axis), (a,), bk)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -417,36 +381,50 @@ def hinge_sum(negatives: Sequence[Tensor], positives: Sequence[Tensor], margin: 
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two rank-1 tensors, recorded as one tape node.
+    """Cosine similarities against the rows of ``b`` [Q, D] as a [V, Q] grid,
+    recorded as one tape node: for ``a`` [V, D], ``out[v, q] = cos(a[v], b[q])``;
+    for ``a`` [V, Q, D], ``out[v, q] = cos(a[v, q], b[q])``.
 
     The backward is the closed form ``ga = g·(b/den − c·a/|a|²)``,
-    ``gb = g·(a/den − c·b/|b|²)`` with ``den = |a|·|b|``. For finite inputs
-    the only error is :class:`DegenerateEmbeddingError`, raised when either
-    norm is below 1e-12 -- in training that is a bug signal, never a value
-    to silently clamp -- or when a squared norm or the dot product is not
-    finite, which for finite inputs means it overflowed float64.
+    ``gb = g·(a/den − c·b/|b|²)`` per entry, with ``den = |a|·|b|``, summed
+    over the entries a row takes part in. For finite inputs the only error
+    is :class:`DegenerateEmbeddingError`, raised when any norm is below
+    1e-12 -- in training that is a bug signal, never a value to silently
+    clamp -- or when a squared norm or a dot product is not finite, which
+    for finite inputs means it overflowed float64.
     """
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape or a.data.size < 1:
-        raise ShapeError("cosine", a.data.shape, b.data.shape)
     ad, bd = a.data, b.data
-    # np.vdot gives the same bits as ``@`` here, but it does not report
-    # float64 overflow as a warning, so an overflow shows only as the
-    # non-finite value checked next; an np.errstate block around ``@`` costs
-    # more than the rest of the forward
-    na2, nb2, ab = float(np.vdot(ad, ad)), float(np.vdot(bd, bd)), float(np.vdot(ad, bd))
-    if not (math.isfinite(na2) and math.isfinite(nb2) and math.isfinite(ab)):
+    paired = ad.ndim == 3
+    if (
+        bd.ndim != 2 or ad.ndim not in (2, 3) or bd.shape[1] < 1
+        or ad.shape[-1] != bd.shape[1] or (paired and ad.shape[1] != bd.shape[0])
+    ):
+        raise ShapeError("cosine", ad.shape, bd.shape, detail="expected [V,D] or [V,Q,D] against [Q,D]")
+    # an overflow shows as the non-finite value checked next, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        na2 = (ad * ad).sum(axis=-1)  # [V, Q] if paired, else [V]
+        nb2 = (bd * bd).sum(axis=-1)
+        ab = np.einsum("vqd,qd->vq", ad, bd) if paired else ad @ bd.T
+    if not (np.isfinite(na2).all() and np.isfinite(nb2).all() and np.isfinite(ab).all()):
         raise DegenerateEmbeddingError(
             "degenerate embedding: squared norm or dot product is not finite (float64 overflow)"
         )
-    if min(na2, nb2) < NORM_GUARD * NORM_GUARD:
+    if (na2 < NORM_GUARD * NORM_GUARD).any() or (nb2 < NORM_GUARD * NORM_GUARD).any():
         raise DegenerateEmbeddingError("degenerate embedding: norm below 1e-12")
-    den = np.sqrt(na2) * np.sqrt(nb2)
-    c = float(ab / den)
+    den = (np.sqrt(na2) if paired else np.sqrt(na2)[:, None]) * np.sqrt(nb2)
+    c = ab / den
 
     def bk(g):
-        return g * (bd / den - c * ad / na2), g * (ad / den - c * bd / nb2)
+        gd, gc = g / den, g * c
+        if paired:
+            ga = gd[..., None] * bd - (gc / na2)[..., None] * ad
+            gb = np.einsum("vq,vqd->qd", gd, ad)
+        else:
+            ga = gd @ bd - (gc.sum(axis=1) / na2)[:, None] * ad
+            gb = gd.T @ ad
+        return ga, gb - (gc.sum(axis=0) / nb2)[:, None] * bd
 
-    return _emit(np.asarray(c), (a, b), bk)
+    return _emit(c, (a, b), bk)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,11 +1,12 @@
-"""Model assembly: parameter construction, naming, and the per-sentence,
-per-video and (for the sequential space) per-pair embeddings that
-training and retrieval score.
+"""Model assembly: parameter construction, naming, and the batched
+embeddings that training and retrieval score.
 
 Every learnable tensor is addressable as "module.name" in a flat map so
 the optimizer and the checkpoint format stay format-agnostic about the
-architecture. One GRU encodes the sentence once; each active space then
-applies its own affine projection to the shared sentence vector.
+architecture. One GRU run encodes all Q sentences of a call into [Q, H];
+each active space then applies its own affine projection to the shared
+sentence vectors, [Q, D]. The sentence-independent video embeddings are
+[V, D] per space, and the sequential head gives [V, Q, H].
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvse.autodiff import Tensor, stack
+from mvse.autodiff import Tensor
 from mvse.config import (
     SPACE_ACTION,
     SPACE_GLOBAL,
@@ -29,7 +30,6 @@ from mvse.text import (
     GruParams,
     TextProjections,
     gru_encode,
-    lookup_indices,
     project_text,
     projection_out_dim,
 )
@@ -156,8 +156,10 @@ def params_from_arrays(
 
 
 class Model:
-    """Bundles parameters with the embedding table and exposes the
-    embeddings that training and retrieval score."""
+    """Bundles parameters with the embedding table and exposes the batched
+    embeddings that training and retrieval score: sentence vectors [Q, H],
+    per-space text embeddings [Q, D], sentence-independent video
+    embeddings [V, D] and the sequential head's [V, Q, H]."""
 
     def __init__(self, params: ModelParams, table: EmbeddingTable):
         self.params = params
@@ -178,28 +180,30 @@ class Model:
 
     # -- sentence side ------------------------------------------------
 
-    def phi_from_indices(self, indices: list[int]) -> Tensor:
-        vecs = lookup_indices(indices, self.table.vectors)
-        return gru_encode(vecs, self.params.gru)
+    def encode_sentences(self, sentences: list[list[int]]) -> Tensor:
+        """The GRU's final hidden state of every sentence: [Q, H]."""
+        return gru_encode(sentences, self.table.vectors, self.params.gru)
 
-    def text_embeddings(self, phi: Tensor) -> dict[str, Tensor]:
-        return {space: project_text(phi, space, self.params.projections) for space in self.spaces}
+    def text_embeddings(self, phis: Tensor) -> dict[str, Tensor]:
+        """Each space's projection of the sentence vectors [Q, H]: [Q, D]."""
+        return {space: project_text(phis, space, self.params.projections) for space in self.spaces}
 
     # -- video side ----------------------------------------------------
 
     def video_static_embeddings(
-        self, video: VideoFeature, indices: list[int]
+        self, videos: list[VideoFeature], indices: list[list[int]]
     ) -> dict[str, Tensor]:
-        """Embeddings that do not depend on the sentence (global, action)."""
+        """The embeddings that do not depend on the sentence, [V, D] per
+        space (global, action); ``indices[v]`` are video v's global frames."""
         out: dict[str, Tensor] = {}
         if SPACE_GLOBAL in self.spaces:
-            out[SPACE_GLOBAL] = global_embed(video, indices, self.params.global_head)
+            out[SPACE_GLOBAL] = global_embed(videos, indices, self.params.global_head)
         if SPACE_ACTION in self.spaces:
-            out[SPACE_ACTION] = action_embed(video)
+            out[SPACE_ACTION] = action_embed(videos)
         return out
 
     def sequential_embedding(
-        self, videos: list[VideoFeature], indices: list[list[int]], phis: list[Tensor]
+        self, videos: list[VideoFeature], indices: list[list[int]], phis: Tensor
     ) -> Tensor:
         """The sequential head for every (video, sentence) pair: [V, Q, H]."""
-        return sequential_embed(videos, indices, stack(phis), self.params.sequential_head)
+        return sequential_embed(videos, indices, phis, self.params.sequential_head)

@@ -1,5 +1,6 @@
-"""Sentence side: token embedding lookup, GRU encoding, and the
-per-space affine projections of the sentence vector.
+"""Sentence side: one GRU over a batch of sentences, and the per-space
+affine projections of the sentence vectors, all batched over the
+sentences ([Q, H] in, [Q, D] out).
 
 Sentences arrive as lists of token ids into a frozen float table, which
 is what a container stores; there is no tokenizer and no word
@@ -13,7 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvse.autodiff import Tensor, add, add_scalar, matvec, mul, scale, sigmoid, tanh
+from mvse.autodiff import (
+    Tensor,
+    add,
+    add_scalar,
+    broadcast_add,
+    einsum,
+    matvec,
+    mul,
+    scale,
+    sigmoid,
+    take,
+    tanh,
+)
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, Dims
 
 
@@ -31,13 +44,6 @@ class EmbeddingTable:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ValueError(f"embedding table must be [V, E], got {self.vectors.shape}")
-
-
-def lookup_indices(indices: list[int], table_vectors: np.ndarray) -> Tensor:
-    """Stack the rows of the given token ids into a [T, E] constant."""
-    if len(indices) == 0:
-        raise EmptySentenceError("empty sentence")
-    return Tensor(table_vectors[np.asarray(indices, dtype=np.int64)])
 
 
 @dataclass
@@ -59,25 +65,42 @@ class GruParams:
         return {f"{prefix}.{k}": v for k, v in vars(self).items()}
 
 
-def gru_encode(token_vectors: Tensor, params: GruParams) -> Tensor:
-    """Run the token vectors through a GRU; return the final hidden state.
+def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams) -> Tensor:
+    """Encode every sentence, a list of token ids into ``table`` [vocab, E],
+    with one GRU batched over the sentences; return the final hidden states
+    [Q, H].
 
     Standard gate equations with a zero initial state:
         z = sigmoid(Wz x + Uz h + bz)
         r = sigmoid(Wr x + Ur h + br)
         c = tanh(Wc x + Uc (r * h) + bc)
-        h' = (1 - z) * h + z * c
+        h_new = (1 - z) * h + z * c
+    The token vectors are gathered into a zero-padded [Q, T, E] constant,
+    and the input terms ``W x + b`` of all steps come from one contraction
+    per gate before the recurrence. A mask m in {0, 1} [Q] per step stops
+    each sentence at its own last token: h' = m·h_new + (1 − m)·h, computed
+    as ``(1 − m·z)·h + m·z·c``, which for m in {0, 1} gives exactly h_new or
+    h. At a step where every sentence still has tokens, m·z is z itself.
     """
-    t_steps = token_vectors.data.shape[0]
-    if t_steps < 1:
-        raise EmptySentenceError("empty sentence")
-    hidden = params.b_z.data.shape[0]
-    h = Tensor(np.zeros(hidden))
-    for t in range(t_steps):
-        x = Tensor(token_vectors.data[t])
-        z = sigmoid(add(add(matvec(params.w_z, x), matvec(params.u_z, h)), params.b_z))
-        r = sigmoid(add(add(matvec(params.w_r, x), matvec(params.u_r, h)), params.b_r))
-        c = tanh(add(add(matvec(params.w_c, x), matvec(params.u_c, mul(r, h))), params.b_c))
+    lengths = [len(s) for s in sentences]
+    if not lengths or min(lengths) < 1:
+        raise EmptySentenceError("empty sentence" if lengths else "no sentences")
+    n_q, n_t = len(sentences), max(lengths)
+    tokens = np.zeros((n_q, n_t, table.shape[1]))
+    for q, ids in enumerate(sentences):
+        tokens[q, : len(ids)] = table[np.asarray(ids, dtype=np.int64)]
+    mask = (np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)  # [Q, T]
+    x = Tensor(tokens, copy=False)
+    xz = broadcast_add(matvec(params.w_z, x), params.b_z)  # [Q, T, H]
+    xr = broadcast_add(matvec(params.w_r, x), params.b_r)
+    xc = broadcast_add(matvec(params.w_c, x), params.b_c)
+    h = Tensor(np.zeros((n_q, params.b_z.shape[0])))
+    for t in range(n_t):
+        z = sigmoid(add(take(xz, t, axis=1), matvec(params.u_z, h)))
+        r = sigmoid(add(take(xr, t, axis=1), matvec(params.u_r, h)))
+        c = tanh(add(take(xc, t, axis=1), matvec(params.u_c, mul(r, h))))
+        if not mask[:, t].all():
+            z = einsum("qh,q->qh", z, mask[:, t])
         h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
     return h
 
@@ -99,14 +122,15 @@ class TextProjections:
 _VALID_SPACES = (SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_ACTION)
 
 
-def project_text(phi: Tensor, space: str, projections: TextProjections) -> Tensor:
-    """g_space(y) = W phi + b for the requested embedding space."""
+def project_text(phis: Tensor, space: str, projections: TextProjections) -> Tensor:
+    """g_space(y) = W phi + b for every sentence vector: [Q, H] -> [Q, D]
+    in the requested embedding space."""
     if space not in _VALID_SPACES:
         raise ValueError(f"unknown embedding space {space!r}; expected one of {_VALID_SPACES}")
     if space not in projections.weights:
         raise ValueError(f"space {space!r} has no configured text projection")
     w, b = projections.weights[space]
-    return add(matvec(w, phi), b)
+    return broadcast_add(matvec(w, phis), b)
 
 
 def projection_out_dim(space: str, dims: Dims) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvse import fusion
-from mvse.autodiff import Tape, Tensor, hinge_sum, take
+from mvse.autodiff import Tape, Tensor, hinge_sum, stack, take
 from mvse.config import SPACE_SEQUENTIAL, TripletConfig
 from mvse.dataio import Dataset, Manifest
 from mvse.model import Model
@@ -71,40 +71,34 @@ def fused_similarity_matrix(
 ) -> list[list[Tensor]]:
     """s(x_i, y_j) for every video i and sentence j: a V x Q grid.
 
-    Sentence vectors, text projections and fusion weights are computed
-    once per sentence, and the sentence-independent video embeddings once
-    per video. The sequential head, whose attention depends on the
-    sentence, runs once for the whole grid; only the per-space cosines and
-    their fusion run per pair. With ``frame_rngs`` (one per video) the
-    global head samples a random frame per chunk; without them it takes
-    each chunk's first frame. The sequential head always takes the first.
+    The whole grid is a few batched tape nodes: one GRU run gives the
+    sentence vectors [Q, H], and from them the text projections [Q, D] per
+    space and the fusion weights [Q, M]; the sentence-independent video
+    embeddings are [V, D] per space, and the sequential head, whose
+    attention depends on the sentence, gives [V, Q, H]. Each space's
+    cosines are one [V, Q] grid, and one node fuses the stacked [M, V, Q]
+    grids into the scores [V, Q], returned as a list of rows of 0-d
+    tensors. With ``frame_rngs`` (one per video) the global head samples a
+    random frame per chunk; without them it takes each chunk's first
+    frame. The sequential head always takes the first.
     """
     n = model.dims.n_chunks
-    phis = [model.phi_from_indices(s) for s in sentences]
-    text_embs = [model.text_embeddings(phi) for phi in phis]
-    weights = [fusion.space_weights(phi, model.params.gate, fuse_mode) for phi in phis]
+    phis = model.encode_sentences(sentences)
+    weights = fusion.space_weights(phis, model.params.gate, fuse_mode)
+    text_embs = model.text_embeddings(phis)
 
-    video_embs = []
-    for i, v in enumerate(videos):
-        mode, rng = ("first", None) if frame_rngs is None else ("random", frame_rngs[i])
-        video_embs.append(model.video_static_embeddings(v, chunk_sample(v.n_frames, n, mode, rng)))
+    mode = "first" if frame_rngs is None else "random"
+    rngs = frame_rngs or [None] * len(videos)
+    idx_global = [chunk_sample(v.n_frames, n, mode, rng) for v, rng in zip(videos, rngs)]
+    video_embs = model.video_static_embeddings(videos, idx_global)
     if SPACE_SEQUENTIAL in model.spaces:
         idx_seq = [chunk_sample(v.n_frames, n, "first") for v in videos]
-        seq = model.sequential_embedding(videos, idx_seq, phis)
-        for i, embs in enumerate(video_embs):
-            embs[SPACE_SEQUENTIAL] = take(seq, i)  # [Q, H]
+        video_embs[SPACE_SEQUENTIAL] = model.sequential_embedding(videos, idx_seq, phis)
 
-    fused: list[list[Tensor]] = []
-    for embs in video_embs:
-        row = []
-        for j in range(len(phis)):
-            sims = []
-            for space in model.spaces:
-                f = take(embs[space], j) if space == SPACE_SEQUENTIAL else embs[space]
-                sims.append(space_similarity(f, text_embs[j][space]))
-            row.append(fusion.fuse(sims, weights[j]))
-        fused.append(row)
-    return fused
+    sims = stack([space_similarity(video_embs[s], text_embs[s]) for s in model.spaces])
+    fused = fusion.fuse(sims, weights)
+    rows = [take(fused, i) for i in range(len(videos))]
+    return [[take(row, j) for j in range(len(sentences))] for row in rows]
 
 
 def batch_loss(

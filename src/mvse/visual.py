@@ -1,7 +1,9 @@
 """Visual embedding heads: global (mean-pooled appearance), sequential
 (sentence-conditioned spatial attention feeding an LSTM), and the action
 space, whose video side is an externally extracted vector passed through
-unchanged. Per-space similarity is cosine.
+unchanged. Per-space similarity is cosine, as one [V, Q] grid per space.
+Every head is batched over the videos: the global and action heads give
+[V, D] and [V, C_a].
 
 The sequential head depends on the sentence, so it yields one embedding
 per (video, sentence) pair. It runs once for a whole V x Q grid, in a
@@ -23,7 +25,6 @@ from mvse.autodiff import (
     cosine,
     einsum,
     matvec,
-    mean_over_axis,
     mul,
     reshape,
     sigmoid,
@@ -103,12 +104,18 @@ class GlobalHeadParams:
         return {"head.global.w": self.w, "head.global.b": self.b}
 
 
-def global_embed(video: VideoFeature, indices: list[int], params: GlobalHeadParams) -> Tensor:
-    """Mean-pool the selected frame vectors, then map affinely into the
-    joint space."""
-    selected = Tensor(video.global_frames[np.asarray(indices, dtype=np.int64)])
-    pooled = mean_over_axis(selected, 0)
-    return add(matvec(params.w, pooled), params.b)
+def global_embed(
+    videos: list[VideoFeature], indices: list[list[int]], params: GlobalHeadParams
+) -> Tensor:
+    """Mean-pool each video's selected frame vectors (``indices[v]`` for
+    video v), then map affinely into the joint space: [V, D]. The pooling
+    runs in numpy, since frames are data, not parameters; the map is one
+    [V, C_g] -> [V, D] node."""
+    pooled = np.stack([
+        v.global_frames[np.asarray(idx, dtype=np.int64)].mean(axis=0)
+        for v, idx in zip(videos, indices)
+    ])
+    return broadcast_add(matvec(params.w, Tensor(pooled, copy=False)), params.b)
 
 
 @dataclass
@@ -217,13 +224,17 @@ def sequential_embed(
     return h
 
 
-def action_embed(video: VideoFeature) -> Tensor:
-    """The stored action vector, unchanged; only the text side of this
-    space is learned."""
-    if video.action_vec is None:
-        raise SpaceUnavailableError(f"space unavailable: video {video.video_id} has no action features")
-    return Tensor(video.action_vec)
+def action_embed(videos: list[VideoFeature]) -> Tensor:
+    """The stored action vectors as one [V, C_a] constant, unchanged; only
+    the text side of this space is learned."""
+    for video in videos:
+        if video.action_vec is None:
+            raise SpaceUnavailableError(f"space unavailable: video {video.video_id} has no action features")
+    return Tensor(np.stack([v.action_vec for v in videos]), copy=False)
 
 
 def space_similarity(f: Tensor, g: Tensor) -> Tensor:
+    """One space's [V, Q] cosine grid between the video embeddings ``f``
+    ([V, D], or [V, Q, D] for the sequential space) and the sentence
+    embeddings ``g`` [Q, D]."""
     return cosine(f, g)

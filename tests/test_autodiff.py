@@ -18,14 +18,11 @@ from mvse.autodiff import (
     add,
     add_scalar,
     broadcast_add,
-    concat,
     cosine,
-    dot,
     einsum,
     grad_check,
     hinge_sum,
     matvec,
-    mean_over_axis,
     mul,
     reshape,
     scale,
@@ -65,16 +62,25 @@ def test_matvec_shape_error_names_kind_and_shapes():
         matvec(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0, 3.0]))
     msg = str(exc.value)
     assert "matvec" in msg and "(1, 2)" in msg and "(3,)" in msg
+    with pytest.raises(ShapeError, match="matvec"):
+        matvec(Tensor([[1.0, 2.0]]), Tensor(np.ones((4, 3))))
+    with pytest.raises(ShapeError, match="matvec"):
+        matvec(Tensor([[1.0, 2.0]]), Tensor(1.0))
+
+
+def test_matvec_maps_every_row_of_a_batch():
+    rng = np.random.default_rng(12)
+    w, x = rng.normal(size=(4, 3)), rng.normal(size=(2, 5, 3))
+    out = matvec(Tensor(w), Tensor(x))
+    assert out.shape == (2, 5, 4)
+    for i in range(2):
+        for j in range(5):
+            np.testing.assert_allclose(out.data[i, j], w @ x[i, j], rtol=1e-12, atol=1e-14)
 
 
 def test_softmax_empty_axis_errors():
     with pytest.raises(ShapeError, match="softmax"):
         softmax(Tensor(np.zeros((3, 0))))
-
-
-def test_mean_over_axis_oracle():
-    m = mean_over_axis(Tensor([[1.0, 3.0], [5.0, 7.0]]), 0)
-    np.testing.assert_allclose(m.data, [3.0, 5.0])
 
 
 def _composed_cosine(a, b):
@@ -101,13 +107,18 @@ direction_pairs = st.integers(min_value=1, max_value=8).flatmap(
 log_norm = st.floats(min_value=-6, max_value=3)
 
 
+def _row(values) -> Tensor:
+    """A single vector as a one-row grid operand, [1, D]."""
+    return Tensor(np.asarray(values, dtype=np.float64).reshape(1, -1))
+
+
 class TestCosine:
     def test_self_similarity(self):
-        v = Tensor([0.3, -1.2, 4.0])
+        v = _row([0.3, -1.2, 4.0])
         assert cosine(v, v).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+        assert cosine(_row([1.0, 0.0]), _row([0.0, 1.0])).item() == 0.0
 
     def test_hand_value(self):
         # independent oracle: dot / (|a||b|) via math module
@@ -115,20 +126,20 @@ class TestCosine:
         expected = sum(x * y for x, y in zip(a, b)) / (
             math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
         )
-        assert cosine(Tensor(a), Tensor(b)).item() == pytest.approx(expected, abs=1e-14)
+        assert cosine(_row(a), _row(b)).item() == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(0.974631846, abs=1e-9)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateEmbeddingError, match="degenerate embedding"):
-            cosine(Tensor([0.0, 0.0]), Tensor([1.0, 2.0]))
+            cosine(_row([0.0, 0.0]), _row([1.0, 2.0]))
         with pytest.raises(DegenerateEmbeddingError):
-            cosine(Tensor([1.0, 2.0]), Tensor([1e-13, 0.0]))
+            cosine(_row([1.0, 2.0]), _row([1e-13, 0.0]))
 
     def test_small_norms_are_not_degenerate(self):
         # norms 5e-7 and 5e-12 sit above the 1e-12 degenerate threshold
-        small = cosine(Tensor([3e-7, 4e-7]), Tensor([6e-7, 8e-7]))
+        small = cosine(_row([3e-7, 4e-7]), _row([6e-7, 8e-7]))
         assert small.item() == pytest.approx(1.0, abs=1e-12)
-        v = Tensor([3e-12, 4e-12])
+        v = _row([3e-12, 4e-12])
         assert cosine(v, v).item() == pytest.approx(1.0, abs=1e-12)
 
     @given(
@@ -140,13 +151,13 @@ class TestCosine:
     def test_scale_invariance(self, v, w, alpha, beta):
         if np.linalg.norm(v) < 1e-3 or np.linalg.norm(w) < 1e-3:
             return
-        base = cosine(Tensor(v), Tensor(w)).item()
-        scaled = cosine(Tensor(alpha * v), Tensor(beta * w)).item()
+        base = cosine(_row(v), _row(w)).item()
+        scaled = cosine(_row(alpha * v), _row(beta * w)).item()
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_records_one_tape_node(self):
         with Tape() as tape:
-            cosine(Tensor([1.0, 2.0]), Tensor([3.0, -1.0]))
+            cosine(Tensor(np.ones((3, 2))), Tensor([[3.0, -1.0], [1.0, 1.0]]))
         assert len(tape) == 3  # two leaves and the cosine node
 
     @given(uw=direction_pairs, log_sa=log_norm, log_sb=log_norm)
@@ -157,17 +168,82 @@ class TestCosine:
         a = u * (sa / np.linalg.norm(u))
         b = w * (sb / np.linalg.norm(w))
         with Tape() as tape:
-            ta, tb = Tensor(a), Tensor(b)
+            ta, tb = _row(a), _row(b)
             out = cosine(ta, tb)
-            tape.backward(out)
+            tape.backward(sum_all(out))
         value, ga, gb = _composed_cosine(a, b)
-        assert out.item() == value
-        assert np.max(np.abs(tape.grad(ta) - ga)) * sa <= 1e-12
-        assert np.max(np.abs(tape.grad(tb) - gb)) * sb <= 1e-12
+        # the grid sums its dot products in another order than ``@`` on
+        # vectors; a cosine is at most 1 in size
+        assert abs(out.item() - value) <= 1e-12
+        assert np.max(np.abs(tape.grad(ta)[0] - ga)) * sa <= 1e-12
+        assert np.max(np.abs(tape.grad(tb)[0] - gb)) * sb <= 1e-12
         # grad_check on unit-scale inputs, scaled up to the drawn norms inside f
-        ua, ub = Tensor(a / sa), Tensor(b / sb)
-        assert grad_check(lambda t: cosine(scale(t, sa), Tensor(b)), ua) < 1e-6
-        assert grad_check(lambda t: cosine(Tensor(a), scale(t, sb)), ub) < 1e-6
+        ua, ub = _row(a / sa), _row(b / sb)
+        assert grad_check(lambda t: sum_all(cosine(scale(t, sa), _row(b))), ua) < 1e-6
+        assert grad_check(lambda t: sum_all(cosine(_row(a), scale(t, sb))), ub) < 1e-6
+
+    def test_grid_matches_every_pair(self):
+        rng = np.random.default_rng(21)
+        a, paired, b = rng.normal(size=(3, 5)), rng.normal(size=(3, 2, 5)), rng.normal(size=(2, 5))
+
+        def cos(x, y):
+            return x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
+
+        grid = cosine(Tensor(a), Tensor(b)).data
+        pairs = cosine(Tensor(paired), Tensor(b)).data
+        assert grid.shape == pairs.shape == (3, 2)
+        for v in range(3):
+            for q in range(2):
+                assert grid[v, q] == pytest.approx(cos(a[v], b[q]), abs=1e-12)
+                assert pairs[v, q] == pytest.approx(cos(paired[v, q], b[q]), abs=1e-12)
+
+    @pytest.mark.parametrize("a_shape", [(3, 5), (3, 2, 5)], ids=["rows", "paired"])
+    def test_grid_gradients(self, a_shape):
+        rng = np.random.default_rng(len(a_shape))
+        a, b = Tensor(rng.normal(size=a_shape)), Tensor(rng.normal(size=(2, 5)))
+        weights = Tensor(rng.normal(size=(3, 2)))  # unequal weights so no entry's gradient cancels
+
+        def loss(x, y):
+            return sum_all(mul(cosine(x, y), weights))
+
+        assert grad_check(lambda t: loss(t, b), a) < 1e-6
+        assert grad_check(lambda t: loss(a, t), b) < 1e-6
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [((3, 5), (2, 4)), ((5,), (2, 5)), ((3, 5), (5,)), ((3, 3, 5), (2, 5)), ((3, 2, 5), (2, 4)),
+         ((1, 1, 2, 5), (2, 5)), ((3, 0), (2, 0))],
+    )
+    def test_shape_errors(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="cosine"):
+            cosine(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["rows", "paired"])
+    def test_one_degenerate_row_raises(self, paired):
+        rng = np.random.default_rng(22)
+        a, b = rng.normal(size=(3, 2, 4) if paired else (3, 4)), rng.normal(size=(2, 4))
+        cosine(Tensor(a), Tensor(b))
+        bad_a = a.copy()
+        bad_a[(1, 1) if paired else 1] = 0.0
+        with pytest.raises(DegenerateEmbeddingError, match="norm below"):
+            cosine(Tensor(bad_a), Tensor(b))
+        bad_b = b.copy()
+        bad_b[1] = 1e-13
+        with pytest.raises(DegenerateEmbeddingError, match="norm below"):
+            cosine(Tensor(a), Tensor(bad_b))
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["rows", "paired"])
+    def test_one_overflowing_squared_norm_raises(self, paired):
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(3, 2, 4) if paired else (3, 4)), rng.normal(size=(2, 4))
+        bad_a = a.copy()
+        bad_a[(2, 0, 3) if paired else (2, 3)] = 1e200
+        with pytest.raises(DegenerateEmbeddingError, match="overflow"):
+            cosine(Tensor(bad_a), Tensor(b))
+        bad_b = b.copy()
+        bad_b[0, 1] = 1e200
+        with pytest.raises(DegenerateEmbeddingError, match="overflow"):
+            cosine(Tensor(a), Tensor(bad_b))
 
 
 class TestBackward:
@@ -181,15 +257,15 @@ class TestBackward:
     def test_loss_grad_wrt_itself_is_one(self):
         with Tape() as tape:
             x = Tensor([2.0, 3.0])
-            loss = dot(x, x)
+            loss = sum_all(mul(x, x))
             grads = tape.backward(loss)
             assert grads[loss.node_id] == pytest.approx(1.0)
 
     def test_cosine_grad_vanishes_at_aligned_point(self):
-        c = np.array([0.5, -1.0, 2.0])
+        c = np.array([[0.5, -1.0, 2.0]])
         with Tape() as tape:
             x = Tensor(c.copy())
-            loss = cosine(x, Tensor(c.copy()))
+            loss = sum_all(cosine(x, Tensor(c.copy())))
             tape.backward(loss)
             np.testing.assert_allclose(tape.grad(x), 0.0, atol=1e-12)
 
@@ -219,11 +295,11 @@ class TestBackward:
         w = Tensor(rng.normal(size=(3, 4)))
         b = Tensor(rng.normal(size=3))
         x = Tensor(rng.normal(size=4))
-        target = Tensor(rng.normal(size=3))
+        target = Tensor(rng.normal(size=(1, 3)))
 
         def f(p):
             h = tanh(add(matvec(w, x), b))
-            return cosine(h, target)
+            return sum_all(cosine(reshape(h, (1, 3)), target))
 
         for p in (w, b):
             assert grad_check(lambda _: f(None), p) < 1e-4
@@ -231,7 +307,7 @@ class TestBackward:
 
 class TestGradCheck:
     def test_sum_of_squares(self):
-        assert grad_check(lambda v: dot(v, v), Tensor([1.0, 2.0]), eps=1e-5) < 1e-6
+        assert grad_check(lambda v: sum_all(mul(v, v)), Tensor([1.0, 2.0]), eps=1e-5) < 1e-6
 
     def test_softmax_pick_first(self):
         err = grad_check(lambda v: take(softmax(v), 0), Tensor([0.0, 0.0]), eps=1e-5)
@@ -281,12 +357,14 @@ def _hinges(v):
         ("sigmoid", lambda v: sum_all(sigmoid(v)), (5,)),
         ("hinge_sum", _hinges, (5,)),
         ("softmax", lambda v: take(softmax(v), 1), (5,)),
-        ("concat", lambda v: dot(concat([v, tanh(v)]), Tensor(np.arange(10.0))), (5,)),
-        ("mean0", lambda v: take(mean_over_axis(reshape(v, (2, 3)), 0), 2), (6,)),
+        # the [V, D] x [Q, D] grid form; the [V, Q, D] form is checked in TestCosine
+        ("cosine", lambda v: sum_all(tanh(cosine(take(v, 0), take(v, 1)))), (2, 3, 4)),
+        # a [3, 4] matrix applied to every row of a [2, 3, 4] batch
+        ("matvec", lambda v: sum_all(tanh(matvec(take(v, 0), v))), (2, 3, 4)),
         # v is both operands, so both backward contractions are checked
         ("einsum", lambda v: sum_all(tanh(einsum("bij,bkj->bik", v, v))), (2, 3, 4)),
         ("broadcast_add", lambda v: sum_all(tanh(broadcast_add(v, reshape(take(v, 1), (1, 3))))), (2, 3)),
-        ("stack", lambda v: dot(reshape(stack([v, tanh(v)]), (10,)), Tensor(np.arange(10.0))), (5,)),
+        ("stack", lambda v: sum_all(mul(reshape(stack([v, tanh(v)]), (10,)), Tensor(np.arange(10.0)))), (5,)),
         ("take", lambda v: sum_all(tanh(mul(take(v, 0), take(v, 2, axis=1)))), (4, 4)),
     ],
 )
@@ -374,10 +452,10 @@ def test_stack_and_take_shape_errors():
 
 def test_cosine_overflow_is_a_typed_error():
     with pytest.raises(DegenerateEmbeddingError, match="overflow"):
-        cosine(Tensor([1e200, 1e200]), Tensor([1e200, 1.0]))
+        cosine(_row([1e200, 1e200]), _row([1e200, 1.0]))
     # the norms fit but the dot product's terms cancel to inf - inf
     with pytest.raises(DegenerateEmbeddingError, match="overflow"):
-        cosine(Tensor([1e154, 1e154]), Tensor([1e300, -1e300]))
+        cosine(_row([1e154, 1e154]), _row([1e300, -1e300]))
 
 
 def test_finished_tape_is_freed_without_the_cycle_collector():
@@ -386,15 +464,16 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         with Tape() as tape:
-            x = Tensor(rng.normal(size=4))
+            x = Tensor(rng.normal(size=(2, 4)))
             h = tanh(matvec(w, x))
-            grid = scale_cells(reshape(stack([h, h]), (2, 3, 1)), Tensor(np.ones((2, 3))))
-            v = concat([reshape(grid, (6,)), mean_over_axis(einsum("ij,ik->jk", w, w), 0)])
-            s = add(dot(v, v), sum_all(mul(broadcast_add(v, Tensor(1.0)), softmax(sigmoid(v)))))
-            loss = hinge_sum([take(concat([cosine(h, h), s]), 1)], [cosine(x, x)], 0.1)
+            grid = scale_cells(reshape(stack([h, h]), (2, 3, 2)), Tensor(np.ones((2, 3))))
+            v = reshape(grid, (4, 3))
+            gram = sum_all(einsum("ij,kj->ik", v, v))
+            s = add(gram, sum_all(mul(broadcast_add(v, Tensor(1.0)), softmax(sigmoid(v)))))
+            loss = hinge_sum([take(take(cosine(v, h), 3), 1)], [s], 0.1)
             tape.backward(loss)
         ref = weakref.ref(tape)
-        del tape, loss, x, h, grid, v, s
+        del tape, loss, x, h, grid, v, gram, s
         assert ref() is None
     finally:
         gc.enable()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum
+from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum, reshape, stack, take
 from mvse.fusion import (
     GateParams,
     GateStats,
@@ -61,6 +61,14 @@ class TestGateWeights:
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(e / e.sum(), base, atol=1e-9)
 
+    def test_batch_rows_match_one_sentence_at_a_time(self):
+        gate = _gate(3, seed=13)
+        phis = np.random.default_rng(13).normal(size=(4, H))
+        batch = gate_weights(Tensor(phis), gate).data
+        assert batch.shape == (4, 3)
+        for q in range(4):
+            np.testing.assert_allclose(batch[q], gate_weights(Tensor(phis[q]), gate).data, rtol=1e-12)
+
     def test_weights_depend_only_on_sentence(self):
         gate = _gate(2, seed=11)
         phi = Tensor(np.random.default_rng(4).normal(size=H))
@@ -69,23 +77,45 @@ class TestGateWeights:
         assert np.array_equal(a, b)  # bit-identical: cacheable per query
 
 
+def _fuse_one(sims, weights: Tensor) -> float:
+    """Fuse one (video, sentence) pair: per-space similarities [M] with the
+    sentence's weights [M], as a 1 x 1 grid."""
+    stacked = Tensor(np.asarray(sims, dtype=np.float64).reshape(-1, 1, 1))
+    return fuse(stacked, reshape(weights, (1, weights.size))).item()
+
+
 class TestFuse:
     def test_even_average(self):
-        out = fuse([Tensor(0.2), Tensor(0.8)], Tensor([0.5, 0.5]))
-        assert out.item() == pytest.approx(0.5, abs=1e-15)
+        out = _fuse_one([0.2, 0.8], Tensor([0.5, 0.5]))
+        assert out == pytest.approx(0.5, abs=1e-15)
 
     def test_single_space_selection(self):
-        out = fuse([Tensor(0.37), Tensor(0.9)], Tensor([1.0, 0.0]))
-        assert out.item() == pytest.approx(0.37, abs=0)
+        out = _fuse_one([0.37, 0.9], Tensor([1.0, 0.0]))
+        assert out == pytest.approx(0.37, abs=0)
 
     def test_hand_dot_product(self):
         # 0.52 * 0.9 + 0.48 * 0.1 = 0.516
-        out = fuse([Tensor(0.9), Tensor(0.1)], Tensor([0.52, 0.48]))
-        assert out.item() == pytest.approx(0.516, abs=1e-12)
+        out = _fuse_one([0.9, 0.1], Tensor([0.52, 0.48]))
+        assert out == pytest.approx(0.516, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError, match="fuse"):
-            fuse([Tensor(0.5)], Tensor([0.5, 0.5]))
+            fuse(Tensor(np.full((1, 1, 1), 0.5)), Tensor([[0.5, 0.5]]))
+        with pytest.raises(ShapeError, match="fuse"):
+            fuse(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 2))))
+        with pytest.raises(ShapeError, match="fuse"):
+            fuse(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+    def test_grid_matches_every_pair(self):
+        rng = np.random.default_rng(2)
+        sims, w = rng.uniform(-1, 1, size=(3, 4, 5)), rng.dirichlet(np.ones(3), size=5)
+        out = fuse(Tensor(sims), Tensor(w))
+        assert out.shape == (4, 5)
+        for v in range(4):
+            for q in range(5):
+                assert out.data[v, q] == pytest.approx(sims[:, v, q] @ w[q], abs=1e-15)
+        assert grad_check(lambda t: take(take(fuse(t, Tensor(w)), 1), 2), Tensor(sims)) < 1e-6
+        assert grad_check(lambda t: take(take(fuse(Tensor(sims), t), 3), 0), Tensor(w)) < 1e-6
 
     @given(sims=sims_list)
     @settings(max_examples=100)
@@ -93,7 +123,7 @@ class TestFuse:
         m = len(sims)
         rng = np.random.default_rng(m)
         w = rng.dirichlet(np.ones(m))
-        out = fuse([Tensor(s) for s in sims], Tensor(w)).item()
+        out = _fuse_one(sims, Tensor(w))
         assert min(sims) - 1e-12 <= out <= max(sims) + 1e-12
 
 
@@ -101,9 +131,10 @@ class TestFuseMode:
     def test_average_mode(self):
         phi = Tensor(np.random.default_rng(0).normal(size=H))
         w = space_weights(phi, _gate(2), "average")
-        value = fuse([Tensor(0.4), Tensor(0.6)], w)
-        assert value.item() == pytest.approx(0.5, abs=1e-15)
+        assert _fuse_one([0.4, 0.6], w) == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(w.data, [0.5, 0.5])
+        phis = Tensor(np.random.default_rng(1).normal(size=(3, H)))
+        np.testing.assert_array_equal(space_weights(phis, _gate(2), "average").data, np.full((3, 2), 0.5))
 
     @given(
         sims=st.lists(st.floats(min_value=-1, max_value=1), min_size=2, max_size=3),
@@ -114,10 +145,9 @@ class TestFuseMode:
         m = len(sims)
         phi = Tensor(np.random.default_rng(seed).normal(size=H))
         zero_gate = GateParams(w=Tensor(np.zeros((m, H))))
-        tensors = [Tensor(s) for s in sims]
-        weighted = fuse(tensors, space_weights(phi, zero_gate, "weighted"))
-        average = fuse(tensors, space_weights(phi, zero_gate, "average"))
-        assert weighted.item() == pytest.approx(average.item(), abs=1e-12)
+        weighted = _fuse_one(sims, space_weights(phi, zero_gate, "weighted"))
+        average = _fuse_one(sims, space_weights(phi, zero_gate, "average"))
+        assert weighted == pytest.approx(average, abs=1e-12)
 
     def test_weighted_three_way_matches_composition_oracle(self):
         rng = np.random.default_rng(17)
@@ -127,8 +157,8 @@ class TestFuseMode:
         logits = gate.w.data @ phi
         e = np.exp(logits - logits.max())
         expected = float((e / e.sum()) @ np.array(sims))
-        value = fuse([Tensor(s) for s in sims], space_weights(Tensor(phi), gate, "weighted"))
-        assert value.item() == pytest.approx(expected, abs=1e-12)
+        value = _fuse_one(sims, space_weights(Tensor(phi), gate, "weighted"))
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_mode(self):
         phi = Tensor(np.zeros(H))
@@ -139,14 +169,14 @@ class TestFuseMode:
 def test_gate_and_fusion_gradients():
     rng = np.random.default_rng(23)
     gate = _gate(2, seed=23)
-    phi = Tensor(rng.normal(size=H))
-    a, b = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
-    c, d = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+    phi = Tensor(rng.normal(size=(1, H)))
+    a, b = Tensor(rng.normal(size=(1, 5))), Tensor(rng.normal(size=(1, 5)))
+    c, d = Tensor(rng.normal(size=(1, 5))), Tensor(rng.normal(size=(1, 5)))
 
     def loss(_):
-        sims = [cosine(a, b), cosine(c, d)]
+        sims = stack([cosine(a, b), cosine(c, d)])
         value = fuse(sims, space_weights(phi, gate, "weighted"))
-        return hinge_sum([Tensor(0.0)], [value], 0.2)
+        return hinge_sum([Tensor(0.0)], [take(take(value, 0), 0)], 0.2)
 
     assert grad_check(loss, gate.w) < 1e-4
     assert grad_check(loss, phi) < 1e-4

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvse.autodiff import Tape, Tensor, grad_check, sum_all
+from mvse.autodiff import Tape, Tensor, grad_check, sum_all, take
 from mvse.config import Dims
 from mvse.model import init_params
 from mvse.text import (
@@ -12,7 +12,6 @@ from mvse.text import (
     GruParams,
     TextProjections,
     gru_encode,
-    lookup_indices,
     project_text,
 )
 
@@ -50,28 +49,34 @@ def _reference_gru(xs: np.ndarray, p: GruParams) -> np.ndarray:
     return h
 
 
+def _encode(xs: np.ndarray, params: GruParams) -> Tensor:
+    """One sentence whose token vectors are the rows of ``xs``, encoded as a
+    batch of one: [H]."""
+    return take(gru_encode([list(range(len(xs)))], xs, params), 0)
+
+
 class TestLookup:
+    """The GRU gathers the table rows of the token ids it is given."""
+
     def _table(self):
-        return EmbeddingTable(vectors=np.arange(12, dtype=np.float64).reshape(3, 4))
+        return EmbeddingTable(vectors=np.arange(12, dtype=np.float64).reshape(3, 4) / 12.0)
 
     def test_known_token_verbatim(self):
-        out = lookup_indices([1, 0], self._table().vectors)
-        np.testing.assert_array_equal(out.data, [[4, 5, 6, 7], [0, 1, 2, 3]])
-
-    def test_lookup_copies_rows(self):
-        t = self._table()
-        out = lookup_indices([0], t.vectors)
-        out.data[0, 0] = 99.0
-        assert t.vectors[0, 0] == 0.0
+        table, params = self._table(), _random_gru(4, 3, seed=4)
+        out = gru_encode([[1, 0]], table.vectors, params)
+        np.testing.assert_allclose(out.data[0], _reference_gru(table.vectors[[1, 0]], params), atol=1e-12)
 
     def test_index_lookup(self):
-        t = self._table()
-        out = lookup_indices([2, 0], t.vectors)
-        np.testing.assert_array_equal(out.data, t.vectors[[2, 0]])
+        table, params = self._table(), _random_gru(4, 3, seed=5)
+        out = gru_encode([[2, 0], [1], [0, 2, 2]], table.vectors, params)
+        for q, ids in enumerate([[2, 0], [1], [0, 2, 2]]):
+            np.testing.assert_allclose(out.data[q], _reference_gru(table.vectors[ids], params), atol=1e-12)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptySentenceError):
-            lookup_indices([], self._table().vectors)
+        table, params = self._table(), _random_gru(4, 3, seed=6)
+        for batch in ([[]], [[1, 2], []], [[0], [], [2]], []):
+            with pytest.raises(EmptySentenceError):
+                gru_encode(batch, table.vectors, params)
 
 
 class TestGru:
@@ -79,14 +84,14 @@ class TestGru:
         params = _random_gru(3, 4, seed=0)
         for name in ("b_z", "b_r", "b_c"):
             getattr(params, name).data[:] = 0.0
-        phi = gru_encode(Tensor(np.zeros((1, 3))), params)
+        phi = _encode(np.zeros((1, 3)), params)
         np.testing.assert_allclose(phi.data, 0.0, atol=1e-15)
 
     def test_two_step_matches_hand_unroll(self):
         rng = np.random.default_rng(42)
         xs = rng.normal(size=(2, 2))
         params = _random_gru(2, 2, seed=1)
-        phi = gru_encode(Tensor(xs), params)
+        phi = _encode(xs, params)
         np.testing.assert_allclose(phi.data, _reference_gru(xs, params), atol=1e-12)
 
     @given(seed=st.integers(0, 2**31), t_steps=st.integers(1, 6))
@@ -95,30 +100,30 @@ class TestGru:
         rng = np.random.default_rng(seed)
         xs = rng.normal(scale=3.0, size=(t_steps, 3))
         params = _random_gru(3, 5, seed=seed % 1000)
-        phi = gru_encode(Tensor(xs), params)
+        phi = _encode(xs, params)
         assert np.all(np.abs(phi.data) < 1.0)
 
     def test_longer_sequence_matches_hand_unroll(self):
         rng = np.random.default_rng(7)
         xs = rng.normal(size=(5, 3))
         params = _random_gru(3, 4, seed=3)
-        phi = gru_encode(Tensor(xs), params)
+        phi = _encode(xs, params)
         np.testing.assert_allclose(phi.data, _reference_gru(xs, params), atol=1e-12)
 
     def test_token_permutation_changes_phi(self):
         rng = np.random.default_rng(5)
         xs = rng.normal(size=(4, 3))
         params = _random_gru(3, 4, seed=9)
-        phi = gru_encode(Tensor(xs), params).data
-        phi_perm = gru_encode(Tensor(xs[::-1].copy()), params).data
+        phi = _encode(xs, params).data
+        phi_perm = _encode(xs[::-1].copy(), params).data
         assert np.linalg.norm(phi - phi_perm) > 1e-6
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
-        xs = Tensor(rng.normal(size=(3, 3)))
+        xs = rng.normal(size=(3, 3))
         params = _random_gru(3, 4, seed=21)
         for tensor in (params.w_z, params.u_c, params.b_r):
-            err = grad_check(lambda _: sum_all(gru_encode(xs, params)), tensor)
+            err = grad_check(lambda _: sum_all(_encode(xs, params)), tensor)
             assert err < 1e-4
 
     def test_embedding_table_stays_frozen(self):
@@ -126,8 +131,7 @@ class TestGru:
         before = table.vectors.copy()
         params = _random_gru(4, 4, seed=2)
         with Tape() as tape:
-            vecs = lookup_indices([0, 3], table.vectors)
-            loss = sum_all(gru_encode(vecs, params))
+            loss = sum_all(gru_encode([[0, 3]], table.vectors, params))
             tape.backward(loss)
         np.testing.assert_array_equal(table.vectors, before)
         # token constants are leaves; the table array itself is untouched by any gradient
@@ -153,6 +157,11 @@ class TestProjectText:
         w, b, phi = rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=3)
         out = project_text(Tensor(phi), "global", self._projections(w, b))
         np.testing.assert_allclose(out.data, w @ phi + b, atol=1e-14)
+        phis = rng.normal(size=(5, 3))
+        batch = project_text(Tensor(phis), "global", self._projections(w, b))
+        assert batch.shape == (5, 4)
+        for q in range(5):
+            np.testing.assert_allclose(batch.data[q], w @ phis[q] + b, atol=1e-14)
 
     def test_unknown_space_rejected(self):
         with pytest.raises(ValueError, match="unknown embedding space"):

@@ -1,10 +1,14 @@
 """The shared scoring path: ``fused_similarity_matrix`` against a per-pair
-reference built from public functions and the per-pair sequential head,
+reference built from the per-sentence GRU, rank-1 projections and gate, and
+the per-pair sequential head; the batched GRU against the per-sentence one;
 and the reproducibility of ``train``."""
+
+import collections
 
 import numpy as np
 import pytest
 
+from mvse import fusion
 from mvse import model as mvse_model
 from mvse import training
 from mvse.autodiff import (
@@ -12,23 +16,29 @@ from mvse.autodiff import (
     Tensor,
     active_tape,
     add,
+    add_scalar,
+    cosine,
+    einsum,
     grad_check,
     matvec,
     mul,
     no_tape,
     reshape,
+    scale,
     scale_cells,
     sigmoid,
     softmax,
+    stack,
     take,
     tanh,
 )
-from mvse.config import SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
+from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
 from mvse.dataio import read_checkpoint, write_checkpoint
-from mvse.fusion import fuse, gate_weights, uniform_weights
+from mvse.fusion import fuse, space_weights
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
-from mvse.visual import chunk_sample, global_embed, sequential_embed, space_similarity
+from mvse.text import GruParams, gru_encode, project_text
+from mvse.visual import chunk_sample, global_embed, sequential_embed
 
 DIMS = Dims.small()
 N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
@@ -56,6 +66,19 @@ def _batch(corpus, k: int = 4):
 
 def _rngs(videos, epoch: int = 0):
     return [training.frame_rng(5, epoch, v.video_id) for v in videos]
+
+
+def _per_sentence_gru(ids: list[int], table: np.ndarray, params: GruParams) -> Tensor:
+    """One sentence through the GRU, one token vector per step: [H]."""
+    vecs = table[np.asarray(ids, dtype=np.int64)]
+    h = Tensor(np.zeros(params.b_z.shape))
+    for x in vecs:
+        x = Tensor(x)
+        z = sigmoid(add(add(matvec(params.w_z, x), matvec(params.u_z, h)), params.b_z))
+        r = sigmoid(add(add(matvec(params.w_r, x), matvec(params.u_r, h)), params.b_r))
+        c = tanh(add(add(matvec(params.w_c, x), matvec(params.u_c, mul(r, h))), params.b_c))
+        h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
+    return h
 
 
 def _per_pair_sequential(video, indices, phi, params):
@@ -86,31 +109,39 @@ def _per_pair_sequential(video, indices, phi, params):
     return h
 
 
+def _one_row(t: Tensor) -> Tensor:
+    return reshape(t, (1, t.size))
+
+
 def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
-    """The grid with the gate rebuilt and the sequential head run for every
-    (video, sentence) pair."""
-    n = model.dims.n_chunks
-    phis = [model.phi_from_indices(s) for s in sentences]
+    """The grid built pair by pair: each sentence through the per-sentence
+    GRU, its projections and gate weights as rank-1 tensors, each video's
+    static embeddings on their own, the sequential head per pair, and a
+    1 x 1 cosine and fusion per pair."""
+    n, p = model.dims.n_chunks, model.params
+    phis = [_per_sentence_gru(s, model.table.vectors, p.gru) for s in sentences]
     grid = []
     for i, video in enumerate(videos):
         idx_global = chunk_sample(video.n_frames, n, "random", frame_rngs[i])
         idx_seq = chunk_sample(video.n_frames, n, "first")
-        statics = model.video_static_embeddings(video, idx_global)
+        statics = {}
+        if SPACE_GLOBAL in model.spaces:
+            pooled = Tensor(video.global_frames[idx_global].mean(axis=0))
+            statics[SPACE_GLOBAL] = add(matvec(p.global_head.w, pooled), p.global_head.b)
+        if SPACE_ACTION in model.spaces:
+            statics[SPACE_ACTION] = Tensor(video.action_vec)
         row = []
         for phi in phis:
-            text = model.text_embeddings(phi)
             sims = []
             for space in model.spaces:
                 if space == SPACE_SEQUENTIAL:
-                    f = _per_pair_sequential(video, idx_seq, phi, model.params.sequential_head)
+                    f = _per_pair_sequential(video, idx_seq, phi, p.sequential_head)
                 else:
                     f = statics[space]
-                sims.append(space_similarity(f, text[space]))
-            if fuse_mode == "weighted":
-                w = gate_weights(phi, model.params.gate)
-            else:
-                w = uniform_weights(len(model.spaces))
-            row.append(fuse(sims, w))
+                g = project_text(phi, space, p.projections)
+                sims.append(cosine(_one_row(f), _one_row(g)))
+            w = space_weights(phi, p.gate, fuse_mode)
+            row.append(take(take(fuse(stack(sims), _one_row(w)), 0), 0))
         grid.append(row)
     return grid
 
@@ -128,9 +159,9 @@ def _grid_and_grads(build, model, negative_mode):
 @pytest.mark.parametrize("spaces", ["dual-I", "triple", "dual-S"])
 @pytest.mark.parametrize("fuse_mode", ["weighted", "average"])
 def test_matrix_matches_per_pair_gate_reference(corpus, spaces, fuse_mode):
-    """Without the sequential space the grid is bit-identical. The batched
-    sequential head sums in a different order than the per-pair one, so
-    with it values and gradients agree to 1e-12 relative."""
+    """The batched GRU, projections, heads, cosine grids and fusion sum in
+    a different order than the per-pair path, so values and gradients
+    agree to 1e-12 relative."""
     model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
     videos, sentences = zip(*_batch(corpus))
     for negative_mode in ("sum-all", "hardest"):
@@ -144,10 +175,7 @@ def test_matrix_matches_per_pair_gate_reference(corpus, spaces, fuse_mode):
             lambda: _reference_grid(model, videos, sentences, fuse_mode, _rngs(videos)),
             model, negative_mode,
         )
-        if SPACE_SEQUENTIAL in model.spaces:
-            assert np.max(np.abs(new_values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
-        else:
-            assert np.array_equal(new_values, ref_values)
+        assert np.max(np.abs(new_values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
         for name, ref in ref_grads.items():
             scale = max(np.max(np.abs(ref)), 1e-300)
             assert np.max(np.abs(new_grads[name] - ref)) <= 1e-12 * scale, (negative_mode, name)
@@ -179,6 +207,63 @@ def test_sequential_head_runs_once_with_a_grid_independent_tape(corpus, monkeypa
             training.fused_similarity_matrix(model, videos[:n], sentences[:n])
     assert [c[:2] for c in calls] == [(2, 2), (5, 5)]
     assert calls[0][2] == calls[1][2] > 0
+
+
+# (module, name): each batched function of the scorer, patched where its caller looks it up
+BATCHED = (
+    (mvse_model, "gru_encode"), (mvse_model, "global_embed"), (fusion, "gate_weights"),
+    (mvse_model, "project_text"), (training, "space_similarity"), (fusion, "fuse"),
+)
+
+
+def test_scorer_calls_each_batched_function_a_grid_independent_number_of_times(corpus, monkeypatch):
+    model = Model.new(DIMS, "triple", seed=1, table=corpus.dataset.embedding_table())
+    counts = collections.Counter()
+    for module, name in BATCHED:
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    videos, sentences = _all_pairs(corpus)
+    per_call = []
+    for n in (2, 6):
+        counts.clear()
+        with Tape():
+            training.fused_similarity_matrix(model, videos[:n], sentences[:n])
+        per_call.append(dict(counts))
+    m = len(model.spaces)
+    once_per_space = {"project_text": m, "space_similarity": m}
+    expected = {"gru_encode": 1, "global_embed": 1, "gate_weights": 1, "fuse": 1, **once_per_space}
+    assert per_call == [expected, expected]
+
+
+GRU_LENGTHS = {"mixed": [3, 1, 15, 7, 1, 12, 9, 2, 15, 5, 11], "one": [6], "equal": [8] * 5}
+
+
+@pytest.mark.parametrize("lengths", list(GRU_LENGTHS.values()), ids=list(GRU_LENGTHS))
+def test_batched_gru_matches_the_per_sentence_gru(lengths):
+    """The masked GRU over the batch sums in another order than one GRU
+    per sentence, so values and every gradient agree to 1e-12 relative."""
+    rng = np.random.default_rng(len(lengths))
+    vocab = 20
+    table = rng.normal(scale=0.5, size=(vocab, DIMS.token_dim))
+    sentences = [[int(t) for t in rng.integers(vocab, size=n)] for n in lengths]
+    params = mvse_model.init_params(DIMS, ("global",), seed=len(lengths)).gru
+    weights = rng.normal(size=(len(lengths), DIMS.hidden))  # so no two outputs share a gradient
+
+    def run(encode):
+        with Tape() as tape:
+            out = encode()
+            tape.backward(einsum("qh,qh->", out, weights))
+            return out.data, {name: tape.grad(t) for name, t in params.named().items()}
+
+    new, new_grads = run(lambda: gru_encode(sentences, table, params))
+    ref, ref_grads = run(lambda: stack([_per_sentence_gru(s, table, params) for s in sentences]))
+    assert new.shape == (len(lengths), DIMS.hidden)
+    assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for name, g in ref_grads.items():
+        assert np.max(np.abs(new_grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
 
 def test_grid_is_videos_by_sentences(corpus):
@@ -229,9 +314,9 @@ def _train_once(corpus, monkeypatch):
     epoch = [0]
     frames = {"global": [], "sequential": []}
 
-    def spy_global(video, indices, params):
-        frames["global"].append((epoch[0], video.video_id, tuple(indices)))
-        return global_embed(video, indices, params)
+    def spy_global(videos, indices, params):
+        frames["global"] += [(epoch[0], v.video_id, tuple(idx)) for v, idx in zip(videos, indices)]
+        return global_embed(videos, indices, params)
 
     def spy_sequential(videos, indices, phis, params):
         frames["sequential"] += [(v.video_id, tuple(idx)) for v, idx in zip(videos, indices)]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvse.autodiff import Tensor, cosine, einsum, grad_check, stack, take
+from mvse.autodiff import Tensor, cosine, einsum, grad_check, stack, sum_all, take
 from mvse.config import Dims
 from mvse.model import init_params
 from mvse.visual import (
@@ -127,8 +127,8 @@ class TestGlobalEmbed:
             action_vec=None,
         )
         params = GlobalHeadParams(w=Tensor(np.eye(DIMS.c_global)), b=Tensor(np.zeros(DIMS.c_global)))
-        out = global_embed(video, [0, 1, 2, 3], params)
-        np.testing.assert_allclose(out.data, v, atol=1e-12)
+        out = global_embed([video], [[0, 1, 2, 3]], params)
+        np.testing.assert_allclose(out.data, [v], atol=1e-12)
 
     def test_constant_map(self):
         rng = np.random.default_rng(1)
@@ -137,7 +137,7 @@ class TestGlobalEmbed:
         params = GlobalHeadParams(
             w=Tensor(np.zeros((DIMS.embed_dim, DIMS.c_global))), b=Tensor(c)
         )
-        np.testing.assert_allclose(global_embed(video, [0, 2], params).data, c)
+        np.testing.assert_allclose(global_embed([video], [[0, 2]], params).data, [c])
 
     def test_matches_mean_then_matvec_oracle(self):
         rng = np.random.default_rng(2)
@@ -146,9 +146,13 @@ class TestGlobalEmbed:
             w=Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global))),
             b=Tensor(rng.normal(size=DIMS.embed_dim)),
         )
-        idx = [0, 1, 3]
-        expected = params.w.data @ video.global_frames[idx].mean(axis=0) + params.b.data
-        np.testing.assert_allclose(global_embed(video, idx, params).data, expected, atol=1e-12)
+        other = _video(rng, n_frames=6)
+        indices = [[0, 1, 3], [5, 2]]
+        out = global_embed([video, other], indices, params)
+        assert out.shape == (2, DIMS.embed_dim)
+        for row, v, idx in zip(out.data, (video, other), indices):
+            expected = params.w.data @ v.global_frames[idx].mean(axis=0) + params.b.data
+            np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_permutation_invariant_over_indices(self):
         rng = np.random.default_rng(3)
@@ -157,8 +161,8 @@ class TestGlobalEmbed:
             w=Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global))),
             b=Tensor(rng.normal(size=DIMS.embed_dim)),
         )
-        a = global_embed(video, [0, 1, 2, 3], params).data
-        b = global_embed(video, [3, 1, 0, 2], params).data
+        a = global_embed([video], [[0, 1, 2, 3]], params).data
+        b = global_embed([video], [[3, 1, 0, 2]], params).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -283,12 +287,13 @@ class TestActionEmbed:
     def test_pass_through(self):
         rng = np.random.default_rng(11)
         video = _video(rng)
-        np.testing.assert_array_equal(action_embed(video).data, video.action_vec)
+        other = _video(rng)
+        np.testing.assert_array_equal(action_embed([video, other]).data, [video.action_vec, other.action_vec])
 
     def test_missing_action_raises(self):
         rng = np.random.default_rng(12)
         with pytest.raises(SpaceUnavailableError, match="space unavailable"):
-            action_embed(_video(rng, with_action=False))
+            action_embed([_video(rng), _video(rng, with_action=False)])
 
 
 class TestHeadGradients:
@@ -296,10 +301,10 @@ class TestHeadGradients:
         rng = np.random.default_rng(13)
         video = _video(rng)
         params = init_params(DIMS, ("global",), seed=7)
-        target = Tensor(rng.normal(size=DIMS.embed_dim))
+        target = Tensor(rng.normal(size=(1, DIMS.embed_dim)))
 
         def loss(_):
-            return cosine(global_embed(video, [0, 1, 2, 3], params.global_head), target)
+            return sum_all(cosine(global_embed([video], [[0, 1, 2, 3]], params.global_head), target))
 
         for t in (params.global_head.w, params.global_head.b):
             assert grad_check(loss, t) < 1e-4
@@ -309,10 +314,11 @@ class TestHeadGradients:
         video = _video(rng, n_frames=2)
         params = _seq_params(8)
         phi = Tensor(rng.normal(size=DIMS.hidden))
-        target = Tensor(rng.normal(size=DIMS.hidden))
+        target = Tensor(rng.normal(size=(1, DIMS.hidden)))
 
         def loss(_):
-            return cosine(_embed(video, [0, 1], phi, params), target)
+            # the paired [V, Q, H] x [Q, H] form of the cosine grid
+            return sum_all(cosine(sequential_embed([video], [[0, 1]], stack([phi]), params), target))
 
         check = [
             params.attention.w_a, params.attention.b_p, params.attention.w_q,
