@@ -271,11 +271,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 

@@ -24,6 +24,7 @@ from mvse.config import (
     Dims,
     resolve_spaces,
 )
+from mvse.dataio import ContainerError
 from mvse.fusion import GateParams
 from mvse.text import (
     EmbeddingTable,
@@ -47,14 +48,14 @@ from mvse.visual import (
 _INIT_SALT = 0x1417
 
 
-def _init_tensor(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> Tensor:
+def _init_array(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np.ndarray:
     """Uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], independently seeded
-    per tensor name so adding a space never shifts other initializations."""
+    per name so adding a space never shifts other initializations."""
     rng = np.random.default_rng(
         np.random.SeedSequence([_INIT_SALT, seed, zlib.crc32(name.encode())])
     )
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 @dataclass
@@ -86,7 +87,15 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
     a, flat = dims.attn_dim, dims.grid_flat
 
     def t(name, shape, fan_in):
-        return _init_tensor(name, shape, fan_in, seed)
+        return Tensor(_init_array(name, shape, fan_in, seed), copy=False)
+
+    def gates(kind, shape, fan_in):
+        # one block per gate, each drawn from its own name's stream (lstm.w_i, ...),
+        # filled in place so at most one block is held besides the stack
+        out = np.empty((4, *shape))
+        for n, gate in enumerate("ifgo"):
+            out[n] = _init_array(f"lstm.{kind}_{gate}", shape, fan_in, seed)
+        return Tensor(out, copy=False)
 
     gru = GruParams(
         w_z=t("gru.w_z", (h, e), e), u_z=t("gru.u_z", (h, h), h), b_z=t("gru.b_z", (h,), h),
@@ -117,12 +126,11 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
             w_a=t("attn.w_a", (dims.grid_cells, a), a), b_a=t("attn.b_a", (dims.grid_cells,), a),
         )
         lstm = LstmParams(
-            w_i=t("lstm.w_i", (h, flat), flat), u_i=t("lstm.u_i", (h, h), h), b_i=t("lstm.b_i", (h,), h),
-            w_f=t("lstm.w_f", (h, flat), flat), u_f=t("lstm.u_f", (h, h), h),
-            b_f=Tensor(np.ones(h)),  # forget gate starts open
-            w_g=t("lstm.w_g", (h, flat), flat), u_g=t("lstm.u_g", (h, h), h), b_g=t("lstm.b_g", (h,), h),
-            w_o=t("lstm.w_o", (h, flat), flat), u_o=t("lstm.u_o", (h, h), h), b_o=t("lstm.b_o", (h,), h),
+            w=gates("w", (h, dims.grid_cells, dims.c_spatial), flat),
+            u=gates("u", (h, h), h),
+            b=gates("b", (h,), h),
         )
+        lstm.b.data[1] = 1.0  # forget gate starts open
         sequential_head = SequentialHeadParams(attention=attention, lstm=lstm)
 
     gate = GateParams(w=t("gate.w", (len(spaces), h), h))
@@ -136,19 +144,20 @@ def params_from_arrays(
     dims: Dims, spaces: tuple[str, ...], arrays: dict[str, np.ndarray]
 ) -> ModelParams:
     """Rebuild a ModelParams whose tensors hold the given arrays (used when
-    loading a checkpoint)."""
+    loading a checkpoint). A name set or a shape that does not match the
+    architecture raises ``ContainerError``."""
     params = init_params(dims, spaces, seed=0)
     named = params.named()
     missing = set(named) - set(arrays)
     extra = set(arrays) - set(named)
     if missing or extra:
-        raise ValueError(
+        raise ContainerError(
             f"checkpoint parameter mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
     for name, tensor in named.items():
         arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
         if arr.shape != tensor.data.shape:
-            raise ValueError(
+            raise ContainerError(
                 f"checkpoint tensor {name} has shape {arr.shape}, expected {tensor.data.shape}"
             )
         tensor.data = arr

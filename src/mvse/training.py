@@ -87,12 +87,11 @@ def fused_similarity_matrix(
     weights = fusion.space_weights(phis, model.params.gate, fuse_mode)
     text_embs = model.text_embeddings(phis)
 
-    mode = "first" if frame_rngs is None else "random"
     rngs = frame_rngs or [None] * len(videos)
-    idx_global = [chunk_sample(v.n_frames, n, mode, rng) for v, rng in zip(videos, rngs)]
+    idx_global = [chunk_sample(v.n_frames, n, rng) for v, rng in zip(videos, rngs)]
     video_embs = model.video_static_embeddings(videos, idx_global)
     if SPACE_SEQUENTIAL in model.spaces:
-        idx_seq = [chunk_sample(v.n_frames, n, "first") for v in videos]
+        idx_seq = [chunk_sample(v.n_frames, n) for v in videos]
         video_embs[SPACE_SEQUENTIAL] = model.sequential_embedding(videos, idx_seq, phis)
 
     sims = stack([space_similarity(video_embs[s], text_embs[s]) for s in model.spaces])

@@ -9,7 +9,9 @@ The sequential head depends on the sentence, so it yields one embedding
 per (video, sentence) pair. It runs once for a whole V x Q grid, in a
 factored form: the attention's visual branch and the LSTM's input weights
 applied to each grid cell are computed once per (video, frame), and only
-the attention map and the ``U·h`` recurrence run per pair, batched.
+the attention map and the ``U·h`` recurrence run per pair, batched. The
+LSTM stores its four gates stacked, in the layout those contractions
+read, so the head passes its parameters to them without copying.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from mvse.autodiff import (
     reshape,
     sigmoid,
     softmax,
-    stack,
     take,
     tanh,
 )
@@ -65,30 +66,22 @@ class VideoFeature:
 
 
 def chunk_sample(
-    n_frames: int,
-    n_chunks: int,
-    mode: str = "first",
-    rng: np.random.Generator | None = None,
+    n_frames: int, n_chunks: int, rng: np.random.Generator | None = None
 ) -> list[int]:
     """Pick one frame index per chunk; indices are nondecreasing.
 
-    Chunk i covers [floor(i*F/N), floor((i+1)*F/N)). "first" takes the
-    chunk start and ignores ``rng``; "random" draws uniformly inside the
-    chunk from ``rng``, which it requires. Short videos (F < N) repeat
-    frames deterministically because empty chunks collapse onto their
-    start boundary.
+    Chunk i covers [floor(i*F/N), floor((i+1)*F/N)). With a generator
+    ``rng`` the pick is uniform inside the chunk; without one it is the
+    chunk start. Short videos (F < N) repeat frames deterministically
+    because empty chunks collapse onto their start boundary.
     """
     if n_frames < 1 or n_chunks < 1:
         raise ValueError(f"need n_frames >= 1 and n_chunks >= 1, got {n_frames}, {n_chunks}")
-    if mode not in ("first", "random"):
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    if mode == "random" and rng is None:
-        raise ValueError("'random' sampling needs a generator")
     indices = []
     for i in range(n_chunks):
         lo = (i * n_frames) // n_chunks
         hi = ((i + 1) * n_frames) // n_chunks
-        if mode == "random" and hi > lo + 1:
+        if rng is not None and hi > lo + 1:
             indices.append(int(rng.integers(lo, hi)))
         else:
             indices.append(lo)
@@ -154,20 +147,15 @@ def spatial_attention(grids: np.ndarray, phis: Tensor, params: AttentionParams) 
 
 @dataclass
 class LstmParams:
-    """Single-layer LSTM over flattened attended grid features."""
+    """Single-layer LSTM over flattened attended grid features, with the
+    gates i, f, g, o stacked on the leading axis: input weights ``w``
+    [4, H, G*G, C_s] (cells row-major, channel innermost, as in
+    ``vec(grid)``), recurrent weights ``u`` [4, H, H] and biases ``b``
+    [4, H]."""
 
-    w_i: Tensor
-    u_i: Tensor
-    b_i: Tensor
-    w_f: Tensor
-    u_f: Tensor
-    b_f: Tensor
-    w_g: Tensor
-    u_g: Tensor
-    b_g: Tensor
-    w_o: Tensor
-    u_o: Tensor
-    b_o: Tensor
+    w: Tensor
+    u: Tensor
+    b: Tensor
 
     def named(self) -> dict[str, Tensor]:
         return {f"lstm.{k}": v for k, v in vars(self).items()}
@@ -197,27 +185,25 @@ def sequential_embed(
     ``K[h, cell] = W[h, cell, :]·grid[cell, :]``, so K is computed once per
     (video, frame) for the four gates together, and the input terms of all
     steps in one contraction with the maps. Only the ``U·h`` recurrence
-    loops over the steps, batched over [V, Q, H].
+    loops over the steps, batched over [V, Q, H]. The contractions read
+    the stacked ``lstm.w`` [4, H, G*G, C_s], ``lstm.u`` [4, H, H] and
+    ``lstm.b`` [4, H] as stored.
     """
     frames = [v.grid_frames[np.asarray(idx, dtype=np.int64)] for v, idx in zip(videos, indices)]
     grids = np.stack(frames)  # [V, T, G, G, C_s]
-    n_v, n_t, g1, g2, c_s = grids.shape
+    n_v, n_t = grids.shape[:2]
     amap = spatial_attention(grids, phis, params.attention)  # [V, Q, T, G*G]
 
     lstm = params.lstm
-    hidden = lstm.b_i.shape[0]
-    w = reshape(stack([lstm.w_i, lstm.w_f, lstm.w_g, lstm.w_o]), (4, hidden, g1 * g2, c_s))
-    k = einsum("gjnc,vtnc->vtgjn", w, grids.reshape(n_v, n_t, g1 * g2, c_s))
+    k = einsum("gjnc,vtnc->vtgjn", lstm.w, grids.reshape(n_v, n_t, -1, grids.shape[-1]))
     # input terms of every step, [V, T, Q, 4, H]: numpy's own output order
     # for this contraction, so the result needs no transposing copy
     x = einsum("vtgjn,vqtn->vtqgj", k, amap)
-    u = stack([lstm.u_i, lstm.u_f, lstm.u_g, lstm.u_o])
-    b = stack([lstm.b_i, lstm.b_f, lstm.b_g, lstm.b_o])
 
-    h = Tensor(np.zeros((n_v, phis.shape[0], hidden)))
+    h = Tensor(np.zeros((n_v, phis.shape[0], lstm.b.shape[1])))
     c = Tensor(np.zeros(h.shape))
     for t in range(n_t):
-        gates = broadcast_add(add(take(x, t, axis=1), einsum("gjk,vqk->vqgj", u, h)), b)
+        gates = broadcast_add(add(take(x, t, axis=1), einsum("gjk,vqk->vqgj", lstm.u, h)), lstm.b)
         i, f, g, o = (take(gates, n, axis=2) for n in range(4))
         c = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
         h = mul(sigmoid(o), tanh(c))

@@ -78,6 +78,28 @@ def test_matvec_maps_every_row_of_a_batch():
             np.testing.assert_allclose(out.data[i, j], w @ x[i, j], rtol=1e-12, atol=1e-14)
 
 
+def _two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The reference: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere,
+    filled in through boolean masks."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def test_sigmoid_gives_the_two_branch_bits():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0,
+             tiny, -tiny, 1e-310, -1e-310, 36.7, -36.7, 1e-17, -1e-17]
+    rng = np.random.default_rng(0)
+    sweep = [rng.normal(scale=30.0, size=4096), rng.uniform(-800.0, 800.0, size=4096)]
+    x = np.concatenate([edges, *sweep])
+    assert sigmoid(Tensor(x)).data.tobytes() == _two_branch_sigmoid(x).tobytes()
+    assert np.isnan(sigmoid(Tensor([np.nan])).data).all()
+
+
 def test_softmax_empty_axis_errors():
     with pytest.raises(ShapeError, match="softmax"):
         softmax(Tensor(np.zeros((3, 0))))

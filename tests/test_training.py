@@ -33,7 +33,7 @@ from mvse.autodiff import (
     tanh,
 )
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
-from mvse.dataio import read_checkpoint, write_checkpoint
+from mvse.dataio import ContainerError, read_checkpoint, write_checkpoint
 from mvse.fusion import fuse, space_weights
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
@@ -86,8 +86,9 @@ def _per_pair_sequential(video, indices, phi, params):
     frame, attention over the grid, then an LSTM step on the flattened
     attended grid."""
     at, lstm = params.attention, params.lstm
-    h = Tensor(np.zeros(lstm.b_i.shape))
-    c = Tensor(np.zeros(lstm.b_i.shape))
+    hidden = lstm.b.shape[1]
+    h = Tensor(np.zeros(hidden))
+    c = Tensor(np.zeros(hidden))
     for idx in indices:
         grid = Tensor(video.grid_frames[idx])
         g1, g2, _ = grid.shape
@@ -97,13 +98,12 @@ def _per_pair_sequential(video, indices, phi, params):
         attended = scale_cells(grid, reshape(softmax(logits), (g1, g2)))
         x = reshape(attended, (attended.size,))
 
-        def gate(w, u, b):
-            return add(add(matvec(w, x), matvec(u, h)), b)
+        def gate(n):
+            # gate n's blocks of the stacked parameters, w as [H, G*G*C_s]
+            w = reshape(take(lstm.w, n), (hidden, x.size))
+            return add(add(matvec(w, x), matvec(take(lstm.u, n), h)), take(lstm.b, n))
 
-        i = sigmoid(gate(lstm.w_i, lstm.u_i, lstm.b_i))
-        f = sigmoid(gate(lstm.w_f, lstm.u_f, lstm.b_f))
-        g = tanh(gate(lstm.w_g, lstm.u_g, lstm.b_g))
-        o = sigmoid(gate(lstm.w_o, lstm.u_o, lstm.b_o))
+        i, f, g, o = sigmoid(gate(0)), sigmoid(gate(1)), tanh(gate(2)), sigmoid(gate(3))
         c = add(mul(f, c), mul(i, g))
         h = mul(o, tanh(c))
     return h
@@ -122,8 +122,8 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
     phis = [_per_sentence_gru(s, model.table.vectors, p.gru) for s in sentences]
     grid = []
     for i, video in enumerate(videos):
-        idx_global = chunk_sample(video.n_frames, n, "random", frame_rngs[i])
-        idx_seq = chunk_sample(video.n_frames, n, "first")
+        idx_global = chunk_sample(video.n_frames, n, frame_rngs[i])
+        idx_seq = chunk_sample(video.n_frames, n)
         statics = {}
         if SPACE_GLOBAL in model.spaces:
             pooled = Tensor(video.global_frames[idx_global].mean(axis=0))
@@ -279,7 +279,7 @@ def _gradient_cases():
     for spaces, names in SPACE_SETS.items():
         groups = ["gru.w_z", f"proj.{names[-1]}.w", "head.global.w", "gate.w"]
         if SPACE_SEQUENTIAL in names:
-            groups += ["attn.w_q", "lstm.u_i"]
+            groups += ["attn.w_q", "lstm.u"]
         for mode in ("sum-all", "hardest"):
             for tensor in groups:
                 yield spaces, mode, tensor
@@ -350,10 +350,10 @@ def test_train_is_bit_reproducible_from_the_seed(monkeypatch):
 
     # The global head samples a random frame per chunk from the run's
     # frame generators; the sequential head always takes the first.
-    first = chunk_sample(N_FRAMES, DIMS.n_chunks, "first")
+    first = chunk_sample(N_FRAMES, DIMS.n_chunks)
     assert {idx for _, idx in frames_a["sequential"]} == {tuple(first)}
     for epoch, vid, idx in frames_a["global"]:
-        expected = chunk_sample(N_FRAMES, DIMS.n_chunks, "random", training.frame_rng(5, epoch, vid))
+        expected = chunk_sample(N_FRAMES, DIMS.n_chunks, training.frame_rng(5, epoch, vid))
         assert idx == tuple(expected)
     assert any(idx != tuple(first) for _, _, idx in frames_a["global"])
 
@@ -443,3 +443,44 @@ def test_checkpoint_round_trip_scores_bit_identically(corpus, spaces):
         before = training.fused_similarity_matrix(model, list(videos), list(sentences))
         after = training.fused_similarity_matrix(reloaded, list(videos), list(sentences))
     assert [[t.item() for t in row] for row in after] == [[t.item() for t in row] for row in before]
+
+
+def _named_shapes(spaces: str) -> dict[str, tuple[int, ...]]:
+    """The checkpoint's key contract at ``Dims.small()`` (H 16, E 8,
+    D = C_a = 16, C_g 32, A 16, G 2, C_s 32): every tensor name and shape."""
+    out = {f"gru.{k}_{g}": s for g in "zrc" for k, s in (("w", (16, 8)), ("u", (16, 16)), ("b", (16,)))}
+    for space in SPACE_SETS[spaces]:
+        out |= {f"proj.{space}.w": (16, 16), f"proj.{space}.b": (16,)}
+    out |= {"head.global.w": (16, 32), "head.global.b": (16,)}
+    if SPACE_SEQUENTIAL in SPACE_SETS[spaces]:
+        out |= {
+            "attn.w_p": (16, 128), "attn.b_p": (16,), "attn.w_q": (16, 16), "attn.b_q": (16,),
+            "attn.w_a": (4, 16), "attn.b_a": (4,),
+            "lstm.w": (4, 16, 4, 32), "lstm.u": (4, 16, 16), "lstm.b": (4, 16),
+        }
+    out["gate.w"] = (len(SPACE_SETS[spaces]), 16)
+    return out
+
+
+@pytest.mark.parametrize("spaces", sorted(SPACE_SETS))
+def test_named_parameters_are_the_checkpoint_contract(spaces):
+    named = mvse_model.init_params(DIMS, SPACE_SETS[spaces], seed=0).named()
+    assert {name: t.shape for name, t in named.items()} == _named_shapes(spaces)
+    if spaces == "dual-S":
+        assert len(named) == 25
+
+
+def test_checkpoint_with_per_gate_lstm_names_is_a_container_error():
+    arrays = {name: np.zeros(shape) for name, shape in _named_shapes("dual-S").items()}
+    for kind, shape in (("w", (16, 128)), ("u", (16, 16)), ("b", (16,))):
+        del arrays[f"lstm.{kind}"]
+        arrays |= {f"lstm.{kind}_{gate}": np.zeros(shape) for gate in "ifgo"}
+    with pytest.raises(ContainerError, match=r"missing \[.*'lstm\.w'.*\], unexpected \[.*'lstm\.w_i'"):
+        mvse_model.params_from_arrays(DIMS, SPACE_SETS["dual-S"], arrays)
+
+
+def test_checkpoint_tensor_of_the_wrong_shape_is_a_container_error():
+    arrays = {name: np.zeros(shape) for name, shape in _named_shapes("dual-S").items()}
+    arrays["lstm.u"] = np.zeros((16, 16))
+    with pytest.raises(ContainerError, match=r"lstm\.u has shape \(16, 16\), expected \(4, 16, 16\)"):
+        mvse_model.params_from_arrays(DIMS, SPACE_SETS["dual-S"], arrays)

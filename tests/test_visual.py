@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvse import autodiff, visual
+from mvse import model as mvse_model
 from mvse.autodiff import Tensor, cosine, einsum, grad_check, stack, sum_all, take
 from mvse.config import Dims
 from mvse.model import init_params
@@ -62,10 +64,12 @@ def _numpy_unroll(video: VideoFeature, indices: list[int], phi: np.ndarray, para
         e = np.exp(logits - logits.max())
         a = (e / e.sum()).reshape(DIMS.grid, DIMS.grid)
         x = (grid * a[:, :, None]).reshape(-1)
-        i = sig(p_l.w_i.data @ x + p_l.u_i.data @ h + p_l.b_i.data)
-        fg = sig(p_l.w_f.data @ x + p_l.u_f.data @ h + p_l.b_f.data)
-        g = np.tanh(p_l.w_g.data @ x + p_l.u_g.data @ h + p_l.b_g.data)
-        o = sig(p_l.w_o.data @ x + p_l.u_o.data @ h + p_l.b_o.data)
+        # gate n's pre-activation from its blocks of the stacked parameters
+        pre = [
+            p_l.w.data[n].reshape(DIMS.hidden, -1) @ x + p_l.u.data[n] @ h + p_l.b.data[n]
+            for n in range(4)
+        ]
+        i, fg, g, o = sig(pre[0]), sig(pre[1]), np.tanh(pre[2]), sig(pre[3])
         c = fg * c + i * g
         h = o * np.tanh(c)
     return h
@@ -73,31 +77,31 @@ def _numpy_unroll(video: VideoFeature, indices: list[int], phi: np.ndarray, para
 
 class TestChunkSample:
     def test_one_frame_per_chunk(self):
-        assert chunk_sample(20, 20, "first") == list(range(20))
+        assert chunk_sample(20, 20) == list(range(20))
 
     def test_chunk_starts(self):
-        assert chunk_sample(40, 20, "first") == list(range(0, 40, 2))
+        assert chunk_sample(40, 20) == list(range(0, 40, 2))
 
     def test_short_video_repeats_in_order(self):
         # padding rule: boundaries at floor(i*F/N), so each frame appears twice
-        assert chunk_sample(10, 20, "first") == [i // 2 for i in range(20)]
+        assert chunk_sample(10, 20) == [i // 2 for i in range(20)]
 
     def test_matches_boundary_oracle(self):
         for f, n in [(7, 3), (3, 7), (13, 5), (1, 4), (25, 20)]:
             expected = [(i * f) // n for i in range(n)]
-            assert chunk_sample(f, n, "first") == expected
+            assert chunk_sample(f, n) == expected
 
     def test_random_is_seed_deterministic(self):
-        a = chunk_sample(50, 10, "random", np.random.default_rng(123))
-        b = chunk_sample(50, 10, "random", np.random.default_rng(123))
-        c = chunk_sample(50, 10, "random", np.random.default_rng(124))
+        a = chunk_sample(50, 10, np.random.default_rng(123))
+        b = chunk_sample(50, 10, np.random.default_rng(123))
+        c = chunk_sample(50, 10, np.random.default_rng(124))
         assert a == b
         assert a != c  # almost surely
 
     @given(f=st.integers(1, 200), n=st.integers(1, 50), seed=st.integers(0, 1000))
     @settings(max_examples=200, deadline=None)
     def test_random_indices_nondecreasing_and_in_chunk(self, f, n, seed):
-        idx = chunk_sample(f, n, "random", np.random.default_rng(seed))
+        idx = chunk_sample(f, n, np.random.default_rng(seed))
         assert len(idx) == n
         assert all(0 <= i < f for i in idx)
         assert all(a <= b for a, b in zip(idx, idx[1:]))
@@ -110,10 +114,6 @@ class TestChunkSample:
             chunk_sample(0, 5)
         with pytest.raises(ValueError):
             chunk_sample(5, 0)
-        with pytest.raises(ValueError):
-            chunk_sample(5, 2, mode="middle")
-        with pytest.raises(ValueError, match="generator"):
-            chunk_sample(5, 2, mode="random")
 
 
 class TestGlobalEmbed:
@@ -282,6 +282,54 @@ class TestSequentialEmbed:
                 expected = _numpy_unroll(video, indices[v], phi, params)
                 np.testing.assert_allclose(out.data[v, q], expected, atol=1e-12)
 
+    def test_lstm_parameters_enter_the_contractions_as_stored(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        params = _seq_params(12)
+        lstm = (params.lstm.w, params.lstm.u, params.lstm.b)
+        calls = []
+
+        def spy(name):
+            real = getattr(autodiff, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("einsum", "broadcast_add", "stack", "reshape"):
+            monkeypatch.setattr(visual, name, spy(name), raising=False)
+        phis = stack([Tensor(rng.normal(size=DIMS.hidden)) for _ in range(2)])
+        visual.sequential_embed([_video(rng), _video(rng)], [[0, 1, 2, 3]] * 2, phis, params)
+
+        operands = [arg for name, args in calls if name == "einsum" for arg in args[1:]]
+        assert any(a is params.lstm.w for a in operands)
+        assert any(a is params.lstm.u for a in operands)
+        assert any(args[1] is params.lstm.b for name, args in calls if name == "broadcast_add")
+        for name, args in calls:
+            if name in ("stack", "reshape"):
+                parts = args[0] if name == "stack" else [args[0]]
+                assert not any(p is t for p in parts for t in lstm), name
+
+
+class TestLstmParams:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_each_gate_block_is_drawn_from_its_own_name(self, seed):
+        lstm = _seq_params(seed).lstm
+        h, flat = DIMS.hidden, DIMS.grid_flat
+        assert lstm.w.shape == (4, h, DIMS.grid_cells, DIMS.c_spatial)
+        assert lstm.u.shape == (4, h, h) and lstm.b.shape == (4, h)
+        for n, gate in enumerate("ifgo"):
+            # the draw each gate's tensor had under its own name, [H, G*G*C_s] for w
+            def draw(kind, shape, fan_in):
+                return mvse_model._init_array(f"lstm.{kind}_{gate}", shape, fan_in, seed)
+
+            np.testing.assert_array_equal(lstm.w.data[n].reshape(h, flat), draw("w", (h, flat), flat))
+            np.testing.assert_array_equal(lstm.u.data[n], draw("u", (h, h), h))
+            if gate != "f":
+                np.testing.assert_array_equal(lstm.b.data[n], draw("b", (h,), h))
+        np.testing.assert_array_equal(lstm.b.data[1], np.ones(h))  # forget gate starts open
+
 
 class TestActionEmbed:
     def test_pass_through(self):
@@ -310,11 +358,22 @@ class TestHeadGradients:
             assert grad_check(loss, t) < 1e-4
 
     def test_attention_and_lstm_through_cosine(self):
+        # dims small enough to check every coordinate of the stacked LSTM
+        # tensors, so every gate's block of each is checked
+        dims = Dims(
+            n_chunks=2, grid=2, c_global=4, c_spatial=4, c_action=4,
+            hidden=8, embed_dim=8, token_dim=4, attn_dim=8,
+        )
         rng = np.random.default_rng(14)
-        video = _video(rng, n_frames=2)
-        params = _seq_params(8)
-        phi = Tensor(rng.normal(size=DIMS.hidden))
-        target = Tensor(rng.normal(size=(1, DIMS.hidden)))
+        video = VideoFeature(
+            video_id="v0",
+            global_frames=rng.normal(size=(2, dims.c_global)),
+            grid_frames=rng.normal(size=(2, dims.grid, dims.grid, dims.c_spatial)),
+            action_vec=None,
+        )
+        params = init_params(dims, ("global", "sequential"), seed=8).sequential_head
+        phi = Tensor(rng.normal(size=dims.hidden))
+        target = Tensor(rng.normal(size=(1, dims.hidden)))
 
         def loss(_):
             # the paired [V, Q, H] x [Q, H] form of the cosine grid
@@ -322,7 +381,7 @@ class TestHeadGradients:
 
         check = [
             params.attention.w_a, params.attention.b_p, params.attention.w_q,
-            params.lstm.w_f, params.lstm.u_o, params.lstm.b_g,
+            params.lstm.w, params.lstm.u, params.lstm.b,
         ]
         for t in check:
             assert grad_check(loss, t) < 1e-4
