@@ -3,8 +3,14 @@
 A deliberately small define-by-run engine: forward values are computed
 eagerly with numpy, and while a :class:`Tape` is active every operation
 appends a node recording its parents and a backward rule. The tape is
-rebuilt on each forward pass, so a recurrence is recorded for exactly the
-steps it ran.
+rebuilt on each forward pass.
+
+The two recurrences, :func:`gru_recurrence` and :func:`lstm_recurrence`,
+are one node each, whatever their length, with a hand-written
+backpropagation through time; they save per-step state only while a tape
+is recording. The elementwise primitives they replaced in the model
+(:func:`add`, :func:`add_scalar`, :func:`scale`, :func:`mul`,
+:func:`sigmoid`) stay for the per-op chains the tests check them against.
 
 Broadcasting happens only where an op's name or contract says so:
 scalar*tensor, :func:`matvec` over the leading axes of its vector operand,
@@ -269,10 +275,16 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))  # never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    y = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    y /= e
+    return y
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -477,6 +489,151 @@ def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
         return grads
 
     return _emit(out, parents, bk)
+
+
+# ---------------------------------------------------------------------------
+# Recurrences
+#
+# Each runs a whole recurrence from a zero state as one tape node, with the
+# per-op chain's op order in its forward and a hand-written backpropagation
+# through time: one reverse sweep that writes the input-term gradients into
+# one buffer, then each recurrent weight's gradient as one GEMM over all
+# steps. The per-step state is saved only while a tape is recording; without
+# one, only the current step is held.
+# ---------------------------------------------------------------------------
+
+
+def gru_recurrence(
+    xz: Tensor, xr: Tensor, xc: Tensor, u_z: Tensor, u_r: Tensor, u_c: Tensor, mask: np.ndarray
+) -> Tensor:
+    """The masked GRU over [Q, T] steps from a zero state: the final [Q, H].
+
+    ``xz``, ``xr``, ``xc`` [Q, T, H] are the input terms ``W x + b`` of the
+    update gate, reset gate and candidate at every step, ``u_*`` [H, H] the
+    recurrent weights and ``mask`` a [Q, T] 0/1 constant. Step t, with
+    ``m = mask[:, t]``:
+        z = sigmoid(xz_t + U_z h),  r = sigmoid(xr_t + U_r h)
+        c = tanh(xc_t + U_c (r * h)),  h' = (1 - m·z)·h + m·z·c
+    which for m in {0, 1} is the GRU update or h unchanged. ``U_z h`` and
+    ``U_r h`` come from one GEMM per step.
+    """
+    shape = xz.data.shape
+    n_h = shape[-1] if shape else 0
+    if (
+        len(shape) != 3 or xr.data.shape != shape or xc.data.shape != shape
+        or any(u.data.shape != (n_h, n_h) for u in (u_z, u_r, u_c)) or mask.shape != shape[:2]
+    ):
+        raise ShapeError(
+            "gru_recurrence", xz.data.shape, xr.data.shape, xc.data.shape, u_z.data.shape,
+            u_r.data.shape, u_c.data.shape, mask.shape, detail="expected 3 x [Q,T,H], 3 x [H,H], [Q,T]",
+        )
+    q, n_t, _ = shape
+    xzd, xrd, xcd, ucd = xz.data, xr.data, xc.data, u_c.data
+    u_zr = np.concatenate([u_z.data, u_r.data])  # [2H, H]
+    m = mask.T[:, :, None]  # [T, Q, 1]
+    taped = _ACTIVE_TAPE.get() is not None
+    if taped:
+        zrs = np.empty((n_t, q, 2 * n_h))
+        hs, cs = np.empty((n_t, q, n_h)), np.empty((n_t, q, n_h))
+    h = np.zeros((q, n_h))
+    for t in range(n_t):
+        a = h @ u_zr.T
+        a[:, :n_h] += xzd[:, t]
+        a[:, n_h:] += xrd[:, t]
+        zr = _sigmoid(a)
+        z, r = zr[:, :n_h], zr[:, n_h:]
+        c = np.tanh(xcd[:, t] + (r * h) @ ucd.T)
+        if taped:
+            zrs[t], hs[t], cs[t] = zr, h, c
+        zm = z * m[t]
+        h = (1.0 - zm) * h + zm * c
+
+    def bk(g):
+        zs, rs = zrs[:, :, :n_h], zrs[:, :, n_h:]
+        zm = zs * m
+        # per step, the z, r and c input-term gradients: each step's factor,
+        # computed for all steps at once, times dh (z, c) or d(r*h) (r)
+        d = np.empty((n_t, q, 3, n_h))
+        d[:, :, 0] = (cs - hs) * zm * (1.0 - zs)
+        d[:, :, 1] = hs * rs * (1.0 - rs)
+        d[:, :, 2] = zm * (1.0 - cs * cs)
+        keep = 1.0 - zm
+        dh = g
+        for t in range(n_t - 1, -1, -1):
+            d[t, :, 0] *= dh
+            d[t, :, 2] *= dh
+            d_rh = d[t, :, 2] @ ucd
+            d[t, :, 1] *= d_rh
+            if t:
+                dh = dh * keep[t] + d_rh * rs[t] + d[t, :, :2].reshape(q, 2 * n_h) @ u_zr
+        d_uzr = d[:, :, :2].reshape(-1, 2 * n_h).T @ hs.reshape(-1, n_h)
+        d_uc = d[:, :, 2].reshape(-1, n_h).T @ (rs * hs).reshape(-1, n_h)
+        dx = d.transpose(1, 0, 2, 3)  # [Q, T, 3, H]
+        return dx[:, :, 0], dx[:, :, 1], dx[:, :, 2], d_uzr[:n_h], d_uzr[n_h:], d_uc
+
+    return _emit(h, (xz, xr, xc, u_z, u_r, u_c), bk)
+
+
+def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:
+    """The LSTM over T steps from a zero state, batched over [V, Q]: the
+    final hidden states [V, Q, H].
+
+    ``x`` [V, T, Q, 4, H] holds the input terms of the gates i, f, g, o at
+    every step, ``u`` [4, H, H] the recurrent weights, read as one
+    [4H, H] matrix, and ``b`` [4, H] the biases. Step t:
+        a = x_t + U h + b;  i, f, o = sigmoid(a_i, a_f, a_o),  g = tanh(a_g)
+        c' = f·c + i·g,  h' = o·tanh(c')
+    """
+    xd, ud, bd = x.data, u.data, b.data
+    n_h = bd.shape[-1] if bd.ndim == 2 else 0
+    if xd.ndim != 5 or xd.shape[3:] != (4, n_h) or ud.shape != (4, n_h, n_h) or bd.shape != (4, n_h):
+        raise ShapeError(
+            "lstm_recurrence", xd.shape, ud.shape, bd.shape, detail="expected [V,T,Q,4,H], [4,H,H], [4,H]"
+        )
+    n_v, n_t, n_q = xd.shape[:3]
+    u4 = ud.reshape(4 * n_h, n_h)
+    taped = _ACTIVE_TAPE.get() is not None
+    if taped:
+        acts = np.empty((n_t, n_v, n_q, 4, n_h))
+        hs, cs, tcs = (np.empty((n_t, n_v, n_q, n_h)) for _ in range(3))
+    h = np.zeros((n_v, n_q, n_h))
+    c = np.zeros((n_v, n_q, n_h))
+    for t in range(n_t):
+        a = (h.reshape(-1, n_h) @ u4.T).reshape(n_v, n_q, 4, n_h)
+        a += xd[:, t]
+        a += bd
+        act = _sigmoid(a)
+        act[:, :, 2] = np.tanh(a[:, :, 2])
+        if taped:
+            acts[t], hs[t], cs[t] = act, h, c
+        c = act[:, :, 1] * c + act[:, :, 0] * act[:, :, 2]
+        tc = np.tanh(c)
+        if taped:
+            tcs[t] = tc
+        h = act[:, :, 3] * tc
+
+    def bk(g):
+        i, f, gg, o = (acts[:, :, :, n] for n in range(4))
+        # per step, the gates' input-term gradients: each gate's factor,
+        # computed for all steps at once, times dc (i, f, g) or dh (o)
+        d = np.empty((n_t, n_v, n_q, 4, n_h))
+        d[:, :, :, 0] = gg * i * (1.0 - i)
+        d[:, :, :, 1] = cs * f * (1.0 - f)
+        d[:, :, :, 2] = i * (1.0 - gg * gg)
+        d[:, :, :, 3] = tcs * o * (1.0 - o)
+        to_c = o * (1.0 - tcs * tcs)
+        dh, dc = g, 0.0
+        for t in range(n_t - 1, -1, -1):
+            dc = dc + dh * to_c[t]
+            d[t, :, :, :3] *= dc[:, :, None]
+            d[t, :, :, 3] *= dh
+            dc = dc * f[t]
+            if t:
+                dh = (d[t].reshape(-1, 4 * n_h) @ u4).reshape(n_v, n_q, n_h)
+        du = d.reshape(-1, 4 * n_h).T @ hs.reshape(-1, n_h)
+        return d.transpose(1, 0, 2, 3, 4), du.reshape(4, n_h, n_h), d.sum(axis=(0, 1, 2))
+
+    return _emit(h, (x, u, b), bk)
 
 
 # ---------------------------------------------------------------------------

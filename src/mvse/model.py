@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -82,20 +83,17 @@ class ModelParams:
         return out
 
 
-def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
+def _build_params(
+    dims: Dims, spaces: tuple[str, ...], source: Callable[[str, tuple[int, ...], int], np.ndarray]
+) -> ModelParams:
+    """The architecture's tensors, each taken from ``source(name, shape,
+    fan_in)``: a seeded draw for a new model, a checkpoint array when
+    loading."""
     h, e, d = dims.hidden, dims.token_dim, dims.embed_dim
     a, flat = dims.attn_dim, dims.grid_flat
 
     def t(name, shape, fan_in):
-        return Tensor(_init_array(name, shape, fan_in, seed), copy=False)
-
-    def gates(kind, shape, fan_in):
-        # one block per gate, each drawn from its own name's stream (lstm.w_i, ...),
-        # filled in place so at most one block is held besides the stack
-        out = np.empty((4, *shape))
-        for n, gate in enumerate("ifgo"):
-            out[n] = _init_array(f"lstm.{kind}_{gate}", shape, fan_in, seed)
-        return Tensor(out, copy=False)
+        return Tensor(source(name, shape, fan_in), copy=False)
 
     gru = GruParams(
         w_z=t("gru.w_z", (h, e), e), u_z=t("gru.u_z", (h, h), h), b_z=t("gru.b_z", (h,), h),
@@ -126,11 +124,10 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
             w_a=t("attn.w_a", (dims.grid_cells, a), a), b_a=t("attn.b_a", (dims.grid_cells,), a),
         )
         lstm = LstmParams(
-            w=gates("w", (h, dims.grid_cells, dims.c_spatial), flat),
-            u=gates("u", (h, h), h),
-            b=gates("b", (h,), h),
+            w=t("lstm.w", (4, h, dims.grid_cells, dims.c_spatial), flat),
+            u=t("lstm.u", (4, h, h), h),
+            b=t("lstm.b", (4, h), h),
         )
-        lstm.b.data[1] = 1.0  # forget gate starts open
         sequential_head = SequentialHeadParams(attention=attention, lstm=lstm)
 
     gate = GateParams(w=t("gate.w", (len(spaces), h), h))
@@ -140,27 +137,49 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
     )
 
 
+def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
+    def draw(name, shape, fan_in):
+        if not name.startswith("lstm."):
+            return _init_array(name, shape, fan_in, seed)
+        # one block per gate, each drawn from its own name's stream (lstm.w_i, ...),
+        # filled in place so at most one block is held besides the stack
+        out = np.empty(shape)
+        for n, gate in enumerate("ifgo"):
+            out[n] = _init_array(f"{name}_{gate}", shape[1:], fan_in, seed)
+        if name == "lstm.b":
+            out[1] = 1.0  # forget gate starts open
+        return out
+
+    return _build_params(dims, spaces, draw)
+
+
 def params_from_arrays(
     dims: Dims, spaces: tuple[str, ...], arrays: dict[str, np.ndarray]
 ) -> ModelParams:
     """Rebuild a ModelParams whose tensors hold the given arrays (used when
-    loading a checkpoint). A name set or a shape that does not match the
-    architecture raises ``ContainerError``."""
-    params = init_params(dims, spaces, seed=0)
-    named = params.named()
-    missing = set(named) - set(arrays)
-    extra = set(arrays) - set(named)
+    loading a checkpoint); nothing is drawn. A name set or a shape that does
+    not match the architecture raises ``ContainerError``."""
+    expected: list[str] = []
+    wrong_shapes: list[str] = []
+
+    def load(name, shape, fan_in):
+        expected.append(name)
+        if name not in arrays:
+            return np.empty(0)  # reported as missing below
+        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        if arr.shape != shape:
+            wrong_shapes.append(f"checkpoint tensor {name} has shape {arr.shape}, expected {shape}")
+        return arr
+
+    params = _build_params(dims, spaces, load)
+    missing = set(expected) - set(arrays)
+    extra = set(arrays) - set(expected)
     if missing or extra:
         raise ContainerError(
             f"checkpoint parameter mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
-    for name, tensor in named.items():
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        if arr.shape != tensor.data.shape:
-            raise ContainerError(
-                f"checkpoint tensor {name} has shape {arr.shape}, expected {tensor.data.shape}"
-            )
-        tensor.data = arr
+    if wrong_shapes:
+        raise ContainerError(wrong_shapes[0])
     return params
 
 

@@ -1,6 +1,7 @@
 """Sentence side: one GRU over a batch of sentences, and the per-space
 affine projections of the sentence vectors, all batched over the
-sentences ([Q, H] in, [Q, D] out).
+sentences ([Q, H] in, [Q, D] out). The GRU's input terms are three
+contractions, and its recurrence is one ``gru_recurrence`` tape node.
 
 Sentences arrive as lists of token ids into a frozen float table, which
 is what a container stores; there is no tokenizer and no word
@@ -14,19 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvse.autodiff import (
-    Tensor,
-    add,
-    add_scalar,
-    broadcast_add,
-    einsum,
-    matvec,
-    mul,
-    scale,
-    sigmoid,
-    take,
-    tanh,
-)
+from mvse.autodiff import Tensor, broadcast_add, gru_recurrence, matvec
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, Dims
 
 
@@ -80,7 +69,8 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     per gate before the recurrence. A mask m in {0, 1} [Q] per step stops
     each sentence at its own last token: h' = m·h_new + (1 − m)·h, computed
     as ``(1 − m·z)·h + m·z·c``, which for m in {0, 1} gives exactly h_new or
-    h. At a step where every sentence still has tokens, m·z is z itself.
+    h. The recurrence over all steps is one ``gru_recurrence`` node, so the
+    tape holds the same number of nodes for any sentence length.
     """
     lengths = [len(s) for s in sentences]
     if not lengths or min(lengths) < 1:
@@ -94,15 +84,7 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     xz = broadcast_add(matvec(params.w_z, x), params.b_z)  # [Q, T, H]
     xr = broadcast_add(matvec(params.w_r, x), params.b_r)
     xc = broadcast_add(matvec(params.w_c, x), params.b_c)
-    h = Tensor(np.zeros((n_q, params.b_z.shape[0])))
-    for t in range(n_t):
-        z = sigmoid(add(take(xz, t, axis=1), matvec(params.u_z, h)))
-        r = sigmoid(add(take(xr, t, axis=1), matvec(params.u_r, h)))
-        c = tanh(add(take(xc, t, axis=1), matvec(params.u_c, mul(r, h))))
-        if not mask[:, t].all():
-            z = einsum("qh,q->qh", z, mask[:, t])
-        h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
-    return h
+    return gru_recurrence(xz, xr, xc, params.u_z, params.u_r, params.u_c, mask)
 
 
 @dataclass

@@ -9,9 +9,10 @@ The sequential head depends on the sentence, so it yields one embedding
 per (video, sentence) pair. It runs once for a whole V x Q grid, in a
 factored form: the attention's visual branch and the LSTM's input weights
 applied to each grid cell are computed once per (video, frame), and only
-the attention map and the ``U·h`` recurrence run per pair, batched. The
-LSTM stores its four gates stacked, in the layout those contractions
-read, so the head passes its parameters to them without copying.
+the attention map and the ``U·h`` recurrence run per pair, batched; the
+recurrence is one ``lstm_recurrence`` tape node. The LSTM stores its four
+gates stacked, in the layout the contractions and the recurrence read, so
+the head passes its parameters to them without copying.
 """
 
 from __future__ import annotations
@@ -22,16 +23,13 @@ import numpy as np
 
 from mvse.autodiff import (
     Tensor,
-    add,
     broadcast_add,
     cosine,
     einsum,
+    lstm_recurrence,
     matvec,
-    mul,
     reshape,
-    sigmoid,
     softmax,
-    take,
     tanh,
 )
 
@@ -184,10 +182,10 @@ def sequential_embed(
     The LSTM input term is factored: ``W·vec(grid ⊙ map) = K·map`` with
     ``K[h, cell] = W[h, cell, :]·grid[cell, :]``, so K is computed once per
     (video, frame) for the four gates together, and the input terms of all
-    steps in one contraction with the maps. Only the ``U·h`` recurrence
-    loops over the steps, batched over [V, Q, H]. The contractions read
-    the stacked ``lstm.w`` [4, H, G*G, C_s], ``lstm.u`` [4, H, H] and
-    ``lstm.b`` [4, H] as stored.
+    steps in one contraction with the maps. The recurrence over the steps,
+    batched over [V, Q, H], is one ``lstm_recurrence`` node. The
+    contraction reads the stacked ``lstm.w`` [4, H, G*G, C_s], and the
+    recurrence ``lstm.u`` [4, H, H] and ``lstm.b`` [4, H], as stored.
     """
     frames = [v.grid_frames[np.asarray(idx, dtype=np.int64)] for v, idx in zip(videos, indices)]
     grids = np.stack(frames)  # [V, T, G, G, C_s]
@@ -200,14 +198,7 @@ def sequential_embed(
     # for this contraction, so the result needs no transposing copy
     x = einsum("vtgjn,vqtn->vtqgj", k, amap)
 
-    h = Tensor(np.zeros((n_v, phis.shape[0], lstm.b.shape[1])))
-    c = Tensor(np.zeros(h.shape))
-    for t in range(n_t):
-        gates = broadcast_add(add(take(x, t, axis=1), einsum("gjk,vqk->vqgj", lstm.u, h)), lstm.b)
-        i, f, g, o = (take(gates, n, axis=2) for n in range(4))
-        c = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
-        h = mul(sigmoid(o), tanh(c))
-    return h
+    return lstm_recurrence(x, lstm.u, lstm.b)
 
 
 def action_embed(videos: list[VideoFeature]) -> Tensor:

@@ -1,7 +1,8 @@
 """The shared scoring path: ``fused_similarity_matrix`` against a per-pair
 reference built from the per-sentence GRU, rank-1 projections and gate, and
 the per-pair sequential head; the batched GRU against the per-sentence one;
-and the reproducibility of ``train``."""
+the fused recurrences against the per-op chains they replace; and the
+reproducibility of ``train``."""
 
 import collections
 
@@ -17,9 +18,12 @@ from mvse.autodiff import (
     active_tape,
     add,
     add_scalar,
+    broadcast_add,
     cosine,
     einsum,
     grad_check,
+    gru_recurrence,
+    lstm_recurrence,
     matvec,
     mul,
     no_tape,
@@ -38,9 +42,14 @@ from mvse.fusion import fuse, space_weights
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
 from mvse.text import GruParams, gru_encode, project_text
-from mvse.visual import chunk_sample, global_embed, sequential_embed
+from mvse.visual import VideoFeature, chunk_sample, global_embed, sequential_embed
 
 DIMS = Dims.small()
+# the benchmark's seq-train dims
+MID_DIMS = Dims(
+    n_chunks=8, grid=4, c_global=128, c_spatial=64, c_action=64,
+    hidden=64, embed_dim=64, token_dim=32, attn_dim=64,
+)
 N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
 
 
@@ -78,6 +87,34 @@ def _per_sentence_gru(ids: list[int], table: np.ndarray, params: GruParams) -> T
         r = sigmoid(add(add(matvec(params.w_r, x), matvec(params.u_r, h)), params.b_r))
         c = tanh(add(add(matvec(params.w_c, x), matvec(params.u_c, mul(r, h))), params.b_c))
         h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
+    return h
+
+
+def _per_op_gru(xz, xr, xc, u_z, u_r, u_c, mask):
+    """The masked GRU recurrence op by op over [Q, T, H] input terms, as
+    ``gru_recurrence`` computes it in one node: [Q, H]."""
+    h = Tensor(np.zeros((xz.shape[0], xz.shape[2])))
+    for t in range(xz.shape[1]):
+        z = sigmoid(add(take(xz, t, axis=1), matvec(u_z, h)))
+        r = sigmoid(add(take(xr, t, axis=1), matvec(u_r, h)))
+        c = tanh(add(take(xc, t, axis=1), matvec(u_c, mul(r, h))))
+        if not mask[:, t].all():
+            z = einsum("qh,q->qh", z, mask[:, t])
+        h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
+    return h
+
+
+def _per_op_lstm(x, u, b):
+    """The LSTM recurrence op by op over [V, T, Q, 4, H] input terms, as
+    ``lstm_recurrence`` computes it in one node: [V, Q, H]."""
+    n_v, n_t, n_q, _, n_h = x.shape
+    h = Tensor(np.zeros((n_v, n_q, n_h)))
+    c = Tensor(np.zeros(h.shape))
+    for t in range(n_t):
+        gates = broadcast_add(add(take(x, t, axis=1), einsum("gjk,vqk->vqgj", u, h)), b)
+        i, f, g, o = (take(gates, n, axis=2) for n in range(4))
+        c = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
+        h = mul(sigmoid(o), tanh(c))
     return h
 
 
@@ -264,6 +301,68 @@ def test_batched_gru_matches_the_per_sentence_gru(lengths):
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
     for name, g in ref_grads.items():
         assert np.max(np.abs(new_grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def _values_and_grads(run, inputs, weights):
+    with Tape() as tape:
+        out = run(*inputs)
+        spec = "qh,qh->" if out.data.ndim == 2 else "vqh,vqh->"
+        tape.backward(einsum(spec, out, weights))
+        return out.data, [tape.grad(t) for t in inputs]
+
+
+def _assert_close(new, ref):
+    """Values and every gradient within 1e-12 of the reference's largest
+    magnitude."""
+    (out, grads), (ref_out, ref_grads) = new, ref
+    assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+    for n, (g, r) in enumerate(zip(grads, ref_grads)):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), n
+
+
+@pytest.mark.parametrize("dims", [DIMS, MID_DIMS], ids=["small", "mid"])
+def test_gru_recurrence_matches_the_per_op_chain(dims):
+    """Mixed lengths, so the mask stops sentences at different steps."""
+    rng = np.random.default_rng(dims.hidden)
+    lengths = GRU_LENGTHS["mixed"]
+    q, n_t, h = len(lengths), max(lengths), dims.hidden
+    mask = (np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
+    gru = mvse_model.init_params(dims, ("global",), seed=4).gru
+    inputs = [Tensor(rng.normal(size=(q, n_t, h))) for _ in range(3)] + [gru.u_z, gru.u_r, gru.u_c]
+    weights = rng.normal(size=(q, h))
+    new = _values_and_grads(lambda *a: gru_recurrence(*a, mask), inputs, weights)
+    _assert_close(new, _values_and_grads(lambda *a: _per_op_gru(*a, mask), inputs, weights))
+
+
+@pytest.mark.parametrize("dims", [DIMS, MID_DIMS], ids=["small", "mid"])
+def test_lstm_recurrence_matches_the_per_op_chain(dims):
+    rng = np.random.default_rng(dims.hidden)
+    n_v, n_q, h = 5, 3, dims.hidden
+    lstm = mvse_model.init_params(dims, ("global", "sequential"), seed=4).sequential_head.lstm
+    inputs = [Tensor(rng.normal(size=(n_v, dims.n_chunks, n_q, 4, h))), lstm.u, lstm.b]
+    weights = rng.normal(size=(n_v, n_q, h))
+    new = _values_and_grads(lstm_recurrence, inputs, weights)
+    _assert_close(new, _values_and_grads(_per_op_lstm, inputs, weights))
+
+
+def test_each_recurrence_records_a_length_independent_number_of_nodes():
+    p = mvse_model.init_params(DIMS, ("global", "sequential"), seed=1)
+    rng = np.random.default_rng(0)
+    table = rng.normal(size=(20, DIMS.token_dim))
+    video = VideoFeature(
+        "v0", rng.normal(size=(8, DIMS.c_global)),
+        rng.normal(size=(8, DIMS.grid, DIMS.grid, DIMS.c_spatial)), None,
+    )
+    phis = Tensor(rng.normal(size=(2, DIMS.hidden)))
+
+    def nodes(run):
+        with Tape() as tape:
+            run()
+        return len(tape)
+
+    gru = [nodes(lambda: gru_encode([[1] * n, [2] * n], table, p.gru)) for n in (3, 15)]
+    seq = [nodes(lambda: sequential_embed([video], [list(range(n))], phis, p.sequential_head)) for n in (2, 8)]
+    assert gru[0] == gru[1] and seq[0] == seq[1]
 
 
 def test_grid_is_videos_by_sentences(corpus):
@@ -484,3 +583,17 @@ def test_checkpoint_tensor_of_the_wrong_shape_is_a_container_error():
     arrays["lstm.u"] = np.zeros((16, 16))
     with pytest.raises(ContainerError, match=r"lstm\.u has shape \(16, 16\), expected \(4, 16, 16\)"):
         mvse_model.params_from_arrays(DIMS, SPACE_SETS["dual-S"], arrays)
+
+
+def test_loading_a_checkpoint_draws_nothing(monkeypatch):
+    spaces = SPACE_SETS["triple"]
+    arrays = {name: t.data for name, t in mvse_model.init_params(DIMS, spaces, seed=3).named().items()}
+
+    def no_draw(*args):
+        raise AssertionError(f"params_from_arrays drew {args[0]}")
+
+    monkeypatch.setattr(mvse_model, "_init_array", no_draw)
+    loaded = mvse_model.params_from_arrays(DIMS, spaces, arrays).named()
+    assert list(loaded) == list(arrays)
+    for name, t in loaded.items():
+        np.testing.assert_array_equal(t.data, arrays[name])
