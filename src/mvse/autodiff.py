@@ -275,12 +275,11 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.exp(-np.abs(x))  # never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
     y = np.where(x >= 0, 1.0, e)
     e += 1.0
-    y /= e
-    return y
+    return np.divide(y, e, out=y if out is None else out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -357,36 +356,46 @@ def scale_cells(grid: Tensor, amap: Tensor) -> Tensor:
     return _emit(out, (grid, amap), bk)
 
 
-def hinge_sum(negatives: Sequence[Tensor], positives: Sequence[Tensor], margin: float) -> Tensor:
-    """Sum over k of max(0, negatives[k] - positives[k] + margin), one tape node.
+def hinge_sum(
+    scores: Tensor,
+    negatives: tuple[Sequence[int], Sequence[int]],
+    positives: tuple[Sequence[int], Sequence[int]],
+    margin: float,
+) -> Tensor:
+    """Sum over k of max(0, scores[n_k] - scores[p_k] + margin), one tape node
+    whose only parent is the [V, Q] grid ``scores``.
 
-    Every input is 0-d; the node's parents are the distinct tensors given.
-    An active term (above 0) passes +g to its negative and -g to its
-    positive; both parents of an inactive term get 0, the subgradient at
-    the kink.
+    ``negatives`` and ``positives`` are (rows, columns) index arrays, one
+    entry pair per term. An active term (above 0) passes +g to its negative
+    entry and -g to its positive entry; both entries of an inactive term get
+    0, the subgradient at the kink. An entry read by several terms gets the
+    sum of their contributions, added in term order, the negatives' terms
+    before the positives'.
     """
-    inputs = (*negatives, *positives)
-    if len(negatives) != len(positives) or not negatives:
-        raise ShapeError("hinge_sum", (len(negatives),), (len(positives),), detail="list lengths")
-    bad = [t.data.shape for t in inputs if t.data.shape != ()]
-    if bad:
-        raise ShapeError("hinge_sum", *bad, detail="expected 0-d inputs")
-    parents = tuple({id(t): t for t in inputs}.values())
-    slot = {id(t): k for k, t in enumerate(parents)}
-    slots = [slot[id(t)] for t in inputs]
-    terms = np.array([t.item() for t in negatives]) - np.array([t.item() for t in positives]) + margin
+    sd = scores.data
+    if sd.ndim != 2:
+        raise ShapeError("hinge_sum", sd.shape, detail="expected a [V,Q] grid")
+    index = [np.asarray(i, dtype=np.intp) for i in (*negatives, *positives)]
+    shapes = [i.shape for i in index]
+    if len(index) != 4 or any(s != shapes[0] for s in shapes) or len(shapes[0]) != 1:
+        raise ShapeError("hinge_sum", *shapes, detail="expected (rows, columns) index arrays of one length")
+    if not shapes[0][0]:
+        raise ShapeError("hinge_sum", sd.shape, detail="no terms")
+    if any(i.min() < 0 or i.max() >= n for i, n in zip(index, sd.shape * 2)):
+        raise ShapeError("hinge_sum", sd.shape, detail="index out of range")
+    neg_rows, neg_cols, pos_rows, pos_cols = index
+    terms = sd[neg_rows, neg_cols] - sd[pos_rows, pos_cols] + margin
+    rows, cols = np.concatenate([neg_rows, pos_rows]), np.concatenate([neg_cols, pos_cols])
     active = terms > 0
-    n = len(parents)
+    shape = sd.shape
 
     def bk(g):
         g_terms = g * active
-        # start from -0.0, the exact additive identity, so each parent gets
-        # exactly the sum of its terms' contributions, signed zeros included
-        out = np.full(n, -0.0)
-        np.add.at(out, slots, np.concatenate([g_terms, -g_terms]))
-        return tuple(out)
+        out = np.zeros(shape)
+        np.add.at(out, (rows, cols), np.concatenate([g_terms, -g_terms]))
+        return (out,)
 
-    return _emit(np.maximum(terms, 0.0).sum(), parents, bk)
+    return _emit(np.maximum(terms, 0.0).sum(), (scores,), bk)
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:
@@ -593,32 +602,35 @@ def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:
     n_v, n_t, n_q = xd.shape[:3]
     u4 = ud.reshape(4 * n_h, n_h)
     taped = _ACTIVE_TAPE.get() is not None
+    # taped, every step computes straight into the saved buffers: h_t and c_t
+    # are rows t of hs and cs, whose last rows are the final state
     if taped:
         acts = np.empty((n_t, n_v, n_q, 4, n_h))
-        hs, cs, tcs = (np.empty((n_t, n_v, n_q, n_h)) for _ in range(3))
-    h = np.zeros((n_v, n_q, n_h))
-    c = np.zeros((n_v, n_q, n_h))
+        hs, cs = np.zeros((2, n_t + 1, n_v, n_q, n_h))
+        tcs = np.empty((n_t, n_v, n_q, n_h))
+        h, c = hs[0], cs[0]
+    else:
+        h = np.zeros((n_v, n_q, n_h))
+        c = np.zeros((n_v, n_q, n_h))
     for t in range(n_t):
         a = (h.reshape(-1, n_h) @ u4.T).reshape(n_v, n_q, 4, n_h)
         a += xd[:, t]
         a += bd
-        act = _sigmoid(a)
-        act[:, :, 2] = np.tanh(a[:, :, 2])
-        if taped:
-            acts[t], hs[t], cs[t] = act, h, c
-        c = act[:, :, 1] * c + act[:, :, 0] * act[:, :, 2]
-        tc = np.tanh(c)
-        if taped:
-            tcs[t] = tc
-        h = act[:, :, 3] * tc
+        act = _sigmoid(a, out=acts[t] if taped else None)
+        np.tanh(a[:, :, 2], out=act[:, :, 2])
+        c = np.multiply(act[:, :, 1], c, out=cs[t + 1] if taped else None)
+        c += act[:, :, 0] * act[:, :, 2]
+        tc = np.tanh(c, out=tcs[t] if taped else None)
+        h = np.multiply(act[:, :, 3], tc, out=hs[t + 1] if taped else None)
 
     def bk(g):
+        h_prev, c_prev = hs[:-1], cs[:-1]  # the states each step started from
         i, f, gg, o = (acts[:, :, :, n] for n in range(4))
         # per step, the gates' input-term gradients: each gate's factor,
         # computed for all steps at once, times dc (i, f, g) or dh (o)
         d = np.empty((n_t, n_v, n_q, 4, n_h))
         d[:, :, :, 0] = gg * i * (1.0 - i)
-        d[:, :, :, 1] = cs * f * (1.0 - f)
+        d[:, :, :, 1] = c_prev * f * (1.0 - f)
         d[:, :, :, 2] = i * (1.0 - gg * gg)
         d[:, :, :, 3] = tcs * o * (1.0 - o)
         to_c = o * (1.0 - tcs * tcs)
@@ -630,7 +642,7 @@ def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:
             dc = dc * f[t]
             if t:
                 dh = (d[t].reshape(-1, 4 * n_h) @ u4).reshape(n_v, n_q, n_h)
-        du = d.reshape(-1, 4 * n_h).T @ hs.reshape(-1, n_h)
+        du = d.reshape(-1, 4 * n_h).T @ h_prev.reshape(-1, n_h)
         return d.transpose(1, 0, 2, 3, 4), du.reshape(4, n_h, n_h), d.sum(axis=(0, 1, 2))
 
     return _emit(h, (x, u, b), bk)

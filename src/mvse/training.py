@@ -3,10 +3,12 @@
 The batch objective compares every matched pair against the in-batch
 negatives in both directions, either summing all hinge violations or, in
 hardest mode, keeping only the strongest violator per anchor and
-direction. The two modes differ only in which grid entries they pick;
-one ``hinge_sum`` tape node sums the hinges of either. Plain SGD; all
-randomness (shuffling, per-epoch sentence choice, frame sampling)
-derives from the run seed, so a run is reproducible bit for bit.
+direction. The scorer keeps the fused scores as one [V, Q] tensor (a
+:class:`ScoreGrid`), and the two modes differ only in which index pairs
+of it they pick; one ``hinge_sum`` tape node reads those entries and sums
+the hinges of either. Plain SGD; all randomness (shuffling, per-epoch
+sentence choice, frame sampling) derives from the run seed, so a run is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvse import fusion
-from mvse.autodiff import Tape, Tensor, hinge_sum, stack, take
+from mvse.autodiff import Tape, Tensor, hinge_sum, stack
 from mvse.config import SPACE_SEQUENTIAL, TripletConfig
 from mvse.dataio import Dataset, Manifest
 from mvse.model import Model
@@ -31,7 +33,19 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
-def loss_from_matrix(fused: list[list[Tensor]], alpha: float, mode: str) -> Tensor:
+class ScoreGrid(list):
+    """The fused scores of V videos against Q sentences: V rows, each a list
+    of Q numpy float64s, read with ``grid[v][q].item()``. ``scores`` is the
+    [V, Q] tensor they were read from, the one the loss differentiates."""
+
+    __slots__ = ("scores",)
+
+    def __init__(self, scores: Tensor):
+        super().__init__(list(row) for row in scores.data)
+        self.scores = scores
+
+
+def loss_from_matrix(fused: ScoreGrid | list[list[Tensor]], alpha: float, mode: str) -> Tensor:
     """Aggregate a B x B fused-similarity grid into the batch loss.
 
     ``fused[i][j]`` is s(x_i, y_j); diagonal entries are the positives.
@@ -40,26 +54,29 @@ def loss_from_matrix(fused: list[list[Tensor]], alpha: float, mode: str) -> Tens
     video x_i, then the wrong video x_{j_video} for sentence y_i. Sum-all
     mode picks every j != i for both; hardest mode picks the most similar
     wrong sentence and wrong video (ties to the lowest index). All hinges,
-    in that order, are one ``hinge_sum`` node, which reads only the
-    picked entries.
+    in that order, are one ``hinge_sum`` node over index pairs of the
+    [B, B] scores: a :class:`ScoreGrid`'s ``scores``, or, for a plain grid
+    of 0-d tensors, its rows stacked into one tensor.
     """
     b = len(fused)
     if b < 2 or any(len(row) != b for row in fused):
         raise ValueError(f"similarity grid must be square with size >= 2, got {b}")
     if mode not in ("sum-all", "hardest"):
         raise ValueError(f"unknown negative mode {mode!r}")
+    scores = fused.scores if isinstance(fused, ScoreGrid) else stack([stack(row) for row in fused])
     if mode == "sum-all":
-        picks = [(i, j, j) for i in range(b) for j in range(b) if j != i]
+        anchor, other = np.nonzero(~np.eye(b, dtype=bool))  # row-major: by anchor, then j
+        j_sentence = j_video = other
     else:
-        values = np.array([[t.item() for t in row] for row in fused])
+        values = scores.data.copy()
         np.fill_diagonal(values, -np.inf)
-        picks = zip(range(b), values.argmax(axis=1), values.argmax(axis=0))
-    negatives: list[Tensor] = []
-    positives: list[Tensor] = []
-    for i, j_sentence, j_video in picks:
-        negatives += [fused[i][j_sentence], fused[j_video][i]]
-        positives += [fused[i][i], fused[i][i]]
-    return hinge_sum(negatives, positives, alpha)
+        anchor, j_sentence, j_video = np.arange(b), values.argmax(axis=1), values.argmax(axis=0)
+    # per pick, the wrong sentence (i, j_sentence) then the wrong video (j_video, i)
+    negatives = (
+        np.stack([anchor, j_video], axis=1).ravel(), np.stack([j_sentence, anchor], axis=1).ravel()
+    )
+    diagonal = np.repeat(anchor, 2)
+    return hinge_sum(scores, negatives, (diagonal, diagonal), alpha)
 
 
 def fused_similarity_matrix(
@@ -68,7 +85,7 @@ def fused_similarity_matrix(
     sentences: list[list[int]],
     fuse_mode: str = "weighted",
     frame_rngs: list[np.random.Generator] | None = None,
-) -> list[list[Tensor]]:
+) -> ScoreGrid:
     """s(x_i, y_j) for every video i and sentence j: a V x Q grid.
 
     The whole grid is a few batched tape nodes: one GRU run gives the
@@ -77,10 +94,10 @@ def fused_similarity_matrix(
     embeddings are [V, D] per space, and the sequential head, whose
     attention depends on the sentence, gives [V, Q, H]. Each space's
     cosines are one [V, Q] grid, and one node fuses the stacked [M, V, Q]
-    grids into the scores [V, Q], returned as a list of rows of 0-d
-    tensors. With ``frame_rngs`` (one per video) the global head samples a
-    random frame per chunk; without them it takes each chunk's first
-    frame. The sequential head always takes the first.
+    grids into the scores [V, Q], which the returned :class:`ScoreGrid`
+    keeps as one tensor. With ``frame_rngs`` (one per video) the global
+    head samples a random frame per chunk; without them it takes each
+    chunk's first frame. The sequential head always takes the first.
     """
     n = model.dims.n_chunks
     phis = model.encode_sentences(sentences)
@@ -95,9 +112,7 @@ def fused_similarity_matrix(
         video_embs[SPACE_SEQUENTIAL] = model.sequential_embedding(videos, idx_seq, phis)
 
     sims = stack([space_similarity(video_embs[s], text_embs[s]) for s in model.spaces])
-    fused = fusion.fuse(sims, weights)
-    rows = [take(fused, i) for i in range(len(videos))]
-    return [[take(row, j) for j in range(len(sentences))] for row in rows]
+    return ScoreGrid(fusion.fuse(sims, weights))
 
 
 def batch_loss(

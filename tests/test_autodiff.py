@@ -367,11 +367,10 @@ class TestGradCheck:
 
 
 def _hinges(v):
-    # entry 0 is a negative in one term and a positive in another
-    first = take(v, 0)
-    negatives = [first, take(v, 1), take(v, 2)]
-    positives = [take(v, 3), first, take(v, 4)]
-    return hinge_sum(negatives, positives, 0.3)
+    # v as a [1, 5] grid; entry (0, 0) is a negative in one term and a positive in another
+    negatives = ([0, 0, 0], [0, 1, 2])
+    positives = ([0, 0, 0], [3, 0, 4])
+    return hinge_sum(reshape(v, (1, 5)), negatives, positives, 0.3)
 
 
 MIXED_LENGTHS = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -517,10 +516,11 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
             phi = gru_recurrence(xs, xs, tanh(xs), u, u, u, np.array([[1.0, 1.0], [1.0, 0.0]]))
             seq = lstm_recurrence(reshape(stack([v, v]), (1, 2, 1, 4, 3)), stack([u, u, u, u]), v)
             s = add(s, add(sum_all(phi), sum_all(seq)))
-            loss = hinge_sum([take(take(cosine(v, h), 3), 1)], [s], 0.1)
+            pair = reshape(stack([take(take(cosine(v, h), 3), 1), s]), (1, 2))
+            loss = hinge_sum(pair, ([0], [0]), ([0], [1]), 0.1)
             tape.backward(loss)
         ref = weakref.ref(tape)
-        del tape, loss, x, h, grid, v, gram, s, u, xs, phi, seq
+        del tape, loss, x, h, grid, v, gram, s, u, xs, phi, seq, pair
         assert ref() is None
     finally:
         gc.enable()
@@ -581,24 +581,33 @@ class TestHingeSum:
     def test_value_and_gradients(self):
         # 0.5 - 0.2 + 0.1 = 0.4 is active; 0.1 - 0.9 + 0.1 = -0.7 is not
         with Tape() as tape:
-            neg, pos = Tensor(0.5), Tensor(0.2)
-            off_neg, off_pos = Tensor(0.1), Tensor(0.9)
-            out = hinge_sum([neg, off_neg], [pos, off_pos], 0.1)
+            grid = Tensor([[0.5, 0.2], [0.1, 0.9]])
+            out = hinge_sum(grid, ([0, 1], [0, 0]), ([0, 1], [1, 1]), 0.1)
             tape.backward(out)
         assert out.item() == pytest.approx(0.4, abs=1e-15)
-        assert (tape.grad(neg), tape.grad(pos)) == (1.0, -1.0)
-        assert (tape.grad(off_neg), tape.grad(off_pos)) == (0.0, 0.0)
-        assert len(tape) == 5  # four leaves and the hinge_sum node
+        np.testing.assert_array_equal(tape.grad(grid), [[1.0, -1.0], [0.0, 0.0]])
+        assert len(tape) == 2  # the grid leaf and the hinge_sum node
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError, match="hinge_sum"):
-            hinge_sum([Tensor(0.0), Tensor(1.0)], [Tensor(0.0)], 0.2)
-        with pytest.raises(ShapeError, match="hinge_sum"):
-            hinge_sum([], [], 0.2)
-        with pytest.raises(ShapeError, match="hinge_sum"):
-            hinge_sum([Tensor([0.0])], [Tensor(0.0)], 0.2)
-        with pytest.raises(ShapeError, match="hinge_sum"):
-            hinge_sum([Tensor(0.0)], [Tensor(np.zeros((1, 1)))], 0.2)
+        grid = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="hinge_sum.*index arrays"):
+            hinge_sum(grid, ([0, 1], [0, 1]), ([0], [0]), 0.2)
+        with pytest.raises(ShapeError, match="hinge_sum.*index arrays"):
+            hinge_sum(grid, ([0, 1], [0]), ([0, 1], [0, 1]), 0.2)
+        with pytest.raises(ShapeError, match="hinge_sum.*no terms"):
+            hinge_sum(grid, ([], []), ([], []), 0.2)
+        with pytest.raises(ShapeError, match="hinge_sum.*grid"):
+            hinge_sum(Tensor(np.zeros(3)), ([0], [0]), ([0], [1]), 0.2)
+        with pytest.raises(ShapeError, match="hinge_sum.*grid"):
+            hinge_sum(Tensor(np.zeros((1, 2, 3))), ([0], [0]), ([0], [1]), 0.2)
+        # a row or column outside the [2, 3] grid, in either index pair, negative
+        # indices included: a ShapeError, never numpy's IndexError or wrap-around
+        for negatives, positives in [
+            (([2], [0]), ([0], [0])), (([0], [3]), ([0], [0])),
+            (([0], [0]), ([2], [0])), (([0], [0]), ([0], [-1])),
+        ]:
+            with pytest.raises(ShapeError, match="hinge_sum.*out of range"):
+                hinge_sum(grid, negatives, positives, 0.2)
 
 
 def test_taped_scalar_results_are_ndarrays():

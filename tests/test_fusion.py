@@ -170,13 +170,14 @@ def test_gate_and_fusion_gradients():
     rng = np.random.default_rng(23)
     gate = _gate(2, seed=23)
     phi = Tensor(rng.normal(size=(1, H)))
-    a, b = Tensor(rng.normal(size=(1, 5))), Tensor(rng.normal(size=(1, 5)))
-    c, d = Tensor(rng.normal(size=(1, 5))), Tensor(rng.normal(size=(1, 5)))
+    a, b = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(1, 5)))
+    c, d = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(1, 5)))
 
     def loss(_):
         sims = stack([cosine(a, b), cosine(c, d)])
-        value = fuse(sims, space_weights(phi, gate, "weighted"))
-        return hinge_sum([Tensor(0.0)], [take(take(value, 0), 0)], 0.2)
+        value = fuse(sims, space_weights(phi, gate, "weighted"))  # [2, 1]
+        # a fused score differs from another by less than 2, so the hinge is active
+        return hinge_sum(value, ([1], [0]), ([0], [0]), 2.0)
 
     assert grad_check(loss, gate.w) < 1e-4
     assert grad_check(loss, phi) < 1e-4

@@ -15,6 +15,7 @@ from mvse import training
 from mvse.autodiff import (
     Tape,
     Tensor,
+    _emit,
     active_tape,
     add,
     add_scalar,
@@ -482,9 +483,9 @@ MARGIN = 0.205  # entries on a 0.01 grid keep every hinge >= 0.005 off its kink
 def _reference_loss(values, alpha, mode):
     """The hinges in the documented order -- by anchor, wrong sentence
     before wrong video -- reduced by numpy's sum, and the grid entries
-    they read."""
+    that active hinges read."""
     b = len(values)
-    terms, picked = [], set()
+    terms, active = [], set()
     for i in range(b):
         if mode == "sum-all":
             pairs = [(j, j) for j in range(b) if j != i]
@@ -493,10 +494,11 @@ def _reference_loss(values, alpha, mode):
             row[i] = col[i] = -np.inf
             pairs = [(int(np.argmax(row)), int(np.argmax(col)))]
         for j_sentence, j_video in pairs:
-            terms.append(max(0.0, values[i, j_sentence] - values[i, i] + alpha))
-            terms.append(max(0.0, values[j_video, i] - values[i, i] + alpha))
-            picked |= {(i, i), (i, j_sentence), (j_video, i)}
-    return np.array(terms).sum(), picked
+            for negative in ((i, j_sentence), (j_video, i)):
+                terms.append(max(0.0, values[negative] - values[i, i] + alpha))
+                if terms[-1] > 0:
+                    active |= {(i, i), negative}
+    return np.array(terms).sum(), active
 
 
 @pytest.mark.parametrize("mode", ["sum-all", "hardest"])
@@ -505,7 +507,7 @@ def test_loss_is_one_hinge_node_over_the_picked_entries(b, mode):
     values = np.random.default_rng(b).permutation(b * b) * 0.01  # distinct, 0.01 apart
 
     def grid_of(x):
-        return [[take(x, i * b + j) for j in range(b)] for i in range(b)]
+        return training.ScoreGrid(reshape(x, (b, b)))
 
     x = Tensor(values)
     with Tape() as tape:
@@ -514,12 +516,96 @@ def test_loss_is_one_hinge_node_over_the_picked_entries(b, mode):
         loss = training.loss_from_matrix(grid, MARGIN, mode)
         assert len(tape) == before + 1
         tape.backward(loss)
-    expected, picked = _reference_loss(values.reshape(b, b), MARGIN, mode)
+    expected, active = _reference_loss(values.reshape(b, b), MARGIN, mode)
     assert loss.item() == expected
+    grad = tape.grad(grid.scores)
     for i in range(b):
         for j in range(b):
-            assert (grid[i][j].node_id in tape.gradients) == ((i, j) in picked), (i, j)
+            assert (grad[i, j] != 0) == ((i, j) in active), (i, j)
     assert grad_check(lambda t: training.loss_from_matrix(grid_of(t), MARGIN, mode), x) < 1e-6
+
+
+def test_score_grid_reads_as_rows_of_scalars():
+    # the reads retrieval and the benchmark make: len, len(row), .item(), row assignment
+    scores = Tensor(np.random.default_rng(4).normal(size=(3, 5)))
+    grid = training.ScoreGrid(scores)
+    assert grid.scores is scores
+    assert len(grid) == 3 and all(len(row) == 5 for row in grid)
+    assert np.array([[t.item() for t in row] for row in grid]).tobytes() == scores.data.tobytes()
+    grid[0][1] = Tensor(float("nan"))
+    assert np.isnan(grid[0][1].item()) and grid[0][2].item() == scores.data[0, 2]
+
+
+@pytest.mark.parametrize("spaces", ["dual-I", "dual-S"])
+def test_batch_loss_records_a_batch_size_independent_number_of_nodes(corpus, spaces):
+    model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
+    videos, sentences = _all_pairs(corpus)
+    nodes = []
+    for b in (3, 8):
+        with Tape() as tape:
+            training.batch_loss(list(zip(videos[:b], sentences[:b])), model, TripletConfig())
+        nodes.append(len(tape))
+    assert nodes[0] == nodes[1]
+
+
+def _list_hinge_sum(negatives, positives, margin):
+    """The triplet loss node over a list of 0-d tensors that the split grid
+    fed: its parents are the distinct tensors given, each getting the sum
+    of its terms' contributions."""
+    parents = tuple({id(t): t for t in (*negatives, *positives)}.values())
+    slot = {id(t): k for k, t in enumerate(parents)}
+    slots = [slot[id(t)] for t in (*negatives, *positives)]
+    terms = np.array([t.item() for t in negatives]) - np.array([t.item() for t in positives]) + margin
+    active = terms > 0
+
+    def bk(g):
+        g_terms = g * active
+        out = np.full(len(parents), -0.0)
+        np.add.at(out, slots, np.concatenate([g_terms, -g_terms]))
+        return tuple(out)
+
+    return _emit(np.maximum(terms, 0.0).sum(), parents, bk)
+
+
+def _split_loss(grid, alpha, mode):
+    """The loss as it was computed before the grid stayed one tensor: the
+    fused [V, Q] scores split into V + V·Q ``take`` nodes, and the picked
+    0-d entries summed by the list-form hinge node."""
+    b = len(grid)
+    rows = [take(grid.scores, i) for i in range(b)]
+    fused = [[take(row, j) for j in range(b)] for row in rows]
+    if mode == "sum-all":
+        picks = [(i, j, j) for i in range(b) for j in range(b) if j != i]
+    else:
+        values = np.array([[t.item() for t in row] for row in fused])
+        np.fill_diagonal(values, -np.inf)
+        picks = zip(range(b), values.argmax(axis=1), values.argmax(axis=0))
+    negatives, positives = [], []
+    for i, j_sentence, j_video in picks:
+        negatives += [fused[i][j_sentence], fused[j_video][i]]
+        positives += [fused[i][i], fused[i][i]]
+    return _list_hinge_sum(negatives, positives, alpha)
+
+
+@pytest.mark.parametrize("mode", ["sum-all", "hardest"])
+@pytest.mark.parametrize("spaces", list(SPACE_SETS))
+def test_index_pair_loss_equals_the_split_grid_loss(corpus, spaces, mode):
+    """Reading index pairs of the one [V, Q] tensor gives the split path's
+    loss and every parameter gradient bit for bit."""
+    model = Model.new(DIMS, spaces, seed=2, table=corpus.dataset.embedding_table())
+    videos, sentences = _all_pairs(corpus)
+    params = model.params.named()
+    results = []
+    for loss_fn in (training.loss_from_matrix, _split_loss):
+        with Tape() as tape:
+            grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", _rngs(videos))
+            loss = loss_fn(grid, TripletConfig().margin, mode)
+            tape.backward(loss)
+            results.append((loss.data.tobytes(), {name: tape.grad(t) for name, t in params.items()}))
+    (new_loss, new_grads), (old_loss, old_grads) = results
+    assert new_loss == old_loss
+    for name in params:
+        assert np.array_equal(new_grads[name], old_grads[name]), name
 
 
 def test_non_finite_loss_stops_training(corpus, monkeypatch):
