@@ -8,9 +8,12 @@ rebuilt on each forward pass.
 The two recurrences, :func:`gru_recurrence` and :func:`lstm_recurrence`,
 are one node each, whatever their length, with a hand-written
 backpropagation through time; they save per-step state only while a tape
-is recording. The elementwise primitives they replaced in the model
-(:func:`add`, :func:`add_scalar`, :func:`scale`, :func:`mul`,
-:func:`sigmoid`) stay for the per-op chains the tests check them against.
+is recording. Both take one contract: the input terms with the gates
+stacked on one axis, and the recurrent weights [gates, H, H] and biases
+[gates, H] as the model stores them. The elementwise primitives they
+replaced in the model (:func:`add`, :func:`add_scalar`, :func:`scale`,
+:func:`mul`, :func:`sigmoid`) stay for the per-op chains the tests check
+them against.
 
 Broadcasting happens only where an op's name or contract says so:
 scalar*tensor, :func:`matvec` over the leading axes of its vector operand,
@@ -512,33 +515,32 @@ def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def gru_recurrence(
-    xz: Tensor, xr: Tensor, xc: Tensor, u_z: Tensor, u_r: Tensor, u_c: Tensor, mask: np.ndarray
-) -> Tensor:
+def gru_recurrence(x: Tensor, u: Tensor, b: Tensor, mask: np.ndarray) -> Tensor:
     """The masked GRU over [Q, T] steps from a zero state: the final [Q, H].
 
-    ``xz``, ``xr``, ``xc`` [Q, T, H] are the input terms ``W x + b`` of the
-    update gate, reset gate and candidate at every step, ``u_*`` [H, H] the
-    recurrent weights and ``mask`` a [Q, T] 0/1 constant. Step t, with
-    ``m = mask[:, t]``:
-        z = sigmoid(xz_t + U_z h),  r = sigmoid(xr_t + U_r h)
-        c = tanh(xc_t + U_c (r * h)),  h' = (1 - m·z)·h + m·z·c
+    ``x`` [Q, T, 3, H] holds the input terms ``W x`` of the update gate z,
+    reset gate r and candidate c at every step, ``u`` [3, H, H] the
+    recurrent weights, ``b`` [3, H] the biases and ``mask`` a [Q, T] 0/1
+    constant. Step t, with ``m = mask[:, t]`` and ``a = x_t + b``:
+        z = sigmoid(a_z + U_z h),  r = sigmoid(a_r + U_r h)
+        c = tanh(a_c + U_c (r * h)),  h' = (1 - m·z)·h + m·z·c
     which for m in {0, 1} is the GRU update or h unchanged. ``U_z h`` and
-    ``U_r h`` come from one GEMM per step.
+    ``U_r h`` come from one GEMM per step, with ``u[:2]`` read as one
+    [2H, H] matrix.
     """
-    shape = xz.data.shape
-    n_h = shape[-1] if shape else 0
+    xd, ud, bd = x.data, u.data, b.data
+    n_h = bd.shape[-1] if bd.ndim == 2 else 0
     if (
-        len(shape) != 3 or xr.data.shape != shape or xc.data.shape != shape
-        or any(u.data.shape != (n_h, n_h) for u in (u_z, u_r, u_c)) or mask.shape != shape[:2]
+        xd.ndim != 4 or xd.shape[2:] != (3, n_h) or ud.shape != (3, n_h, n_h)
+        or bd.shape != (3, n_h) or mask.shape != xd.shape[:2]
     ):
         raise ShapeError(
-            "gru_recurrence", xz.data.shape, xr.data.shape, xc.data.shape, u_z.data.shape,
-            u_r.data.shape, u_c.data.shape, mask.shape, detail="expected 3 x [Q,T,H], 3 x [H,H], [Q,T]",
+            "gru_recurrence", xd.shape, ud.shape, bd.shape, mask.shape,
+            detail="expected [Q,T,3,H], [3,H,H], [3,H], [Q,T]",
         )
-    q, n_t, _ = shape
-    xzd, xrd, xcd, ucd = xz.data, xr.data, xc.data, u_c.data
-    u_zr = np.concatenate([u_z.data, u_r.data])  # [2H, H]
+    q, n_t = mask.shape
+    xb = xd + bd  # the input terms W x + b of every step
+    u_zr, ucd = ud[:2].reshape(2 * n_h, n_h), ud[2]
     m = mask.T[:, :, None]  # [T, Q, 1]
     taped = _ACTIVE_TAPE.get() is not None
     if taped:
@@ -547,11 +549,10 @@ def gru_recurrence(
     h = np.zeros((q, n_h))
     for t in range(n_t):
         a = h @ u_zr.T
-        a[:, :n_h] += xzd[:, t]
-        a[:, n_h:] += xrd[:, t]
+        a += xb[:, t, :2].reshape(q, 2 * n_h)
         zr = _sigmoid(a)
         z, r = zr[:, :n_h], zr[:, n_h:]
-        c = np.tanh(xcd[:, t] + (r * h) @ ucd.T)
+        c = np.tanh(xb[:, t, 2] + (r * h) @ ucd.T)
         if taped:
             zrs[t], hs[t], cs[t] = zr, h, c
         zm = z * m[t]
@@ -575,12 +576,12 @@ def gru_recurrence(
             d[t, :, 1] *= d_rh
             if t:
                 dh = dh * keep[t] + d_rh * rs[t] + d[t, :, :2].reshape(q, 2 * n_h) @ u_zr
-        d_uzr = d[:, :, :2].reshape(-1, 2 * n_h).T @ hs.reshape(-1, n_h)
-        d_uc = d[:, :, 2].reshape(-1, n_h).T @ (rs * hs).reshape(-1, n_h)
-        dx = d.transpose(1, 0, 2, 3)  # [Q, T, 3, H]
-        return dx[:, :, 0], dx[:, :, 1], dx[:, :, 2], d_uzr[:n_h], d_uzr[n_h:], d_uc
+        du = np.empty((3, n_h, n_h))
+        du[:2] = (d[:, :, :2].reshape(-1, 2 * n_h).T @ hs.reshape(-1, n_h)).reshape(2, n_h, n_h)
+        du[2] = d[:, :, 2].reshape(-1, n_h).T @ (rs * hs).reshape(-1, n_h)
+        return d.transpose(1, 0, 2, 3), du, d.sum(axis=(0, 1))
 
-    return _emit(h, (xz, xr, xc, u_z, u_r, u_c), bk)
+    return _emit(h, (x, u, b), bk)
 
 
 def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -382,10 +383,11 @@ def read_checkpoint(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
             name = r.take(name_len, "tensor name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ContainerError(f"checkpoint tensor name is not valid UTF-8: {exc}") from exc
+        if name in params:
+            raise ContainerError(f"checkpoint tensor {name} appears twice")
         (rank,) = struct.unpack("<B", r.take(1, "tensor rank"))
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, "tensor shape"))
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(r.take(8 * size, f"tensor {name}"), dtype="<f8")
+        data = np.frombuffer(r.take(8 * math.prod(shape), f"tensor {name}"), dtype="<f8")
         params[name] = data.reshape(shape).copy()
     r.done("checkpoint")
     return params, config

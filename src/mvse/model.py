@@ -95,11 +95,7 @@ def _build_params(
     def t(name, shape, fan_in):
         return Tensor(source(name, shape, fan_in), copy=False)
 
-    gru = GruParams(
-        w_z=t("gru.w_z", (h, e), e), u_z=t("gru.u_z", (h, h), h), b_z=t("gru.b_z", (h,), h),
-        w_r=t("gru.w_r", (h, e), e), u_r=t("gru.u_r", (h, h), h), b_r=t("gru.b_r", (h,), h),
-        w_c=t("gru.w_c", (h, e), e), u_c=t("gru.u_c", (h, h), h), b_c=t("gru.b_c", (h,), h),
-    )
+    gru = GruParams(w=t("gru.w", (3, h, e), e), u=t("gru.u", (3, h, h), h), b=t("gru.b", (3, h), h))
 
     projections = TextProjections()
     for space in spaces:
@@ -137,14 +133,19 @@ def _build_params(
     )
 
 
+# the gate letters of each recurrence whose tensors stack one block per gate
+_STACKED_GATES = {"gru": "zrc", "lstm": "ifgo"}
+
+
 def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
     def draw(name, shape, fan_in):
-        if not name.startswith("lstm."):
+        gates = _STACKED_GATES.get(name.partition(".")[0])
+        if gates is None:
             return _init_array(name, shape, fan_in, seed)
-        # one block per gate, each drawn from its own name's stream (lstm.w_i, ...),
-        # filled in place so at most one block is held besides the stack
+        # one block per gate, each drawn from its own name's stream (gru.w_z,
+        # lstm.w_i, ...), filled in place so at most one block is held besides the stack
         out = np.empty(shape)
-        for n, gate in enumerate("ifgo"):
+        for n, gate in enumerate(gates):
             out[n] = _init_array(f"{name}_{gate}", shape[1:], fan_in, seed)
         if name == "lstm.b":
             out[1] = 1.0  # forget gate starts open

@@ -1,7 +1,8 @@
 """Sentence side: one GRU over a batch of sentences, and the per-space
 affine projections of the sentence vectors, all batched over the
-sentences ([Q, H] in, [Q, D] out). The GRU's input terms are three
-contractions, and its recurrence is one ``gru_recurrence`` tape node.
+sentences ([Q, H] in, [Q, D] out). The GRU stores its three gates
+stacked, like the sequential head's LSTM: its input terms are one
+contraction, and its recurrence is one ``gru_recurrence`` tape node.
 
 Sentences arrive as lists of token ids into a frozen float table, which
 is what a container stores; there is no tokenizer and no word
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvse.autodiff import Tensor, broadcast_add, gru_recurrence, matvec
+from mvse.autodiff import Tensor, broadcast_add, einsum, gru_recurrence, matvec
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, Dims
 
 
@@ -37,21 +38,16 @@ class EmbeddingTable:
 
 @dataclass
 class GruParams:
-    """Update gate z, reset gate r, candidate c; input->hidden and
-    hidden->hidden matrices plus biases."""
+    """The update gate z, reset gate r and candidate c, stacked on the
+    leading axis in that order: input weights ``w`` [3, H, E], recurrent
+    weights ``u`` [3, H, H] and biases ``b`` [3, H]."""
 
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_c: Tensor
-    u_c: Tensor
-    b_c: Tensor
+    w: Tensor
+    u: Tensor
+    b: Tensor
 
-    def named(self, prefix: str = "gru") -> dict[str, Tensor]:
-        return {f"{prefix}.{k}": v for k, v in vars(self).items()}
+    def named(self) -> dict[str, Tensor]:
+        return {f"gru.{k}": v for k, v in vars(self).items()}
 
 
 def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams) -> Tensor:
@@ -65,9 +61,10 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
         c = tanh(Wc x + Uc (r * h) + bc)
         h_new = (1 - z) * h + z * c
     The token vectors are gathered into a zero-padded [Q, T, E] constant,
-    and the input terms ``W x + b`` of all steps come from one contraction
-    per gate before the recurrence. A mask m in {0, 1} [Q] per step stops
-    each sentence at its own last token: h' = m·h_new + (1 − m)·h, computed
+    and the input terms ``W x`` of all gates and steps come from one
+    contraction into [Q, T, 3, H] before the recurrence, which adds the
+    biases. A mask m in {0, 1} [Q] per step stops each sentence at its own
+    last token: h' = m·h_new + (1 − m)·h, computed
     as ``(1 − m·z)·h + m·z·c``, which for m in {0, 1} gives exactly h_new or
     h. The recurrence over all steps is one ``gru_recurrence`` node, so the
     tape holds the same number of nodes for any sentence length.
@@ -80,11 +77,8 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     for q, ids in enumerate(sentences):
         tokens[q, : len(ids)] = table[np.asarray(ids, dtype=np.int64)]
     mask = (np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)  # [Q, T]
-    x = Tensor(tokens, copy=False)
-    xz = broadcast_add(matvec(params.w_z, x), params.b_z)  # [Q, T, H]
-    xr = broadcast_add(matvec(params.w_r, x), params.b_r)
-    xc = broadcast_add(matvec(params.w_c, x), params.b_c)
-    return gru_recurrence(xz, xr, xc, params.u_z, params.u_r, params.u_c, mask)
+    x = einsum("gje,qte->qtgj", params.w, tokens)  # [Q, T, 3, H]
+    return gru_recurrence(x, params.u, params.b, mask)
 
 
 @dataclass

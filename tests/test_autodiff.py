@@ -377,9 +377,7 @@ MIXED_LENGTHS = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
 
 
 def _gru(v):
-    xs = [take(v, n) for n in range(3)]
-    us = [take(take(v, n), 0) for n in range(3, 6)]
-    return gru_recurrence(*xs, *us, MIXED_LENGTHS)
+    return gru_recurrence(v, take(v, 0), take(take(v, 1), 0), MIXED_LENGTHS)
 
 
 def _lstm(v):
@@ -403,8 +401,8 @@ def _lstm(v):
         ("broadcast_add", lambda v: sum_all(tanh(broadcast_add(v, reshape(take(v, 1), (1, 3))))), (2, 3)),
         ("stack", lambda v: sum_all(mul(reshape(stack([v, tanh(v)]), (10,)), Tensor(np.arange(10.0)))), (5,)),
         ("take", lambda v: sum_all(tanh(mul(take(v, 0), take(v, 2, axis=1)))), (4, 4)),
-        # xz, xr, xc [3, 3, 3] and u_z, u_r, u_c [3, 3], under mixed sentence lengths
-        ("gru_recurrence", lambda v: sum_all(tanh(_gru(v))), (6, 3, 3, 3)),
+        # x [3, 3, 3, 3] under mixed sentence lengths; u [3, 3, 3] and b [3, 3] are entries of x too
+        ("gru_recurrence", lambda v: sum_all(tanh(_gru(v))), (3, 3, 3, 3)),
         # x [2, 3, 2, 4, 2]; u [4, 2, 2] and b [4, 2] are entries of x too
         ("lstm_recurrence", lambda v: sum_all(tanh(_lstm(v))), (2, 3, 2, 4, 2)),
     ],
@@ -512,8 +510,9 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
             gram = sum_all(einsum("ij,kj->ik", v, v))
             s = add(gram, sum_all(mul(broadcast_add(v, Tensor(1.0)), softmax(sigmoid(v)))))
             u = einsum("ij,ik->jk", v, v)  # [3, 3]
-            xs = reshape(v, (2, 2, 3))
-            phi = gru_recurrence(xs, xs, tanh(xs), u, u, u, np.array([[1.0, 1.0], [1.0, 0.0]]))
+            xs = reshape(stack([v, v, tanh(v)]), (2, 2, 3, 3))
+            mask = np.array([[1.0, 1.0], [1.0, 0.0]])
+            phi = gru_recurrence(xs, stack([u, u, u]), take(take(xs, 0), 0), mask)
             seq = lstm_recurrence(reshape(stack([v, v]), (1, 2, 1, 4, 3)), stack([u, u, u, u]), v)
             s = add(s, add(sum_all(phi), sum_all(seq)))
             pair = reshape(stack([take(take(cosine(v, h), 3), 1), s]), (1, 2))

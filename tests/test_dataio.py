@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mvse.config import Dims
 from mvse.dataio import (
+    CHECKPOINT_MAGIC,
+    FORMAT_VERSION,
     BadMagicError,
     ContainerError,
     Dataset,
@@ -181,7 +185,7 @@ class TestCheckpoint:
     def _params(self):
         rng = np.random.default_rng(3)
         return {
-            "gru.w_z": rng.normal(size=(4, 3)),
+            "gru.w": rng.normal(size=(3, 4, 3)),
             "gate.w": rng.normal(size=(2, 4)),
             "head.global.b": rng.normal(size=4),
         }
@@ -228,6 +232,28 @@ class TestCheckpoint:
         blob = write_checkpoint(self._params(), {})
         with pytest.raises(TruncatedError):
             read_checkpoint(blob[:-5])
+
+    @staticmethod
+    def _blob(tensors: list[tuple[str, tuple[int, ...], bytes]]) -> bytes:
+        """A checkpoint written field by field, so a test can declare any
+        name, shape and payload."""
+        out = CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, 2) + b"{}"
+        out += struct.pack("<I", len(tensors))
+        for name, shape, payload in tensors:
+            out += struct.pack("<H", len(name)) + name.encode()
+            out += struct.pack(f"<B{len(shape)}I", len(shape), *shape) + payload
+        return out
+
+    @pytest.mark.parametrize("shape", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1)])
+    def test_huge_declared_shape_is_truncated(self, shape):
+        # the element counts overflow int64: 2**64 (wraps to 0) and (2**32 - 1)**2 (negative)
+        with pytest.raises(TruncatedError):
+            read_checkpoint(self._blob([("x", shape, b"\0" * 64)]))
+
+    def test_repeated_tensor_name_is_a_container_error(self):
+        one = np.array([1.0]).tobytes()
+        with pytest.raises(ContainerError, match="x appears twice"):
+            read_checkpoint(self._blob([("x", (1,), one), ("x", (1,), one)]))
 
 
 class TestGeneratedDatasets:

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum, reshape, stack, take
 from mvse.fusion import (
     GateParams,
-    GateStats,
     fuse,
     gate_weights,
     space_weights,
@@ -183,28 +182,3 @@ def test_gate_and_fusion_gradients():
     assert grad_check(loss, phi) < 1e-4
     assert grad_check(loss, a) < 1e-4
 
-
-class TestGateStats:
-    def test_summary_and_histogram(self):
-        stats = GateStats(spaces=("global", "sequential"))
-        stats.record(np.array([0.6, 0.4]))
-        stats.record(np.array([0.8, 0.2]))
-        stats.record(np.array([0.4, 0.6]))
-        s = stats.summary()
-        assert s["global"]["mean"] == pytest.approx(0.6)
-        assert s["global"]["min"] == pytest.approx(0.4)
-        assert s["global"]["max"] == pytest.approx(0.8)
-        hist = stats.cumulative_histogram()
-        rows = dict(hist["global"])
-        assert rows[1.0] == 1.0
-        assert rows[0.5] == pytest.approx(1 / 3)
-        assert rows[0.63] == pytest.approx(2 / 3)
-        table = stats.summary_table()
-        assert "global" in table and "0.6000" in table
-        csv = stats.histogram_csv()
-        assert csv.startswith("space,bin_upper,cumulative_fraction\n")
-        assert len(csv.strip().split("\n")) == 1 + 2 * 100
-
-    def test_empty_stats_raise(self):
-        with pytest.raises(ValueError):
-            GateStats(spaces=("global",)).summary()

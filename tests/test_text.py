@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvse.autodiff import Tape, Tensor, grad_check, sum_all, take
 from mvse.config import Dims
-from mvse.model import init_params
+from mvse.model import _init_array, init_params
 from mvse.text import (
     EmbeddingTable,
     EmptySentenceError,
@@ -18,33 +18,21 @@ from mvse.text import (
 DIMS = Dims.small()
 
 
-def _zeros_gru(e: int, h: int) -> GruParams:
-    z = lambda shape: Tensor(np.zeros(shape))
-    return GruParams(
-        w_z=z((h, e)), u_z=z((h, h)), b_z=z(h),
-        w_r=z((h, e)), u_r=z((h, h)), b_r=z(h),
-        w_c=z((h, e)), u_c=z((h, h)), b_c=z(h),
-    )
-
-
 def _random_gru(e: int, h: int, seed: int) -> GruParams:
     rng = np.random.default_rng(seed)
     r = lambda shape: Tensor(rng.normal(scale=0.5, size=shape))
-    return GruParams(
-        w_z=r((h, e)), u_z=r((h, h)), b_z=r(h),
-        w_r=r((h, e)), u_r=r((h, h)), b_r=r(h),
-        w_c=r((h, e)), u_c=r((h, h)), b_c=r(h),
-    )
+    return GruParams(w=r((3, h, e)), u=r((3, h, h)), b=r((3, h)))
 
 
 def _reference_gru(xs: np.ndarray, p: GruParams) -> np.ndarray:
     """Scalar-by-scalar recurrence oracle, independent of the tensor engine."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    h = np.zeros(p.b_z.data.shape[0])
+    (w_z, w_r, w_c), (u_z, u_r, u_c), (b_z, b_r, b_c) = p.w.data, p.u.data, p.b.data
+    h = np.zeros(p.b.data.shape[1])
     for x in xs:
-        z = sig(p.w_z.data @ x + p.u_z.data @ h + p.b_z.data)
-        r = sig(p.w_r.data @ x + p.u_r.data @ h + p.b_r.data)
-        c = np.tanh(p.w_c.data @ x + p.u_c.data @ (r * h) + p.b_c.data)
+        z = sig(w_z @ x + u_z @ h + b_z)
+        r = sig(w_r @ x + u_r @ h + b_r)
+        c = np.tanh(w_c @ x + u_c @ (r * h) + b_c)
         h = (1 - z) * h + z * c
     return h
 
@@ -82,8 +70,7 @@ class TestLookup:
 class TestGru:
     def test_zero_input_zero_bias_gives_zero(self):
         params = _random_gru(3, 4, seed=0)
-        for name in ("b_z", "b_r", "b_c"):
-            getattr(params, name).data[:] = 0.0
+        params.b.data[:] = 0.0
         phi = _encode(np.zeros((1, 3)), params)
         np.testing.assert_allclose(phi.data, 0.0, atol=1e-15)
 
@@ -122,7 +109,7 @@ class TestGru:
         rng = np.random.default_rng(12)
         xs = rng.normal(size=(3, 3))
         params = _random_gru(3, 4, seed=21)
-        for tensor in (params.w_z, params.u_c, params.b_r):
+        for tensor in (params.w, params.u, params.b):
             err = grad_check(lambda _: sum_all(_encode(xs, params)), tensor)
             assert err < 1e-4
 
@@ -136,7 +123,23 @@ class TestGru:
         np.testing.assert_array_equal(table.vectors, before)
         # the gradient reaches the GRU's input weights through the token
         # constants, while the table array itself is untouched by it
-        assert np.all(tape.grad(params.w_z) != 0)
+        assert np.all(tape.grad(params.w) != 0)
+
+
+class TestGruParams:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_each_gate_block_is_drawn_from_its_own_name(self, seed):
+        gru = init_params(DIMS, ("global",), seed=seed).gru
+        h, e = DIMS.hidden, DIMS.token_dim
+        assert gru.w.shape == (3, h, e) and gru.u.shape == (3, h, h) and gru.b.shape == (3, h)
+        for n, gate in enumerate("zrc"):
+            # the draw each gate's tensor had under its own name
+            def draw(kind, shape, fan_in):
+                return _init_array(f"gru.{kind}_{gate}", shape, fan_in, seed)
+
+            np.testing.assert_array_equal(gru.w.data[n], draw("w", (h, e), e))
+            np.testing.assert_array_equal(gru.u.data[n], draw("u", (h, h), h))
+            np.testing.assert_array_equal(gru.b.data[n], draw("b", (h,), h))
 
 
 class TestProjectText:

@@ -81,24 +81,30 @@ def _rngs(videos, epoch: int = 0):
 def _per_sentence_gru(ids: list[int], table: np.ndarray, params: GruParams) -> Tensor:
     """One sentence through the GRU, one token vector per step: [H]."""
     vecs = table[np.asarray(ids, dtype=np.int64)]
-    h = Tensor(np.zeros(params.b_z.shape))
+    (w_z, w_r, w_c), (u_z, u_r, u_c), (b_z, b_r, b_c) = (
+        [take(p, n) for n in range(3)] for p in (params.w, params.u, params.b)
+    )
+    h = Tensor(np.zeros(b_z.shape))
     for x in vecs:
         x = Tensor(x)
-        z = sigmoid(add(add(matvec(params.w_z, x), matvec(params.u_z, h)), params.b_z))
-        r = sigmoid(add(add(matvec(params.w_r, x), matvec(params.u_r, h)), params.b_r))
-        c = tanh(add(add(matvec(params.w_c, x), matvec(params.u_c, mul(r, h))), params.b_c))
+        z = sigmoid(add(add(matvec(w_z, x), matvec(u_z, h)), b_z))
+        r = sigmoid(add(add(matvec(w_r, x), matvec(u_r, h)), b_r))
+        c = tanh(add(add(matvec(w_c, x), matvec(u_c, mul(r, h))), b_c))
         h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
     return h
 
 
-def _per_op_gru(xz, xr, xc, u_z, u_r, u_c, mask):
-    """The masked GRU recurrence op by op over [Q, T, H] input terms, as
+def _per_op_gru(x, u, b, mask):
+    """The masked GRU recurrence op by op over [Q, T, 3, H] input terms, as
     ``gru_recurrence`` computes it in one node: [Q, H]."""
-    h = Tensor(np.zeros((xz.shape[0], xz.shape[2])))
-    for t in range(xz.shape[1]):
-        z = sigmoid(add(take(xz, t, axis=1), matvec(u_z, h)))
-        r = sigmoid(add(take(xr, t, axis=1), matvec(u_r, h)))
-        c = tanh(add(take(xc, t, axis=1), matvec(u_c, mul(r, h))))
+    u_z, u_r, u_c = (take(u, n) for n in range(3))
+    h = Tensor(np.zeros((x.shape[0], x.shape[3])))
+    for t in range(x.shape[1]):
+        a = broadcast_add(take(x, t, axis=1), b)  # [Q, 3, H]
+        xz, xr, xc = (take(a, n, axis=1) for n in range(3))
+        z = sigmoid(add(xz, matvec(u_z, h)))
+        r = sigmoid(add(xr, matvec(u_r, h)))
+        c = tanh(add(xc, matvec(u_c, mul(r, h))))
         if not mask[:, t].all():
             z = einsum("qh,q->qh", z, mask[:, t])
         h = add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, c))
@@ -329,7 +335,7 @@ def test_gru_recurrence_matches_the_per_op_chain(dims):
     q, n_t, h = len(lengths), max(lengths), dims.hidden
     mask = (np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
     gru = mvse_model.init_params(dims, ("global",), seed=4).gru
-    inputs = [Tensor(rng.normal(size=(q, n_t, h))) for _ in range(3)] + [gru.u_z, gru.u_r, gru.u_c]
+    inputs = [Tensor(rng.normal(size=(q, n_t, 3, h))), gru.u, gru.b]
     weights = rng.normal(size=(q, h))
     new = _values_and_grads(lambda *a: gru_recurrence(*a, mask), inputs, weights)
     _assert_close(new, _values_and_grads(lambda *a: _per_op_gru(*a, mask), inputs, weights))
@@ -356,14 +362,16 @@ def test_each_recurrence_records_a_length_independent_number_of_nodes():
     )
     phis = Tensor(rng.normal(size=(2, DIMS.hidden)))
 
-    def nodes(run):
+    def op_nodes(run):
         with Tape() as tape:
             run()
-        return len(tape)
+        return sum(node.backward is not None for node in tape._nodes)
 
-    gru = [nodes(lambda: gru_encode([[1] * n, [2] * n], table, p.gru)) for n in (3, 15)]
-    seq = [nodes(lambda: sequential_embed([video], [list(range(n))], phis, p.sequential_head)) for n in (2, 8)]
-    assert gru[0] == gru[1] and seq[0] == seq[1]
+    gru = [op_nodes(lambda: gru_encode([[1] * n, [2] * n], table, p.gru)) for n in (3, 15)]
+    head = p.sequential_head
+    seq = [op_nodes(lambda: sequential_embed([video], [list(range(n))], phis, head)) for n in (2, 8)]
+    assert gru == [2, 2]  # the input-term contraction and the recurrence
+    assert seq[0] == seq[1]
 
 
 def test_grid_is_videos_by_sentences(corpus):
@@ -377,7 +385,7 @@ def _gradient_cases():
     """One tensor from each parameter group the space set has, for both
     negative modes."""
     for spaces, names in SPACE_SETS.items():
-        groups = ["gru.w_z", f"proj.{names[-1]}.w", "head.global.w", "gate.w"]
+        groups = ["gru.w", f"proj.{names[-1]}.w", "head.global.w", "gate.w"]
         if SPACE_SEQUENTIAL in names:
             groups += ["attn.w_q", "lstm.u"]
         for mode in ("sum-all", "hardest"):
@@ -633,7 +641,7 @@ def test_checkpoint_round_trip_scores_bit_identically(corpus, spaces):
 def _named_shapes(spaces: str) -> dict[str, tuple[int, ...]]:
     """The checkpoint's key contract at ``Dims.small()`` (H 16, E 8,
     D = C_a = 16, C_g 32, A 16, G 2, C_s 32): every tensor name and shape."""
-    out = {f"gru.{k}_{g}": s for g in "zrc" for k, s in (("w", (16, 8)), ("u", (16, 16)), ("b", (16,)))}
+    out = {"gru.w": (3, 16, 8), "gru.u": (3, 16, 16), "gru.b": (3, 16)}
     for space in SPACE_SETS[spaces]:
         out |= {f"proj.{space}.w": (16, 16), f"proj.{space}.b": (16,)}
     out |= {"head.global.w": (16, 32), "head.global.b": (16,)}
@@ -652,15 +660,22 @@ def test_named_parameters_are_the_checkpoint_contract(spaces):
     named = mvse_model.init_params(DIMS, SPACE_SETS[spaces], seed=0).named()
     assert {name: t.shape for name, t in named.items()} == _named_shapes(spaces)
     if spaces == "dual-S":
-        assert len(named) == 25
+        assert len(named) == 19
 
 
-def test_checkpoint_with_per_gate_lstm_names_is_a_container_error():
+# each recurrence's gate letters and the shape of its old per-gate input weights
+PER_GATE = {"gru": ("zrc", (16, 8)), "lstm": ("ifgo", (16, 128))}
+
+
+@pytest.mark.parametrize("prefix", list(PER_GATE))
+def test_checkpoint_with_per_gate_names_is_a_container_error(prefix):
+    gates, w_shape = PER_GATE[prefix]
     arrays = {name: np.zeros(shape) for name, shape in _named_shapes("dual-S").items()}
-    for kind, shape in (("w", (16, 128)), ("u", (16, 16)), ("b", (16,))):
-        del arrays[f"lstm.{kind}"]
-        arrays |= {f"lstm.{kind}_{gate}": np.zeros(shape) for gate in "ifgo"}
-    with pytest.raises(ContainerError, match=r"missing \[.*'lstm\.w'.*\], unexpected \[.*'lstm\.w_i'"):
+    for kind, shape in (("w", w_shape), ("u", (16, 16)), ("b", (16,))):
+        del arrays[f"{prefix}.{kind}"]
+        arrays |= {f"{prefix}.{kind}_{gate}": np.zeros(shape) for gate in gates}
+    missing, unexpected = f"'{prefix}.w'", f"'{prefix}.w_{gates[0]}'"
+    with pytest.raises(ContainerError, match=rf"missing \[.*{missing}.*\], unexpected \[.*{unexpected}"):
         mvse_model.params_from_arrays(DIMS, SPACE_SETS["dual-S"], arrays)
 
 
