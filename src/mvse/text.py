@@ -12,6 +12,7 @@ lookups produce plain constants, so it never appears on a gradient tape.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,7 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
         r = sigmoid(Wr x + Ur h + br)
         c = tanh(Wc x + Uc (r * h) + bc)
         h_new = (1 - z) * h + z * c
+    A token id outside [0, vocab) raises ``ValueError`` before any compute.
     The token vectors are gathered into a zero-padded [Q, T, E] constant,
     and the input terms ``W x`` of all gates and steps come from one
     contraction into [Q, T, 3, H] before the recurrence, which adds the
@@ -72,11 +74,17 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     lengths = [len(s) for s in sentences]
     if not lengths or min(lengths) < 1:
         raise EmptySentenceError("empty sentence" if lengths else "no sentences")
+    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64, count=sum(lengths))
+    outside = (ids < 0) | (ids >= table.shape[0])
+    if outside.any():
+        k = int(outside.argmax())
+        q = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
+        raise ValueError(f"sentence {q}: token id {ids[k]} outside [0, {table.shape[0]})")
     n_q, n_t = len(sentences), max(lengths)
+    steps = np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]  # [Q, T]
     tokens = np.zeros((n_q, n_t, table.shape[1]))
-    for q, ids in enumerate(sentences):
-        tokens[q, : len(ids)] = table[np.asarray(ids, dtype=np.int64)]
-    mask = (np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)  # [Q, T]
+    tokens[steps] = table[ids]
+    mask = steps.astype(np.float64)
     x = einsum("gje,qte->qtgj", params.w, tokens)  # [Q, T, 3, H]
     return gru_recurrence(x, params.u, params.b, mask)
 

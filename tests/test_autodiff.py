@@ -91,15 +91,46 @@ def _two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def test_sigmoid_gives_the_two_branch_bits():
+def _sigmoid_points() -> np.ndarray:
+    """Edge values (zeros, subnormals, the exp overflow and underflow
+    thresholds, infinities) and two seeded sweeps; the infinities are
+    entries 2 and 3."""
     tiny = np.finfo(np.float64).smallest_subnormal
     edges = [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0,
              tiny, -tiny, 1e-310, -1e-310, 36.7, -36.7, 1e-17, -1e-17]
     rng = np.random.default_rng(0)
     sweep = [rng.normal(scale=30.0, size=4096), rng.uniform(-800.0, 800.0, size=4096)]
-    x = np.concatenate([edges, *sweep])
+    return np.concatenate([edges, *sweep])
+
+
+def test_sigmoid_gives_the_two_branch_bits():
+    x = _sigmoid_points()
     assert sigmoid(Tensor(x)).data.tobytes() == _two_branch_sigmoid(x).tobytes()
     assert np.isnan(sigmoid(Tensor([np.nan])).data).all()
+
+
+def test_recurrence_gates_agree_with_the_two_branch_sigmoid_and_stay_finite():
+    # the recurrences' gate form: tanh of the halved pre-activation, then (1 + t) / 2
+    x = _sigmoid_points()
+    y = autodiff._tanh_to_sigmoid(np.tanh(x * 0.5))
+    assert np.max(np.abs(y - _two_branch_sigmoid(x))) <= 2.0**-52
+    assert (y[2], y[3]) == (1.0, 0.0)
+
+    rng = np.random.default_rng(8)
+    extremes = np.array([800.0, -800.0, 1e6, -1e6])
+    h, mask = 3, np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    cases = [
+        (gru_recurrence, (2, 3, 3, h), (3, h, h), (3, h), (mask,)),
+        (lstm_recurrence, (2, 3, 2, 4, h), (4, h, h), (4, h), ()),
+    ]
+    for run, x_shape, u_shape, b_shape, rest in cases:
+        inputs = [Tensor(rng.choice(extremes, size=x_shape)), Tensor(rng.normal(size=u_shape)),
+                  Tensor(rng.normal(size=b_shape))]
+        with Tape() as tape:
+            out = run(*inputs, *rest)
+            tape.backward(sum_all(out))
+        assert np.isfinite(out.data).all(), run.__name__
+        assert all(np.isfinite(tape.grad(t)).all() for t in inputs), run.__name__
 
 
 def test_softmax_empty_axis_errors():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvse import text as mvse_text
 from mvse.autodiff import Tape, Tensor, grad_check, sum_all, take
 from mvse.config import Dims
 from mvse.model import _init_array, init_params
@@ -65,6 +66,15 @@ class TestLookup:
         for batch in ([[]], [[1, 2], []], [[0], [], [2]], []):
             with pytest.raises(EmptySentenceError):
                 gru_encode(batch, table.vectors, params)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_token_id_outside_the_table_raises_before_any_compute(self, bad, monkeypatch):
+        # a 5-row table: -1 must not wrap to row 4, and 5 is one past the end
+        table = np.arange(20, dtype=np.float64).reshape(5, 4) / 20.0
+        params = _random_gru(4, 3, seed=7)
+        monkeypatch.setattr(mvse_text, "einsum", lambda *a: pytest.fail("computed before the id check"))
+        with pytest.raises(ValueError, match=rf"^sentence 1: token id {bad} outside \[0, 5\)$"):
+            gru_encode([[0, 1], [2, bad, 3]], table, params)
 
 
 class TestGru:

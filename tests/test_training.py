@@ -54,9 +54,9 @@ MID_DIMS = Dims(
 N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
 
 
-def _corpus(n_videos: int = 8):
+def _corpus(n_videos: int = 8, dims: Dims = DIMS):
     return synth_generate(SynthConfig(
-        dims=DIMS, n_videos=n_videos, sentences_per_video=2,
+        dims=dims, n_videos=n_videos, sentences_per_video=2,
         rho=(0.5, 0.25, 0.25), seed=3, train_fraction=0.5, n_frames=N_FRAMES,
     ))
 
@@ -372,6 +372,22 @@ def test_each_recurrence_records_a_length_independent_number_of_nodes():
     seq = [op_nodes(lambda: sequential_embed([video], [list(range(n))], phis, head)) for n in (2, 8)]
     assert gru == [2, 2]  # the input-term contraction and the recurrence
     assert seq[0] == seq[1]
+
+
+@pytest.mark.parametrize("dims", [DIMS, MID_DIMS], ids=["small", "mid"])
+@pytest.mark.parametrize("spaces", list(SPACE_SETS))
+def test_untaped_scores_are_the_taped_scores_bit_for_bit(dims, spaces):
+    """Without a tape the recurrences reuse one set of step buffers and
+    update their state in place; the scores must not change by a bit."""
+    corpus = _corpus(dims=dims)
+    model = Model.new(dims, spaces, seed=1, table=corpus.dataset.embedding_table())
+    videos, sentences = _all_pairs(corpus)
+    scores = []
+    for context in (no_tape, Tape):
+        with context():
+            grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", _rngs(videos))
+            scores.append(grid.scores.data.tobytes())
+    assert scores[0] == scores[1]
 
 
 def test_grid_is_videos_by_sentences(corpus):

@@ -304,8 +304,9 @@ class TestSequentialEmbed:
     def test_forward_without_a_tape_saves_no_per_step_state(self):
         # V = Q = 32 at Dims.small(), T = 4: the input terms [V, T, Q, 4, H]
         # are 2.1 MB, and the per-step LSTM state that a taped call saves
-        # would be another 3.7 MB. The per-op recurrence peaked at 5,645,656
-        # bytes here, and the fused one must not exceed it.
+        # would be another 3.7 MB. With its step buffers allocated once and
+        # its state updated in place, the untaped call peaks at 3,811,912
+        # bytes here (numpy 2); the bound leaves a 2.3% margin.
         rng = np.random.default_rng(19)
         params = _seq_params(13)
         videos = [_video(rng) for _ in range(32)]
@@ -319,7 +320,7 @@ class TestSequentialEmbed:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 5_645_656
+        assert peak <= 3_900_000
 
 
 class TestLstmParams:
