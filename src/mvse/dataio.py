@@ -296,15 +296,17 @@ class Manifest:
                     raise ManifestError(f"line {lineno}: unsupported manifest format")
                 continue
             if line.startswith("split:"):
+                if split is not None:
+                    raise ManifestError(f"line {lineno}: second 'split:' line")
                 split = line.split(":", 1)[1].strip()
                 continue
             if line.startswith("videos:"):
                 promised = _manifest_int(line.split(":", 1)[1].strip(), lineno, "video count")
                 continue
             if line.startswith("video "):
-                head, _, tail = line.partition(":")
+                head, colon, tail = line.partition(":")
                 parts = head.split()
-                if len(parts) != 3:
+                if len(parts) != 3 or not colon:
                     raise ManifestError(f"line {lineno}: expected 'video <id> <index> : <sentences>'")
                 vid, idx = parts[1], _manifest_int(parts[2], lineno, "video index")
                 sents = tuple(_manifest_int(s, lineno, "sentence id") for s in tail.split())

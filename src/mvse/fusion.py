@@ -23,9 +23,6 @@ from mvse.autodiff import ShapeError, Tensor, einsum, matvec, softmax
 class GateParams:
     w: Tensor  # [M, H]; no bias, matching the gate's defining form
 
-    def named(self) -> dict[str, Tensor]:
-        return {"gate.w": self.w}
-
     @property
     def n_spaces(self) -> int:
         return self.w.data.shape[0]

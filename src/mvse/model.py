@@ -3,10 +3,13 @@ embeddings that training and retrieval score.
 
 Every learnable tensor is addressable as "module.name" in a flat map so
 the optimizer and the checkpoint format stay format-agnostic about the
-architecture. One GRU run encodes all Q sentences of a call into [Q, H];
-each active space then applies its own affine projection to the shared
-sentence vectors, [Q, D]. The sentence-independent video embeddings are
-[V, D] per space, and the sequential head gives [V, Q, H].
+architecture. ``_build_params`` is the one place a tensor gets its name:
+it records each tensor in that map as it makes it, and the heads' own
+parameter groups carry no names. One GRU run encodes all Q sentences of
+a call into [Q, H]; each active space then applies its own affine
+projection to the shared sentence vectors, [Q, D]. The
+sentence-independent video embeddings are [V, D] per space, and the
+sequential head gives [V, Q, H].
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ from mvse.config import (
 )
 from mvse.dataio import ContainerError
 from mvse.fusion import GateParams
-from mvse.text import (
-    EmbeddingTable,
-    GruParams,
-    TextProjections,
-    gru_encode,
-    project_text,
-    projection_out_dim,
-)
+from mvse.text import EmbeddingTable, GruParams, gru_encode, project_text
 from mvse.visual import (
     AttentionParams,
     GlobalHeadParams,
@@ -61,26 +57,24 @@ def _init_array(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np
 
 @dataclass
 class ModelParams:
-    """All learnable tensors of the configured architecture."""
+    """All learnable tensors of the configured architecture, grouped by the
+    head that reads them (``projections`` maps each space to its text
+    projection's weight and bias). ``tensors`` holds the same tensor
+    objects by checkpoint name, in the order ``_build_params`` made and
+    named them; no other code names a tensor."""
 
     dims: Dims
     spaces: tuple[str, ...]
     gru: GruParams
-    projections: TextProjections
+    projections: dict[str, tuple[Tensor, Tensor]]
     global_head: GlobalHeadParams | None
     sequential_head: SequentialHeadParams | None
     gate: GateParams
+    tensors: dict[str, Tensor]
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.gru.named())
-        out.update(self.projections.named())
-        if self.global_head is not None:
-            out.update(self.global_head.named())
-        if self.sequential_head is not None:
-            out.update(self.sequential_head.named())
-        out.update(self.gate.named())
-        return out
+        """A fresh name -> tensor map of every parameter."""
+        return dict(self.tensors)
 
 
 def _build_params(
@@ -88,22 +82,21 @@ def _build_params(
 ) -> ModelParams:
     """The architecture's tensors, each taken from ``source(name, shape,
     fan_in)``: a seeded draw for a new model, a checkpoint array when
-    loading."""
+    loading. Each is recorded under its name as it is made."""
     h, e, d = dims.hidden, dims.token_dim, dims.embed_dim
     a, flat = dims.attn_dim, dims.grid_flat
+    tensors: dict[str, Tensor] = {}
 
     def t(name, shape, fan_in):
-        return Tensor(source(name, shape, fan_in), copy=False)
+        tensors[name] = Tensor(source(name, shape, fan_in), copy=False)
+        return tensors[name]
 
     gru = GruParams(w=t("gru.w", (3, h, e), e), u=t("gru.u", (3, h, h), h), b=t("gru.b", (3, h), h))
 
-    projections = TextProjections()
+    projections = {}
     for space in spaces:
-        out_dim = projection_out_dim(space, dims)
-        projections.weights[space] = (
-            t(f"proj.{space}.w", (out_dim, h), h),
-            t(f"proj.{space}.b", (out_dim,), h),
-        )
+        out = dims.c_action if space == SPACE_ACTION else d  # action meets the stored [C_a] vectors
+        projections[space] = (t(f"proj.{space}.w", (out, h), h), t(f"proj.{space}.b", (out,), h))
 
     global_head = None
     if SPACE_GLOBAL in spaces:
@@ -129,7 +122,7 @@ def _build_params(
     gate = GateParams(w=t("gate.w", (len(spaces), h), h))
     return ModelParams(
         dims=dims, spaces=tuple(spaces), gru=gru, projections=projections,
-        global_head=global_head, sequential_head=sequential_head, gate=gate,
+        global_head=global_head, sequential_head=sequential_head, gate=gate, tensors=tensors,
     )
 
 
@@ -160,11 +153,9 @@ def params_from_arrays(
     """Rebuild a ModelParams whose tensors hold the given arrays (used when
     loading a checkpoint); nothing is drawn. A name set or a shape that does
     not match the architecture raises ``ContainerError``."""
-    expected: list[str] = []
     wrong_shapes: list[str] = []
 
     def load(name, shape, fan_in):
-        expected.append(name)
         if name not in arrays:
             return np.empty(0)  # reported as missing below
         arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
@@ -173,8 +164,8 @@ def params_from_arrays(
         return arr
 
     params = _build_params(dims, spaces, load)
-    missing = set(expected) - set(arrays)
-    extra = set(arrays) - set(expected)
+    missing = params.tensors.keys() - arrays.keys()
+    extra = arrays.keys() - params.tensors.keys()
     if missing or extra:
         raise ContainerError(
             f"checkpoint parameter mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"

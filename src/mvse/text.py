@@ -13,12 +13,12 @@ lookups produce plain constants, so it never appears on a gradient tape.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from mvse.autodiff import Tensor, broadcast_add, einsum, gru_recurrence, matvec
-from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, Dims
+from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL
 
 
 class EmptySentenceError(ValueError):
@@ -46,9 +46,6 @@ class GruParams:
     w: Tensor
     u: Tensor
     b: Tensor
-
-    def named(self) -> dict[str, Tensor]:
-        return {f"gru.{k}": v for k, v in vars(self).items()}
 
 
 def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams) -> Tensor:
@@ -89,35 +86,16 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     return gru_recurrence(x, params.u, params.b, mask)
 
 
-@dataclass
-class TextProjections:
-    """Per-space affine maps applied to the sentence vector."""
-
-    weights: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
-
-    def named(self) -> dict[str, Tensor]:
-        out = {}
-        for space, (w, b) in self.weights.items():
-            out[f"proj.{space}.w"] = w
-            out[f"proj.{space}.b"] = b
-        return out
-
-
 _VALID_SPACES = (SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_ACTION)
 
 
-def project_text(phis: Tensor, space: str, projections: TextProjections) -> Tensor:
+def project_text(phis: Tensor, space: str, projections: dict[str, tuple[Tensor, Tensor]]) -> Tensor:
     """g_space(y) = W phi + b for every sentence vector: [Q, H] -> [Q, D]
-    in the requested embedding space."""
+    in the requested embedding space; ``projections`` maps each configured
+    space to its (W, b)."""
     if space not in _VALID_SPACES:
         raise ValueError(f"unknown embedding space {space!r}; expected one of {_VALID_SPACES}")
-    if space not in projections.weights:
+    if space not in projections:
         raise ValueError(f"space {space!r} has no configured text projection")
-    w, b = projections.weights[space]
+    w, b = projections[space]
     return broadcast_add(matvec(w, phis), b)
-
-
-def projection_out_dim(space: str, dims: Dims) -> int:
-    if space == SPACE_ACTION:
-        return dims.c_action
-    return dims.embed_dim

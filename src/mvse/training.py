@@ -97,8 +97,12 @@ def fused_similarity_matrix(
     grids into the scores [V, Q], which the returned :class:`ScoreGrid`
     keeps as one tensor. With ``frame_rngs`` (one per video) the global
     head samples a random frame per chunk; without them it takes each
-    chunk's first frame. The sequential head always takes the first.
+    chunk's first frame. The sequential head always takes the first. A
+    ``frame_rngs`` of another length than ``videos`` raises ``ValueError``
+    before any compute.
     """
+    if frame_rngs is not None and len(frame_rngs) != len(videos):
+        raise ValueError(f"{len(frame_rngs)} frame generators for {len(videos)} videos")
     n = model.dims.n_chunks
     phis = model.encode_sentences(sentences)
     weights = fusion.space_weights(phis, model.params.gate, fuse_mode)
@@ -172,12 +176,15 @@ def train(
 
     Each epoch shuffles the videos, draws one sentence per video, and
     walks mini-batches of distinct videos; short tails (< 2) are dropped.
-    The logged value is total batch loss divided by pairs processed.
+    The logged value is total batch loss divided by pairs processed. A
+    manifest with fewer than 2 videos that have a sentence never forms a
+    batch, so it raises ``ValueError`` before epoch 0.
     """
     manifest.validate_against(dataset)
-    if not manifest.entries:
-        raise ValueError("training manifest is empty")
     entries = manifest.entries
+    usable = sum(1 for _, _, sents in entries if sents)
+    if usable < 2:
+        raise ValueError(f"training manifest has {usable} videos with a sentence; a batch needs 2")
     params = model.params.named()
     loss_log: list[tuple[int, float]] = []
 
@@ -219,7 +226,7 @@ def train(
             epoch_loss += value
             pairs_seen += len(group)
 
-        mean_loss = epoch_loss / max(pairs_seen, 1)
+        mean_loss = epoch_loss / pairs_seen
         loss_log.append((epoch, mean_loss))
         if log_fn is not None:
             log_fn(epoch, mean_loss)

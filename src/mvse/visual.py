@@ -91,9 +91,6 @@ class GlobalHeadParams:
     w: Tensor  # [D, C_g]
     b: Tensor  # [D]
 
-    def named(self) -> dict[str, Tensor]:
-        return {"head.global.w": self.w, "head.global.b": self.b}
-
 
 def global_embed(
     videos: list[VideoFeature], indices: list[list[int]], params: GlobalHeadParams
@@ -117,9 +114,6 @@ class AttentionParams:
     b_q: Tensor  # [A]
     w_a: Tensor  # [G*G, A]       map head
     b_a: Tensor  # [G*G]
-
-    def named(self) -> dict[str, Tensor]:
-        return {f"attn.{k}": v for k, v in vars(self).items()}
 
 
 def spatial_attention(grids: np.ndarray, phis: Tensor, params: AttentionParams) -> Tensor:
@@ -155,17 +149,11 @@ class LstmParams:
     u: Tensor
     b: Tensor
 
-    def named(self) -> dict[str, Tensor]:
-        return {f"lstm.{k}": v for k, v in vars(self).items()}
-
 
 @dataclass
 class SequentialHeadParams:
     attention: AttentionParams
     lstm: LstmParams
-
-    def named(self) -> dict[str, Tensor]:
-        return {**self.attention.named(), **self.lstm.named()}
 
 
 def sequential_embed(

@@ -161,6 +161,10 @@ class TestManifest:
             Manifest.from_text("split: t\nvideo v0 0 : 1 a\n")
         with pytest.raises(ManifestError, match="line 1: video count 'two'"):
             Manifest.from_text("videos: two\nsplit: t\n")
+        with pytest.raises(ManifestError, match="line 2: expected 'video <id> <index> : "):
+            Manifest.from_text("split: t\nvideo v0000 0\n")
+        with pytest.raises(ManifestError, match="line 3: second 'split:' line"):
+            Manifest.from_text("split: t\nvideo v0 0 : 1\nsplit: u\n")
 
     def test_validate_against_dataset(self):
         ds = _tiny_dataset(v=2)

@@ -11,7 +11,6 @@ from mvse.text import (
     EmbeddingTable,
     EmptySentenceError,
     GruParams,
-    TextProjections,
     gru_encode,
     project_text,
 )
@@ -154,7 +153,7 @@ class TestGruParams:
 
 class TestProjectText:
     def _projections(self, w, b):
-        return TextProjections(weights={"global": (Tensor(w), Tensor(b))})
+        return {"global": (Tensor(w), Tensor(b))}
 
     def test_identity(self):
         phi = Tensor([1.0, -2.0, 3.0])
@@ -179,9 +178,9 @@ class TestProjectText:
 
     def test_unknown_space_rejected(self):
         with pytest.raises(ValueError, match="unknown embedding space"):
-            project_text(Tensor([1.0]), "audio", TextProjections())
+            project_text(Tensor([1.0]), "audio", {})
         with pytest.raises(ValueError, match="no configured"):
-            project_text(Tensor([1.0]), "action", TextProjections())
+            project_text(Tensor([1.0]), "action", {})
 
     @given(alpha=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30)
@@ -199,7 +198,7 @@ class TestProjectText:
 
 def test_init_params_projection_dims():
     params = init_params(DIMS, ("global", "sequential", "action"), seed=0)
-    assert params.projections.weights["global"][0].shape == (DIMS.embed_dim, DIMS.hidden)
-    assert params.projections.weights["action"][0].shape == (DIMS.c_action, DIMS.hidden)
+    assert params.projections["global"][0].shape == (DIMS.embed_dim, DIMS.hidden)
+    assert params.projections["action"][0].shape == (DIMS.c_action, DIMS.hidden)
     phi = Tensor(np.random.default_rng(0).normal(size=DIMS.hidden))
     assert project_text(phi, "action", params.projections).shape == (DIMS.c_action,)

@@ -38,7 +38,7 @@ from mvse.autodiff import (
     tanh,
 )
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
-from mvse.dataio import ContainerError, read_checkpoint, write_checkpoint
+from mvse.dataio import ContainerError, Manifest, read_checkpoint, write_checkpoint
 from mvse.fusion import fuse, space_weights
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
@@ -300,7 +300,7 @@ def test_batched_gru_matches_the_per_sentence_gru(lengths):
         with Tape() as tape:
             out = encode()
             tape.backward(einsum("qh,qh->", out, weights))
-            return out.data, {name: tape.grad(t) for name, t in params.named().items()}
+            return out.data, {name: tape.grad(t) for name, t in vars(params).items()}
 
     new, new_grads = run(lambda: gru_encode(sentences, table, params))
     ref, ref_grads = run(lambda: stack([_per_sentence_gru(s, table, params) for s in sentences]))
@@ -431,6 +431,19 @@ def test_unknown_fuse_mode_raises_before_any_pair_is_scored(corpus, monkeypatch)
     with pytest.raises(ValueError, match="fuse mode"):
         training.fused_similarity_matrix(model, list(videos), list(sentences), "median")
     assert scored == []
+
+
+@pytest.mark.parametrize("spaces", ["single", "dual-I"])
+def test_frame_generators_of_another_count_raise_before_any_compute(corpus, spaces, monkeypatch):
+    model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
+    encoded = []
+    monkeypatch.setattr(mvse_model, "gru_encode", lambda *args: encoded.append(1))
+    videos, sentences = zip(*_batch(corpus))
+    with pytest.raises(ValueError, match="2 frame generators for 4 videos"):
+        training.fused_similarity_matrix(
+            model, list(videos), list(sentences), "weighted", _rngs(videos[:2])
+        )
+    assert encoded == []
 
 
 def _train_once(corpus, monkeypatch):
@@ -640,6 +653,18 @@ def test_non_finite_loss_stops_training(corpus, monkeypatch):
         training.train(corpus.dataset, corpus.manifests["train"], model, config)
 
 
+@pytest.mark.parametrize("emptied", [None, 1], ids=["one video", "one of two has no sentence"])
+def test_train_rejects_a_manifest_that_forms_no_batch(corpus, emptied):
+    entries = corpus.manifests["train"].entries[:1 if emptied is None else 2]
+    if emptied is not None:
+        vid, idx, _ = entries[emptied]
+        entries[emptied] = (vid, idx, ())
+    model = Model.new(DIMS, "dual-I", seed=1, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=2, batch_size=4)
+    with pytest.raises(ValueError, match="1 videos with a sentence; a batch needs 2"):
+        training.train(corpus.dataset, Manifest("train", entries), model, config)
+
+
 @pytest.mark.parametrize("spaces", ["dual-I", "triple"])
 def test_checkpoint_round_trip_scores_bit_identically(corpus, spaces):
     table = corpus.dataset.embedding_table()
@@ -677,6 +702,29 @@ def test_named_parameters_are_the_checkpoint_contract(spaces):
     assert {name: t.shape for name, t in named.items()} == _named_shapes(spaces)
     if spaces == "dual-S":
         assert len(named) == 19
+
+
+def _head_tensors(params: mvse_model.ModelParams) -> list[Tensor]:
+    """Every tensor the heads read, walked through the parameter groups."""
+    groups = [params.gru, params.global_head, params.gate]
+    if params.sequential_head is not None:
+        groups += [params.sequential_head.attention, params.sequential_head.lstm]
+    out = [t for group in groups if group is not None for t in vars(group).values()]
+    return out + [t for pair in params.projections.values() for t in pair]
+
+
+@pytest.mark.parametrize("build", ["init_params", "params_from_arrays"])
+@pytest.mark.parametrize("spaces", sorted(SPACE_SETS))
+def test_named_parameters_are_the_tensors_the_heads_read(spaces, build):
+    """The flat map and the grouped view share their tensor objects, so a
+    step through ``named()`` moves what the heads compute with."""
+    params = mvse_model.init_params(DIMS, SPACE_SETS[spaces], seed=0)
+    if build == "params_from_arrays":
+        arrays = {name: t.data for name, t in params.named().items()}
+        params = mvse_model.params_from_arrays(DIMS, SPACE_SETS[spaces], arrays)
+    named = [id(t) for t in params.named().values()]
+    assert len(set(named)) == len(named)
+    assert sorted(named) == sorted(id(t) for t in _head_tensors(params))
 
 
 # each recurrence's gate letters and the shape of its old per-gate input weights
