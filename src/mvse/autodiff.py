@@ -24,6 +24,16 @@ form stays within 2^-52 (one ulp of 1/2 to 1) absolute of the two-branch
 1/(1+e^-a) that :func:`sigmoid` computes, and gives exactly 0 and 1 at
 -inf and +inf.
 
+:func:`einsum` carries the model's contractions: the GRU's input terms,
+the sequential head's attention maps and LSTM input terms, and the fusion.
+Its forward and both backward contractions are planned once per (spec,
+operand shapes) and the plans kept in a bounded cache. A plan is a
+transpose and reshape of each operand, one ``np.matmul`` (or one
+``np.multiply`` when no index is contracted) and a reshape and transpose
+of the result. It lays out and multiplies the operands as numpy's
+``np.einsum`` does for two operands with ``optimize`` on, so the results
+are byte-equal to numpy's, without numpy's per-call path search.
+
 Broadcasting happens only where an op's name or contract says so:
 scalar*tensor, :func:`matvec` over the leading axes of its vector operand,
 :func:`cosine` over its [V, Q] grid, :func:`broadcast_add`, the grid-cell
@@ -42,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -457,11 +468,94 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     return _emit(c, (a, b), bk)
 
 
-@functools.lru_cache(maxsize=64)
-def _einsum_specs(spec: str) -> tuple[str, str, str, str, str]:
-    """Validate a two-operand spec; return the two operand subscripts, the
-    forward spec and the two backward specs (gradient w.r.t. the first and
-    the second operand)."""
+def _layout(sub: str, order: list[str], sizes: dict[str, int], merged) -> tuple:
+    """How operand ``sub`` enters the product: the lengths left once the
+    indices not in ``order`` (all of length 1) are dropped, the transpose
+    into ``order``, and the shape ``merged`` it is then reshaped to; each
+    is None where it changes nothing."""
+    kept = "".join(c for c in sub if c in order)
+    squeezed = tuple(sizes[c] for c in kept) if kept != sub else None
+    perm = tuple(kept.index(c) for c in order) if kept != "".join(order) else None
+    return squeezed, perm, merged
+
+
+def _merged(groups: list[list[str]], sizes: dict[str, int]) -> tuple[int, ...] | None:
+    """One axis per index group, or None when every group is one index."""
+    if all(len(g) == 1 for g in groups):
+        return None
+    return tuple(math.prod(sizes[c] for c in g) for g in groups)
+
+
+def _ready(x: np.ndarray, squeezed, perm, merged) -> np.ndarray:
+    """Apply a :func:`_layout`. Dropping length-1 axes is numpy's sum over
+    them, so it copies, and -0.0 reads +0.0 (the ``+ 0.0``)."""
+    if squeezed is not None:
+        x = x.reshape(squeezed) + 0.0
+    if perm is not None:
+        x = x.transpose(perm)
+    if merged is not None:
+        x = x.reshape(merged)
+    return x
+
+
+class _Contraction:
+    """``x_sub,y_sub->out`` at fixed index lengths ``sizes``, planned as
+    numpy's ``np.einsum`` with ``optimize`` on runs a two-operand
+    contraction (``bmm_einsum``), so it calls the same product on arrays
+    of the same layout and gives the same bytes.
+
+    numpy's ``einsum_path`` hands the operands over swapped, so ``y`` is the
+    product's left operand. Length-1 indices are dropped and come back in
+    the output. The rest are grouped as batch (in both operands and the
+    output), kept-left, contracted and kept-right, each group in the order
+    of the operand it comes from. With an index to contract, the product is
+    one ``np.matmul`` of [batch, kept-left, contracted] by [batch,
+    contracted, kept-right]; without one, it is one broadcast
+    ``np.multiply`` of both operands laid out in output order.
+    """
+
+    __slots__ = ("ready_y", "ready_x", "product", "shape", "perm")
+
+    def __init__(self, x_sub: str, y_sub: str, out: str, sizes: dict[str, int]):
+        long = {c for c, n in sizes.items() if n != 1}
+        con = [c for c in y_sub if c in long and c in x_sub and c not in out]
+        if not con:
+            self.ready_y, self.ready_x = (
+                _layout(sub, [c for c in out if c in sub], sizes,
+                        tuple(sizes[c] if c in sub else 1 for c in out))
+                for sub in (y_sub, x_sub)
+            )
+            self.product, self.shape, self.perm = np.multiply, None, None
+            return
+        bat = [c for c in y_sub if c in long and c in x_sub and c in out]
+        y_keep = [c for c in y_sub if c in long and c not in x_sub]
+        x_keep = [c for c in x_sub if c in long and c not in y_sub]
+        ones = [c for c in out if c not in long]
+        batch = [bat] if bat else []
+        self.ready_y = _layout(y_sub, bat + y_keep + con, sizes, _merged(batch + [y_keep, con], sizes))
+        self.ready_x = _layout(x_sub, bat + con + x_keep, sizes, _merged(batch + [con, x_keep], sizes))
+        self.product = np.matmul
+        produced = ones + bat + y_keep + x_keep
+        split = ones or _merged(batch + [y_keep, x_keep], sizes) is not None
+        self.shape = tuple(sizes[c] for c in produced) if split else None
+        self.perm = tuple(produced.index(c) for c in out) if "".join(produced) != out else None
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = self.product(_ready(y, *self.ready_y), _ready(x, *self.ready_x))
+        if self.shape is not None:
+            out = out.reshape(self.shape)
+        if self.perm is not None:
+            out = out.transpose(self.perm)
+        return out
+
+
+@functools.lru_cache(maxsize=256)
+def _einsum_plan(
+    spec: str, shape_a: tuple[int, ...], shape_b: tuple[int, ...]
+) -> tuple[_Contraction, _Contraction, _Contraction]:
+    """Validate ``spec`` and the operand shapes; return the forward
+    contraction and the backward ones for the first and the second operand.
+    A failed check raises and so is never cached."""
     lhs, arrow, out = spec.replace(" ", "").partition("->")
     left, comma, right = lhs.partition(",")
     subs = (left, right, out)
@@ -477,39 +571,48 @@ def _einsum_specs(spec: str) -> tuple[str, str, str, str, str]:
             f"einsum: spec {spec!r} must be explicit 'ab,bc->ac' with no index repeated in a "
             "term, and every operand index must appear in the other operand or the output"
         )
-    return left, right, f"{left},{right}->{out}", f"{out},{right}->{left}", f"{left},{out}->{right}"
+    sizes: dict[str, int] = {}
+    for sub, shape in ((left, shape_a), (right, shape_b)):
+        if len(sub) != len(shape) or any(sizes.setdefault(k, n) != n for k, n in zip(sub, shape)):
+            raise ShapeError("einsum", shape_a, shape_b, detail=spec)
+    return (
+        _Contraction(left, right, out, sizes),
+        _Contraction(out, right, left, sizes),
+        _Contraction(left, out, right, sizes),
+    )
 
 
 def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
-    """Two-operand ``np.einsum`` as one tape node, e.g. a batched matmul
+    """Two-operand einsum as one tape node, e.g. a batched matmul
     ``einsum("vij,vjk->vik", a, b)``.
 
-    The forward and both backward contractions are again two-operand
-    einsums, run with ``optimize=True`` so they go through BLAS. An operand
-    given as a plain ndarray is a constant: it is not recorded, and no
-    gradient is computed for it. An index must have the same length in
-    both operands; unlike ``np.einsum``, length 1 does not broadcast.
+    The spec and the shapes are checked, and the forward and both backward
+    contractions planned, once per (spec, operand shapes); the plans are
+    cached, so a repeated call does no check beyond the cache lookup and
+    runs one ``np.matmul`` (or ``np.multiply``) with a few reshapes and
+    transposes per contraction. A failed check is not cached and raises on
+    every call. Each plan calls the product numpy's ``np.einsum`` calls
+    with ``optimize`` on, so the results are byte-equal to numpy's.
+
+    An operand given as a plain ndarray is a constant: it is not recorded,
+    and no gradient is computed for it. An index must have the same length
+    in both operands; unlike ``np.einsum``, length 1 does not broadcast.
     """
-    left, right, fwd, grad_a, grad_b = _einsum_specs(spec)
     a_tracked, b_tracked = isinstance(a, Tensor), isinstance(b, Tensor)
     ad = a.data if a_tracked else a
     bd = b.data if b_tracked else b
-    sizes: dict[str, int] = {}
-    for sub, shape in ((left, ad.shape), (right, bd.shape)):
-        if len(sub) != len(shape) or any(sizes.setdefault(k, n) != n for k, n in zip(sub, shape)):
-            raise ShapeError("einsum", ad.shape, bd.shape, detail=spec)
-    out = np.einsum(fwd, ad, bd, optimize=True)
+    forward, grad_a, grad_b = _einsum_plan(spec, ad.shape, bd.shape)
     parents = tuple(t for t, tracked in ((a, a_tracked), (b, b_tracked)) if tracked)
 
     def bk(g):
         grads = []
         if a_tracked:
-            grads.append(np.einsum(grad_a, g, bd, optimize=True))
+            grads.append(grad_a(g, bd))
         if b_tracked:
-            grads.append(np.einsum(grad_b, ad, g, optimize=True))
+            grads.append(grad_b(ad, g))
         return grads
 
-    return _emit(out, parents, bk)
+    return _emit(forward(ad, bd), parents, bk)
 
 
 # ---------------------------------------------------------------------------

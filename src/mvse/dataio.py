@@ -279,6 +279,9 @@ class Manifest:
     def to_text(self) -> str:
         lines = ["# mvse manifest", "format: 1", f"split: {self.split}", f"videos: {len(self.entries)}"]
         for vid, idx, sents in self.entries:
+            # the text form splits a video line on whitespace and on its first ':'
+            if not vid or ":" in vid or any(c.isspace() for c in vid):
+                raise ManifestError(f"video id {vid!r} is empty or holds whitespace or ':'")
             lines.append(f"video {vid} {idx} : " + " ".join(str(s) for s in sents))
         return "\n".join(lines) + "\n"
 
@@ -301,6 +304,8 @@ class Manifest:
                 split = line.split(":", 1)[1].strip()
                 continue
             if line.startswith("videos:"):
+                if promised is not None:
+                    raise ManifestError(f"line {lineno}: second 'videos:' line")
                 promised = _manifest_int(line.split(":", 1)[1].strip(), lineno, "video count")
                 continue
             if line.startswith("video "):

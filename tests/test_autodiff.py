@@ -465,6 +465,54 @@ def test_scale_cells_gradients_and_values():
         scale_cells(grid, Tensor(np.zeros((3, 2))))
 
 
+# Every contraction src/ runs. The index lengths are those of the benchmark's
+# batches: the text contraction at global-train's small dims and seq-train's
+# mid dims, the sequential head's at seq-train's training batch and at
+# seq-retrieve's 64 x 64 eval grid, and fuse at both.
+SRC_EINSUMS = [
+    ("gje,qte->qtgj", dict(g=3, j=16, e=8, q=8, t=13)),
+    ("gje,qte->qtgj", dict(g=3, j=64, e=32, q=16, t=7)),
+    ("af,vtf->vta", dict(a=64, f=1024, v=8, t=8)),
+    ("ah,qh->qa", dict(a=64, h=64, q=8)),
+    ("ca,qvta->vqtc", dict(c=16, a=64, q=8, v=8, t=8)),
+    ("ca,qvta->vqtc", dict(c=4, a=16, q=64, v=64, t=4)),
+    ("gjnc,vtnc->vtgjn", dict(g=4, j=64, n=16, c=64, v=8, t=8)),
+    ("vtgjn,vqtn->vtqgj", dict(v=8, t=8, g=4, j=64, n=16, q=8)),
+    ("vtgjn,vqtn->vtqgj", dict(v=64, t=4, g=4, j=16, n=4, q=64)),
+    ("mvq,qm->vq", dict(m=2, v=8, q=8)),
+    ("mvq,qm->vq", dict(m=3, v=64, q=64)),
+]
+# small lengths, one index at a time set to 1: V, Q, T and M, and every
+# contracted index, which the product then drops
+SMALL = dict(a=3, c=4, e=5, f=3, g=3, h=4, j=2, m=2, n=4, q=3, t=2, v=5)
+LENGTH_ONE = [
+    (spec, {**{c: SMALL[c] for c in spec if c.isalpha()}, one: 1})
+    for spec in dict(SRC_EINSUMS)
+    for one in sorted({c for c in spec if c.isalpha()})
+]
+
+
+def _subscripts(spec):
+    lhs, out = spec.split("->")
+    return (*lhs.split(","), out)
+
+
+def _draw(rng, sub, lengths):
+    """Normal draws with some entries -0.0: summing away a length-1 axis,
+    as numpy does, reads those as +0.0."""
+    x = rng.normal(size=[lengths[c] for c in sub])
+    x[rng.random(x.shape) < 0.1] = -0.0
+    return x
+
+
+def _same_bytes(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _numpy_einsum(spec, x, y):
+    return np.einsum(spec, x, y, optimize=True)
+
+
 class TestEinsum:
     def test_batched_matmul_oracle(self):
         rng = np.random.default_rng(5)
@@ -487,6 +535,63 @@ class TestEinsum:
             einsum("ij,jk->ik", Tensor(np.ones((2, 1))), Tensor(np.ones((3, 4))))
         with pytest.raises(ShapeError, match="einsum"):
             einsum("ij,jk->ik", Tensor(np.ones((2, 3, 1))), Tensor(np.ones((3, 4))))
+
+    @pytest.mark.parametrize(
+        "spec, lengths", SRC_EINSUMS + LENGTH_ONE,
+        ids=[f"{s}-" + "".join(f"{c}{n}" for c, n in ls.items()) for s, ls in SRC_EINSUMS + LENGTH_ONE],
+    )
+    def test_bytes_equal_numpy_forward_and_backward(self, spec, lengths):
+        left, right, out = _subscripts(spec)
+        rng = np.random.default_rng(zlib.crc32(repr((spec, lengths)).encode()))
+        a, b, g = (_draw(rng, sub, lengths) for sub in (left, right, out))
+        ta, tb = Tensor(a), Tensor(b)
+        with Tape() as tape:
+            y = einsum(spec, ta, tb)
+            tape.backward(sum_all(mul(y, Tensor(g))))  # y's gradient is g, bit for bit
+        assert _same_bytes(y.data, _numpy_einsum(spec, a, b))
+        assert _same_bytes(tape.grad(ta), _numpy_einsum(f"{out},{right}->{left}", g, b))
+        assert _same_bytes(tape.grad(tb), _numpy_einsum(f"{left},{out}->{right}", a, g))
+
+    @pytest.mark.parametrize("spec", list(dict(SRC_EINSUMS)))
+    def test_gradient_views_give_numpys_bytes_and_layout(self, spec):
+        # the recurrences hand their input terms' gradient back as a
+        # transposed view; the backward contractions must read any layout
+        # as numpy does, and lay out their result as numpy does
+        left, right, out = _subscripts(spec)
+        small = {c: SMALL[c] for c in spec if c.isalpha()}
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+        for lengths in (small, {**small, "q": 1}):
+            a, b, g = (_draw(rng, sub, lengths) for sub in (left, right, out))
+            _, grad_a, grad_b = autodiff._einsum_plan(spec, a.shape, b.shape)
+            swap = (1, 0, *range(2, g.ndim))
+            views = (np.ascontiguousarray(g.T).T, np.ascontiguousarray(g.transpose(swap)).transpose(swap))
+            for view in views:
+                for mine, ref in (
+                    (grad_a(view, b), _numpy_einsum(f"{out},{right}->{left}", view, b)),
+                    (grad_b(a, view), _numpy_einsum(f"{left},{out}->{right}", a, view)),
+                ):
+                    assert _same_bytes(mine, ref) and mine.strides == ref.strides
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(dict(SRC_EINSUMS))), st.data())
+    def test_any_lengths_give_numpys_bytes(self, spec, data):
+        left, right, out = _subscripts(spec)
+        lengths = {c: data.draw(st.integers(1, 4), label=c) for c in sorted(set(left + right))}
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        a, b, g = (_draw(rng, sub, lengths) for sub in (left, right, out))
+        forward, grad_a, grad_b = autodiff._einsum_plan(spec, a.shape, b.shape)
+        assert _same_bytes(forward(a, b), _numpy_einsum(spec, a, b))
+        assert _same_bytes(grad_a(g, b), _numpy_einsum(f"{out},{right}->{left}", g, b))
+        assert _same_bytes(grad_b(a, g), _numpy_einsum(f"{left},{out}->{right}", a, g))
+
+    def test_cached_plan_still_rejects_mismatched_shapes(self):
+        w, x = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))
+        einsum("hc,vc->vh", w, x)  # plans and caches the spec at these shapes
+        for bad in (np.ones((2, 5)), np.ones((2, 4, 1)), np.ones(4)):
+            for _ in range(2):  # a failed check is never cached
+                with pytest.raises(ShapeError, match="einsum"):
+                    einsum("hc,vc->vh", w, Tensor(bad))
+        assert einsum("hc,vc->vh", w, x).shape == (2, 3)
 
     @pytest.mark.parametrize("spec", ["ij,jk", "ij->i", "ii,ij->j", "ij,jk->ikk", "ij,jk->iz", "ij,k->ij", "i...,i->i"])
     def test_rejects_specs_without_a_two_operand_backward(self, spec):

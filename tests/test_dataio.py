@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestContainer:
 
 class TestManifest:
     def test_round_trip(self):
-        m = Manifest("train", [("v0000", 0, (0, 1)), ("v0001", 1, (2,))])
+        m = Manifest("train", [("v0000", 0, (0, 1)), ("v0001", 1, (2,)), ("clip-7_a.b", 2, ())])
         text = m.to_text()
         back = Manifest.from_text(text)
         assert back == m
@@ -165,6 +166,13 @@ class TestManifest:
             Manifest.from_text("split: t\nvideo v0000 0\n")
         with pytest.raises(ManifestError, match="line 3: second 'split:' line"):
             Manifest.from_text("split: t\nvideo v0 0 : 1\nsplit: u\n")
+        with pytest.raises(ManifestError, match="line 3: second 'videos:' line"):
+            Manifest.from_text("split: t\nvideos: 5\nvideos: 1\nvideo v0 0 : 1\n")
+
+    @pytest.mark.parametrize("vid", ["", "a:b", "a b", "a\tb", ":"])
+    def test_unwritable_video_id_names_the_id(self, vid):
+        with pytest.raises(ManifestError, match=re.escape(f"video id {vid!r}")):
+            Manifest("t", [("v0", 0, (0,)), (vid, 1, (1,))]).to_text()
 
     def test_validate_against_dataset(self):
         ds = _tiny_dataset(v=2)
