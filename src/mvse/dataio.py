@@ -244,10 +244,11 @@ def load_container(path: str | Path) -> Dataset:
 
 
 def _manifest_int(text: str, lineno: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ManifestError(f"line {lineno}: {what} {text!r} is not an integer") from None
+    # plain ASCII decimal digits: int() would also take signs, '_' digit
+    # groups and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
+        raise ManifestError(f"line {lineno}: {what} {text!r} is not an integer")
+    return int(text)
 
 
 @dataclass
@@ -277,6 +278,10 @@ class Manifest:
         return out
 
     def to_text(self) -> str:
+        # the split line is stripped on reading, and a line break in it would
+        # start a new manifest line
+        if not self.split or any(c.isspace() for c in self.split):
+            raise ManifestError(f"split {self.split!r} is empty or holds whitespace")
         lines = ["# mvse manifest", "format: 1", f"split: {self.split}", f"videos: {len(self.entries)}"]
         for vid, idx, sents in self.entries:
             # the text form splits a video line on whitespace and on its first ':'

@@ -176,9 +176,14 @@ def train(
 
     Each epoch shuffles the videos, draws one sentence per video, and
     walks mini-batches of distinct videos; short tails (< 2) are dropped.
-    The logged value is total batch loss divided by pairs processed. A
-    manifest with fewer than 2 videos that have a sentence never forms a
-    batch, so it raises ``ValueError`` before epoch 0.
+    The logged value is total batch loss divided by pairs processed. When
+    the videos have more frames than the model has chunks, each batch
+    builds one :func:`frame_rng` per video and the global head samples a
+    random frame per chunk. Otherwise no chunk holds two frames, so no
+    generator is built and each chunk's start is taken, the frame a
+    generator would have given. A manifest with fewer than 2 videos that
+    have a sentence never forms a batch, so it raises ``ValueError``
+    before epoch 0.
     """
     manifest.validate_against(dataset)
     entries = manifest.entries
@@ -187,6 +192,8 @@ def train(
         raise ValueError(f"training manifest has {usable} videos with a sentence; a batch needs 2")
     params = model.params.named()
     loss_log: list[tuple[int, float]] = []
+    # chunk_sample draws only when some chunk holds two or more frames
+    sample_frames = dataset.n_frames > model.dims.n_chunks
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng(
@@ -210,7 +217,9 @@ def train(
                 (dataset.video_feature(idx, vid), dataset.sentences[sent])
                 for vid, idx, sent in group
             ]
-            rngs = [frame_rng(config.rng_seed, epoch, vid) for vid, _, _ in group]
+            rngs = None
+            if sample_frames:
+                rngs = [frame_rng(config.rng_seed, epoch, vid) for vid, _, _ in group]
             with Tape() as tape:
                 loss = batch_loss(batch, model, config, fuse_mode, rngs)
                 value = loss.item()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvse.autodiff import (
+    ShapeError,
     Tensor,
     broadcast_add,
     cosine,
@@ -70,8 +71,11 @@ def chunk_sample(
 
     Chunk i covers [floor(i*F/N), floor((i+1)*F/N)). With a generator
     ``rng`` the pick is uniform inside the chunk; without one it is the
-    chunk start. Short videos (F < N) repeat frames deterministically
-    because empty chunks collapse onto their start boundary.
+    chunk start. ``rng`` is drawn from only when ``n_frames > n_chunks``,
+    since only then does a chunk hold two or more frames; otherwise every
+    chunk is its start and the generator's state is left as it was. Short
+    videos (F < N) repeat frames deterministically because empty chunks
+    collapse onto their start boundary.
     """
     if n_frames < 1 or n_chunks < 1:
         raise ValueError(f"need n_frames >= 1 and n_chunks >= 1, got {n_frames}, {n_chunks}")
@@ -96,13 +100,23 @@ def global_embed(
     videos: list[VideoFeature], indices: list[list[int]], params: GlobalHeadParams
 ) -> Tensor:
     """Mean-pool each video's selected frame vectors (``indices[v]`` for
-    video v), then map affinely into the joint space: [V, D]. The pooling
-    runs in numpy, since frames are data, not parameters; the map is one
-    [V, C_g] -> [V, D] node."""
-    pooled = np.stack([
-        v.global_frames[np.asarray(idx, dtype=np.int64)].mean(axis=0)
-        for v, idx in zip(videos, indices)
+    video v), then map affinely into the joint space: [V, D].
+
+    ``indices[v]`` holds the same count N for every video, as in
+    :func:`sequential_embed`; differing counts raise ``ShapeError`` naming
+    them. The selected frames are gathered into one [V, N, C_g] array and
+    pooled by one mean over N, in numpy, since frames are data, not
+    parameters; the map is one [V, C_g] -> [V, D] node."""
+    counts = sorted({len(idx) for idx in indices})
+    if len(counts) > 1:
+        raise ShapeError(
+            "global_embed", *((c,) for c in counts),
+            detail="need the same frame index count for every video",
+        )
+    frames = np.stack([
+        v.global_frames[np.asarray(idx, dtype=np.int64)] for v, idx in zip(videos, indices)
     ])
+    pooled = frames.mean(axis=1)
     return broadcast_add(matvec(params.w, Tensor(pooled, copy=False)), params.b)
 
 

@@ -168,11 +168,31 @@ class TestManifest:
             Manifest.from_text("split: t\nvideo v0 0 : 1\nsplit: u\n")
         with pytest.raises(ManifestError, match="line 3: second 'videos:' line"):
             Manifest.from_text("split: t\nvideos: 5\nvideos: 1\nvideo v0 0 : 1\n")
+        # plain ASCII decimal digits only: no '_' digit groups, signs or other scripts' digits
+        with pytest.raises(ManifestError, match="line 2: video count '1_0'"):
+            Manifest.from_text("split: t\nvideos: 1_0\n")
+        with pytest.raises(ManifestError, match="line 2: video index '0_0'"):
+            Manifest.from_text("split: t\nvideo v0 0_0 : 1\n")
+        for text in ("+1", "-1", "\u0663"):
+            with pytest.raises(ManifestError, match=re.escape(f"line 2: sentence id {text!r}")):
+                Manifest.from_text(f"split: t\nvideo v0 0 : {text}\n")
+            with pytest.raises(ManifestError, match=re.escape(f"line 2: video index {text!r}")):
+                Manifest.from_text(f"split: t\nvideo v0 {text} : 1\n")
 
     @pytest.mark.parametrize("vid", ["", "a:b", "a b", "a\tb", ":"])
     def test_unwritable_video_id_names_the_id(self, vid):
         with pytest.raises(ManifestError, match=re.escape(f"video id {vid!r}")):
             Manifest("t", [("v0", 0, (0,)), (vid, 1, (1,))]).to_text()
+
+    @pytest.mark.parametrize("split", ["", " ", "a\nb", "a b", "a\tb"])
+    def test_unwritable_split_names_the_split(self, split):
+        with pytest.raises(ManifestError, match=re.escape(f"split {split!r}")):
+            Manifest(split, [("v0", 0, (0,))]).to_text()
+
+    @pytest.mark.parametrize("split", ["train", "test", "test_popA", "test_popB"])
+    def test_split_names_round_trip(self, split):
+        m = Manifest(split, [("v0", 0, (0, 1))])
+        assert Manifest.from_text(m.to_text()) == m
 
     def test_validate_against_dataset(self):
         ds = _tiny_dataset(v=2)

@@ -54,10 +54,10 @@ MID_DIMS = Dims(
 N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
 
 
-def _corpus(n_videos: int = 8, dims: Dims = DIMS):
+def _corpus(n_videos: int = 8, dims: Dims = DIMS, n_frames: int = N_FRAMES):
     return synth_generate(SynthConfig(
         dims=dims, n_videos=n_videos, sentences_per_video=2,
-        rho=(0.5, 0.25, 0.25), seed=3, train_fraction=0.5, n_frames=N_FRAMES,
+        rho=(0.5, 0.25, 0.25), seed=3, train_fraction=0.5, n_frames=n_frames,
     ))
 
 
@@ -497,6 +497,50 @@ def test_train_is_bit_reproducible_from_the_seed(monkeypatch):
     fresh = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
     initial = {name: t.data for name, t in fresh.params.named().items()}
     assert any(not np.array_equal(initial[n], params_a[n]) for n in initial)
+
+
+@pytest.mark.parametrize("n_frames", [N_FRAMES, DIMS.n_chunks], ids=["F>N", "F==N"])
+def test_train_builds_frame_generators_only_when_a_chunk_can_draw(n_frames, monkeypatch):
+    corpus = _corpus(n_videos=16, n_frames=n_frames)
+    built = []
+    frame_rng = training.frame_rng
+
+    def spy(seed, epoch, video_id):
+        built.append((epoch, video_id))
+        return frame_rng(seed, epoch, video_id)
+
+    monkeypatch.setattr(training, "frame_rng", spy)
+    model = Model.new(DIMS, "dual-I", seed=4, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=2, batch_size=4, learning_rate=0.05, rng_seed=5)
+    training.train(corpus.dataset, corpus.manifests["train"], model, config)
+
+    if n_frames <= DIMS.n_chunks:
+        assert built == []
+    else:
+        # 8 training videos in batches of 4: one generator per video per batch
+        train_ids = sorted(vid for vid, _, _ in corpus.manifests["train"].entries)
+        assert len(train_ids) == 8
+        for epoch in range(config.epochs):
+            assert sorted(vid for e, vid in built if e == epoch) == train_ids
+        assert len(built) == config.epochs * len(train_ids)
+
+
+def test_frame_generators_change_nothing_when_no_chunk_can_draw():
+    corpus = _corpus(n_frames=DIMS.n_chunks)
+    model = Model.new(DIMS, "triple", seed=2, table=corpus.dataset.embedding_table())
+    batch = _batch(corpus)
+    params = model.params.named()
+    config = TripletConfig()
+    results = []
+    for rngs in (_rngs([v for v, _ in batch]), None):
+        with Tape() as tape:
+            loss = training.batch_loss(batch, model, config, "weighted", rngs)
+            tape.backward(loss)
+            results.append((loss.data.tobytes(), {name: tape.grad(t) for name, t in params.items()}))
+    (with_loss, with_grads), (without_loss, without_grads) = results
+    assert with_loss == without_loss
+    for name in params:
+        assert with_grads[name].tobytes() == without_grads[name].tobytes(), name
 
 
 def test_hardest_mode_breaks_ties_to_the_lowest_index():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from mvse import autodiff, visual
 from mvse import model as mvse_model
-from mvse.autodiff import Tensor, cosine, einsum, grad_check, stack, sum_all, take
+from mvse.autodiff import ShapeError, Tensor, cosine, einsum, grad_check, stack, sum_all, take
 from mvse.config import Dims
 from mvse.model import init_params
 from mvse.visual import (
@@ -111,6 +112,16 @@ class TestChunkSample:
             lo, hi = (i * f) // n, ((i + 1) * f) // n
             assert lo <= chosen < max(hi, lo + 1)
 
+    def test_no_draw_unless_a_chunk_holds_two_frames(self):
+        # with F <= N every chunk is at most one frame long, so the generator
+        # is never read and the pick is the chunk start
+        for n in range(1, 9):
+            for f in range(1, n + 1):
+                rng = np.random.default_rng(f * 10 + n)
+                state = rng.bit_generator.state
+                assert chunk_sample(f, n, rng) == chunk_sample(f, n)
+                assert rng.bit_generator.state == state
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             chunk_sample(0, 5)
@@ -149,12 +160,31 @@ class TestGlobalEmbed:
             b=Tensor(rng.normal(size=DIMS.embed_dim)),
         )
         other = _video(rng, n_frames=6)
-        indices = [[0, 1, 3], [5, 2]]
+        indices = [[0, 1, 3], [5, 2, 4]]
         out = global_embed([video, other], indices, params)
         assert out.shape == (2, DIMS.embed_dim)
         for row, v, idx in zip(out.data, (video, other), indices):
             expected = params.w.data @ v.global_frames[idx].mean(axis=0) + params.b.data
             np.testing.assert_allclose(row, expected, atol=1e-12)
+
+    def test_pooled_frames_equal_the_per_video_mean_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        videos = [_video(rng, n_frames=f) for f in (3, 4, 9)]
+        indices = [[0, 0, 1, 2], [3, 1, 2, 0], [8, 2, 2, 5]]
+        params = GlobalHeadParams(w=Tensor(np.eye(DIMS.c_global)), b=Tensor(np.zeros(DIMS.c_global)))
+        out = global_embed(videos, indices, params)
+        for row, v, idx in zip(out.data, videos, indices):
+            assert np.array_equal(row, v.global_frames[idx].mean(axis=0))
+
+    def test_index_counts_that_differ_raise(self):
+        rng = np.random.default_rng(2)
+        params = GlobalHeadParams(
+            w=Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global))),
+            b=Tensor(rng.normal(size=DIMS.embed_dim)),
+        )
+        videos = [_video(rng), _video(rng, n_frames=6)]
+        with pytest.raises(ShapeError, match=re.escape("global_embed: incompatible shapes (2,) vs (3,)")):
+            global_embed(videos, [[0, 1, 3], [5, 2]], params)
 
     def test_permutation_invariant_over_indices(self):
         rng = np.random.default_rng(3)
