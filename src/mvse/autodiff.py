@@ -3,17 +3,17 @@
 A deliberately small define-by-run engine: forward values are computed
 eagerly with numpy, and while a :class:`Tape` is active every operation
 appends a node recording its parents and a backward rule. The tape is
-rebuilt on each forward pass.
+rebuilt on each forward pass. The module holds the operations the model
+runs and the finite-difference oracle :func:`grad_check`. The elementwise
+primitives of the per-op chains that the tests check the fused nodes
+against are in ``tests/oracle_ops.py`` and record on the same tape.
 
 The two recurrences, :func:`gru_recurrence` and :func:`lstm_recurrence`,
 are one node each, whatever their length, with a hand-written
 backpropagation through time; they save per-step state only while a tape
 is recording. Both take one contract: the input terms with the gates
 stacked on one axis, and the recurrent weights [gates, H, H] and biases
-[gates, H] as the model stores them. The elementwise primitives they
-replaced in the model (:func:`add`, :func:`add_scalar`, :func:`scale`,
-:func:`mul`, :func:`sigmoid`) stay for the per-op chains the tests check
-them against.
+[gates, H] as the model stores them.
 
 The recurrences compute every sigmoid gate as σ(a) = (1 + tanh(a/2)) / 2,
 so one ``np.tanh`` pass gives all the gates of a step, the tanh gates
@@ -21,11 +21,11 @@ included. Halving a float64 is exact short of the subnormal range, so the
 halved pre-activation ``a/2`` carries no rounding of its own. Over the
 edge values and sweeps of the tests, and 10^6 draws from N(0, 3^2), this
 form stays within 2^-52 (one ulp of 1/2 to 1) absolute of the two-branch
-1/(1+e^-a) that :func:`sigmoid` computes, and gives exactly 0 and 1 at
--inf and +inf.
+1/(1+e^-a), and gives exactly 0 and 1 at -inf and +inf.
 
-:func:`einsum` carries the model's contractions: the GRU's input terms,
-the sequential head's attention maps and LSTM input terms, and the fusion.
+:func:`einsum` is the one contraction with a backward rule: it carries
+the GRU's input terms, the sequential head's attention maps and LSTM
+input terms, and the fusion, and :func:`matvec` is one ``einsum`` spec.
 Its forward and both backward contractions are planned once per (spec,
 operand shapes) and the plans kept in a bounded cache. A plan is a
 transpose and reshape of each operand, one ``np.matmul`` (or one
@@ -35,11 +35,10 @@ of the result. It lays out and multiplies the operands as numpy's
 are byte-equal to numpy's, without numpy's per-call path search.
 
 Broadcasting happens only where an op's name or contract says so:
-scalar*tensor, :func:`matvec` over the leading axes of its vector operand,
-:func:`cosine` over its [V, Q] grid, :func:`broadcast_add`, the grid-cell
-broadcast in :func:`scale_cells`, and the explicit index spec of
-:func:`einsum`; everything else requires exact shape agreement so shape
-bugs surface immediately.
+:func:`cosine` over its [V, Q] grid, :func:`broadcast_add`, and the
+explicit index spec of :func:`einsum` (with :func:`matvec` over the
+leading axes of its vector operand); everything else requires exact shape
+agreement so shape bugs surface immediately.
 
 Backward rules capture ndarrays, shapes and counts, never a
 :class:`Tensor`: a tensor on a tape refers to its tape, so capturing one
@@ -196,7 +195,11 @@ class Tape:
         return grads
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient w.r.t. ``t`` (zeros if the loss never reached it)."""
+        """Gradient w.r.t. ``t`` (zeros if the loss never reached it).
+
+        This is the tape's own array, not a copy: it may be a
+        non-contiguous view and may share memory with other gradients, so
+        it is read, never written."""
         if t.tape is self and t.node_id is not None:
             nid = t.node_id
         else:
@@ -204,8 +207,7 @@ class Tape:
         if nid is not None:
             g = self.gradients.get(nid)
             if g is not None:
-                g = np.asarray(g, dtype=np.float64)
-                return g if g.flags.c_contiguous else np.ascontiguousarray(g)
+                return np.asarray(g, dtype=np.float64)
         return np.zeros(t.data.shape, dtype=np.float64)
 
 
@@ -236,42 +238,6 @@ def _emit(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 # ---------------------------------------------------------------------------
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """``w`` [m, n] applied to every row of ``x`` [..., n]: [..., m]."""
-    if w.data.ndim != 2 or x.data.ndim < 1 or w.data.shape[1] != x.data.shape[-1]:
-        raise ShapeError("matvec", w.data.shape, x.data.shape, detail="expected [m,n] x [...,n]")
-    wd, xd = w.data, x.data
-    m, n = wd.shape
-
-    def bk(g):
-        return g.reshape(-1, m).T @ xd.reshape(-1, n), g @ wd
-
-    return _emit(xd @ wd.T, (w, x), bk)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError("add", a.data.shape, b.data.shape)
-    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    # constant shift; c is not differentiated
-    return _emit(a.data + c, (a,), lambda g: (g,))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    # the one permitted broadcast: scalar * tensor
-    return _emit(a.data * c, (a,), lambda g: (g * c,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError("elementwise_mul", a.data.shape, b.data.shape)
-    ad, bd = a.data, b.data
-    return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
 def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
     """a + b under numpy broadcasting; the backward sums each operand's
     gradient over the axes it was broadcast along."""
@@ -298,18 +264,6 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    y = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    return np.divide(y, e, out=y)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-    return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction."""
     if a.data.ndim == 0 or a.data.shape[-1] == 0:
@@ -324,12 +278,6 @@ def softmax(a: Tensor) -> Tensor:
     return _emit(y, (a,), bk)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=np.float64)
-    shape = a.data.shape
-    return _emit(out, (a,), lambda g: (np.full(shape, float(g)),))
-
-
 def stack(parts: Iterable[Tensor]) -> Tensor:
     """Equal-shape tensors stacked along a new leading axis."""
     parts = tuple(parts)
@@ -338,45 +286,12 @@ def stack(parts: Iterable[Tensor]) -> Tensor:
     return _emit(np.stack([p.data for p in parts]), parts, lambda g: tuple(g))
 
 
-def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
-    """The slice of ``a`` at ``index`` along ``axis``; of a rank-1 tensor,
-    a 0-d scalar."""
-    if not 0 <= axis < a.data.ndim or not 0 <= index < a.data.shape[axis]:
-        raise ShapeError("take", a.data.shape, detail=f"index {index} on axis {axis} out of range")
-    shape = a.data.shape
-    key = (slice(None),) * axis + (index,)
-
-    def bk(g):
-        full = np.zeros(shape)
-        full[key] = g
-        return (full,)
-
-    return _emit(a.data.take(index, axis=axis), (a,), bk)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError("reshape", a.data.shape, shape)
     old = a.data.shape
     return _emit(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),))
-
-
-def scale_cells(grid: Tensor, amap: Tensor) -> Tensor:
-    """Channel broadcast: out[i,j,c] = grid[i,j,c] * amap[i,j].
-
-    This is the only sanctioned non-scalar broadcast; it implements the
-    attention reweighting of spatial grid features.
-    """
-    if grid.data.ndim != 3 or amap.data.ndim != 2 or grid.data.shape[:2] != amap.data.shape:
-        raise ShapeError("scale_cells", grid.data.shape, amap.data.shape)
-    gd, cell = grid.data, amap.data[:, :, None]
-    out = gd * cell
-
-    def bk(g):
-        return g * cell, (g * gd).sum(axis=2)
-
-    return _emit(out, (grid, amap), bk)
 
 
 def hinge_sum(
@@ -613,6 +528,15 @@ def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
         return grads
 
     return _emit(forward(ad, bd), parents, bk)
+
+
+def matvec(w: Tensor, x: Tensor) -> Tensor:
+    """``w`` [m, n] applied to every row of ``x`` [..., n]: [..., m], as one
+    :func:`einsum` node (``"mn,qn->qm"`` for a 2-D ``x``)."""
+    if w.data.ndim != 2 or x.data.ndim < 1 or w.data.shape[1] != x.data.shape[-1]:
+        raise ShapeError("matvec", w.data.shape, x.data.shape, detail="expected [m,n] x [...,n]")
+    lead = "qrstuvwxyz"[: x.data.ndim - 1]
+    return einsum(f"mn,{lead}n->{lead}m", w, x)
 
 
 # ---------------------------------------------------------------------------

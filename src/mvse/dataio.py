@@ -342,13 +342,6 @@ class Manifest:
                 if not 0 <= s < len(ds.sentences):
                     raise ManifestError(f"video {vid}: sentence id {s} not in container")
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
-
-    @staticmethod
-    def load(path: str | Path) -> "Manifest":
-        return Manifest.from_text(Path(path).read_text())
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints

@@ -90,6 +90,18 @@ def chunk_sample(
     return indices
 
 
+def _gather(kind: str, frames: list[np.ndarray], indices: list[list[int]]) -> np.ndarray:
+    """Row ``indices[v]`` of ``frames[v]`` for every video, stacked into one
+    [V, N, ...] array. Every video needs the same count N; differing counts
+    raise ``ShapeError`` naming them."""
+    counts = sorted({len(idx) for idx in indices})
+    if len(counts) > 1:
+        raise ShapeError(
+            kind, *((c,) for c in counts), detail="need the same frame index count for every video"
+        )
+    return np.stack([f[np.asarray(idx, dtype=np.int64)] for f, idx in zip(frames, indices)])
+
+
 @dataclass
 class GlobalHeadParams:
     w: Tensor  # [D, C_g]
@@ -107,15 +119,7 @@ def global_embed(
     them. The selected frames are gathered into one [V, N, C_g] array and
     pooled by one mean over N, in numpy, since frames are data, not
     parameters; the map is one [V, C_g] -> [V, D] node."""
-    counts = sorted({len(idx) for idx in indices})
-    if len(counts) > 1:
-        raise ShapeError(
-            "global_embed", *((c,) for c in counts),
-            detail="need the same frame index count for every video",
-        )
-    frames = np.stack([
-        v.global_frames[np.asarray(idx, dtype=np.int64)] for v, idx in zip(videos, indices)
-    ])
+    frames = _gather("global_embed", [v.global_frames for v in videos], indices)
     pooled = frames.mean(axis=1)
     return broadcast_add(matvec(params.w, Tensor(pooled, copy=False)), params.b)
 
@@ -180,7 +184,9 @@ def sequential_embed(
     of ``phis`` [Q, H], then run the attended features through the LSTM;
     the final hidden states [V, Q, H] are the sequential embeddings.
 
-    ``indices[v]`` are video v's frames, the same count for every video.
+    ``indices[v]`` are video v's frames, the same count for every video;
+    differing counts raise ``ShapeError`` naming them, as in
+    :func:`global_embed`.
     The LSTM input term is factored: ``W·vec(grid ⊙ map) = K·map`` with
     ``K[h, cell] = W[h, cell, :]·grid[cell, :]``, so K is computed once per
     (video, frame) for the four gates together, and the input terms of all
@@ -189,8 +195,7 @@ def sequential_embed(
     contraction reads the stacked ``lstm.w`` [4, H, G*G, C_s], and the
     recurrence ``lstm.u`` [4, H, H] and ``lstm.b`` [4, H], as stored.
     """
-    frames = [v.grid_frames[np.asarray(idx, dtype=np.int64)] for v, idx in zip(videos, indices)]
-    grids = np.stack(frames)  # [V, T, G, G, C_s]
+    grids = _gather("sequential_embed", [v.grid_frames for v in videos], indices)  # [V, T, G, G, C_s]
     n_v, n_t = grids.shape[:2]
     amap = spatial_attention(grids, phis, params.attention)  # [V, Q, T, G*G]
 

@@ -15,8 +15,6 @@ from mvse.autodiff import (
     ShapeError,
     Tape,
     Tensor,
-    add,
-    add_scalar,
     broadcast_add,
     cosine,
     einsum,
@@ -25,17 +23,14 @@ from mvse.autodiff import (
     hinge_sum,
     lstm_recurrence,
     matvec,
-    mul,
     reshape,
-    scale,
-    scale_cells,
-    sigmoid,
     softmax,
     stack,
-    sum_all,
-    take,
     tanh,
 )
+
+import oracle_ops
+from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, sum_all, take
 
 finite_vec = arrays(
     np.float64,
@@ -378,9 +373,11 @@ class TestGradCheck:
         grad_check(lambda v: sum_all(tanh(v)), x)
         assert np.array_equal(x.data, before)
 
-    @pytest.mark.parametrize("op", ["tanh", "sigmoid"])
-    def test_detects_a_corrupted_backward_rule(self, monkeypatch, op):
-        original = getattr(autodiff, op)
+    @pytest.mark.parametrize(
+        "module, op", [(autodiff, "tanh"), (oracle_ops, "sigmoid")], ids=["tanh", "sigmoid"]
+    )
+    def test_detects_a_corrupted_backward_rule(self, monkeypatch, module, op):
+        original = getattr(module, op)
 
         def scaled_backward(a):
             # same forward value; the backward rule is 1.01x the true one
@@ -390,10 +387,10 @@ class TestGradCheck:
         x = Tensor([0.1, -0.3, 0.5])
 
         def f(v):
-            return sum_all(getattr(autodiff, op)(v))
+            return sum_all(getattr(module, op)(v))
 
         assert grad_check(f, x) < 1e-6
-        monkeypatch.setattr(autodiff, op, scaled_backward)
+        monkeypatch.setattr(module, op, scaled_backward)
         assert grad_check(f, x) > 1e-3
 
 
@@ -451,6 +448,21 @@ def test_matvec_gradients_both_sides():
     x = Tensor(rng.normal(size=3))
     assert grad_check(lambda t: sum_all(tanh(matvec(t, x))), w) < 1e-4
     assert grad_check(lambda t: sum_all(tanh(matvec(w, t))), x) < 1e-4
+
+
+@pytest.mark.parametrize("m, n, q", [(16, 32, 8), (3, 16, 50), (64, 128, 8), (64, 64, 128), (512, 2048, 8)])
+def test_matvec_gives_the_bytes_of_its_former_products(m, n, q):
+    # w [m, n] on x [q, n] at the model's shapes, from small to paper dims:
+    # x @ w.T forward, g.T @ x and g @ w backward, as before it was an einsum
+    rng = np.random.default_rng(m * n * q)
+    w, x, g = rng.normal(size=(m, n)), rng.normal(size=(q, n)), rng.normal(size=(q, m))
+    tw, tx = Tensor(w), Tensor(x)
+    with Tape() as tape:
+        y = matvec(tw, tx)
+        tape.backward(sum_all(mul(y, Tensor(g))))  # y's gradient is g, bit for bit
+    assert _same_bytes(y.data, x @ w.T)
+    assert _same_bytes(tape.grad(tw), g.T @ x)
+    assert _same_bytes(tape.grad(tx), g @ w)
 
 
 def test_scale_cells_gradients_and_values():

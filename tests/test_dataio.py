@@ -206,12 +206,6 @@ class TestManifest:
         with pytest.raises(ManifestError, match="index 0 is listed twice"):
             Manifest("t", [("v0000", 0, (0,)), ("v0001", 0, (1,))]).validate_against(ds)
 
-    def test_file_round_trip(self, tmp_path):
-        m = Manifest("test", [("v0002", 2, (4, 5))])
-        p = tmp_path / "m.manifest"
-        m.save(p)
-        assert Manifest.load(p) == m
-
 
 class TestCheckpoint:
     def _params(self):

@@ -8,6 +8,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 SOURCES = sorted((ROOT / "src" / "mvse").glob("*.py"))
+BENCH = sorted((ROOT / "mvse_bench").glob("*.py"))
+# public functions with no caller in the package or the benchmark, and why
+CALLERLESS = {
+    "grad_check": "the exported finite-difference gradient oracle",
+    "probe_recall_at_1": "a synth probe: the recall a corpus allows",
+    "slice_collision_ceiling": "a synth probe: the recall one latent slice allows",
+}
+# the per-op primitives of the tests' reference chains, in tests/oracle_ops.py
+ORACLE_OPS = ("add", "add_scalar", "scale", "mul", "sigmoid", "_sigmoid", "sum_all", "take", "scale_cells")
 
 
 def test_console_scripts_resolve_to_callables():
@@ -58,3 +67,60 @@ def test_unused_import_check_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _reads(source: str) -> list[tuple[str | None, set[str]]]:
+    """Per module-level statement, the function it defines (None if it
+    defines none) and the names it reads, bare or as an attribute."""
+    stmts = []
+    for node in ast.parse(source).body:
+        names = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        }
+        stmts.append((node.name if isinstance(node, ast.FunctionDef) else None, names))
+    return stmts
+
+
+def _callerless(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """"<file>: <name>" for each public module-level function of the files
+    in ``defining`` whose name no statement of ``sources`` reads, apart from
+    the function's own def."""
+    reads = {path: _reads(text) for path, text in sources.items()}
+    found = []
+    for path in defining:
+        for fn, _ in reads[path]:
+            if fn is None or fn.startswith("_"):
+                continue
+            if not any(
+                fn in names for p, stmts in reads.items() for owner, names in stmts
+                if (p, owner) != (path, fn)
+            ):
+                found.append(f"{path}: {fn}")
+    return found
+
+
+def test_callerless_check_flags_only_functions_nothing_else_reads():
+    sources = {
+        "a.py": (
+            "def used():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def _private():\n    pass\n"
+            "def by_attribute():\n    pass\n"
+        ),
+        "b.py": "import a\na.by_attribute()\nf = used\n",
+    }
+    assert _callerless(sources, ["a.py"]) == ["a.py: recursive"]
+
+
+def test_every_public_function_is_read_by_the_package_or_the_benchmark():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES + BENCH}
+    unread = _callerless(sources, [str(p.relative_to(ROOT)) for p in SOURCES])
+    assert [u for u in unread if u.rpartition(": ")[2] not in CALLERLESS] == []
+    assert {u.rpartition(": ")[2] for u in unread} == set(CALLERLESS), "drop exemptions that gained a caller"
+
+
+def test_the_per_op_oracle_is_not_shipped():
+    autodiff = importlib.import_module("mvse.autodiff")
+    assert [name for name in ORACLE_OPS if hasattr(autodiff, name)] == []

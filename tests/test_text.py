@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvse import text as mvse_text
-from mvse.autodiff import Tape, Tensor, grad_check, sum_all, take
+from mvse.autodiff import Tape, Tensor, grad_check
 from mvse.config import Dims
 from mvse.model import _init_array, init_params
 from mvse.text import (
@@ -14,6 +14,8 @@ from mvse.text import (
     gru_encode,
     project_text,
 )
+
+from oracle_ops import sum_all, take
 
 DIMS = Dims.small()
 

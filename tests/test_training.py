@@ -17,8 +17,6 @@ from mvse.autodiff import (
     Tensor,
     _emit,
     active_tape,
-    add,
-    add_scalar,
     broadcast_add,
     cosine,
     einsum,
@@ -26,15 +24,10 @@ from mvse.autodiff import (
     gru_recurrence,
     lstm_recurrence,
     matvec,
-    mul,
     no_tape,
     reshape,
-    scale,
-    scale_cells,
-    sigmoid,
     softmax,
     stack,
-    take,
     tanh,
 )
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
@@ -44,6 +37,8 @@ from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
 from mvse.text import GruParams, gru_encode, project_text
 from mvse.visual import VideoFeature, chunk_sample, global_embed, sequential_embed
+
+from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, take
 
 DIMS = Dims.small()
 # the benchmark's seq-train dims
@@ -497,6 +492,32 @@ def test_train_is_bit_reproducible_from_the_seed(monkeypatch):
     fresh = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
     initial = {name: t.data for name, t in fresh.params.named().items()}
     assert any(not np.array_equal(initial[n], params_a[n]) for n in initial)
+
+
+def test_tape_grad_returns_the_tapes_own_gradient_array(corpus):
+    model = Model.new(DIMS, "dual-S", seed=4, table=corpus.dataset.embedding_table())
+    w = model.params.named()["lstm.w"]
+    with Tape() as tape:
+        tape.backward(training.batch_loss(_batch(corpus), model, TripletConfig()))
+    g = tape.grad(w)
+    # the einsum backward hands lstm.w its gradient as a transposed view
+    assert g.shape == w.shape and not g.flags.c_contiguous
+    assert np.shares_memory(g, tape.gradients[tape._leaf_ids[id(w)]])
+
+
+def test_an_epoch_on_uncopied_gradients_matches_contiguous_copies(monkeypatch):
+    corpus = _corpus(n_videos=16)
+    config = TripletConfig(epochs=1, batch_size=4, learning_rate=0.05, rng_seed=5)
+
+    def one_epoch():
+        model = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
+        result = training.train(corpus.dataset, corpus.manifests["train"], model, config)
+        return result.loss_log, {name: t.data.tobytes() for name, t in model.params.named().items()}
+
+    uncopied = one_epoch()
+    grad = Tape.grad
+    monkeypatch.setattr(Tape, "grad", lambda tape, t: np.ascontiguousarray(grad(tape, t)))
+    assert one_epoch() == uncopied
 
 
 @pytest.mark.parametrize("n_frames", [N_FRAMES, DIMS.n_chunks], ids=["F>N", "F==N"])

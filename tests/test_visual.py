@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mvse import autodiff, visual
 from mvse import model as mvse_model
-from mvse.autodiff import ShapeError, Tensor, cosine, einsum, grad_check, stack, sum_all, take
+from mvse.autodiff import ShapeError, Tensor, cosine, einsum, grad_check, stack
 from mvse.config import Dims
 from mvse.model import init_params
 from mvse.visual import (
@@ -24,6 +24,8 @@ from mvse.visual import (
     sequential_embed,
     spatial_attention,
 )
+
+from oracle_ops import sum_all, take
 
 DIMS = Dims.small()
 
@@ -300,6 +302,13 @@ class TestSequentialEmbed:
             for q, phi in enumerate(phis):
                 expected = _numpy_unroll(video, indices[v], phi, params)
                 np.testing.assert_allclose(out.data[v, q], expected, atol=1e-12)
+
+    def test_index_counts_that_differ_raise(self):
+        rng = np.random.default_rng(19)
+        videos = [_video(rng), _video(rng)]
+        phis = stack([Tensor(rng.normal(size=DIMS.hidden)) for _ in range(2)])
+        with pytest.raises(ShapeError, match=re.escape("sequential_embed: incompatible shapes (2,) vs (3,)")):
+            sequential_embed(videos, [[0, 1, 2], [0, 1]], phis, _seq_params(13))
 
     def test_lstm_parameters_enter_the_contractions_as_stored(self, monkeypatch):
         rng = np.random.default_rng(18)
