@@ -4,6 +4,8 @@ hyperparameters."""
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 SPACE_GLOBAL = "global"
@@ -40,6 +42,7 @@ class Dims:
 
     def __post_init__(self):
         for name, value in dataclasses.asdict(self).items():
+            _require_integer(f"Dims.{name}", value)
             if value < 1:
                 raise ValueError(f"Dims.{name} must be positive, got {value}")
         # the sequential head emits its LSTM hidden state directly
@@ -62,6 +65,13 @@ class Dims:
             n_chunks=4, grid=2, c_global=32, c_spatial=32, c_action=16,
             hidden=16, embed_dim=16, token_dim=8, attn_dim=16,
         )
+
+
+def _require_integer(field: str, value) -> None:
+    """Reject a count or seed that is not an integer, which would otherwise
+    fail later, inside training or numpy."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def resolve_spaces(name: str) -> tuple[str, ...]:
@@ -88,13 +98,18 @@ class TripletConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
+        for name in ("epochs", "batch_size", "rng_seed"):
+            _require_integer(name, getattr(self, name))
+        # a NaN or infinite rate or margin makes the loss non-finite after one step
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
         if self.negative_mode not in ("sum-all", "hardest"):
             raise ValueError(f"negative_mode must be 'sum-all' or 'hardest', got {self.negative_mode!r}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2 (a batch needs a negative), got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")

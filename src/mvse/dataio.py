@@ -3,7 +3,7 @@
 Container layout (all little-endian):
 
     magic   4 bytes  b"MVSE"
-    version u16      currently 1
+    version u16      CONTAINER_VERSION (1)
     header  10 x u32 V, F, G, C_g, C_s, C_a, vocab_size, E,
                      n_sentences, total_tokens
     global_frames    V*F*C_g float32
@@ -17,8 +17,12 @@ does) reject files with trailing bytes. Floats are stored at 32-bit
 precision and widened to 64-bit in memory; generated datasets are rounded
 to 32-bit before use so in-memory values always equal their on-disk form.
 
-Checkpoints use magic b"MVSC": a JSON config echo followed by the named
-parameter tensors at full 64-bit precision, sorted by name.
+Checkpoints use magic b"MVSC" and their own version, CHECKPOINT_VERSION:
+a JSON config echo followed by the named parameter tensors at full 64-bit
+precision, sorted by name. Version 2 stores ``lstm.w`` as [G*G, C_s, 4, H];
+version 1 stored it as [4, H, G*G, C_s], and since the two shapes are equal
+when G*G == 4 and C_s == H, a version-1 checkpoint is rejected rather than
+read with its weights permuted.
 
 Manifests are a line-oriented text format, see :class:`Manifest`.
 """
@@ -39,7 +43,8 @@ from mvse.visual import VideoFeature
 
 CONTAINER_MAGIC = b"MVSE"
 CHECKPOINT_MAGIC = b"MVSC"
-FORMAT_VERSION = 1
+CONTAINER_VERSION = 1
+CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("<10I")
 
 
@@ -153,7 +158,7 @@ def write_container(ds: Dataset) -> bytes:
     total_tokens = sum(len(s) for s in ds.sentences)
     buf = io.BytesIO()
     buf.write(CONTAINER_MAGIC)
-    buf.write(struct.pack("<H", FORMAT_VERSION))
+    buf.write(struct.pack("<H", CONTAINER_VERSION))
     buf.write(
         _HEADER.pack(
             ds.n_videos, ds.n_frames, ds.grid, ds.c_global, ds.c_spatial,
@@ -200,8 +205,8 @@ def read_container(blob: bytes) -> Dataset:
     if magic != CONTAINER_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {CONTAINER_MAGIC!r}")
     (version,) = struct.unpack("<H", r.take(2, "version"))
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"container version {version}, expected {FORMAT_VERSION}")
+    if version != CONTAINER_VERSION:
+        raise VersionMismatchError(f"container version {version}, expected {CONTAINER_VERSION}")
     v, f, g, c_g, c_s, c_a, vocab, e, n_sent, total_tokens = _HEADER.unpack(
         r.take(_HEADER.size, "header")
     )
@@ -351,7 +356,7 @@ class Manifest:
 def write_checkpoint(params: dict[str, np.ndarray], config: dict) -> bytes:
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", FORMAT_VERSION))
+    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
@@ -373,8 +378,8 @@ def read_checkpoint(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if magic != CHECKPOINT_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack("<H", r.take(2, "version"))
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"checkpoint version {version}, expected {FORMAT_VERSION}")
+    if version != CHECKPOINT_VERSION:
+        raise VersionMismatchError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     (json_len,) = struct.unpack("<I", r.take(4, "config length"))
     try:
         config = json.loads(r.take(json_len, "config").decode("utf-8"))

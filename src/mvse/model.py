@@ -113,7 +113,7 @@ def _build_params(
             w_a=t("attn.w_a", (dims.grid_cells, a), a), b_a=t("attn.b_a", (dims.grid_cells,), a),
         )
         lstm = LstmParams(
-            w=t("lstm.w", (4, h, dims.grid_cells, dims.c_spatial), flat),
+            w=t("lstm.w", (dims.grid_cells, dims.c_spatial, 4, h), flat),
             u=t("lstm.u", (4, h, h), h),
             b=t("lstm.b", (4, h), h),
         )
@@ -139,7 +139,12 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
         # lstm.w_i, ...), filled in place so at most one block is held besides the stack
         out = np.empty(shape)
         for n, gate in enumerate(gates):
-            out[n] = _init_array(f"{name}_{gate}", shape[1:], fan_in, seed)
+            if name == "lstm.w":  # stored [G*G, C_s, 4, H], each block drawn as [H, G*G, C_s]
+                cells, c_s, _, h = shape
+                block = _init_array(f"{name}_{gate}", (h, cells, c_s), fan_in, seed)
+                out[:, :, n] = block.transpose(1, 2, 0)
+            else:
+                out[n] = _init_array(f"{name}_{gate}", shape[1:], fan_in, seed)
         if name == "lstm.b":
             out[1] = 1.0  # forget gate starts open
         return out

@@ -10,9 +10,13 @@ per (video, sentence) pair. It runs once for a whole V x Q grid, in a
 factored form: the attention's visual branch and the LSTM's input weights
 applied to each grid cell are computed once per (video, frame), and only
 the attention map and the ``U·h`` recurrence run per pair, batched; the
-recurrence is one ``lstm_recurrence`` tape node. The LSTM stores its four
-gates stacked, in the layout the contractions and the recurrence read, so
-the head passes its parameters to them without copying.
+recurrence is one ``lstm_recurrence`` tape node. The LSTM stores its input
+weights cells first, [G*G, C_s, 4, H], the order in which the gradient
+contraction produces them, and its recurrent weights and biases with the
+four gates stacked first, as the recurrence reads them. Both LSTM input
+contractions ask for their results in the order their products lay them
+out, so neither result nor ``lstm.w``'s gradient is a transposed layout
+that must be copied.
 """
 
 from __future__ import annotations
@@ -158,10 +162,11 @@ def spatial_attention(grids: np.ndarray, phis: Tensor, params: AttentionParams) 
 @dataclass
 class LstmParams:
     """Single-layer LSTM over flattened attended grid features, with the
-    gates i, f, g, o stacked on the leading axis: input weights ``w``
-    [4, H, G*G, C_s] (cells row-major, channel innermost, as in
-    ``vec(grid)``), recurrent weights ``u`` [4, H, H] and biases ``b``
-    [4, H]."""
+    gates i, f, g, o stacked: input weights ``w`` [G*G, C_s, 4, H], cells
+    first (row-major, as in ``vec(grid)``), then channels, gates and hidden
+    units, so ``w[n, c, k, j]`` is gate k's weight from channel c of cell n
+    to hidden unit j; recurrent weights ``u`` [4, H, H] and biases ``b``
+    [4, H], gates first."""
 
     w: Tensor
     u: Tensor
@@ -188,22 +193,23 @@ def sequential_embed(
     differing counts raise ``ShapeError`` naming them, as in
     :func:`global_embed`.
     The LSTM input term is factored: ``W·vec(grid ⊙ map) = K·map`` with
-    ``K[h, cell] = W[h, cell, :]·grid[cell, :]``, so K is computed once per
+    ``K[cell, h] = W[cell, :, h]·grid[cell, :]``, so K is computed once per
     (video, frame) for the four gates together, and the input terms of all
     steps in one contraction with the maps. The recurrence over the steps,
     batched over [V, Q, H], is one ``lstm_recurrence`` node. The
-    contraction reads the stacked ``lstm.w`` [4, H, G*G, C_s], and the
-    recurrence ``lstm.u`` [4, H, H] and ``lstm.b`` [4, H], as stored.
+    contraction reads ``lstm.w`` [G*G, C_s, 4, H], and the recurrence
+    ``lstm.u`` [4, H, H] and ``lstm.b`` [4, H], as stored.
     """
     grids = _gather("sequential_embed", [v.grid_frames for v in videos], indices)  # [V, T, G, G, C_s]
     n_v, n_t = grids.shape[:2]
     amap = spatial_attention(grids, phis, params.attention)  # [V, Q, T, G*G]
 
     lstm = params.lstm
-    k = einsum("gjnc,vtnc->vtgjn", lstm.w, grids.reshape(n_v, n_t, -1, grids.shape[-1]))
-    # input terms of every step, [V, T, Q, 4, H]: numpy's own output order
-    # for this contraction, so the result needs no transposing copy
-    x = einsum("vtgjn,vqtn->vtqgj", k, amap)
+    # K [G*G, V, T, 4, H] and the input terms of every step [V, T, Q, 4, H]
+    # are each in the order its matmul lays out, so neither is copied into a
+    # transposed layout, and the backward hands lstm.w a contiguous gradient
+    k = einsum("ncgj,vtnc->nvtgj", lstm.w, grids.reshape(n_v, n_t, -1, grids.shape[-1]))
+    x = einsum("nvtgj,vqtn->vtqgj", k, amap)
 
     return lstm_recurrence(x, lstm.u, lstm.b)
 

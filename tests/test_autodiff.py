@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvse import autodiff
+from mvse import autodiff, training
 from mvse.autodiff import (
     DegenerateEmbeddingError,
     ShapeError,
@@ -28,6 +28,9 @@ from mvse.autodiff import (
     stack,
     tanh,
 )
+from mvse.config import Dims, TripletConfig
+from mvse.model import Model
+from mvse.synth import SynthConfig, synth_generate
 
 import oracle_ops
 from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, sum_all, take
@@ -477,20 +480,24 @@ def test_scale_cells_gradients_and_values():
         scale_cells(grid, Tensor(np.zeros((3, 2))))
 
 
-# Every contraction src/ runs. The index lengths are those of the benchmark's
-# batches: the text contraction at global-train's small dims and seq-train's
-# mid dims, the sequential head's at seq-train's training batch and at
-# seq-retrieve's 64 x 64 eval grid, and fuse at both.
+# Every contraction src/ runs (test_src_runs_only_the_tabled_specs). The
+# index lengths are those of the benchmark's batches: the text contraction
+# and matvec at global-train's small dims and seq-train's mid dims, the
+# sequential head's at seq-train's training batch and at seq-retrieve's
+# 64 x 64 eval grid, and fuse at both.
 SRC_EINSUMS = [
     ("gje,qte->qtgj", dict(g=3, j=16, e=8, q=8, t=13)),
     ("gje,qte->qtgj", dict(g=3, j=64, e=32, q=16, t=7)),
+    ("mn,qn->qm", dict(m=16, n=16, q=8)),
+    ("mn,qn->qm", dict(m=64, n=128, q=8)),
     ("af,vtf->vta", dict(a=64, f=1024, v=8, t=8)),
     ("ah,qh->qa", dict(a=64, h=64, q=8)),
     ("ca,qvta->vqtc", dict(c=16, a=64, q=8, v=8, t=8)),
     ("ca,qvta->vqtc", dict(c=4, a=16, q=64, v=64, t=4)),
-    ("gjnc,vtnc->vtgjn", dict(g=4, j=64, n=16, c=64, v=8, t=8)),
-    ("vtgjn,vqtn->vtqgj", dict(v=8, t=8, g=4, j=64, n=16, q=8)),
-    ("vtgjn,vqtn->vtqgj", dict(v=64, t=4, g=4, j=16, n=4, q=64)),
+    ("ncgj,vtnc->nvtgj", dict(n=16, c=64, g=4, j=64, v=8, t=8)),
+    ("ncgj,vtnc->nvtgj", dict(n=4, c=32, g=4, j=16, v=64, t=4)),
+    ("nvtgj,vqtn->vtqgj", dict(n=16, v=8, t=8, g=4, j=64, q=8)),
+    ("nvtgj,vqtn->vtqgj", dict(n=4, v=64, t=4, g=4, j=16, q=64)),
     ("mvq,qm->vq", dict(m=2, v=8, q=8)),
     ("mvq,qm->vq", dict(m=3, v=64, q=64)),
 ]
@@ -595,6 +602,31 @@ class TestEinsum:
         assert _same_bytes(forward(a, b), _numpy_einsum(spec, a, b))
         assert _same_bytes(grad_a(g, b), _numpy_einsum(f"{out},{right}->{left}", g, b))
         assert _same_bytes(grad_b(a, g), _numpy_einsum(f"{left},{out}->{right}", a, g))
+
+    def test_src_runs_only_the_tabled_specs(self, monkeypatch):
+        """The specs the planner receives in a taped dual-S batch, a taped
+        triple batch and an untaped triple grid are those of SRC_EINSUMS, so
+        the table checks what src/ runs and no retired spec."""
+        corpus = synth_generate(SynthConfig(
+            dims=Dims.small(), n_videos=8, sentences_per_video=2,
+            rho=(0.5, 0.25, 0.25), seed=3, train_fraction=0.5,
+        ))
+        ds, entries = corpus.dataset, corpus.manifests["train"].entries
+        batch = [(ds.video_feature(idx, vid), ds.sentences[sents[0]]) for vid, idx, sents in entries]
+        plan, seen = autodiff._einsum_plan, set()
+
+        def spy(spec, shape_a, shape_b):
+            seen.add(spec)
+            return plan(spec, shape_a, shape_b)
+
+        monkeypatch.setattr(autodiff, "_einsum_plan", spy)
+        for spaces in ("dual-S", "triple"):
+            model = Model.new(Dims.small(), spaces, seed=1, table=ds.embedding_table())
+            with Tape() as tape:
+                tape.backward(training.batch_loss(batch, model, TripletConfig()))
+        with autodiff.no_tape():
+            training.fused_similarity_matrix(model, *map(list, zip(*batch)))
+        assert sorted(seen) == sorted(dict(SRC_EINSUMS))
 
     def test_cached_plan_still_rejects_mismatched_shapes(self):
         w, x = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))

@@ -7,7 +7,7 @@ import pytest
 from mvse.config import Dims
 from mvse.dataio import (
     CHECKPOINT_MAGIC,
-    FORMAT_VERSION,
+    CHECKPOINT_VERSION,
     BadMagicError,
     ContainerError,
     Dataset,
@@ -263,7 +263,7 @@ class TestCheckpoint:
     def _blob(tensors: list[tuple[str, tuple[int, ...], bytes]]) -> bytes:
         """A checkpoint written field by field, so a test can declare any
         name, shape and payload."""
-        out = CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, 2) + b"{}"
+        out = CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, 2) + b"{}"
         out += struct.pack("<I", len(tensors))
         for name, shape, payload in tensors:
             out += struct.pack("<H", len(name)) + name.encode()

@@ -5,6 +5,8 @@ the fused recurrences against the per-op chains they replace; and the
 reproducibility of ``train``."""
 
 import collections
+import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from mvse.autodiff import (
     tanh,
 )
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
-from mvse.dataio import ContainerError, Manifest, read_checkpoint, write_checkpoint
+from mvse.dataio import ContainerError, Manifest, VersionMismatchError, read_checkpoint, write_checkpoint
 from mvse.fusion import fuse, space_weights
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
@@ -138,9 +140,9 @@ def _per_pair_sequential(video, indices, phi, params):
         x = reshape(attended, (attended.size,))
 
         def gate(n):
-            # gate n's blocks of the stacked parameters, w as [H, G*G*C_s]
-            w = reshape(take(lstm.w, n), (hidden, x.size))
-            return add(add(matvec(w, x), matvec(take(lstm.u, n), h)), take(lstm.b, n))
+            # gate n's blocks of the stacked parameters, w as [G*G*C_s, H]
+            w = reshape(take(lstm.w, n, axis=2), (x.size, hidden))
+            return add(add(einsum("fh,f->h", w, x), matvec(take(lstm.u, n), h)), take(lstm.b, n))
 
         i, f, g, o = sigmoid(gate(0)), sigmoid(gate(1)), tanh(gate(2)), sigmoid(gate(3))
         c = add(mul(f, c), mul(i, g))
@@ -500,8 +502,8 @@ def test_tape_grad_returns_the_tapes_own_gradient_array(corpus):
     with Tape() as tape:
         tape.backward(training.batch_loss(_batch(corpus), model, TripletConfig()))
     g = tape.grad(w)
-    # the einsum backward hands lstm.w its gradient as a transposed view
-    assert g.shape == w.shape and not g.flags.c_contiguous
+    # lstm.w is stored in the order its gradient contraction produces
+    assert g.shape == w.shape and g.flags.c_contiguous
     assert np.shares_memory(g, tape.gradients[tape._leaf_ids[id(w)]])
 
 
@@ -755,7 +757,7 @@ def _named_shapes(spaces: str) -> dict[str, tuple[int, ...]]:
         out |= {
             "attn.w_p": (16, 128), "attn.b_p": (16,), "attn.w_q": (16, 16), "attn.b_q": (16,),
             "attn.w_a": (4, 16), "attn.b_a": (4,),
-            "lstm.w": (4, 16, 4, 32), "lstm.u": (4, 16, 16), "lstm.b": (4, 16),
+            "lstm.w": (4, 32, 4, 16), "lstm.u": (4, 16, 16), "lstm.b": (4, 16),
         }
     out["gate.w"] = (len(SPACE_SETS[spaces]), 16)
     return out
@@ -813,6 +815,26 @@ def test_checkpoint_tensor_of_the_wrong_shape_is_a_container_error():
     arrays["lstm.u"] = np.zeros((16, 16))
     with pytest.raises(ContainerError, match=r"lstm\.u has shape \(16, 16\), expected \(4, 16, 16\)"):
         mvse_model.params_from_arrays(DIMS, SPACE_SETS["dual-S"], arrays)
+    # lstm.w in the gates-first layout of version-1 checkpoints
+    arrays = {name: np.zeros(shape) for name, shape in _named_shapes("dual-S").items()}
+    arrays["lstm.w"] = np.zeros((4, 16, 4, 32))
+    expected = r"lstm\.w has shape \(4, 16, 4, 32\), expected \(4, 32, 4, 16\)"
+    with pytest.raises(ContainerError, match=expected):
+        mvse_model.params_from_arrays(DIMS, SPACE_SETS["dual-S"], arrays)
+
+
+def test_checkpoint_of_the_gates_first_lstm_layout_is_a_version_mismatch():
+    # with G*G == 4 and C_s == H, version 1's [4, H, G*G, C_s] and the stored
+    # [G*G, C_s, 4, H] are one shape, so only the version tells them apart
+    dims = dataclasses.replace(DIMS, c_spatial=16)
+    spaces = SPACE_SETS["dual-S"]
+    arrays = {name: t.data for name, t in mvse_model.init_params(dims, spaces, seed=0).named().items()}
+    arrays["lstm.w"] = arrays["lstm.w"].transpose(2, 3, 0, 1)
+    mvse_model.params_from_arrays(dims, spaces, arrays)  # the shapes alone accept it
+    blob = bytearray(write_checkpoint(arrays, {"spaces": "dual-S"}))
+    blob[4:6] = struct.pack("<H", 1)
+    with pytest.raises(VersionMismatchError, match="checkpoint version 1, expected 2"):
+        read_checkpoint(bytes(blob))
 
 
 def test_loading_a_checkpoint_draws_nothing(monkeypatch):

@@ -28,6 +28,11 @@ from mvse.visual import (
 from oracle_ops import sum_all, take
 
 DIMS = Dims.small()
+# the benchmark's seq-train dims
+MID_DIMS = Dims(
+    n_chunks=8, grid=4, c_global=128, c_spatial=64, c_action=64,
+    hidden=64, embed_dim=64, token_dim=32, attn_dim=64,
+)
 
 
 def _video(rng: np.random.Generator, n_frames: int = 4, with_action: bool = True) -> VideoFeature:
@@ -69,9 +74,10 @@ def _numpy_unroll(video: VideoFeature, indices: list[int], phi: np.ndarray, para
         e = np.exp(logits - logits.max())
         a = (e / e.sum()).reshape(DIMS.grid, DIMS.grid)
         x = (grid * a[:, :, None]).reshape(-1)
-        # gate n's pre-activation from its blocks of the stacked parameters
+        # gate n's pre-activation from its blocks of the stacked parameters,
+        # w's as [G*G*C_s, H]
         pre = [
-            p_l.w.data[n].reshape(DIMS.hidden, -1) @ x + p_l.u.data[n] @ h + p_l.b.data[n]
+            x @ p_l.w.data[:, :, n].reshape(-1, DIMS.hidden) + p_l.u.data[n] @ h + p_l.b.data[n]
             for n in range(4)
         ]
         i, fg, g, o = sig(pre[0]), sig(pre[1]), np.tanh(pre[2]), sig(pre[3])
@@ -340,6 +346,39 @@ class TestSequentialEmbed:
                 parts = args[0] if name == "stack" else [args[0]]
                 assert not any(p is t for p in parts for t in lstm), name
 
+    @pytest.mark.parametrize("workload", ["seq-train", "seq-retrieve"])
+    def test_lstm_input_contractions_return_contiguous_arrays(self, workload, monkeypatch):
+        # K and the input terms come out of their products in the layout the
+        # head asks for, so Tensor() takes each without a transposing copy;
+        # the shapes are those of the benchmark's batch and eval grid
+        dims, n_v, n_t = {"seq-train": (MID_DIMS, 8, 8), "seq-retrieve": (DIMS, 64, 4)}[workload]
+        rng = np.random.default_rng(20)
+        params = init_params(dims, ("global", "sequential"), seed=14).sequential_head
+        videos = [
+            VideoFeature(f"v{v}", rng.normal(size=(n_t, dims.c_global)),
+                         rng.normal(size=(n_t, dims.grid, dims.grid, dims.c_spatial)), None)
+            for v in range(n_v)
+        ]
+        phis = Tensor(rng.normal(size=(n_v, dims.hidden)))
+        plan, results = autodiff._einsum_plan, []
+
+        def spy(spec, shape_a, shape_b):
+            forward, grad_a, grad_b = plan(spec, shape_a, shape_b)
+
+            def recorded(a, b):
+                out = forward(a, b)
+                results.append((shape_a, out.shape, out.flags.c_contiguous))
+                return out
+
+            return recorded, grad_a, grad_b
+
+        monkeypatch.setattr(autodiff, "_einsum_plan", spy)
+        with autodiff.no_tape():
+            sequential_embed(videos, [list(range(n_t))] * n_v, phis, params)
+        x_shape = (n_v, n_t, n_v, 4, dims.hidden)
+        head = [c for shape_a, shape, c in results if shape_a == params.lstm.w.shape or shape == x_shape]
+        assert head == [True, True]
+
     def test_forward_without_a_tape_saves_no_per_step_state(self):
         # V = Q = 32 at Dims.small(), T = 4: the input terms [V, T, Q, 4, H]
         # are 2.1 MB, and the per-step LSTM state that a taped call saves
@@ -367,14 +406,15 @@ class TestLstmParams:
     def test_each_gate_block_is_drawn_from_its_own_name(self, seed):
         lstm = _seq_params(seed).lstm
         h, flat = DIMS.hidden, DIMS.grid_flat
-        assert lstm.w.shape == (4, h, DIMS.grid_cells, DIMS.c_spatial)
+        assert lstm.w.shape == (DIMS.grid_cells, DIMS.c_spatial, 4, h)
         assert lstm.u.shape == (4, h, h) and lstm.b.shape == (4, h)
         for n, gate in enumerate("ifgo"):
             # the draw each gate's tensor had under its own name, [H, G*G*C_s] for w
             def draw(kind, shape, fan_in):
                 return mvse_model._init_array(f"lstm.{kind}_{gate}", shape, fan_in, seed)
 
-            np.testing.assert_array_equal(lstm.w.data[n].reshape(h, flat), draw("w", (h, flat), flat))
+            block = lstm.w.data[:, :, n].reshape(flat, h).T
+            np.testing.assert_array_equal(block, draw("w", (h, flat), flat))
             np.testing.assert_array_equal(lstm.u.data[n], draw("u", (h, h), h))
             if gate != "f":
                 np.testing.assert_array_equal(lstm.b.data[n], draw("b", (h,), h))
