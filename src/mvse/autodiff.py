@@ -11,9 +11,13 @@ against are in ``tests/oracle_ops.py`` and record on the same tape.
 The two recurrences, :func:`gru_recurrence` and :func:`lstm_recurrence`,
 are one node each, whatever their length, with a hand-written
 backpropagation through time; they save per-step state only while a tape
-is recording. Both take one contract: the input terms with the gates
-stacked on one axis, and the recurrent weights [gates, H, H] and biases
-[gates, H] as the model stores them.
+is recording. Both take the input terms with the gates stacked on one
+axis, and the recurrent weights [gates, H, H] and biases [gates, H] as the
+model stores them. The GRU's input terms come whole, one [Q, T, 3, H]
+tensor. The LSTM's come factored, as per-cell terms and the attention maps
+that weight the cells, and each step's terms are formed only when that
+step runs, since the whole [V, T, Q, 4, H] tensor grows with gallery size
+times queries times steps.
 
 The recurrences compute every sigmoid gate as σ(a) = (1 + tanh(a/2)) / 2,
 so one ``np.tanh`` pass gives all the gates of a step, the tanh gates
@@ -24,8 +28,10 @@ form stays within 2^-52 (one ulp of 1/2 to 1) absolute of the two-branch
 1/(1+e^-a), and gives exactly 0 and 1 at -inf and +inf.
 
 :func:`einsum` is the one contraction with a backward rule: it carries
-the GRU's input terms, the sequential head's attention maps and LSTM
-input terms, and the fusion, and :func:`matvec` is one ``einsum`` spec.
+the GRU's input terms, the sequential head's attention maps and per-cell
+LSTM input terms, and the fusion, and :func:`matvec` is one ``einsum``
+spec; :func:`lstm_recurrence` contracts its input terms' gradient with
+``einsum``'s cached plans.
 Its forward and both backward contractions are planned once per (spec,
 operand shapes) and the plans kept in a bounded cache. A plan is a
 transpose and reshape of each operand, one ``np.matmul`` (or one
@@ -632,31 +638,57 @@ def gru_recurrence(x: Tensor, u: Tensor, b: Tensor, mask: np.ndarray) -> Tensor:
     return _emit(h, (x, u, b), bk)
 
 
-def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:
+def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     """The LSTM over T steps from a zero state, batched over [V, Q]: the
     final hidden states [V, Q, H].
 
-    ``x`` [V, T, Q, 4, H] holds the input terms of the gates i, f, g, o at
-    every step, ``u`` [4, H, H] the recurrent weights, read as one
-    [4H, H] matrix, and ``b`` [4, H] the biases. Step t:
+    The input terms come factored: ``k`` [G*G, V, T, 4, H] holds each grid
+    cell's input terms of the gates i, f, g, o for every (video, frame), and
+    ``amap`` [V, Q, T, G*G] the attention maps that weight the cells, so
+    step t's input terms are ``x_t[v, q] = amap[v, q, t] · k[:, v, t]``, step
+    t of ``einsum("nvtgj,vqtn->vtqgj", k, amap)``. ``u`` [4, H, H] holds the
+    recurrent weights, read as one [4H, H] matrix, and ``b`` [4, H] the
+    biases. Step t:
         a = x_t + U h + b;  i, f, o = sigmoid(a_i, a_f, a_o),  g = tanh(a_g)
         c' = f·c + i·g,  h' = o·tanh(c')
-    The sigmoids are (1 + tanh(a/2)) / 2, so one ``np.tanh`` over a, with
-    a_i, a_f and a_o halved (exact), gives all four gates. Every step
-    computes into buffers allocated once per call; without a tape, the
-    activations overwrite the pre-activations and c and h are updated in
-    place.
+    Each step forms x_t with one batched ``np.matmul`` of strided views of
+    ``amap`` and ``k``, [V, Q, G*G] by [V, G*G, 4H]: the products that
+    :func:`einsum`'s plan of that spec runs for step t, so x_t has their
+    bytes, while the [V, T, Q, 4, H] input terms and a transposed copy of
+    ``k`` are never built. The sigmoids are (1 + tanh(a/2)) / 2, so one
+    ``np.tanh`` over a, with a_i, a_f and a_o halved (exact), gives all
+    four gates. Every step computes into buffers allocated once per call;
+    without a tape, they are one allocation, the activations overwrite the
+    pre-activations, and c and h are updated in place. The backward
+    propagates through time into the input terms' gradient and contracts
+    it with ``amap`` and ``k`` by :func:`einsum`'s cached plans of that
+    spec.
     """
-    xd, ud, bd = x.data, u.data, b.data
+    kd, ad, ud, bd = k.data, amap.data, u.data, b.data
     n_h = bd.shape[-1] if bd.ndim == 2 else 0
-    if xd.ndim != 5 or xd.shape[3:] != (4, n_h) or ud.shape != (4, n_h, n_h) or bd.shape != (4, n_h):
+    if (
+        kd.ndim != 5 or kd.shape[3:] != (4, n_h) or ad.ndim != 4
+        or ad.shape[::2] != kd.shape[1:3] or ad.shape[3] != kd.shape[0]
+        or ud.shape != (4, n_h, n_h) or bd.shape != (4, n_h)
+    ):
         raise ShapeError(
-            "lstm_recurrence", xd.shape, ud.shape, bd.shape, detail="expected [V,T,Q,4,H], [4,H,H], [4,H]"
+            "lstm_recurrence", kd.shape, ad.shape, ud.shape, bd.shape,
+            detail="expected [G*G,V,T,4,H], [V,Q,T,G*G], [4,H,H], [4,H]",
         )
-    n_v, n_t, n_q = xd.shape[:3]
+    n_cells, n_v, n_t = kd.shape[:3]
+    n_q = ad.shape[1]
+    k_steps = kd.reshape(n_cells, n_v, n_t, 4 * n_h).transpose(2, 1, 0, 3)  # [T, V, G*G, 4H]
+    amap_steps = ad.transpose(2, 0, 1, 3)  # [T, V, Q, G*G]
     u4 = ud.reshape(4 * n_h, n_h)
     half = np.array([0.5, 0.5, 1.0, 0.5])[:, None]  # the sigmoid gates enter tanh halved
     taped = _ACTIVE_TAPE.get() is not None
+    # one workspace for the step buffers x_t and i·g and, without a tape, the
+    # pre-activations, h and c: separate buffers this size are returned to the
+    # system and faulted in again on every call
+    vqh = n_v * n_q * n_h
+    work = np.empty((5 if taped else 11) * vqh)
+    xt = work[: 4 * vqh].reshape(n_v, n_q, 4 * n_h)
+    ig = work[4 * vqh: 5 * vqh].reshape(n_v, n_q, n_h)
     # taped, every step computes straight into the saved buffers: h_t and c_t
     # are rows t of hs and cs, whose last rows are the final state
     if taped:
@@ -665,14 +697,16 @@ def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:
         tcs = np.empty((n_t, n_v, n_q, n_h))
         h, c = hs[0], cs[0]
     else:
-        act = np.empty((n_v, n_q, 4, n_h))
-        h, c = np.zeros((n_v, n_q, n_h)), np.zeros((n_v, n_q, n_h))
-    ig = np.empty((n_v, n_q, n_h))
+        act = work[5 * vqh: 9 * vqh].reshape(n_v, n_q, 4, n_h)
+        state = work[9 * vqh:]
+        state.fill(0.0)
+        h, c = state.reshape(2, n_v, n_q, n_h)
     for t in range(n_t):
         if taped:
             act = acts[t]
         np.matmul(h.reshape(-1, n_h), u4.T, out=act.reshape(-1, 4 * n_h))
-        act += xd[:, t]
+        np.matmul(amap_steps[t], k_steps[t], out=xt)
+        act += xt.reshape(n_v, n_q, 4, n_h)
         act += bd
         act *= half
         np.tanh(act, out=act)
@@ -704,9 +738,11 @@ def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:
             if t:
                 dh = (d[t].reshape(-1, 4 * n_h) @ u4).reshape(n_v, n_q, n_h)
         du = d.reshape(-1, 4 * n_h).T @ h_prev.reshape(-1, n_h)
-        return d.transpose(1, 0, 2, 3, 4), du.reshape(4, n_h, n_h), d.sum(axis=(0, 1, 2))
+        dx = d.transpose(1, 0, 2, 3, 4)  # [V, T, Q, 4, H]
+        _, grad_k, grad_amap = _einsum_plan("nvtgj,vqtn->vtqgj", kd.shape, ad.shape)
+        return grad_k(dx, ad), grad_amap(kd, dx), du.reshape(4, n_h, n_h), d.sum(axis=(0, 1, 2))
 
-    return _emit(h, (x, u, b), bk)
+    return _emit(h, (k, amap, u, b), bk)
 
 
 # ---------------------------------------------------------------------------

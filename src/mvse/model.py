@@ -26,6 +26,7 @@ from mvse.config import (
     SPACE_GLOBAL,
     SPACE_SEQUENTIAL,
     Dims,
+    _require_integer,
     resolve_spaces,
 )
 from mvse.dataio import ContainerError
@@ -131,6 +132,12 @@ _STACKED_GATES = {"gru": "zrc", "lstm": "ifgo"}
 
 
 def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
+    """Every tensor drawn from its own name's stream of the init ``seed``, a
+    non-negative integer; any other seed raises ``ValueError`` naming it."""
+    _require_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
     def draw(name, shape, fan_in):
         gates = _STACKED_GATES.get(name.partition(".")[0])
         if gates is None:

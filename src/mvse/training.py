@@ -97,10 +97,12 @@ def fused_similarity_matrix(
     grids into the scores [V, Q], which the returned :class:`ScoreGrid`
     keeps as one tensor. With ``frame_rngs`` (one per video) the global
     head samples a random frame per chunk; without them it takes each
-    chunk's first frame. The sequential head always takes the first. A
-    ``frame_rngs`` of another length than ``videos`` raises ``ValueError``
-    before any compute.
+    chunk's first frame. The sequential head always takes the first. No
+    videos, or a ``frame_rngs`` of another length than ``videos``, raises
+    ``ValueError`` before any compute.
     """
+    if not videos:
+        raise ValueError("no videos to score")
     if frame_rngs is not None and len(frame_rngs) != len(videos):
         raise ValueError(f"{len(frame_rngs)} frame generators for {len(videos)} videos")
     n = model.dims.n_chunks

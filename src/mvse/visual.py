@@ -9,14 +9,16 @@ The sequential head depends on the sentence, so it yields one embedding
 per (video, sentence) pair. It runs once for a whole V x Q grid, in a
 factored form: the attention's visual branch and the LSTM's input weights
 applied to each grid cell are computed once per (video, frame), and only
-the attention map and the ``U·h`` recurrence run per pair, batched; the
-recurrence is one ``lstm_recurrence`` tape node. The LSTM stores its input
-weights cells first, [G*G, C_s, 4, H], the order in which the gradient
-contraction produces them, and its recurrent weights and biases with the
-four gates stacked first, as the recurrence reads them. Both LSTM input
-contractions ask for their results in the order their products lay them
-out, so neither result nor ``lstm.w``'s gradient is a transposed layout
-that must be copied.
+the attention map and the recurrence run per pair, batched. The
+recurrence is one ``lstm_recurrence`` tape node that takes the per-cell
+input terms and the maps and forms each step's input terms as it reaches
+that step, so no tensor holds the input terms of every step of the grid.
+The LSTM stores its input weights cells first, [G*G, C_s, 4, H], the
+order in which the gradient contraction produces them, and its recurrent
+weights and biases with the four gates stacked first, as the recurrence
+reads them. The per-cell input terms come out of their product in the
+order the recurrence reads them, so neither they nor ``lstm.w``'s
+gradient is a transposed layout that must be copied.
 """
 
 from __future__ import annotations
@@ -154,9 +156,11 @@ def spatial_attention(grids: np.ndarray, phis: Tensor, params: AttentionParams) 
     flat = grids.reshape(n_v, n_t, -1)
     p = tanh(broadcast_add(einsum("af,vtf->vta", params.w_p, flat), params.b_p))
     q = tanh(broadcast_add(einsum("ah,qh->qa", params.w_q, phis), params.b_q))
-    s = broadcast_add(p, reshape(q, (q.shape[0], 1, 1, q.shape[1])))  # [Q, V, T, A]
-    logits = tanh(broadcast_add(einsum("ca,qvta->vqtc", params.w_a, s), params.b_a))
-    return softmax(logits)
+    q = reshape(q, (q.shape[0], 1, 1, q.shape[1]))
+    # p + q [Q, V, T, A] is the head's largest tensor; no name holds it, so
+    # without a tape it is freed as soon as the map head has read it
+    logits = einsum("ca,qvta->vqtc", params.w_a, broadcast_add(p, q))
+    return softmax(tanh(broadcast_add(logits, params.b_a)))
 
 
 @dataclass
@@ -194,24 +198,22 @@ def sequential_embed(
     :func:`global_embed`.
     The LSTM input term is factored: ``W·vec(grid ⊙ map) = K·map`` with
     ``K[cell, h] = W[cell, :, h]·grid[cell, :]``, so K is computed once per
-    (video, frame) for the four gates together, and the input terms of all
-    steps in one contraction with the maps. The recurrence over the steps,
-    batched over [V, Q, H], is one ``lstm_recurrence`` node. The
-    contraction reads ``lstm.w`` [G*G, C_s, 4, H], and the recurrence
-    ``lstm.u`` [4, H, H] and ``lstm.b`` [4, H], as stored.
+    (video, frame) for the four gates together, by one contraction that
+    reads ``lstm.w`` [G*G, C_s, 4, H] as stored. The recurrence over the
+    steps, batched over [V, Q, H], is one ``lstm_recurrence`` node that
+    takes K and the maps, forms each step's input terms from them, and
+    reads ``lstm.u`` [4, H, H] and ``lstm.b`` [4, H] as stored.
     """
     grids = _gather("sequential_embed", [v.grid_frames for v in videos], indices)  # [V, T, G, G, C_s]
     n_v, n_t = grids.shape[:2]
     amap = spatial_attention(grids, phis, params.attention)  # [V, Q, T, G*G]
 
     lstm = params.lstm
-    # K [G*G, V, T, 4, H] and the input terms of every step [V, T, Q, 4, H]
-    # are each in the order its matmul lays out, so neither is copied into a
-    # transposed layout, and the backward hands lstm.w a contiguous gradient
+    # K [G*G, V, T, 4, H] in the order its matmul lays out, so it is not
+    # copied into a transposed layout, and the backward hands lstm.w a
+    # contiguous gradient
     k = einsum("ncgj,vtnc->nvtgj", lstm.w, grids.reshape(n_v, n_t, -1, grids.shape[-1]))
-    x = einsum("nvtgj,vqtn->vtqgj", k, amap)
-
-    return lstm_recurrence(x, lstm.u, lstm.b)
+    return lstm_recurrence(k, amap, lstm.u, lstm.b)
 
 
 def action_embed(videos: list[VideoFeature]) -> Tensor:

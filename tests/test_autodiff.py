@@ -118,12 +118,12 @@ def test_recurrence_gates_agree_with_the_two_branch_sigmoid_and_stay_finite():
     extremes = np.array([800.0, -800.0, 1e6, -1e6])
     h, mask = 3, np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     cases = [
-        (gru_recurrence, (2, 3, 3, h), (3, h, h), (3, h), (mask,)),
-        (lstm_recurrence, (2, 3, 2, 4, h), (4, h, h), (4, h), ()),
+        (gru_recurrence, [(2, 3, 3, h), (3, h, h), (3, h)], (mask,)),
+        # extreme per-cell terms K [G*G, V, T, 4, H], weighted by the maps [V, Q, T, G*G]
+        (lstm_recurrence, [(2, 2, 3, 4, h), (2, 2, 3, 2), (4, h, h), (4, h)], ()),
     ]
-    for run, x_shape, u_shape, b_shape, rest in cases:
-        inputs = [Tensor(rng.choice(extremes, size=x_shape)), Tensor(rng.normal(size=u_shape)),
-                  Tensor(rng.normal(size=b_shape))]
+    for run, (x_shape, *shapes), rest in cases:
+        inputs = [Tensor(rng.choice(extremes, size=x_shape))] + [Tensor(rng.normal(size=s)) for s in shapes]
         with Tape() as tape:
             out = run(*inputs, *rest)
             tape.backward(sum_all(out))
@@ -411,9 +411,19 @@ def _gru(v):
     return gru_recurrence(v, take(v, 0), take(take(v, 1), 0), MIXED_LENGTHS)
 
 
+_LSTM_RNG = np.random.default_rng(12)
+# maps [V, Q, T, G*G] for K [2, 3, 2, 4, 2], and a K, u and b for those maps
+_LSTM_MAPS = Tensor(_LSTM_RNG.dirichlet(np.ones(2), size=(3, 2, 2)))
+_LSTM_K, _LSTM_U, _LSTM_B = (Tensor(_LSTM_RNG.normal(size=s)) for s in ((2, 3, 2, 4, 2), (4, 2, 2), (4, 2)))
+
+
 def _lstm(v):
     u = reshape(take(take(v, 0), 0), (4, 2, 2))
-    return lstm_recurrence(v, u, take(take(take(v, 1), 0), 0))
+    return lstm_recurrence(v, _LSTM_MAPS, u, take(take(take(v, 1), 0), 0))
+
+
+def _lstm_maps(v):
+    return lstm_recurrence(_LSTM_K, v, _LSTM_U, _LSTM_B)
 
 
 @pytest.mark.parametrize(
@@ -434,8 +444,10 @@ def _lstm(v):
         ("take", lambda v: sum_all(tanh(mul(take(v, 0), take(v, 2, axis=1)))), (4, 4)),
         # x [3, 3, 3, 3] under mixed sentence lengths; u [3, 3, 3] and b [3, 3] are entries of x too
         ("gru_recurrence", lambda v: sum_all(tanh(_gru(v))), (3, 3, 3, 3)),
-        # x [2, 3, 2, 4, 2]; u [4, 2, 2] and b [4, 2] are entries of x too
+        # K [2, 3, 2, 4, 2]; u [4, 2, 2] and b [4, 2] are entries of K too
         ("lstm_recurrence", lambda v: sum_all(tanh(_lstm(v))), (2, 3, 2, 4, 2)),
+        # the maps [V, Q, T, G*G] for fixed K, u and b
+        ("lstm_recurrence_maps", lambda v: sum_all(tanh(_lstm_maps(v))), (3, 2, 2, 2)),
     ],
 )
 def test_primitive_gradients_at_random_points(name, fn, shape):
@@ -703,13 +715,14 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
             xs = reshape(stack([v, v, tanh(v)]), (2, 2, 3, 3))
             mask = np.array([[1.0, 1.0], [1.0, 0.0]])
             phi = gru_recurrence(xs, stack([u, u, u]), take(take(xs, 0), 0), mask)
-            seq = lstm_recurrence(reshape(stack([v, v]), (1, 2, 1, 4, 3)), stack([u, u, u, u]), v)
+            k = reshape(stack([v, v]), (1, 1, 2, 4, 3))
+            seq = lstm_recurrence(k, reshape(take(h, 0, axis=1), (1, 1, 2, 1)), stack([u, u, u, u]), v)
             s = add(s, add(sum_all(phi), sum_all(seq)))
             pair = reshape(stack([take(take(cosine(v, h), 3), 1), s]), (1, 2))
             loss = hinge_sum(pair, ([0], [0]), ([0], [1]), 0.1)
             tape.backward(loss)
         ref = weakref.ref(tape)
-        del tape, loss, x, h, grid, v, gram, s, u, xs, phi, seq, pair
+        del tape, loss, x, h, grid, v, gram, s, u, xs, phi, k, seq, pair
         assert ref() is None
     finally:
         gc.enable()

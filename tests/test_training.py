@@ -40,6 +40,7 @@ from mvse.synth import SynthConfig, synth_generate
 from mvse.text import GruParams, gru_encode, project_text
 from mvse.visual import VideoFeature, chunk_sample, global_embed, sequential_embed
 
+import oracle_ops
 from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, take
 
 DIMS = Dims.small()
@@ -110,7 +111,8 @@ def _per_op_gru(x, u, b, mask):
 
 def _per_op_lstm(x, u, b):
     """The LSTM recurrence op by op over [V, T, Q, 4, H] input terms, as
-    ``lstm_recurrence`` computes it in one node: [V, Q, H]."""
+    ``lstm_recurrence`` computes it in one node from the factored terms:
+    [V, Q, H]."""
     n_v, n_t, n_q, _, n_h = x.shape
     h = Tensor(np.zeros((n_v, n_q, n_h)))
     c = Tensor(np.zeros(h.shape))
@@ -338,15 +340,68 @@ def test_gru_recurrence_matches_the_per_op_chain(dims):
     _assert_close(new, _values_and_grads(lambda *a: _per_op_gru(*a, mask), inputs, weights))
 
 
+def _lstm_inputs(rng, dims, n_v, n_q):
+    """Per-cell input terms K [G*G, V, T, 4, H] and attention maps [V, Q, T,
+    G*G] (each a distribution over the cells) as ``sequential_embed`` hands
+    them to ``lstm_recurrence``, with the model's recurrent weights and
+    biases."""
+    lstm = mvse_model.init_params(dims, ("global", "sequential"), seed=4).sequential_head.lstm
+    cells, n_t = dims.grid_cells, dims.n_chunks
+    k = Tensor(rng.normal(size=(cells, n_v, n_t, 4, dims.hidden)))
+    amap = Tensor(rng.dirichlet(np.ones(cells), size=(n_v, n_q, n_t)))
+    return [k, amap, lstm.u, lstm.b]
+
+
+def _materialized_lstm(lstm):
+    """``lstm(x, u, b)`` on the input terms of every step, [V, T, Q, 4, H],
+    contracted from K and the maps as ``sequential_embed`` once did."""
+    return lambda k, amap, u, b: lstm(einsum("nvtgj,vqtn->vtqgj", k, amap), u, b)
+
+
 @pytest.mark.parametrize("dims", [DIMS, MID_DIMS], ids=["small", "mid"])
 def test_lstm_recurrence_matches_the_per_op_chain(dims):
     rng = np.random.default_rng(dims.hidden)
-    n_v, n_q, h = 5, 3, dims.hidden
-    lstm = mvse_model.init_params(dims, ("global", "sequential"), seed=4).sequential_head.lstm
-    inputs = [Tensor(rng.normal(size=(n_v, dims.n_chunks, n_q, 4, h))), lstm.u, lstm.b]
-    weights = rng.normal(size=(n_v, n_q, h))
+    n_v, n_q = 5, 3
+    inputs = _lstm_inputs(rng, dims, n_v, n_q)
+    weights = rng.normal(size=(n_v, n_q, dims.hidden))
     new = _values_and_grads(lstm_recurrence, inputs, weights)
-    _assert_close(new, _values_and_grads(_per_op_lstm, inputs, weights))
+    _assert_close(new, _values_and_grads(_materialized_lstm(_per_op_lstm), inputs, weights))
+
+
+# (dims, V, Q): the benchmark's seq-train batch and eval grid at mid dims and
+# seq-retrieve's at small dims, then a single video and a single sentence,
+# whose length-1 index the materialized contraction drops from its product
+LSTM_GRIDS = {
+    "seq-train-batch": (MID_DIMS, 8, 8),
+    "seq-train-eval": (MID_DIMS, 16, 16),
+    "seq-retrieve-batch": (DIMS, 8, 8),
+    "seq-retrieve-eval": (DIMS, 64, 64),
+    "one-video": (MID_DIMS, 1, 8),
+    "one-sentence": (DIMS, 8, 1),
+}
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("grid", list(LSTM_GRIDS))
+def test_streamed_input_terms_give_the_materialized_bytes(grid, taped):
+    """Each step's input terms, formed from K and the maps as the step runs,
+    give the bytes of the recurrence over the input terms of every step
+    contracted at once, forward and in every gradient. A length-1 V or Q
+    changes the materialized contraction's product (that index is dropped)
+    but not its bytes, so no case needs a tolerance."""
+    dims, n_v, n_q = LSTM_GRIDS[grid]
+    rng = np.random.default_rng(n_v * 100 + n_q)
+    inputs = _lstm_inputs(rng, dims, n_v, n_q)
+    weights = rng.normal(size=(n_v, n_q, dims.hidden))
+    runs = [lstm_recurrence, _materialized_lstm(oracle_ops.lstm_recurrence)]
+    if taped:
+        (out, grads), (ref, ref_grads) = (_values_and_grads(run, inputs, weights) for run in runs)
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+        assert [g.shape for g in grads] == [t.shape for t in inputs]
+    else:
+        with no_tape():
+            out, ref = (run(*inputs).data for run in runs)
+    assert out.shape == (n_v, n_q, dims.hidden) and out.tobytes() == ref.tobytes()
 
 
 def test_each_recurrence_records_a_length_independent_number_of_nodes():
@@ -440,6 +495,18 @@ def test_frame_generators_of_another_count_raise_before_any_compute(corpus, spac
         training.fused_similarity_matrix(
             model, list(videos), list(sentences), "weighted", _rngs(videos[:2])
         )
+    assert encoded == []
+
+
+@pytest.mark.parametrize("spaces", ["single", "dual-S"])
+def test_no_videos_raise_before_any_compute(corpus, spaces, monkeypatch):
+    # as no sentences raise EmptySentenceError, not an error from inside numpy
+    model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
+    encoded = []
+    monkeypatch.setattr(mvse_model, "gru_encode", lambda *args: encoded.append(1))
+    sentences = [s for _, s in _batch(corpus)]
+    with pytest.raises(ValueError, match="^no videos to score$"):
+        training.fused_similarity_matrix(model, [], sentences)
     assert encoded == []
 
 

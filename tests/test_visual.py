@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -263,6 +264,19 @@ class TestSpatialAttention:
                     np.testing.assert_allclose(amap.data[v, q, t], one, rtol=1e-12, atol=1e-15)
 
 
+def _untaped_peak(videos, indices, phis, params) -> int:
+    """The tracemalloc peak of one untaped ``sequential_embed`` call, with
+    its caches warmed by a call outside the trace."""
+    with autodiff.no_tape():
+        sequential_embed(videos, indices, phis, params)
+        tracemalloc.start()
+        try:
+            sequential_embed(videos, indices, phis, params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 class TestSequentialEmbed:
     def test_zero_lstm_params_give_zero(self):
         rng = np.random.default_rng(7)
@@ -340,7 +354,7 @@ class TestSequentialEmbed:
         assert any(a is params.lstm.w for a in operands)
         recurrences = [args for name, args in calls if name == "lstm_recurrence"]
         assert len(recurrences) == 1
-        assert recurrences[0][1] is params.lstm.u and recurrences[0][2] is params.lstm.b
+        assert recurrences[0][2] is params.lstm.u and recurrences[0][3] is params.lstm.b
         for name, args in calls:
             if name in ("stack", "reshape"):
                 parts = args[0] if name == "stack" else [args[0]]
@@ -348,9 +362,10 @@ class TestSequentialEmbed:
 
     @pytest.mark.parametrize("workload", ["seq-train", "seq-retrieve"])
     def test_lstm_input_contractions_return_contiguous_arrays(self, workload, monkeypatch):
-        # K and the input terms come out of their products in the layout the
-        # head asks for, so Tensor() takes each without a transposing copy;
-        # the shapes are those of the benchmark's batch and eval grid
+        # K comes out of its product in the layout the head asks for, so
+        # Tensor() takes it without a transposing copy, and no contraction
+        # forms the input terms of every step; the shapes are those of the
+        # benchmark's batch and eval grid
         dims, n_v, n_t = {"seq-train": (MID_DIMS, 8, 8), "seq-retrieve": (DIMS, 64, 4)}[workload]
         rng = np.random.default_rng(20)
         params = init_params(dims, ("global", "sequential"), seed=14).sequential_head
@@ -367,7 +382,7 @@ class TestSequentialEmbed:
 
             def recorded(a, b):
                 out = forward(a, b)
-                results.append((shape_a, out.shape, out.flags.c_contiguous))
+                results.append((spec, shape_a, out.flags.c_contiguous))
                 return out
 
             return recorded, grad_a, grad_b
@@ -375,30 +390,37 @@ class TestSequentialEmbed:
         monkeypatch.setattr(autodiff, "_einsum_plan", spy)
         with autodiff.no_tape():
             sequential_embed(videos, [list(range(n_t))] * n_v, phis, params)
-        x_shape = (n_v, n_t, n_v, 4, dims.hidden)
-        head = [c for shape_a, shape, c in results if shape_a == params.lstm.w.shape or shape == x_shape]
-        assert head == [True, True]
+        head = [(spec, c) for spec, shape_a, c in results if shape_a == params.lstm.w.shape]
+        assert head == [("ncgj,vtnc->nvtgj", True)]
+        assert "nvtgj,vqtn->vtqgj" not in [spec for spec, _, _ in results]
 
     def test_forward_without_a_tape_saves_no_per_step_state(self):
-        # V = Q = 32 at Dims.small(), T = 4: the input terms [V, T, Q, 4, H]
-        # are 2.1 MB, and the per-step LSTM state that a taped call saves
-        # would be another 3.7 MB. With its step buffers allocated once and
-        # its state updated in place, the untaped call peaks at 3,811,912
-        # bytes here (numpy 2); the bound leaves a 2.3% margin.
+        # V = Q = 32 at Dims.small(), T = 4: the per-step LSTM state that a
+        # taped call saves would be 3.7 MB. With its step buffers allocated
+        # once, as one workspace, and its state updated in place, the untaped
+        # call peaks at 2,102,176 bytes here (numpy 2); the bound leaves a
+        # 2.3% margin.
         rng = np.random.default_rng(19)
-        params = _seq_params(13)
         videos = [_video(rng) for _ in range(32)]
         phis = Tensor(rng.normal(size=(32, DIMS.hidden)))
-        indices = [[0, 1, 2, 3]] * 32
-        with autodiff.no_tape():
-            sequential_embed(videos, indices, phis, params)  # warm caches outside the trace
-            tracemalloc.start()
-            try:
-                sequential_embed(videos, indices, phis, params)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak <= 3_900_000
+        assert _untaped_peak(videos, [[0, 1, 2, 3]] * 32, phis, _seq_params(13)) <= 2_150_000
+
+    def test_untaped_peak_stays_below_the_input_terms_of_every_step(self):
+        # V = Q = 64 at Dims.small(), the seq-retrieve eval grid. At T = 8 the
+        # input terms of every step, [V, T, Q, 4H], are 16.8 MB; a head that
+        # built them peaked at 23.2 MB, 9.7 MB above its T = 4 peak. Formed one
+        # step at a time, they leave a peak of 8.5 MB (numpy 2), and doubling T
+        # adds only what holds T: the frames, the maps and K, 1.3 MB.
+        peaks = {}
+        for n_t in (4, 8):
+            dims = dataclasses.replace(DIMS, n_chunks=n_t)
+            rng = np.random.default_rng(n_t)
+            params = init_params(dims, ("global", "sequential"), seed=15).sequential_head
+            videos = [_video(rng, n_frames=n_t) for _ in range(64)]
+            phis = Tensor(rng.normal(size=(64, DIMS.hidden)))
+            peaks[n_t] = _untaped_peak(videos, [list(range(n_t))] * 64, phis, params)
+        assert peaks[8] < 64 * 8 * 64 * 4 * DIMS.hidden * 8
+        assert peaks[8] - peaks[4] <= 2_000_000
 
 
 class TestLstmParams:
