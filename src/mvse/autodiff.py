@@ -17,7 +17,11 @@ model stores them. The GRU's input terms come whole, one [Q, T, 3, H]
 tensor. The LSTM's come factored, as per-cell terms and the attention maps
 that weight the cells, and each step's terms are formed only when that
 step runs, since the whole [V, T, Q, 4, H] tensor grows with gallery size
-times queries times steps.
+times queries times steps. Inside the node the LSTM runs hidden-major:
+its state is [H, V*Q] and each gate's pre-activations are one contiguous
+[H, V*Q] block, so every elementwise pass of a step runs over contiguous
+memory rather than over runs of H floats; only its output and, taped, its
+input terms' gradient are turned back into the [V, Q, ...] layout.
 
 The recurrences compute every sigmoid gate as σ(a) = (1 + tanh(a/2)) / 2,
 so one ``np.tanh`` pass gives all the gates of a step, the tanh gates
@@ -651,18 +655,32 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     biases. Step t:
         a = x_t + U h + b;  i, f, o = sigmoid(a_i, a_f, a_o),  g = tanh(a_g)
         c' = f·c + i·g,  h' = o·tanh(c')
-    Each step forms x_t with one batched ``np.matmul`` of strided views of
-    ``amap`` and ``k``, [V, Q, G*G] by [V, G*G, 4H]: the products that
-    :func:`einsum`'s plan of that spec runs for step t, so x_t has their
-    bytes, while the [V, T, Q, 4, H] input terms and a transposed copy of
-    ``k`` are never built. The sigmoids are (1 + tanh(a/2)) / 2, so one
-    ``np.tanh`` over a, with a_i, a_f and a_o halved (exact), gives all
-    four gates. Every step computes into buffers allocated once per call;
-    without a tape, they are one allocation, the activations overwrite the
-    pre-activations, and c and h are updated in place. The backward
-    propagates through time into the input terms' gradient and contracts
-    it with ``amap`` and ``k`` by :func:`einsum`'s cached plans of that
-    spec.
+    The recurrence runs hidden-major: h, c and tanh(c) are [H, V*Q], and
+    each step's pre-activations are one [4H, V*Q] buffer whose gates are
+    contiguous [H, V*Q] blocks. Into it go ``U h`` as one GEMM, then x_t,
+    formed by one batched ``np.matmul`` of strided views of ``k`` and
+    ``amap``, [V, 4H, G*G] by [V, G*G, Q], that writes straight into a
+    [V, 4H, Q] view of a [4H, V*Q] buffer, so neither the [V, T, Q, 4, H]
+    input terms nor a transposed copy of ``k`` is built. The sigmoids are
+    (1 + tanh(a/2)) / 2, so one ``np.tanh`` over a, with a_i, a_f and a_o
+    halved (exact), gives all four gates. Every step computes into buffers
+    allocated once per call; without a tape, they are one workspace of
+    10·V·Q·H floats, the activations overwrite the pre-activations, and c
+    and h are updated in place. The [V, Q, H] output is one transposing
+    copy, so it does not keep the workspace alive. The backward
+    propagates through time on the same contiguous gate blocks, then
+    hands the input terms' gradient in row layout, [T, V*Q, 4H], to the
+    sums that give the gradients of ``u`` and ``b`` and to the cached
+    :func:`einsum` backward plans of that spec, which give those of ``k``
+    and ``amap``.
+
+    The forward and every gradient equal those of the recurrence over the
+    materialized input terms, ``tests/oracle_ops.lstm_recurrence`` on
+    ``einsum("nvtgj,vqtn->vtqgj", k, amap)``, byte for byte at the
+    benchmark's shapes. At small or odd lengths two of the GEMMs, the
+    input-term product and the backward's ``u.T @ d``, may round in
+    another order. Over a sweep of V, Q, T, G*G and H, each array stays
+    within 8·ε times the largest magnitude of the oracle's (ε = 2^-52).
     """
     kd, ad, ud, bd = k.data, amap.data, u.data, b.data
     n_h = bd.shape[-1] if bd.ndim == 2 else 0
@@ -677,72 +695,81 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
         )
     n_cells, n_v, n_t = kd.shape[:3]
     n_q = ad.shape[1]
-    k_steps = kd.reshape(n_cells, n_v, n_t, 4 * n_h).transpose(2, 1, 0, 3)  # [T, V, G*G, 4H]
-    amap_steps = ad.transpose(2, 0, 1, 3)  # [T, V, Q, G*G]
+    n_vq = n_v * n_q
+    k_steps = kd.reshape(n_cells, n_v, n_t, 4 * n_h).transpose(2, 1, 3, 0)  # [T, V, 4H, G*G]
+    amap_steps = ad.transpose(2, 0, 3, 1)  # [T, V, G*G, Q]
     u4 = ud.reshape(4 * n_h, n_h)
-    half = np.array([0.5, 0.5, 1.0, 0.5])[:, None]  # the sigmoid gates enter tanh halved
+    bias = bd.reshape(4 * n_h, 1)
+    half = np.repeat([0.5, 0.5, 1.0, 0.5], n_h)[:, None]  # the sigmoid gates enter tanh halved
     taped = _ACTIVE_TAPE.get() is not None
-    # one workspace for the step buffers x_t and i·g and, without a tape, the
-    # pre-activations, h and c: separate buffers this size are returned to the
-    # system and faulted in again on every call
-    vqh = n_v * n_q * n_h
-    work = np.empty((5 if taped else 11) * vqh)
-    xt = work[: 4 * vqh].reshape(n_v, n_q, 4 * n_h)
-    ig = work[4 * vqh: 5 * vqh].reshape(n_v, n_q, n_h)
+    # one workspace for the step buffer x_t, whose first H rows take i·g once
+    # x_t is added in, and, without a tape, the pre-activations, h and c:
+    # separate buffers this size are returned to the system and faulted in
+    # again on every call
+    vqh = n_vq * n_h
+    work = np.empty((4 if taped else 10) * vqh)
+    xt = work[: 4 * vqh].reshape(4 * n_h, n_vq)
+    xt_steps = xt.reshape(4 * n_h, n_v, n_q).transpose(1, 0, 2)  # [V, 4H, Q], written by matmul
+    ig = xt[:n_h]
     # taped, every step computes straight into the saved buffers: h_t and c_t
     # are rows t of hs and cs, whose last rows are the final state
     if taped:
-        acts = np.empty((n_t, n_v, n_q, 4, n_h))
-        hs, cs = np.zeros((2, n_t + 1, n_v, n_q, n_h))
-        tcs = np.empty((n_t, n_v, n_q, n_h))
+        acts = np.empty((n_t, 4 * n_h, n_vq))
+        hs, cs = np.zeros((2, n_t + 1, n_h, n_vq))
+        tcs = np.empty((n_t, n_h, n_vq))
         h, c = hs[0], cs[0]
     else:
-        act = work[5 * vqh: 9 * vqh].reshape(n_v, n_q, 4, n_h)
-        state = work[9 * vqh:]
+        act = work[4 * vqh: 8 * vqh].reshape(4 * n_h, n_vq)
+        state = work[8 * vqh:]
         state.fill(0.0)
-        h, c = state.reshape(2, n_v, n_q, n_h)
+        h, c = state.reshape(2, n_h, n_vq)
     for t in range(n_t):
         if taped:
             act = acts[t]
-        np.matmul(h.reshape(-1, n_h), u4.T, out=act.reshape(-1, 4 * n_h))
-        np.matmul(amap_steps[t], k_steps[t], out=xt)
-        act += xt.reshape(n_v, n_q, 4, n_h)
-        act += bd
+        np.matmul(u4, h, out=act)
+        np.matmul(k_steps[t], amap_steps[t], out=xt_steps)
+        act += xt
+        act += bias
         act *= half
         np.tanh(act, out=act)
-        _tanh_to_sigmoid(act[:, :, :2])
-        _tanh_to_sigmoid(act[:, :, 3])
-        np.multiply(act[:, :, 0], act[:, :, 2], out=ig)
-        c = np.multiply(act[:, :, 1], c, out=cs[t + 1] if taped else c)
+        _tanh_to_sigmoid(act[: 2 * n_h])
+        _tanh_to_sigmoid(act[3 * n_h:])
+        np.multiply(act[:n_h], act[2 * n_h: 3 * n_h], out=ig)
+        c = np.multiply(act[n_h: 2 * n_h], c, out=cs[t + 1] if taped else c)
         c += ig
         tc = np.tanh(c, out=tcs[t] if taped else h)
-        h = np.multiply(act[:, :, 3], tc, out=hs[t + 1] if taped else h)
+        h = np.multiply(act[3 * n_h:], tc, out=hs[t + 1] if taped else h)
 
     def bk(g):
-        h_prev, c_prev = hs[:-1], cs[:-1]  # the states each step started from
-        i, f, gg, o = (acts[:, :, :, n] for n in range(4))
+        i, f, gg, o = (acts[:, n * n_h: (n + 1) * n_h] for n in range(4))
         # per step, the gates' input-term gradients: each gate's factor,
         # computed for all steps at once, times dc (i, f, g) or dh (o)
-        d = np.empty((n_t, n_v, n_q, 4, n_h))
-        d[:, :, :, 0] = gg * i * (1.0 - i)
-        d[:, :, :, 1] = c_prev * f * (1.0 - f)
-        d[:, :, :, 2] = i * (1.0 - gg * gg)
-        d[:, :, :, 3] = tcs * o * (1.0 - o)
+        d = np.empty((n_t, 4 * n_h, n_vq))
+        d[:, :n_h] = gg * i * (1.0 - i)
+        d[:, n_h: 2 * n_h] = cs[:-1] * f * (1.0 - f)
+        d[:, 2 * n_h: 3 * n_h] = i * (1.0 - gg * gg)
+        d[:, 3 * n_h:] = tcs * o * (1.0 - o)
         to_c = o * (1.0 - tcs * tcs)
-        dh, dc = g, 0.0
+        dh, dc = np.ascontiguousarray(g.reshape(n_vq, n_h).T), 0.0
         for t in range(n_t - 1, -1, -1):
             dc = dc + dh * to_c[t]
-            d[t, :, :, :3] *= dc[:, :, None]
-            d[t, :, :, 3] *= dh
+            d_ifg = d[t, : 3 * n_h].reshape(3, n_h, n_vq)
+            d_ifg *= dc
+            d[t, 3 * n_h:] *= dh
             dc = dc * f[t]
             if t:
-                dh = (d[t].reshape(-1, 4 * n_h) @ u4).reshape(n_v, n_q, n_h)
+                dh = u4.T @ d[t]
+        # the sums over steps and pairs, and the contractions with amap and
+        # k, take d and the states each step started from in row layout
+        d = np.ascontiguousarray(d.transpose(0, 2, 1)).reshape(n_t, n_v, n_q, 4, n_h)
+        h_prev = np.ascontiguousarray(hs[:-1].transpose(0, 2, 1))  # [T, V*Q, H]
         du = d.reshape(-1, 4 * n_h).T @ h_prev.reshape(-1, n_h)
         dx = d.transpose(1, 0, 2, 3, 4)  # [V, T, Q, 4, H]
         _, grad_k, grad_amap = _einsum_plan("nvtgj,vqtn->vtqgj", kd.shape, ad.shape)
         return grad_k(dx, ad), grad_amap(kd, dx), du.reshape(4, n_h, n_h), d.sum(axis=(0, 1, 2))
 
-    return _emit(h, (k, amap, u, b), bk)
+    # a copy even where H or V*Q is 1 and the transposed view is contiguous
+    return _emit(h.T.reshape(n_v, n_q, n_h).copy(), (k, amap, u, b), bk)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from mvse.visual import VideoFeature, chunk_sample, space_similarity
 
 _SHUFFLE_SALT = 0xB47C
 _FRAME_SALT = 0xF3A3E
+_SGD_BLOCK_BYTES = 1 << 16  # sgd_step's scratch for lr * g
 
 
 class TrainingDivergedError(RuntimeError):
@@ -141,7 +142,15 @@ def batch_loss(
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place p <- p - lr * g for every named parameter."""
+    """In-place p <- p - lr * g for every named parameter.
+
+    ``lr * g`` is formed a block of leading-axis rows at a time in one
+    scratch buffer of ``_SGD_BLOCK_BYTES``, or of one row where a row is
+    larger, so no parameter-sized temporary is made; every element still
+    gets the two roundings of ``p - lr * g``. The blocks follow the leading
+    axis, not a flattened view, since a gradient may be a transposed view
+    that flattening would copy."""
+    scratch = np.empty(_SGD_BLOCK_BYTES // 8)
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -150,7 +159,16 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float)
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {name} {tensor.data.shape}"
             )
-        tensor.data -= lr * g
+        p = tensor.data
+        blocks = [(p, g)]
+        if p.size > scratch.size:
+            row = p[0].size
+            if row > scratch.size:
+                scratch = np.empty(row)
+            n = scratch.size // row
+            blocks = ((p[lo: lo + n], g[lo: lo + n]) for lo in range(0, len(p), n))
+        for p_block, g_block in blocks:
+            p_block -= np.multiply(lr, g_block, out=scratch[: p_block.size].reshape(p_block.shape))
 
 
 def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:

@@ -13,6 +13,10 @@ the attention map and the recurrence run per pair, batched. The
 recurrence is one ``lstm_recurrence`` tape node that takes the per-cell
 input terms and the maps and forms each step's input terms as it reaches
 that step, so no tensor holds the input terms of every step of the grid.
+It steps the whole grid hidden-major, as [H, V*Q] states and one
+contiguous [H, V*Q] block per gate, and hands back the [V, Q, H]
+embeddings as their own array, not as a view that would keep its step
+buffers alive.
 The LSTM stores its input weights cells first, [G*G, C_s, 4, H], the
 order in which the gradient contraction produces them, and its recurrent
 weights and biases with the four gates stacked first, as the recurrence

@@ -6,9 +6,11 @@ nodes in ``mvse.autodiff``. The tests build the per-op chains those nodes
 replaced from these primitives, which record on the same ``Tape`` through
 ``autodiff._emit``, and check the fused nodes against them.
 :func:`lstm_recurrence` is the recurrence ``autodiff.lstm_recurrence``
-was before it formed each step's input terms itself; given those terms
-from ``einsum("nvtgj,vqtn->vtqgj", k, amap)``, it is the byte-for-byte
-reference of the streamed one.
+was before it formed each step's input terms itself and ran
+hidden-major; given those terms from ``einsum("nvtgj,vqtn->vtqgj", k,
+amap)``, it is the reference of the streamed one: byte for byte at the
+benchmark's shapes, and within 8 ulp of each array's largest magnitude
+at small or odd lengths.
 """
 
 import numpy as np

@@ -6,7 +6,9 @@ reproducibility of ``train``."""
 
 import collections
 import dataclasses
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +406,37 @@ def test_streamed_input_terms_give_the_materialized_bytes(grid, taped):
     assert out.shape == (n_v, n_q, dims.hidden) and out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("n_h", [1, 3, 5, 16, 17, 33, 64])
+@pytest.mark.parametrize("cells", [1, 4, 9, 16])
+def test_hidden_major_recurrence_is_within_8_eps_of_the_materialized_one(cells, n_h, taped):
+    """Over small and odd lengths the recurrence's GEMMs may round in
+    another order than the materialized recurrence's (the input-term
+    product as [4H, G*G] by [G*G, Q], the backward's ``u.T @ d``), so the
+    forward and every gradient are held to 8·eps times the largest
+    magnitude of the oracle's array, not to its bytes."""
+    eps = np.finfo(np.float64).eps
+    bound = n_h ** -0.5  # u and b as the model inits them, uniform within 1/sqrt(H)
+    runs = [lstm_recurrence, _materialized_lstm(oracle_ops.lstm_recurrence)]
+    for n_v, n_q, n_t in itertools.product([1, 2, 3, 8], [1, 2, 3, 16], [1, 3]):
+        rng = np.random.default_rng([cells, n_h, n_v, n_q, n_t])
+        inputs = [
+            Tensor(rng.normal(size=(cells, n_v, n_t, 4, n_h))),
+            Tensor(rng.dirichlet(np.ones(cells), size=(n_v, n_q, n_t))),
+            Tensor(rng.uniform(-bound, bound, size=(4, n_h, n_h))),
+            Tensor(rng.uniform(-bound, bound, size=(4, n_h))),
+        ]
+        weights = rng.normal(size=(n_v, n_q, n_h))
+        if taped:
+            arrays = [[out, *grads] for out, grads in (_values_and_grads(run, inputs, weights) for run in runs)]
+        else:
+            with no_tape():
+                arrays = [[run(*inputs).data] for run in runs]
+        for name, new, ref in zip(["out", "k", "amap", "u", "b"], *arrays):
+            assert new.shape == ref.shape
+            assert np.max(np.abs(new - ref)) <= 8 * eps * np.max(np.abs(ref)), (name, n_v, n_q, n_t)
+
+
 def test_each_recurrence_records_a_length_independent_number_of_nodes():
     p = mvse_model.init_params(DIMS, ("global", "sequential"), seed=1)
     rng = np.random.default_rng(0)
@@ -587,6 +620,37 @@ def test_an_epoch_on_uncopied_gradients_matches_contiguous_copies(monkeypatch):
     grad = Tape.grad
     monkeypatch.setattr(Tape, "grad", lambda tape, t: np.ascontiguousarray(grad(tape, t)))
     assert one_epoch() == uncopied
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed-view"])
+def test_sgd_step_gives_the_bytes_of_p_minus_lr_g(layout):
+    # rows of 3 x 77 floats: the leading axis splits into several blocks,
+    # the last one short; "s" is a 0-d parameter
+    rng = np.random.default_rng(21)
+    p = rng.normal(size=(300, 3, 77))
+    g = rng.normal(size=(77, 3, 300)).T if layout == "transposed-view" else rng.normal(size=p.shape)
+    params = {"w": Tensor(p), "b": Tensor(rng.normal(size=5)), "s": Tensor(rng.normal())}
+    grads = {"w": g, "b": rng.normal(size=5), "s": np.asarray(rng.normal())}
+    expected = {name: t.data - 0.05 * grads[name] for name, t in params.items()}
+    training.sgd_step(params, grads, 0.05)
+    assert {name: t.data.tobytes() for name, t in params.items()} == {
+        name: e.tobytes() for name, e in expected.items()
+    }
+
+
+def test_sgd_step_holds_no_parameter_sized_temporary():
+    # an 8 MB parameter: lr * g whole would be another 8 MB; in blocks the
+    # step's peak is one block and the few views that index it
+    rng = np.random.default_rng(22)
+    params = {"w": Tensor(rng.normal(size=(1024, 1024)))}
+    grads = {"w": rng.normal(size=(1024, 1024))}
+    tracemalloc.start()
+    try:
+        training.sgd_step(params, grads, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= training._SGD_BLOCK_BYTES + 16_384
 
 
 @pytest.mark.parametrize("n_frames", [N_FRAMES, DIMS.n_chunks], ids=["F>N", "F==N"])

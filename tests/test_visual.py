@@ -394,6 +394,18 @@ class TestSequentialEmbed:
         assert head == [("ncgj,vtnc->nvtgj", True)]
         assert "nvtgj,vqtn->vtqgj" not in [spec for spec, _, _ in results]
 
+    def test_untaped_embedding_owns_its_memory(self):
+        # a view into the recurrence's workspace would keep the whole
+        # workspace alive for as long as the embedding is
+        rng = np.random.default_rng(23)
+        n_v, n_q = 3, 5
+        videos = [_video(rng) for _ in range(n_v)]
+        phis = Tensor(rng.normal(size=(n_q, DIMS.hidden)))
+        with autodiff.no_tape():
+            out = sequential_embed(videos, [[0, 1, 2, 3]] * n_v, phis, _seq_params(14)).data
+        assert out.shape == (n_v, n_q, DIMS.hidden)
+        assert out.base is None or out.base.size == n_v * n_q * DIMS.hidden
+
     def test_forward_without_a_tape_saves_no_per_step_state(self):
         # V = Q = 32 at Dims.small(), T = 4: the per-step LSTM state that a
         # taped call saves would be 3.7 MB. With its step buffers allocated
