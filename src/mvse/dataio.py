@@ -292,6 +292,9 @@ class Manifest:
             # the text form splits a video line on whitespace and on its first ':'
             if not vid or ":" in vid or any(c.isspace() for c in vid):
                 raise ManifestError(f"video id {vid!r} is empty or holds whitespace or ':'")
+            for what, n in [("index", idx), *(("sentence id", s) for s in sents)]:
+                if type(n) is not int or n < 0:  # from_text reads plain decimal digits only
+                    raise ManifestError(f"video {vid}: {what} {n!r} is not a non-negative integer")
             lines.append(f"video {vid} {idx} : " + " ".join(str(s) for s in sents))
         return "\n".join(lines) + "\n"
 
@@ -346,6 +349,8 @@ class Manifest:
             for s in sents:
                 if not 0 <= s < len(ds.sentences):
                     raise ManifestError(f"video {vid}: sentence id {s} not in container")
+                if not ds.sentences[s]:  # the GRU has nothing to encode
+                    raise ManifestError(f"video {vid}: sentence id {s} is empty")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ parameter groups carry no names. One GRU run encodes all Q sentences of
 a call into [Q, H]; each active space then applies its own affine
 projection to the shared sentence vectors, [Q, D]. The
 sentence-independent video embeddings are [V, D] per space, and the
-sequential head gives [V, Q, H].
+sequential head gives [V, Q, H]. ``Model.video_embeddings`` is the one
+place that decides which frames each video head reads.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ from mvse.visual import (
     SequentialHeadParams,
     VideoFeature,
     action_embed,
+    chunk_sample,
     global_embed,
     sequential_embed,
 )
 
 _INIT_SALT = 0x1417
+_FRAME_SALT = 0xF3A3E
 
 
 def _init_array(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np.ndarray:
@@ -54,6 +57,13 @@ def _init_array(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np
     )
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:
+    """Per-(run, epoch, video) generator: reproducible, varies across epochs."""
+    return np.random.default_rng(
+        np.random.SeedSequence([_FRAME_SALT, seed, epoch, zlib.crc32(video_id.encode())])
+    )
 
 
 @dataclass
@@ -222,20 +232,26 @@ class Model:
 
     # -- video side ----------------------------------------------------
 
-    def video_static_embeddings(
-        self, videos: list[VideoFeature], indices: list[list[int]]
+    def video_embeddings(
+        self, videos: list[VideoFeature], phis: Tensor, frame_seed: tuple[int, int] | None = None
     ) -> dict[str, Tensor]:
-        """The embeddings that do not depend on the sentence, [V, D] per
-        space (global, action); ``indices[v]`` are video v's global frames."""
+        """Every space's video embeddings: [V, D], or [V, Q, H] for the
+        sequential head, which attends with the sentence vectors ``phis``.
+        Each head reads each chunk's first frame, except that with
+        ``frame_seed = (run seed, epoch)`` the global head draws one per
+        chunk from :func:`frame_rng`, built only where a chunk can draw."""
+        n = self.dims.n_chunks
+        starts = [chunk_sample(v.n_frames, n) for v in videos]
         out: dict[str, Tensor] = {}
         if SPACE_GLOBAL in self.spaces:
-            out[SPACE_GLOBAL] = global_embed(videos, indices, self.params.global_head)
+            drawn = [
+                chunk_sample(v.n_frames, n, frame_rng(*frame_seed, v.video_id))
+                if frame_seed is not None and v.n_frames > n else idx
+                for v, idx in zip(videos, starts)
+            ]
+            out[SPACE_GLOBAL] = global_embed(videos, drawn, self.params.global_head)
         if SPACE_ACTION in self.spaces:
             out[SPACE_ACTION] = action_embed(videos)
+        if SPACE_SEQUENTIAL in self.spaces:
+            out[SPACE_SEQUENTIAL] = sequential_embed(videos, starts, phis, self.params.sequential_head)
         return out
-
-    def sequential_embedding(
-        self, videos: list[VideoFeature], indices: list[list[int]], phis: Tensor
-    ) -> Tensor:
-        """The sequential head for every (video, sentence) pair: [V, Q, H]."""
-        return sequential_embed(videos, indices, phis, self.params.sequential_head)

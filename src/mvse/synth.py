@@ -23,11 +23,12 @@ and compute information-theoretic ceilings for single-space probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from mvse.config import Dims
+from mvse.config import Dims, _require_integer
 from mvse.dataio import Dataset, Manifest, _f32_round, default_video_id
 
 _STREAMS = ("codes", "mix_global", "mix_grid", "mix_action", "noise", "table")
@@ -48,20 +49,20 @@ class SynthConfig:
     n_frames: int | None = None  # defaults to dims.n_chunks
 
     def __post_init__(self):
-        if self.n_videos < 2:
-            raise ValueError(f"need at least 2 videos, got {self.n_videos}")
-        if self.sentences_per_video < 1:
-            raise ValueError("need at least one sentence per video")
-        if len(self.rho) != 3 or any(r < 0 for r in self.rho):
-            raise ValueError(f"invalid signal split {self.rho}: weights must be nonnegative")
+        minimum = {"n_videos": 2, "sentences_per_video": 1, "latent_total": 1, "quant_levels": 2, "seed": 0}
+        if self.n_frames is not None:
+            minimum["n_frames"] = 1
+        for name, low in minimum.items():
+            value = getattr(self, name)
+            _require_integer(name, value)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        if len(self.rho) != 3 or not all(math.isfinite(r) and r >= 0 for r in self.rho):
+            raise ValueError(f"invalid signal split {self.rho}: weights must be finite and nonnegative")
         if abs(sum(self.rho) - 1.0) > 1e-9:
             raise ValueError(f"invalid signal split {self.rho}: weights must sum to 1")
-        if self.quant_levels < 2:
-            raise ValueError("need at least 2 quantization levels")
-        if self.latent_total < 1:
-            raise ValueError("latent_total must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if self.sentence_mode not in ("full", "split"):
             raise ValueError(f"unknown sentence mode {self.sentence_mode!r}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -290,8 +291,9 @@ def slice_collision_ceiling(result: SynthResult, manifest_name: str = "test", sp
     group can be retrieved."""
     truth = result.truth
     manifest = result.manifests[manifest_name]
-    g_sl, s_sl, a_sl = truth.slices()
-    sl = {"global": g_sl, "sequential": s_sl, "action": a_sl}[space]
+    sl = dict(zip(("global", "sequential", "action"), truth.slices())).get(space)
+    if sl is None:
+        raise ValueError(f"ceiling has no code slice for space {space!r}")
     hits = 0
     queries = manifest.queries()
     for vid, idx, sent in queries:

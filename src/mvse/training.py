@@ -8,25 +8,24 @@ direction. The scorer keeps the fused scores as one [V, Q] tensor (a
 of it they pick; one ``hinge_sum`` tape node reads those entries and sums
 the hinges of either. Plain SGD; all randomness (shuffling, per-epoch
 sentence choice, frame sampling) derives from the run seed, so a run is
-reproducible bit for bit.
+reproducible bit for bit; ``Model.video_embeddings`` picks the frames
+from the run seed and the epoch.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from mvse import fusion
 from mvse.autodiff import Tape, Tensor, hinge_sum, stack
-from mvse.config import SPACE_SEQUENTIAL, TripletConfig
+from mvse.config import TripletConfig
 from mvse.dataio import Dataset, Manifest
 from mvse.model import Model
-from mvse.visual import VideoFeature, chunk_sample, space_similarity
+from mvse.visual import VideoFeature, space_similarity
 
 _SHUFFLE_SALT = 0xB47C
-_FRAME_SALT = 0xF3A3E
 _SGD_BLOCK_BYTES = 1 << 16  # sgd_step's scratch for lr * g
 
 
@@ -85,7 +84,7 @@ def fused_similarity_matrix(
     videos: list[VideoFeature],
     sentences: list[list[int]],
     fuse_mode: str = "weighted",
-    frame_rngs: list[np.random.Generator] | None = None,
+    frame_seed: tuple[int, int] | None = None,
 ) -> ScoreGrid:
     """s(x_i, y_j) for every video i and sentence j: a V x Q grid.
 
@@ -96,28 +95,17 @@ def fused_similarity_matrix(
     attention depends on the sentence, gives [V, Q, H]. Each space's
     cosines are one [V, Q] grid, and one node fuses the stacked [M, V, Q]
     grids into the scores [V, Q], which the returned :class:`ScoreGrid`
-    keeps as one tensor. With ``frame_rngs`` (one per video) the global
-    head samples a random frame per chunk; without them it takes each
-    chunk's first frame. The sequential head always takes the first. No
-    videos, or a ``frame_rngs`` of another length than ``videos``, raises
-    ``ValueError`` before any compute.
+    keeps as one tensor. ``Model.video_embeddings`` picks every head's
+    frames, at random for the global head only with a ``frame_seed`` (run
+    seed, epoch). No videos raises ``ValueError`` before any compute.
     """
     if not videos:
         raise ValueError("no videos to score")
-    if frame_rngs is not None and len(frame_rngs) != len(videos):
-        raise ValueError(f"{len(frame_rngs)} frame generators for {len(videos)} videos")
-    n = model.dims.n_chunks
     phis = model.encode_sentences(sentences)
     weights = fusion.space_weights(phis, model.params.gate, fuse_mode)
     text_embs = model.text_embeddings(phis)
 
-    rngs = frame_rngs or [None] * len(videos)
-    idx_global = [chunk_sample(v.n_frames, n, rng) for v, rng in zip(videos, rngs)]
-    video_embs = model.video_static_embeddings(videos, idx_global)
-    if SPACE_SEQUENTIAL in model.spaces:
-        idx_seq = [chunk_sample(v.n_frames, n) for v in videos]
-        video_embs[SPACE_SEQUENTIAL] = model.sequential_embedding(videos, idx_seq, phis)
-
+    video_embs = model.video_embeddings(videos, phis, frame_seed)
     sims = stack([space_similarity(video_embs[s], text_embs[s]) for s in model.spaces])
     return ScoreGrid(fusion.fuse(sims, weights))
 
@@ -127,9 +115,11 @@ def batch_loss(
     model: Model,
     config: TripletConfig,
     fuse_mode: str = "weighted",
-    frame_rngs: list[np.random.Generator] | None = None,
+    epoch: int | None = None,
 ) -> Tensor:
-    """Triplet loss over one mini-batch of (video, sentence) pairs."""
+    """Triplet loss over one mini-batch of (video, sentence) pairs. With an
+    ``epoch`` the global head draws its frames from (``config.rng_seed``,
+    ``epoch``); without one every head reads each chunk's first frame."""
     if len(batch) < 2:
         raise ValueError(f"batch must contain at least 2 pairs, got {len(batch)}")
     ids = [v.video_id for v, _ in batch]
@@ -137,7 +127,8 @@ def batch_loss(
         raise ValueError(f"batch videos must be distinct, got {ids}")
     videos = [v for v, _ in batch]
     sentences = [s for _, s in batch]
-    fused = fused_similarity_matrix(model, videos, sentences, fuse_mode, frame_rngs)
+    frame_seed = None if epoch is None else (config.rng_seed, epoch)
+    fused = fused_similarity_matrix(model, videos, sentences, fuse_mode, frame_seed)
     return loss_from_matrix(fused, config.margin, config.negative_mode)
 
 
@@ -171,13 +162,6 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float)
             p_block -= np.multiply(lr, g_block, out=scratch[: p_block.size].reshape(p_block.shape))
 
 
-def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:
-    """Per-(run, epoch, video) generator: reproducible, varies across epochs."""
-    return np.random.default_rng(
-        np.random.SeedSequence([_FRAME_SALT, seed, epoch, zlib.crc32(video_id.encode())])
-    )
-
-
 @dataclass
 class TrainResult:
     model: Model
@@ -196,13 +180,10 @@ def train(
 
     Each epoch shuffles the videos, draws one sentence per video, and
     walks mini-batches of distinct videos; short tails (< 2) are dropped.
-    The logged value is total batch loss divided by pairs processed. When
-    the videos have more frames than the model has chunks, each batch
-    builds one :func:`frame_rng` per video and the global head samples a
-    random frame per chunk. Otherwise no chunk holds two frames, so no
-    generator is built and each chunk's start is taken, the frame a
-    generator would have given. A manifest with fewer than 2 videos that
-    have a sentence never forms a batch, so it raises ``ValueError``
+    The logged value is total batch loss divided by pairs processed. Each
+    batch passes its epoch to :func:`batch_loss`, so the global head's
+    frames derive from the run seed. A manifest with fewer than 2 videos
+    that have a sentence never forms a batch, so it raises ``ValueError``
     before epoch 0.
     """
     manifest.validate_against(dataset)
@@ -212,8 +193,6 @@ def train(
         raise ValueError(f"training manifest has {usable} videos with a sentence; a batch needs 2")
     params = model.params.named()
     loss_log: list[tuple[int, float]] = []
-    # chunk_sample draws only when some chunk holds two or more frames
-    sample_frames = dataset.n_frames > model.dims.n_chunks
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng(
@@ -237,11 +216,8 @@ def train(
                 (dataset.video_feature(idx, vid), dataset.sentences[sent])
                 for vid, idx, sent in group
             ]
-            rngs = None
-            if sample_frames:
-                rngs = [frame_rng(config.rng_seed, epoch, vid) for vid, _, _ in group]
             with Tape() as tape:
-                loss = batch_loss(batch, model, config, fuse_mode, rngs)
+                loss = batch_loss(batch, model, config, fuse_mode, epoch)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingDivergedError(

@@ -42,6 +42,15 @@ def _tiny_dataset(rng=None, v=1, f=1) -> Dataset:
     )
 
 
+UNWRITABLE_ENTRIES = {
+    "index -1": ("v1", -1, (1,)),
+    "index 1.5": ("v1", 1.5, (1,)),
+    "index True": ("v1", True, (1,)),
+    "sentence id -2": ("v1", 1, (1, -2)),
+    "sentence id 3.0": ("v1", 1, (3.0,)),
+}
+
+
 class TestContainer:
     def test_empty_dataset_round_trips(self):
         ds = Dataset(
@@ -184,6 +193,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match=re.escape(f"video id {vid!r}")):
             Manifest("t", [("v0", 0, (0,)), (vid, 1, (1,))]).to_text()
 
+    @pytest.mark.parametrize("what", list(UNWRITABLE_ENTRIES))
+    def test_unwritable_index_or_sentence_id_is_refused(self, what):
+        # each would be written as text that from_text rejects as "not an integer"
+        with pytest.raises(ManifestError, match=re.escape(f"video v1: {what} is not a non-negative")):
+            Manifest("t", [("v0", 0, (0,)), UNWRITABLE_ENTRIES[what]]).to_text()
+
     @pytest.mark.parametrize("split", ["", " ", "a\nb", "a b", "a\tb"])
     def test_unwritable_split_names_the_split(self, split):
         with pytest.raises(ManifestError, match=re.escape(f"split {split!r}")):
@@ -205,6 +220,17 @@ class TestManifest:
             Manifest("t", [("v0000", 0, (0,)), ("v0000", 1, (1,))]).validate_against(ds)
         with pytest.raises(ManifestError, match="index 0 is listed twice"):
             Manifest("t", [("v0000", 0, (0,)), ("v0001", 0, (1,))]).validate_against(ds)
+
+    def test_an_empty_sentence_is_refused_by_validation(self):
+        # the container stores it, but the GRU cannot encode it: training
+        # would stop with EmptySentenceError in whichever epoch drew it
+        ds = _tiny_dataset(v=2)
+        ds.sentences = [[0], [1], [2], [3], [4], []]
+        back = read_container(write_container(ds))
+        assert back.sentences[5] == []
+        Manifest("t", [("v0000", 0, (0, 1)), ("v0001", 1, (2,))]).validate_against(back)
+        with pytest.raises(ManifestError, match="^video v0001: sentence id 5 is empty$"):
+            Manifest("t", [("v0000", 0, (0, 1)), ("v0001", 1, (2, 5))]).validate_against(back)
 
 
 class TestCheckpoint:

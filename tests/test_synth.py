@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,23 @@ def _cfg(**kw) -> SynthConfig:
     return SynthConfig(**base)
 
 
+# each would otherwise build a frameless corpus or NaN features, or fail
+# inside numpy, round() or a dict lookup without naming what was wrong
+BAD_INPUTS = {
+    "n_frames must be at least 1": lambda: _cfg(n_frames=0),
+    "n_frames must be an integer": lambda: _cfg(n_frames=2.5),
+    "n_videos must be an integer": lambda: _cfg(n_videos=10.5),
+    "sentences_per_video must be an integer": lambda: _cfg(sentences_per_video=2.0),
+    "latent_total must be an integer": lambda: _cfg(latent_total=8.0),
+    "quant_levels must be an integer": lambda: _cfg(quant_levels=4.0),
+    "seed must be an integer": lambda: _cfg(seed=1.5),
+    "seed must be at least 0": lambda: _cfg(seed=-1),
+    "noise_sigma must be finite": lambda: _cfg(noise_sigma=float("nan")),
+    "weights must be finite": lambda: _cfg(rho=(float("nan"), 0.5, 0.5)),
+    "space 'motion'": lambda: slice_collision_ceiling(synth_generate(_cfg()), "test", "motion"),
+}
+
+
 class TestConfigValidation:
     def test_negative_split_weight(self):
         with pytest.raises(ValueError, match="invalid signal split"):
@@ -37,6 +56,11 @@ class TestConfigValidation:
     def test_split_mode_needs_both_slices(self):
         with pytest.raises(ValueError, match="split sentence mode"):
             _cfg(rho=(1.0, 0.0, 0.0), sentence_mode="split")
+
+    @pytest.mark.parametrize("named", list(BAD_INPUTS))
+    def test_bad_input_raises_a_value_error_naming_it(self, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            BAD_INPUTS[named]()
 
     def test_slice_sizes_follow_rho(self):
         assert _cfg(rho=(1.0, 0.0, 0.0)).slice_sizes() == (8, 0, 0)

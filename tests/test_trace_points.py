@@ -1,12 +1,20 @@
 """The traced benchmark run patches mvse functions by name. A refactor that
 drops or renames one would only show as a zeroed per-layer metric there,
-so this checks, read-only, that every name it patches still resolves."""
+so this checks, read-only, that every name it patches still resolves, and
+that a traced run actually calls every patched name: a caller that reaches
+a function by another route than the patched one would leave it at zero."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from mvse import training
+from mvse.autodiff import no_tape
+from mvse.config import Dims, TripletConfig
+from mvse.model import Model
+from mvse.synth import SynthConfig, synth_generate
 
 TRACING = Path(__file__).resolve().parents[1] / "mvse_bench" / "tracing.py"
 
@@ -32,3 +40,27 @@ def test_trace_point_resolves_to_a_callable(module, attr):
     for part in attr.split("."):
         target = getattr(target, part, None)
     assert callable(target), f"{module}.{attr} is gone"
+
+
+def test_a_traced_epoch_and_scoring_reach_every_trace_point():
+    dims = Dims.small()
+    corpus = synth_generate(SynthConfig(
+        dims=dims, n_videos=8, sentences_per_video=2, rho=(0.5, 0.25, 0.25), seed=3,
+        train_fraction=0.5,
+    ))
+    ds, manifest = corpus.dataset, corpus.manifests["train"]
+    model = Model.new(dims, "triple", seed=1, table=ds.embedding_table())
+    config = TripletConfig(epochs=1, batch_size=4, rng_seed=5)
+    videos = [ds.video_feature(idx, vid) for vid, idx, _ in manifest.entries]
+    sentences = [ds.sentences[sents[0]] for _, _, sents in manifest.entries]
+
+    tracer = tracing.Tracer(run_id="reach")
+    with tracer.installed():
+        training.train(ds, manifest, model, config)
+        with no_tape():
+            training.fused_similarity_matrix(model, videos, sentences)
+
+    assert tracer.missing == []
+    calls = tracer.totals().calls
+    assert {name: calls[name] for _, _, name in tracing.SPAN_POINTS if calls[name] < 1} == {}
+    assert tracer.counts["matvec_calls"] > 0 and tracer.counts["backward_calls"] > 0

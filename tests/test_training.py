@@ -35,7 +35,14 @@ from mvse.autodiff import (
     tanh,
 )
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
-from mvse.dataio import ContainerError, Manifest, VersionMismatchError, read_checkpoint, write_checkpoint
+from mvse.dataio import (
+    ContainerError,
+    Manifest,
+    ManifestError,
+    VersionMismatchError,
+    read_checkpoint,
+    write_checkpoint,
+)
 from mvse.fusion import fuse, space_weights
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
@@ -74,8 +81,7 @@ def _batch(corpus, k: int = 4):
     ]
 
 
-def _rngs(videos, epoch: int = 0):
-    return [training.frame_rng(5, epoch, v.video_id) for v in videos]
+FRAME_SEED = (5, 0)  # (run seed, epoch): the global head draws its frames at random
 
 
 def _per_sentence_gru(ids: list[int], table: np.ndarray, params: GruParams) -> Tensor:
@@ -158,7 +164,7 @@ def _one_row(t: Tensor) -> Tensor:
     return reshape(t, (1, t.size))
 
 
-def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
+def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
     """The grid built pair by pair: each sentence through the per-sentence
     GRU, its projections and gate weights as rank-1 tensors, each video's
     static embeddings on their own, the sequential head per pair, and a
@@ -166,8 +172,9 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_rngs):
     n, p = model.dims.n_chunks, model.params
     phis = [_per_sentence_gru(s, model.table.vectors, p.gru) for s in sentences]
     grid = []
-    for i, video in enumerate(videos):
-        idx_global = chunk_sample(video.n_frames, n, frame_rngs[i])
+    for video in videos:
+        rng = mvse_model.frame_rng(*frame_seed, video.video_id)
+        idx_global = chunk_sample(video.n_frames, n, rng)
         idx_seq = chunk_sample(video.n_frames, n)
         statics = {}
         if SPACE_GLOBAL in model.spaces:
@@ -212,12 +219,12 @@ def test_matrix_matches_per_pair_gate_reference(corpus, spaces, fuse_mode):
     for negative_mode in ("sum-all", "hardest"):
         new_values, new_grads = _grid_and_grads(
             lambda: training.fused_similarity_matrix(
-                model, list(videos), list(sentences), fuse_mode, _rngs(videos)
+                model, list(videos), list(sentences), fuse_mode, FRAME_SEED
             ),
             model, negative_mode,
         )
         ref_values, ref_grads = _grid_and_grads(
-            lambda: _reference_grid(model, videos, sentences, fuse_mode, _rngs(videos)),
+            lambda: _reference_grid(model, videos, sentences, fuse_mode, FRAME_SEED),
             model, negative_mode,
         )
         assert np.max(np.abs(new_values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
@@ -470,7 +477,7 @@ def test_untaped_scores_are_the_taped_scores_bit_for_bit(dims, spaces):
     scores = []
     for context in (no_tape, Tape):
         with context():
-            grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", _rngs(videos))
+            grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", FRAME_SEED)
             scores.append(grid.scores.data.tobytes())
     assert scores[0] == scores[1]
 
@@ -498,11 +505,10 @@ def _gradient_cases():
 def test_batch_loss_gradient_per_parameter_group(corpus, spaces, negative_mode, tensor):
     model = Model.new(DIMS, spaces, seed=2, table=corpus.dataset.embedding_table())
     batch = _batch(corpus)
-    videos = [v for v, _ in batch]
-    config = TripletConfig(negative_mode=negative_mode)
+    config = TripletConfig(negative_mode=negative_mode, rng_seed=5)
 
     def loss(_):
-        return training.batch_loss(batch, model, config, "weighted", _rngs(videos))
+        return training.batch_loss(batch, model, config, "weighted", epoch=0)
 
     x = model.params.named()[tensor]
     assert grad_check(loss, x, max_coords=3) < 1e-6
@@ -516,19 +522,6 @@ def test_unknown_fuse_mode_raises_before_any_pair_is_scored(corpus, monkeypatch)
     with pytest.raises(ValueError, match="fuse mode"):
         training.fused_similarity_matrix(model, list(videos), list(sentences), "median")
     assert scored == []
-
-
-@pytest.mark.parametrize("spaces", ["single", "dual-I"])
-def test_frame_generators_of_another_count_raise_before_any_compute(corpus, spaces, monkeypatch):
-    model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
-    encoded = []
-    monkeypatch.setattr(mvse_model, "gru_encode", lambda *args: encoded.append(1))
-    videos, sentences = zip(*_batch(corpus))
-    with pytest.raises(ValueError, match="2 frame generators for 4 videos"):
-        training.fused_similarity_matrix(
-            model, list(videos), list(sentences), "weighted", _rngs(videos[:2])
-        )
-    assert encoded == []
 
 
 @pytest.mark.parametrize("spaces", ["single", "dual-S"])
@@ -587,7 +580,7 @@ def test_train_is_bit_reproducible_from_the_seed(monkeypatch):
     first = chunk_sample(N_FRAMES, DIMS.n_chunks)
     assert {idx for _, idx in frames_a["sequential"]} == {tuple(first)}
     for epoch, vid, idx in frames_a["global"]:
-        expected = chunk_sample(N_FRAMES, DIMS.n_chunks, training.frame_rng(5, epoch, vid))
+        expected = chunk_sample(N_FRAMES, DIMS.n_chunks, mvse_model.frame_rng(5, epoch, vid))
         assert idx == tuple(expected)
     assert any(idx != tuple(first) for _, _, idx in frames_a["global"])
 
@@ -657,13 +650,13 @@ def test_sgd_step_holds_no_parameter_sized_temporary():
 def test_train_builds_frame_generators_only_when_a_chunk_can_draw(n_frames, monkeypatch):
     corpus = _corpus(n_videos=16, n_frames=n_frames)
     built = []
-    frame_rng = training.frame_rng
+    frame_rng = mvse_model.frame_rng
 
     def spy(seed, epoch, video_id):
         built.append((epoch, video_id))
         return frame_rng(seed, epoch, video_id)
 
-    monkeypatch.setattr(training, "frame_rng", spy)
+    monkeypatch.setattr(mvse_model, "frame_rng", spy)
     model = Model.new(DIMS, "dual-I", seed=4, table=corpus.dataset.embedding_table())
     config = TripletConfig(epochs=2, batch_size=4, learning_rate=0.05, rng_seed=5)
     training.train(corpus.dataset, corpus.manifests["train"], model, config)
@@ -679,18 +672,21 @@ def test_train_builds_frame_generators_only_when_a_chunk_can_draw(n_frames, monk
         assert len(built) == config.epochs * len(train_ids)
 
 
-def test_frame_generators_change_nothing_when_no_chunk_can_draw():
+def test_frame_generators_change_nothing_when_no_chunk_can_draw(monkeypatch):
     corpus = _corpus(n_frames=DIMS.n_chunks)
     model = Model.new(DIMS, "triple", seed=2, table=corpus.dataset.embedding_table())
     batch = _batch(corpus)
     params = model.params.named()
-    config = TripletConfig()
+    config = TripletConfig(rng_seed=5)
+    built = []
+    monkeypatch.setattr(mvse_model, "frame_rng", lambda *args: built.append(args))
     results = []
-    for rngs in (_rngs([v for v, _ in batch]), None):
+    for epoch in (0, None):
         with Tape() as tape:
-            loss = training.batch_loss(batch, model, config, "weighted", rngs)
+            loss = training.batch_loss(batch, model, config, "weighted", epoch)
             tape.backward(loss)
             results.append((loss.data.tobytes(), {name: tape.grad(t) for name, t in params.items()}))
+    assert built == []
     (with_loss, with_grads), (without_loss, without_grads) = results
     assert with_loss == without_loss
     for name in params:
@@ -833,7 +829,7 @@ def test_index_pair_loss_equals_the_split_grid_loss(corpus, spaces, mode):
     results = []
     for loss_fn in (training.loss_from_matrix, _split_loss):
         with Tape() as tape:
-            grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", _rngs(videos))
+            grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", FRAME_SEED)
             loss = loss_fn(grid, TripletConfig().margin, mode)
             tape.backward(loss)
             results.append((loss.data.tobytes(), {name: tape.grad(t) for name, t in params.items()}))
@@ -861,6 +857,18 @@ def test_train_rejects_a_manifest_that_forms_no_batch(corpus, emptied):
     config = TripletConfig(epochs=2, batch_size=4)
     with pytest.raises(ValueError, match="1 videos with a sentence; a batch needs 2"):
         training.train(corpus.dataset, Manifest("train", entries), model, config)
+
+
+def test_train_rejects_an_empty_sentence_before_epoch_0():
+    corpus = _corpus()
+    ds = corpus.dataset
+    ds.sentences[5] = []
+    model = Model.new(DIMS, "dual-I", seed=1, table=ds.embedding_table())
+    config = TripletConfig(epochs=3, batch_size=4, negative_mode="sum-all")
+    logged = []
+    with pytest.raises(ManifestError, match="sentence id 5 is empty"):
+        training.train(ds, corpus.manifests["train"], model, config, log_fn=lambda *e: logged.append(e))
+    assert logged == []
 
 
 @pytest.mark.parametrize("spaces", ["dual-I", "triple"])
