@@ -274,16 +274,44 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
+# numpy adds fewer than this many terms of a reduction in order, one after
+# another, so a sum over a shorter axis taken slab by slab has its bytes
+_SLAB_SUM_LIMIT = 8
+
+
+def _reduce_last(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the last axis of ``x``, kept as length 1.
+
+    An axis shorter than ``_SLAB_SUM_LIMIT`` is reduced slab by slab: one
+    elementwise ``ufunc`` pass per position on it into one buffer, in
+    place of numpy's one tiny reduction per row. For ``np.maximum`` and
+    ``np.add`` that gives the bytes of ``x.max`` and ``x.sum`` (for the
+    maximum up to the sign of a zero). A longer axis is left to numpy."""
+    n = x.shape[-1]
+    if n >= _SLAB_SUM_LIMIT:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = x[..., :1].copy()
+    for j in range(1, n):
+        ufunc(out, x[..., j: j + 1], out=out)
+    return out
+
+
 def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction."""
+    """Softmax over the last axis, computed with max-subtraction. On a
+    short last axis its max and sum are taken slab by slab
+    (:func:`_reduce_last`), with the same bytes; the exponentials and the
+    output share one buffer."""
     if a.data.ndim == 0 or a.data.shape[-1] == 0:
         raise ShapeError("softmax", a.data.shape, detail="empty normalization axis")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = np.subtract(a.data, _reduce_last(np.maximum, a.data))
+    np.exp(y, out=y)
+    y /= _reduce_last(np.add, y)
 
     def bk(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        out = np.multiply(g, y)
+        np.subtract(g, _reduce_last(np.add, out), out=out)
+        out *= y
+        return (out,)
 
     return _emit(y, (a,), bk)
 
@@ -298,7 +326,7 @@ def stack(parts: Iterable[Tensor]) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError("reshape", a.data.shape, shape)
     old = a.data.shape
     return _emit(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),))
@@ -663,16 +691,21 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     [V, 4H, Q] view of a [4H, V*Q] buffer, so neither the [V, T, Q, 4, H]
     input terms nor a transposed copy of ``k`` is built. The sigmoids are
     (1 + tanh(a/2)) / 2, so one ``np.tanh`` over a, with a_i, a_f and a_o
-    halved (exact), gives all four gates. Every step computes into buffers
-    allocated once per call; without a tape, they are one workspace of
-    10·V·Q·H floats, the activations overwrite the pre-activations, and c
-    and h are updated in place. The [V, Q, H] output is one transposing
-    copy, so it does not keep the workspace alive. The backward
-    propagates through time on the same contiguous gate blocks, then
-    hands the input terms' gradient in row layout, [T, V*Q, 4H], to the
-    sums that give the gradients of ``u`` and ``b`` and to the cached
-    :func:`einsum` backward plans of that spec, which give those of ``k``
-    and ``amap``.
+    halved (exact), gives all four gates. The halving is one pass per step
+    over whichever is smaller: the [4H, V*Q] pre-activations, or, where
+    the grid has fewer cells than there are sentences (G*G < Q), the
+    [V, 4H, G*G] slab of ``k`` that the step reads, halved into a buffer
+    laid out as that slab, with the rows of ``u`` and ``b`` halved once per
+    call. Either way the step's pre-activations have the same bytes. Every
+    step computes into buffers allocated once per call; without a tape,
+    they are one workspace of 10·V·Q·H floats, the activations overwrite
+    the pre-activations, and c and h are updated in place. The [V, Q, H]
+    output is one transposing copy, so it does not keep the workspace
+    alive. The backward propagates through time on the same contiguous
+    gate blocks, then hands the input terms' gradient in row layout,
+    [T, V*Q, 4H], to the sums that give the gradients of ``u`` and ``b``
+    and to the cached :func:`einsum` backward plans of that spec, which
+    give those of ``k`` and ``amap``.
 
     The forward and every gradient equal those of the recurrence over the
     materialized input terms, ``tests/oracle_ops.lstm_recurrence`` on
@@ -701,6 +734,13 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     u4 = ud.reshape(4 * n_h, n_h)
     bias = bd.reshape(4 * n_h, 1)
     half = np.repeat([0.5, 0.5, 1.0, 0.5], n_h)[:, None]  # the sigmoid gates enter tanh halved
+    # with fewer cells than sentences, halving each step's K slab touches
+    # fewer floats than halving its pre-activations; the slab's buffer has
+    # the slab's layout, so the product with the maps rounds as before
+    fold = n_cells < n_q
+    u_act, b_act = (u4 * half, bias * half) if fold else (u4, bias)
+    if fold:
+        k_half = np.empty((n_cells, n_v, 4 * n_h)).transpose(1, 2, 0)
     taped = _ACTIVE_TAPE.get() is not None
     # one workspace for the step buffer x_t, whose first H rows take i·g once
     # x_t is added in, and, without a tape, the pre-activations, h and c:
@@ -726,11 +766,13 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     for t in range(n_t):
         if taped:
             act = acts[t]
-        np.matmul(u4, h, out=act)
-        np.matmul(k_steps[t], amap_steps[t], out=xt_steps)
+        np.matmul(u_act, h, out=act)
+        k_step = np.multiply(k_steps[t], half, out=k_half) if fold else k_steps[t]
+        np.matmul(k_step, amap_steps[t], out=xt_steps)
         act += xt
-        act += bias
-        act *= half
+        act += b_act
+        if not fold:
+            act *= half
         np.tanh(act, out=act)
         _tanh_to_sigmoid(act[: 2 * n_h])
         _tanh_to_sigmoid(act[3 * n_h:])

@@ -256,6 +256,14 @@ def _manifest_int(text: str, lineno: int, what: str) -> int:
     return int(text)
 
 
+def _check_ids(vid: str, idx, sents) -> None:
+    """Raise ``ManifestError`` naming video ``vid`` unless its index and
+    every sentence id is a non-negative ``int`` (not a ``bool``)."""
+    for what, n in [("index", idx), *(("sentence id", s) for s in sents)]:
+        if type(n) is not int or n < 0:
+            raise ManifestError(f"video {vid}: {what} {n!r} is not a non-negative integer")
+
+
 @dataclass
 class Manifest:
     """A named split: which videos (by container index) it contains and
@@ -292,9 +300,7 @@ class Manifest:
             # the text form splits a video line on whitespace and on its first ':'
             if not vid or ":" in vid or any(c.isspace() for c in vid):
                 raise ManifestError(f"video id {vid!r} is empty or holds whitespace or ':'")
-            for what, n in [("index", idx), *(("sentence id", s) for s in sents)]:
-                if type(n) is not int or n < 0:  # from_text reads plain decimal digits only
-                    raise ManifestError(f"video {vid}: {what} {n!r} is not a non-negative integer")
+            _check_ids(vid, idx, sents)  # from_text reads plain decimal digits only
             lines.append(f"video {vid} {idx} : " + " ".join(str(s) for s in sents))
         return "\n".join(lines) + "\n"
 
@@ -340,6 +346,7 @@ class Manifest:
     def validate_against(self, ds: Dataset) -> None:
         seen: set[tuple[str, str | int]] = set()
         for vid, idx, sents in self.entries:
+            _check_ids(vid, idx, sents)  # a float or bool would fail inside numpy mid-training
             for key in (("id", vid), ("index", idx)):
                 if key in seen:
                     raise ManifestError(f"video {vid}: {key[0]} {key[1]!r} is listed twice")

@@ -7,9 +7,11 @@ Every head is batched over the videos: the global and action heads give
 
 The sequential head depends on the sentence, so it yields one embedding
 per (video, sentence) pair. It runs once for a whole V x Q grid, in a
-factored form: the attention's visual branch and the LSTM's input weights
-applied to each grid cell are computed once per (video, frame), and only
-the attention map and the recurrence run per pair, batched. The
+factored form: the attention's visual branch with its share of the map
+head's logits, and the LSTM's input weights applied to each grid cell, are
+computed once per (video, frame), the textual branch's share of the logits
+once per sentence, and only the sum of the two shares, its softmax over
+the cells and the recurrence run per pair, batched. The
 recurrence is one ``lstm_recurrence`` tape node that takes the per-cell
 input terms and the maps and forms each step's input terms as it reaches
 that step, so no tensor holds the input terms of every step of the grid.
@@ -151,20 +153,28 @@ def spatial_attention(grids: np.ndarray, phis: Tensor, params: AttentionParams) 
     ``grids`` is [V, T, G, G, C_s], the selected frames of V videos, and
     ``phis`` is [Q, H], one sentence vector per row. Returns the map
     [V, Q, T, G*G]: per (video, sentence, frame), a softmax over the cells
-    in row-major order. The visual branch ``p = tanh(w_p·vec(grid) + b_p)``
-    does not depend on the sentence, so it runs once per (video, frame).
-    Grid flattening is row-major (row, column, channel innermost) -- the
-    visual-branch weight columns are laid out against that order.
+    in row-major order of ``tanh(w_a·(p + q) + b_a)``, with the visual
+    branch ``p = tanh(w_p·vec(grid) + b_p)`` and the textual branch
+    ``q = tanh(w_q·phi + b_q)``. The map head is linear, so it is applied
+    to each branch on its own, ``w_a·p`` once per (video, frame) and
+    ``w_a·q + b_a`` once per sentence, and only the [V, Q, T, G*G] sum of
+    the two is formed per (video, sentence, frame), not the [Q, V, T, A]
+    p + q. Its logits differ from those of ``w_a·(p + q)`` by rounding
+    only. Grid flattening is row-major (row, column, channel innermost) --
+    the visual-branch weight columns are laid out against that order.
     """
     n_v, n_t = grids.shape[:2]
     flat = grids.reshape(n_v, n_t, -1)
     p = tanh(broadcast_add(einsum("af,vtf->vta", params.w_p, flat), params.b_p))
     q = tanh(broadcast_add(einsum("ah,qh->qa", params.w_q, phis), params.b_q))
-    q = reshape(q, (q.shape[0], 1, 1, q.shape[1]))
-    # p + q [Q, V, T, A] is the head's largest tensor; no name holds it, so
-    # without a tape it is freed as soon as the map head has read it
-    logits = einsum("ca,qvta->vqtc", params.w_a, broadcast_add(p, q))
-    return softmax(tanh(broadcast_add(logits, params.b_a)))
+    p_cells = einsum("ca,vta->vtc", params.w_a, p)
+    q_cells = broadcast_add(einsum("ca,qa->qc", params.w_a, q), params.b_a)
+    n_q, n_c = q_cells.shape
+    p_cells = reshape(p_cells, (n_v, 1, n_t, n_c))
+    q_cells = reshape(q_cells, (n_q, 1, n_c))
+    # no name holds the [V, Q, T, G*G] logits, so without a tape they are
+    # freed as soon as tanh has read them
+    return softmax(tanh(broadcast_add(p_cells, q_cells)))
 
 
 @dataclass

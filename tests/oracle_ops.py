@@ -1,5 +1,6 @@
-"""The elementwise primitives of the per-op reference chains, and the LSTM
-recurrence over materialized input terms.
+"""The elementwise primitives of the per-op reference chains, the LSTM
+recurrence over materialized input terms, and the attention map with its
+map head applied to the summed branches.
 
 The model runs none of these: its recurrences, gate and loss are fused
 nodes in ``mvse.autodiff``. The tests build the per-op chains those nodes
@@ -10,12 +11,25 @@ was before it formed each step's input terms itself and ran
 hidden-major; given those terms from ``einsum("nvtgj,vqtn->vtqgj", k,
 amap)``, it is the reference of the streamed one: byte for byte at the
 benchmark's shapes, and within 8 ulp of each array's largest magnitude
-at small or odd lengths.
+at small or odd lengths. :func:`spatial_attention` is the map
+``visual.spatial_attention`` formed before it applied its map head to each
+branch on its own.
 """
 
 import numpy as np
 
-from mvse.autodiff import _ACTIVE_TAPE, ShapeError, Tensor, _emit, _tanh_to_sigmoid
+from mvse.autodiff import (
+    _ACTIVE_TAPE,
+    ShapeError,
+    Tensor,
+    _emit,
+    _tanh_to_sigmoid,
+    broadcast_add,
+    einsum,
+    reshape,
+    softmax,
+    tanh,
+)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -158,3 +172,16 @@ def lstm_recurrence(x: Tensor, u: Tensor, b: Tensor) -> Tensor:
         return d.transpose(1, 0, 2, 3, 4), du.reshape(4, n_h, n_h), d.sum(axis=(0, 1, 2))
 
     return _emit(h, (x, u, b), bk)
+
+
+def spatial_attention(grids: np.ndarray, phis: Tensor, params) -> Tensor:
+    """The attention map [V, Q, T, G*G] of ``visual.spatial_attention``
+    with the map head applied to the summed branches, ``tanh(w_a·(p + q) +
+    b_a)``, through the [Q, V, T, A] tensor p + q."""
+    n_v, n_t = grids.shape[:2]
+    flat = grids.reshape(n_v, n_t, -1)
+    p = tanh(broadcast_add(einsum("af,vtf->vta", params.w_p, flat), params.b_p))
+    q = tanh(broadcast_add(einsum("ah,qh->qa", params.w_q, phis), params.b_q))
+    q = reshape(q, (q.shape[0], 1, 1, q.shape[1]))
+    logits = einsum("ca,qvta->vqtc", params.w_a, broadcast_add(p, q))
+    return softmax(tanh(broadcast_add(logits, params.b_a)))

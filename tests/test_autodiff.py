@@ -504,8 +504,10 @@ SRC_EINSUMS = [
     ("mn,qn->qm", dict(m=64, n=128, q=8)),
     ("af,vtf->vta", dict(a=64, f=1024, v=8, t=8)),
     ("ah,qh->qa", dict(a=64, h=64, q=8)),
-    ("ca,qvta->vqtc", dict(c=16, a=64, q=8, v=8, t=8)),
-    ("ca,qvta->vqtc", dict(c=4, a=16, q=64, v=64, t=4)),
+    ("ca,vta->vtc", dict(c=16, a=64, v=8, t=8)),
+    ("ca,vta->vtc", dict(c=4, a=16, v=64, t=4)),
+    ("ca,qa->qc", dict(c=16, a=64, q=8)),
+    ("ca,qa->qc", dict(c=4, a=16, q=64)),
     ("ncgj,vtnc->nvtgj", dict(n=16, c=64, g=4, j=64, v=8, t=8)),
     ("ncgj,vtnc->nvtgj", dict(n=4, c=32, g=4, j=16, v=64, t=4)),
     ("nvtgj,vqtn->vtqgj", dict(n=16, v=8, t=8, g=4, j=64, q=8)),
@@ -513,14 +515,19 @@ SRC_EINSUMS = [
     ("mvq,qm->vq", dict(m=2, v=8, q=8)),
     ("mvq,qm->vq", dict(m=3, v=64, q=64)),
 ]
-# The sequential head's earlier gates-first specs, at the lengths it ran
-# them. src/ no longer runs them, but they remain contractions the planner
-# must match numpy on: the contracted index leads neither operand and the
-# outputs put the cell index last or drop it from the middle.
+# The sequential head's earlier specs, at the lengths it ran them: the
+# gates-first LSTM input terms, and the map head applied to p + q
+# [Q, V, T, A], which tests/oracle_ops.spatial_attention still runs as the
+# reference of the factored one. src/ no longer runs them, but they remain
+# contractions the planner must match numpy on: the contracted index leads
+# neither operand, the outputs put the cell index last or drop it from the
+# middle, and the map head's output is a transposed view.
 RETIRED_EINSUMS = [
     ("gjnc,vtnc->vtgjn", dict(g=4, j=64, n=16, c=64, v=8, t=8)),
     ("vtgjn,vqtn->vtqgj", dict(v=8, t=8, g=4, j=64, n=16, q=8)),
     ("vtgjn,vqtn->vtqgj", dict(v=64, t=4, g=4, j=16, n=4, q=64)),
+    ("ca,qvta->vqtc", dict(c=16, a=64, q=8, v=8, t=8)),
+    ("ca,qvta->vqtc", dict(c=4, a=16, q=64, v=64, t=4)),
 ]
 CHECKED_EINSUMS = SRC_EINSUMS + RETIRED_EINSUMS
 # small lengths, one index at a time set to 1: V, Q, T and M, and every
@@ -736,6 +743,34 @@ def test_softmax_invariants(logits):
     assert abs(y.sum() - 1.0) < 1e-9
     shifted = softmax(Tensor(logits + 123.456)).data
     assert np.max(np.abs(shifted - y)) < 1e-9
+
+
+def _softmax_by_row_reductions(x, g):
+    """softmax's value and its input's gradient for the output gradient
+    ``g``, with the max and the sums over the last axis taken as one numpy
+    reduction per row."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_softmax_gives_the_bytes_of_row_reductions(n):
+    # slab by slab below length 8 (the attention's 4 cells, the gate's 2
+    # and 3 spaces), numpy's reductions from 8 on; magnitudes from 1e-3 to
+    # 700 of either sign, a row of ties, and a row of zeros of both signs
+    rng = np.random.default_rng(n)
+    shape = (2, 3, 5, n)
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, math.log10(700), size=shape)
+    x[0, 0, 0] = x[0, 0, 0, 0]
+    x[0, 0, 1] = np.where(np.arange(n) % 2, 0.0, -0.0)
+    g = rng.normal(size=shape)
+    t = Tensor(x)
+    with Tape() as tape:
+        y = softmax(t)
+        tape.backward(sum_all(mul(y, Tensor(g))))  # y's gradient is g, bit for bit
+    ref_y, ref_dx = _softmax_by_row_reductions(x, g)
+    assert _same_bytes(y.data, ref_y) and _same_bytes(tape.grad(t), ref_dx)
 
 
 @given(

@@ -221,6 +221,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="index 0 is listed twice"):
             Manifest("t", [("v0000", 0, (0,)), ("v0001", 0, (1,))]).validate_against(ds)
 
+    @pytest.mark.parametrize("what", list(UNWRITABLE_ENTRIES))
+    def test_non_integer_index_or_sentence_id_fails_validation(self, what):
+        # a float or bool index passes the range check, and training would
+        # then fail inside numpy in its first batch
+        ds = _tiny_dataset(v=2)
+        with pytest.raises(ManifestError, match=re.escape(f"video v1: {what} is not a non-negative")):
+            Manifest("t", [("v0", 0, (0,)), UNWRITABLE_ENTRIES[what]]).validate_against(ds)
+
     def test_an_empty_sentence_is_refused_by_validation(self):
         # the container stores it, but the GRU cannot encode it: training
         # would stop with EmptySentenceError in whichever epoch drew it

@@ -379,7 +379,9 @@ def test_lstm_recurrence_matches_the_per_op_chain(dims):
 
 # (dims, V, Q): the benchmark's seq-train batch and eval grid at mid dims and
 # seq-retrieve's at small dims, then a single video and a single sentence,
-# whose length-1 index the materialized contraction drops from its product
+# whose length-1 index the materialized contraction drops from its product.
+# The seq-retrieve grids have fewer cells than sentences, so the recurrence
+# halves U, b and K's step slabs there, and its pre-activations elsewhere.
 LSTM_GRIDS = {
     "seq-train-batch": (MID_DIMS, 8, 8),
     "seq-train-eval": (MID_DIMS, 16, 16),
@@ -388,6 +390,10 @@ LSTM_GRIDS = {
     "one-video": (MID_DIMS, 1, 8),
     "one-sentence": (DIMS, 8, 1),
 }
+
+
+def test_lstm_grids_take_both_sides_of_the_halving_rule():
+    assert {dims.grid_cells < n_q for dims, _, n_q in LSTM_GRIDS.values()} == {True, False}
 
 
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -26,9 +27,12 @@ from mvse.visual import (
     spatial_attention,
 )
 
+import oracle_ops
 from oracle_ops import sum_all, take
+from test_training import LSTM_GRIDS
 
 DIMS = Dims.small()
+EPS = np.finfo(np.float64).eps
 # the benchmark's seq-train dims
 MID_DIMS = Dims(
     n_chunks=8, grid=4, c_global=128, c_spatial=64, c_action=64,
@@ -263,15 +267,79 @@ class TestSpatialAttention:
                     one = _map(grids[v, t], phis[q], params).reshape(-1)
                     np.testing.assert_allclose(amap.data[v, q, t], one, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("grid", list(LSTM_GRIDS))
+    def test_factored_map_head_matches_the_summed_branches(self, grid):
+        # the benchmark's batch and eval grids
+        dims, n_v, n_q = LSTM_GRIDS[grid]
+        _assert_attention_close(dims, n_v, n_q, seed=n_v * 100 + n_q)
 
-def _untaped_peak(videos, indices, phis, params) -> int:
-    """The tracemalloc peak of one untaped ``sequential_embed`` call, with
-    its caches warmed by a call outside the trace."""
+    def test_factored_map_head_matches_the_summed_branches_at_odd_lengths(self):
+        for n_v, n_q, n_t, grid, attn in itertools.product([1, 3], [1, 2, 5], [1, 3], [1, 3], [1, 5, 17]):
+            dims = Dims(
+                n_chunks=n_t, grid=grid, c_global=4, c_spatial=3, c_action=4,
+                hidden=3, embed_dim=3, token_dim=4, attn_dim=attn,
+            )
+            _assert_attention_close(dims, n_v, n_q, seed=n_v * n_q * n_t * grid * attn)
+
+    def test_untaped_peak_grows_with_the_branches_not_with_every_pair(self):
+        # V = Q = 32, T = 4 at Dims.small(): 16 -> 64 attention units add
+        # (V*T + Q)*48 floats, 61,440 bytes, to the branches p and q; p + q
+        # [Q, V, T, A] would add V*Q*T*48, 1.57 MB. Measured growth: 61,440
+        # bytes (numpy 2), against 1,634,368 with p + q.
+        n_v = n_q = 32
+        n_t = DIMS.n_chunks
+        peaks = {}
+        for attn in (16, 64):
+            dims = dataclasses.replace(DIMS, attn_dim=attn)
+            rng = np.random.default_rng(attn)
+            params = init_params(dims, ("global", "sequential"), seed=16).sequential_head.attention
+            grids = rng.normal(size=(n_v, n_t, DIMS.grid, DIMS.grid, DIMS.c_spatial))
+            phis = Tensor(rng.normal(size=(n_q, DIMS.hidden)))
+            peaks[attn] = _untaped_peak(lambda: spatial_attention(grids, phis, params))
+        assert peaks[64] - peaks[16] <= 2 * (n_v * n_t + n_q) * 48 * 8
+
+
+def _assert_attention_close(dims: Dims, n_v: int, n_q: int, seed: int) -> None:
+    """The factored map head against the p + q reference
+    (``oracle_ops.spatial_attention``), for random frames and sentence
+    vectors and the model's initial parameters at ``dims``.
+
+    ``w_a·p + (w_a·q + b_a)`` rounds otherwise than ``w_a·(p + q) + b_a``,
+    so the map is held to 8·eps times the largest magnitude of the
+    reference's. Each gradient, of the map head's parameters and of
+    ``phis``, is a sum over the n = V·Q·T (video, sentence, frame) triples,
+    which the factored head groups otherwise (over the sentences apart
+    from the videos and frames). Two groupings of a sum of n terms of
+    either sign round apart by about sqrt(n) ulps of its value, so each
+    gradient is held to 8·eps·sqrt(n) times the largest magnitude of the
+    reference's."""
+    rng = np.random.default_rng(seed)
+    params = init_params(dims, ("global", "sequential"), seed).sequential_head.attention
+    grids = rng.normal(size=(n_v, dims.n_chunks, dims.grid, dims.grid, dims.c_spatial))
+    phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
+    weights = rng.normal(size=(n_v, n_q, dims.n_chunks, dims.grid_cells))
+    wrt = {**vars(params), "phis": phis}
+    runs = []
+    for attend in (spatial_attention, oracle_ops.spatial_attention):
+        with autodiff.Tape() as tape:
+            amap = attend(grids, phis, params)
+            tape.backward(einsum("vqtn,vqtn->", amap, weights))
+            runs.append({"map": amap.data, **{name: tape.grad(t) for name, t in wrt.items()}})
+    root_n = np.sqrt(n_v * n_q * dims.n_chunks)
+    for name, ref in runs[1].items():
+        new = runs[0][name]
+        bound = 8 * EPS * (1.0 if name == "map" else root_n) * np.max(np.abs(ref))
+        assert new.shape == ref.shape and np.max(np.abs(new - ref)) <= bound, (name, dims, n_v, n_q)
+
+
+def _untaped_peak(run) -> int:
+    """The tracemalloc peak of one untaped call of ``run``, with its caches
+    warmed by a call outside the trace."""
     with autodiff.no_tape():
-        sequential_embed(videos, indices, phis, params)
+        run()
         tracemalloc.start()
         try:
-            sequential_embed(videos, indices, phis, params)
+            run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,19 +478,21 @@ class TestSequentialEmbed:
         # V = Q = 32 at Dims.small(), T = 4: the per-step LSTM state that a
         # taped call saves would be 3.7 MB. With its step buffers allocated
         # once, as one workspace, and its state updated in place, the untaped
-        # call peaks at 2,102,176 bytes here (numpy 2); the bound leaves a
-        # 2.3% margin.
+        # call peaks at 2,047,072 bytes here (numpy 2); the bound leaves a
+        # 5.0% margin.
         rng = np.random.default_rng(19)
         videos = [_video(rng) for _ in range(32)]
         phis = Tensor(rng.normal(size=(32, DIMS.hidden)))
-        assert _untaped_peak(videos, [[0, 1, 2, 3]] * 32, phis, _seq_params(13)) <= 2_150_000
+        params = _seq_params(13)
+        peak = _untaped_peak(lambda: sequential_embed(videos, [[0, 1, 2, 3]] * 32, phis, params))
+        assert peak <= 2_150_000
 
     def test_untaped_peak_stays_below_the_input_terms_of_every_step(self):
         # V = Q = 64 at Dims.small(), the seq-retrieve eval grid. At T = 8 the
         # input terms of every step, [V, T, Q, 4H], are 16.8 MB; a head that
         # built them peaked at 23.2 MB, 9.7 MB above its T = 4 peak. Formed one
-        # step at a time, they leave a peak of 8.5 MB (numpy 2), and doubling T
-        # adds only what holds T: the frames, the maps and K, 1.3 MB.
+        # step at a time, they leave a peak of 8.53 MB (numpy 2), and doubling
+        # T adds only what holds T: the frames, the maps and K, 1.31 MB.
         peaks = {}
         for n_t in (4, 8):
             dims = dataclasses.replace(DIMS, n_chunks=n_t)
@@ -430,7 +500,9 @@ class TestSequentialEmbed:
             params = init_params(dims, ("global", "sequential"), seed=15).sequential_head
             videos = [_video(rng, n_frames=n_t) for _ in range(64)]
             phis = Tensor(rng.normal(size=(64, DIMS.hidden)))
-            peaks[n_t] = _untaped_peak(videos, [list(range(n_t))] * 64, phis, params)
+            peaks[n_t] = _untaped_peak(
+                lambda: sequential_embed(videos, [list(range(n_t))] * 64, phis, params)
+            )
         assert peaks[8] < 64 * 8 * 64 * 4 * DIMS.hidden * 8
         assert peaks[8] - peaks[4] <= 2_000_000
 
@@ -509,6 +581,25 @@ class TestHeadGradients:
         ]
         for t in check:
             assert grad_check(loss, t) < 1e-4
+
+    def test_map_head_parameters(self):
+        # every coordinate of the branches' and the map head's parameters,
+        # at V = Q = 2 so that both shares of the logits are summed over
+        dims = Dims(
+            n_chunks=2, grid=2, c_global=4, c_spatial=2, c_action=4,
+            hidden=3, embed_dim=3, token_dim=4, attn_dim=5,
+        )
+        rng = np.random.default_rng(21)
+        params = init_params(dims, ("global", "sequential"), seed=17).sequential_head.attention
+        grids = rng.normal(size=(2, 2, dims.grid, dims.grid, dims.c_spatial))
+        phis = Tensor(rng.normal(size=(2, dims.hidden)))
+        weights = rng.normal(size=(2, 2, 2, dims.grid_cells))
+
+        def loss(_):
+            return einsum("vqtn,vqtn->", spatial_attention(grids, phis, params), weights)
+
+        for t in (*vars(params).values(), phis):
+            assert grad_check(loss, t) < 1e-6
 
     def test_attention_map_gradient_wrt_phi(self):
         rng = np.random.default_rng(15)
