@@ -735,8 +735,10 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     bias = bd.reshape(4 * n_h, 1)
     half = np.repeat([0.5, 0.5, 1.0, 0.5], n_h)[:, None]  # the sigmoid gates enter tanh halved
     # with fewer cells than sentences, halving each step's K slab touches
-    # fewer floats than halving its pre-activations; the slab's buffer has
-    # the slab's layout, so the product with the maps rounds as before
+    # fewer floats than halving its pre-activations; elsewhere the slab's
+    # strided pass costs more than the contiguous one it would replace. The
+    # slab's buffer has the slab's layout, so its product with the maps
+    # rounds as before
     fold = n_cells < n_q
     u_act, b_act = (u4 * half, bias * half) if fold else (u4, bias)
     if fold:

@@ -51,13 +51,9 @@ from mvse.visual import VideoFeature, chunk_sample, global_embed, sequential_emb
 
 import oracle_ops
 from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, take
+from shapes import LSTM_GRIDS, MID_DIMS
 
 DIMS = Dims.small()
-# the benchmark's seq-train dims
-MID_DIMS = Dims(
-    n_chunks=8, grid=4, c_global=128, c_spatial=64, c_action=64,
-    hidden=64, embed_dim=64, token_dim=32, attn_dim=64,
-)
 N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
 
 
@@ -375,21 +371,6 @@ def test_lstm_recurrence_matches_the_per_op_chain(dims):
     weights = rng.normal(size=(n_v, n_q, dims.hidden))
     new = _values_and_grads(lstm_recurrence, inputs, weights)
     _assert_close(new, _values_and_grads(_materialized_lstm(_per_op_lstm), inputs, weights))
-
-
-# (dims, V, Q): the benchmark's seq-train batch and eval grid at mid dims and
-# seq-retrieve's at small dims, then a single video and a single sentence,
-# whose length-1 index the materialized contraction drops from its product.
-# The seq-retrieve grids have fewer cells than sentences, so the recurrence
-# halves U, b and K's step slabs there, and its pre-activations elsewhere.
-LSTM_GRIDS = {
-    "seq-train-batch": (MID_DIMS, 8, 8),
-    "seq-train-eval": (MID_DIMS, 16, 16),
-    "seq-retrieve-batch": (DIMS, 8, 8),
-    "seq-retrieve-eval": (DIMS, 64, 64),
-    "one-video": (MID_DIMS, 1, 8),
-    "one-sentence": (DIMS, 8, 1),
-}
 
 
 def test_lstm_grids_take_both_sides_of_the_halving_rule():

@@ -29,15 +29,10 @@ from mvse.visual import (
 
 import oracle_ops
 from oracle_ops import sum_all, take
-from test_training import LSTM_GRIDS
+from shapes import LSTM_GRIDS, MID_DIMS
 
 DIMS = Dims.small()
 EPS = np.finfo(np.float64).eps
-# the benchmark's seq-train dims
-MID_DIMS = Dims(
-    n_chunks=8, grid=4, c_global=128, c_spatial=64, c_action=64,
-    hidden=64, embed_dim=64, token_dim=32, attn_dim=64,
-)
 
 
 def _video(rng: np.random.Generator, n_frames: int = 4, with_action: bool = True) -> VideoFeature:
