@@ -253,10 +253,10 @@ def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
     gradient over the axes it was broadcast along."""
     sa, sb = a.data.shape, b.data.shape
     try:
-        np.broadcast_shapes(sa, sb)
-    except ValueError:
+        out = a.data + b.data
+    except ValueError:  # numpy's error for shapes that do not broadcast
         raise ShapeError("broadcast_add", sa, sb) from None
-    return _emit(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return _emit(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -628,30 +628,35 @@ def gru_recurrence(x: Tensor, u: Tensor, b: Tensor, mask: np.ndarray) -> Tensor:
     u_zr_half = u_zr * 0.5
     m = mask.T[:, :, None]  # [T, Q, 1]
     taped = _ACTIVE_TAPE.get() is not None
+    # taped, every step computes straight into the saved buffers: h_t is row
+    # t of hs, whose last row is the final state, and c_t row t of cs
     if taped:
         zrs = np.empty((n_t, q, 2 * n_h))
-        hs, cs = np.empty((n_t, q, n_h)), np.empty((n_t, q, n_h))
-    h = np.zeros((q, n_h))
+        hs, cs = np.empty((n_t + 1, q, n_h)), np.empty((n_t, q, n_h))
+        hs[0] = 0.0
+        h = hs[0]
+    else:
+        h = np.zeros((q, n_h))
     a = np.empty((q, 2 * n_h))  # each step's halved z, r pre-activations
     for t in range(n_t):
         np.matmul(h, u_zr_half.T, out=a)
         a += xb[:, t, :2].reshape(q, 2 * n_h)
         zr = _tanh_to_sigmoid(np.tanh(a, out=zrs[t] if taped else a))
         z, r = zr[:, :n_h], zr[:, n_h:]
-        c = np.tanh(xb[:, t, 2] + (r * h) @ ucd.T)
-        if taped:
-            hs[t], cs[t] = h, c
+        c = np.tanh(xb[:, t, 2] + (r * h) @ ucd.T, out=cs[t] if taped else None)
         zm = z * m[t]
-        h = (1.0 - zm) * h + zm * c
+        h = np.multiply(1.0 - zm, h, out=hs[t + 1] if taped else None)
+        h += zm * c
 
     def bk(g):
         zs, rs = zrs[:, :, :n_h], zrs[:, :, n_h:]
+        hs_prev = hs[:-1]
         zm = zs * m
         # per step, the z, r and c input-term gradients: each step's factor,
         # computed for all steps at once, times dh (z, c) or d(r*h) (r)
         d = np.empty((n_t, q, 3, n_h))
-        d[:, :, 0] = (cs - hs) * zm * (1.0 - zs)
-        d[:, :, 1] = hs * rs * (1.0 - rs)
+        d[:, :, 0] = (cs - hs_prev) * zm * (1.0 - zs)
+        d[:, :, 1] = hs_prev * rs * (1.0 - rs)
         d[:, :, 2] = zm * (1.0 - cs * cs)
         keep = 1.0 - zm
         dh = g
@@ -663,8 +668,8 @@ def gru_recurrence(x: Tensor, u: Tensor, b: Tensor, mask: np.ndarray) -> Tensor:
             if t:
                 dh = dh * keep[t] + d_rh * rs[t] + d[t, :, :2].reshape(q, 2 * n_h) @ u_zr
         du = np.empty((3, n_h, n_h))
-        du[:2] = (d[:, :, :2].reshape(-1, 2 * n_h).T @ hs.reshape(-1, n_h)).reshape(2, n_h, n_h)
-        du[2] = d[:, :, 2].reshape(-1, n_h).T @ (rs * hs).reshape(-1, n_h)
+        du[:2] = (d[:, :, :2].reshape(-1, 2 * n_h).T @ hs_prev.reshape(-1, n_h)).reshape(2, n_h, n_h)
+        du[2] = d[:, :, 2].reshape(-1, n_h).T @ (rs * hs_prev).reshape(-1, n_h)
         return d.transpose(1, 0, 2, 3), du, d.sum(axis=(0, 1))
 
     return _emit(h, (x, u, b), bk)
@@ -701,19 +706,33 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     they are one workspace of 10·V·Q·H floats, the activations overwrite
     the pre-activations, and c and h are updated in place. The [V, Q, H]
     output is one transposing copy, so it does not keep the workspace
-    alive. The backward propagates through time on the same contiguous
-    gate blocks, then hands the input terms' gradient in row layout,
-    [T, V*Q, 4H], to the sums that give the gradients of ``u`` and ``b``
-    and to the cached :func:`einsum` backward plans of that spec, which
-    give those of ``k`` and ``amap``.
+    alive.
+
+    The backward propagates through time over the live pairs only, those
+    whose output gradient is not all zero (hardest mode's loss reads at
+    most 3B of the B*B pairs of a batch). It gathers their columns of the
+    saved gates and states, runs the gate factors and the reverse sweep on
+    the same contiguous gate blocks, and scatters the result among zeros
+    into the input terms' gradient in row layout, [T, V*Q, 4H]. The sums
+    that give the gradients of ``u`` and ``b`` read it over every pair, in
+    the order they did when every pair ran, so the zeros change no bit.
+    One copy of it as [V, T, Q, 4H] feeds both cached :func:`einsum`
+    backward plans of that spec, which give the gradients of ``k`` and
+    ``amap``. When every pair is live the gathers are views.
 
     The forward and every gradient equal those of the recurrence over the
     materialized input terms, ``tests/oracle_ops.lstm_recurrence`` on
     ``einsum("nvtgj,vqtn->vtqgj", k, amap)``, byte for byte at the
-    benchmark's shapes. At small or odd lengths two of the GEMMs, the
+    benchmark's shapes, with the output gradient on every pair or on a
+    hardest-mode pick set. At small or odd lengths two of the GEMMs, the
     input-term product and the backward's ``u.T @ d``, may round in
-    another order. Over a sweep of V, Q, T, G*G and H, each array stays
-    within 8·ε times the largest magnitude of the oracle's (ε = 2^-52).
+    another order, and so may ``u.T @ d`` on fewer columns than pairs
+    (with one column numpy takes a matrix-vector product). Over a sweep of
+    V, Q, T, G*G and H with the gradient on every pair, each array stays
+    within 8·ε times the largest magnitude of the oracle's (ε = 2^-52);
+    with it on any number of pairs, within 8·ε times the largest sum of
+    the absolute terms the array adds up, since few live pairs let those
+    sums cancel.
     """
     kd, ad, ud, bd = k.data, amap.data, u.data, b.data
     n_h = bd.shape[-1] if bd.ndim == 2 else 0
@@ -757,7 +776,8 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     # are rows t of hs and cs, whose last rows are the final state
     if taped:
         acts = np.empty((n_t, 4 * n_h, n_vq))
-        hs, cs = np.zeros((2, n_t + 1, n_h, n_vq))
+        hs, cs = np.empty((2, n_t + 1, n_h, n_vq))
+        hs[0] = cs[0] = 0.0
         tcs = np.empty((n_t, n_h, n_vq))
         h, c = hs[0], cs[0]
     else:
@@ -785,32 +805,43 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
         h = np.multiply(act[3 * n_h:], tc, out=hs[t + 1] if taped else h)
 
     def bk(g):
-        i, f, gg, o = (acts[:, n * n_h: (n + 1) * n_h] for n in range(4))
+        # the live pairs, those whose output gradient is not all zero: the
+        # gate factors and the reverse sweep run on their columns only
+        g_rows = g.reshape(n_vq, n_h)
+        live = g_rows.any(axis=1)
+        cols = slice(None) if live.all() else np.flatnonzero(live)
+        a_live, tc_live = acts[:, :, cols], tcs[:, :, cols]
+        i, f, gg, o = (a_live[:, n * n_h: (n + 1) * n_h] for n in range(4))
         # per step, the gates' input-term gradients: each gate's factor,
         # computed for all steps at once, times dc (i, f, g) or dh (o)
-        d = np.empty((n_t, 4 * n_h, n_vq))
-        d[:, :n_h] = gg * i * (1.0 - i)
-        d[:, n_h: 2 * n_h] = cs[:-1] * f * (1.0 - f)
-        d[:, 2 * n_h: 3 * n_h] = i * (1.0 - gg * gg)
-        d[:, 3 * n_h:] = tcs * o * (1.0 - o)
-        to_c = o * (1.0 - tcs * tcs)
-        dh, dc = np.ascontiguousarray(g.reshape(n_vq, n_h).T), 0.0
+        d_live = np.empty(a_live.shape)
+        d_live[:, :n_h] = gg * i * (1.0 - i)
+        d_live[:, n_h: 2 * n_h] = cs[:-1, :, cols] * f * (1.0 - f)
+        d_live[:, 2 * n_h: 3 * n_h] = i * (1.0 - gg * gg)
+        d_live[:, 3 * n_h:] = tc_live * o * (1.0 - o)
+        to_c = o * (1.0 - tc_live * tc_live)
+        dh, dc = np.ascontiguousarray(g_rows[cols].T), 0.0
         for t in range(n_t - 1, -1, -1):
             dc = dc + dh * to_c[t]
-            d_ifg = d[t, : 3 * n_h].reshape(3, n_h, n_vq)
+            d_ifg = d_live[t, : 3 * n_h].reshape(3, n_h, d_live.shape[2])
             d_ifg *= dc
-            d[t, 3 * n_h:] *= dh
+            d_live[t, 3 * n_h:] *= dh
             dc = dc * f[t]
             if t:
-                dh = u4.T @ d[t]
-        # the sums over steps and pairs, and the contractions with amap and
-        # k, take d and the states each step started from in row layout
-        d = np.ascontiguousarray(d.transpose(0, 2, 1)).reshape(n_t, n_v, n_q, 4, n_h)
+                dh = u4.T @ d_live[t]
+        # the sums over steps and pairs read d and the states each step
+        # started from in row layout, zero on the pairs that are not live,
+        # so they add the same terms in the same order as over every pair
+        d = np.zeros((n_t, n_vq, 4 * n_h))
+        d[:, cols] = d_live.transpose(0, 2, 1)
         h_prev = np.ascontiguousarray(hs[:-1].transpose(0, 2, 1))  # [T, V*Q, H]
         du = d.reshape(-1, 4 * n_h).T @ h_prev.reshape(-1, n_h)
-        dx = d.transpose(1, 0, 2, 3, 4)  # [V, T, Q, 4, H]
+        # one C-contiguous copy, which the contractions with amap and with k
+        # both read as [V*T, Q, 4H] without copying it again
+        dx = np.ascontiguousarray(d.reshape(n_t, n_v, n_q, 4, n_h).transpose(1, 0, 2, 3, 4))
         _, grad_k, grad_amap = _einsum_plan("nvtgj,vqtn->vtqgj", kd.shape, ad.shape)
-        return grad_k(dx, ad), grad_amap(kd, dx), du.reshape(4, n_h, n_h), d.sum(axis=(0, 1, 2))
+        db = d.reshape(-1, 4, n_h).sum(axis=0)
+        return grad_k(dx, ad), grad_amap(kd, dx), du.reshape(4, n_h, n_h), db
 
     # a copy even where H or V*Q is 1 and the transposed view is contiguous
     return _emit(h.T.reshape(n_v, n_q, n_h).copy(), (k, amap, u, b), bk)

@@ -400,18 +400,16 @@ def test_streamed_input_terms_give_the_materialized_bytes(grid, taped):
     assert out.shape == (n_v, n_q, dims.hidden) and out.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
-@pytest.mark.parametrize("n_h", [1, 3, 5, 16, 17, 33, 64])
-@pytest.mark.parametrize("cells", [1, 4, 9, 16])
-def test_hidden_major_recurrence_is_within_8_eps_of_the_materialized_one(cells, n_h, taped):
-    """Over small and odd lengths the recurrence's GEMMs may round in
-    another order than the materialized recurrence's (the input-term
-    product as [4H, G*G] by [G*G, Q], the backward's ``u.T @ d``), so the
-    forward and every gradient are held to 8·eps times the largest
-    magnitude of the oracle's array, not to its bytes."""
-    eps = np.finfo(np.float64).eps
+EPS = np.finfo(np.float64).eps
+ODD_HIDDEN = [1, 3, 5, 16, 17, 33, 64]
+ODD_CELLS = [1, 4, 9, 16]
+
+
+def _odd_lstm_inputs(cells, n_h):
+    """Small and odd V, Q and T at ``cells`` grid cells and hidden size
+    ``n_h``: (V, Q, T, a generator seeded by all five, the recurrence's
+    inputs)."""
     bound = n_h ** -0.5  # u and b as the model inits them, uniform within 1/sqrt(H)
-    runs = [lstm_recurrence, _materialized_lstm(oracle_ops.lstm_recurrence)]
     for n_v, n_q, n_t in itertools.product([1, 2, 3, 8], [1, 2, 3, 16], [1, 3]):
         rng = np.random.default_rng([cells, n_h, n_v, n_q, n_t])
         inputs = [
@@ -420,6 +418,20 @@ def test_hidden_major_recurrence_is_within_8_eps_of_the_materialized_one(cells, 
             Tensor(rng.uniform(-bound, bound, size=(4, n_h, n_h))),
             Tensor(rng.uniform(-bound, bound, size=(4, n_h))),
         ]
+        yield n_v, n_q, n_t, rng, inputs
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("n_h", ODD_HIDDEN)
+@pytest.mark.parametrize("cells", ODD_CELLS)
+def test_hidden_major_recurrence_is_within_8_eps_of_the_materialized_one(cells, n_h, taped):
+    """Over small and odd lengths the recurrence's GEMMs may round in
+    another order than the materialized recurrence's (the input-term
+    product as [4H, G*G] by [G*G, Q], the backward's ``u.T @ d``), so the
+    forward and every gradient are held to 8·eps times the largest
+    magnitude of the oracle's array, not to its bytes."""
+    runs = [lstm_recurrence, _materialized_lstm(oracle_ops.lstm_recurrence)]
+    for n_v, n_q, n_t, rng, inputs in _odd_lstm_inputs(cells, n_h):
         weights = rng.normal(size=(n_v, n_q, n_h))
         if taped:
             arrays = [[out, *grads] for out, grads in (_values_and_grads(run, inputs, weights) for run in runs)]
@@ -428,7 +440,91 @@ def test_hidden_major_recurrence_is_within_8_eps_of_the_materialized_one(cells, 
                 arrays = [[run(*inputs).data] for run in runs]
         for name, new, ref in zip(["out", "k", "amap", "u", "b"], *arrays):
             assert new.shape == ref.shape
-            assert np.max(np.abs(new - ref)) <= 8 * eps * np.max(np.abs(ref)), (name, n_v, n_q, n_t)
+            assert np.max(np.abs(new - ref)) <= 8 * EPS * np.max(np.abs(ref)), (name, n_v, n_q, n_t)
+
+
+def _hardest_picks(rng, n_v, n_q):
+    """The pairs hardest mode reads on a [V, Q] grid of random scores: the
+    diagonal and each row's and each column's argmax."""
+    scores = rng.normal(size=(n_v, n_q))
+    picked = np.eye(n_v, n_q, dtype=bool)
+    picked[np.arange(n_v), scores.argmax(axis=1)] = True
+    picked[scores.argmax(axis=0), np.arange(n_q)] = True
+    return picked
+
+
+@pytest.mark.parametrize("grid", list(LSTM_GRIDS))
+def test_backward_over_the_picked_pairs_gives_the_materialized_bytes(grid):
+    """With an output gradient only on a hardest-mode pick set, the
+    backward runs through time over the picked pairs only and scatters
+    their input-term gradients among zeros, so every gradient keeps the
+    bytes of the oracle's backward over every pair. (On the one-video and
+    one-sentence grids every pair is picked.)"""
+    dims, n_v, n_q = LSTM_GRIDS[grid]
+    rng = np.random.default_rng(n_v * 100 + n_q)
+    inputs = _lstm_inputs(rng, dims, n_v, n_q)
+    picked = _hardest_picks(rng, n_v, n_q)
+    weights = rng.normal(size=(n_v, n_q, dims.hidden)) * picked[:, :, None]
+    runs = [lstm_recurrence, _materialized_lstm(oracle_ops.lstm_recurrence)]
+    (out, grads), (ref, ref_grads) = (_values_and_grads(run, inputs, weights) for run in runs)
+    assert [g.shape for g in grads] == [t.shape for t in inputs]
+    assert [a.tobytes() for a in [out, *grads]] == [a.tobytes() for a in [ref, *ref_grads]]
+
+
+def _oracle_arrays_and_term_scales(inputs, weights):
+    """The materialized oracle's output and gradients, and for each the sum
+    of the absolute values of the terms it adds up: the output's own
+    magnitude, and each gradient's contraction of the absolute input-term
+    gradient |dx| with the absolute other operand (|h| < 1 for ``u``)."""
+    with Tape() as tape:
+        x = einsum("nvtgj,vqtn->vtqgj", inputs[0], inputs[1])
+        out = oracle_ops.lstm_recurrence(x, *inputs[2:])
+        tape.backward(einsum("vqh,vqh->", out, weights))
+        arrays = [out.data] + [tape.grad(t) for t in inputs]
+        dx = np.abs(tape.grad(x))
+    rows = dx.sum(axis=(0, 1, 2))  # [4, H]
+    scales = [
+        np.abs(out.data),
+        np.einsum("vqtn,vtqgj->nvtgj", np.abs(inputs[1].data), dx),
+        np.einsum("nvtgj,vtqgj->vqtn", np.abs(inputs[0].data), dx),
+        rows,
+        rows,
+    ]
+    return arrays, scales
+
+
+@pytest.mark.parametrize("n_h", ODD_HIDDEN)
+@pytest.mark.parametrize("cells", ODD_CELLS)
+def test_backward_over_any_live_pairs_is_within_8_eps_of_the_materialized_one(cells, n_h):
+    """From no live pair to every pair. With fewer columns ``u.T @ d`` may
+    round otherwise (with one column numpy takes a matrix-vector product),
+    and with the gradient on a few pairs the sums over steps and pairs
+    cancel, so each array is held to 8·eps times the largest sum of the
+    absolute terms it adds up (the error bound of a sum), not of its own
+    magnitude. At H = 1 the ``u`` gradient differs from the oracle's by 17·eps
+    of the oracle's magnitude, as it did when the backward ran over every
+    pair; against the sums of terms the sweep stays within 3·eps."""
+    for n_v, n_q, n_t, rng, inputs in _odd_lstm_inputs(cells, n_h):
+        n_vq = n_v * n_q
+        for n_live in sorted({n for n in (0, 1, 2, n_vq // 3, n_vq - 1, n_vq) if n <= n_vq}):
+            live = np.zeros(n_vq, dtype=bool)
+            live[rng.choice(n_vq, size=n_live, replace=False)] = True
+            weights = rng.normal(size=(n_v, n_q, n_h)) * live.reshape(n_v, n_q, 1)
+            out, grads = _values_and_grads(lstm_recurrence, inputs, weights)
+            refs, scales = _oracle_arrays_and_term_scales(inputs, weights)
+            for name, new, ref, scale in zip(["out", "k", "amap", "u", "b"], [out, *grads], refs, scales):
+                assert new.shape == ref.shape
+                where = (name, n_v, n_q, n_t, n_live)
+                assert np.max(np.abs(new - ref)) <= 8 * EPS * np.max(scale), where
+
+
+@pytest.mark.parametrize("grid", ["seq-train-batch", "one-video", "one-sentence"])
+def test_no_live_pair_gives_zero_gradients_of_the_input_shapes(grid):
+    dims, n_v, n_q = LSTM_GRIDS[grid]
+    inputs = _lstm_inputs(np.random.default_rng(0), dims, n_v, n_q)
+    _, grads = _values_and_grads(lstm_recurrence, inputs, np.zeros((n_v, n_q, dims.hidden)))
+    assert [g.shape for g in grads] == [t.shape for t in inputs]
+    assert all(not g.any() for g in grads)
 
 
 def test_each_recurrence_records_a_length_independent_number_of_nodes():
@@ -477,12 +573,13 @@ def test_grid_is_videos_by_sentences(corpus):
 
 
 def _gradient_cases():
-    """One tensor from each parameter group the space set has, for both
-    negative modes."""
+    """One tensor from each parameter group the space set has, and every
+    tensor whose gradient comes from the LSTM's input-term gradient, for
+    both negative modes."""
     for spaces, names in SPACE_SETS.items():
         groups = ["gru.w", f"proj.{names[-1]}.w", "head.global.w", "gate.w"]
         if SPACE_SEQUENTIAL in names:
-            groups += ["attn.w_q", "lstm.u"]
+            groups += ["attn.w_q", "attn.w_p", "lstm.w", "lstm.u", "lstm.b"]
         for mode in ("sum-all", "hardest"):
             for tensor in groups:
                 yield spaces, mode, tensor
