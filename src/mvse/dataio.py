@@ -23,8 +23,6 @@ precision, sorted by name. Version 2 stores ``lstm.w`` as [G*G, C_s, 4, H];
 version 1 stored it as [4, H, G*G, C_s], and since the two shapes are equal
 when G*G == 4 and C_s == H, a version-1 checkpoint is rejected rather than
 read with its weights permuted.
-
-Manifests are a line-oriented text format, see :class:`Manifest`.
 """
 
 from __future__ import annotations
@@ -248,36 +246,10 @@ def load_container(path: str | Path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _manifest_int(text: str, lineno: int, what: str) -> int:
-    # plain ASCII decimal digits: int() would also take signs, '_' digit
-    # groups and non-ASCII digits
-    if not (text.isascii() and text.isdigit()):
-        raise ManifestError(f"line {lineno}: {what} {text!r} is not an integer")
-    return int(text)
-
-
-def _check_ids(vid: str, idx, sents) -> None:
-    """Raise ``ManifestError`` naming video ``vid`` unless its index and
-    every sentence id is a non-negative ``int`` (not a ``bool``)."""
-    for what, n in [("index", idx), *(("sentence id", s) for s in sents)]:
-        if type(n) is not int or n < 0:
-            raise ManifestError(f"video {vid}: {what} {n!r} is not a non-negative integer")
-
-
 @dataclass
 class Manifest:
     """A named split: which videos (by container index) it contains and
-    which sentence ids pair with each.
-
-    Text form::
-
-        # mvse manifest
-        format: 1
-        split: train
-        videos: 2
-        video v0000 0 : 0 1
-        video v0001 1 : 2 3
-    """
+    which sentence ids pair with each."""
 
     split: str
     entries: list[tuple[str, int, tuple[int, ...]]] = field(default_factory=list)
@@ -290,63 +262,18 @@ class Manifest:
                 out.append((vid, idx, s))
         return out
 
-    def to_text(self) -> str:
-        # the split line is stripped on reading, and a line break in it would
-        # start a new manifest line
-        if not self.split or any(c.isspace() for c in self.split):
-            raise ManifestError(f"split {self.split!r} is empty or holds whitespace")
-        lines = ["# mvse manifest", "format: 1", f"split: {self.split}", f"videos: {len(self.entries)}"]
-        for vid, idx, sents in self.entries:
-            # the text form splits a video line on whitespace and on its first ':'
-            if not vid or ":" in vid or any(c.isspace() for c in vid):
-                raise ManifestError(f"video id {vid!r} is empty or holds whitespace or ':'")
-            _check_ids(vid, idx, sents)  # from_text reads plain decimal digits only
-            lines.append(f"video {vid} {idx} : " + " ".join(str(s) for s in sents))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "Manifest":
-        split = None
-        promised = None
-        entries: list[tuple[str, int, tuple[int, ...]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("format:"):
-                if line.split(":", 1)[1].strip() != "1":
-                    raise ManifestError(f"line {lineno}: unsupported manifest format")
-                continue
-            if line.startswith("split:"):
-                if split is not None:
-                    raise ManifestError(f"line {lineno}: second 'split:' line")
-                split = line.split(":", 1)[1].strip()
-                continue
-            if line.startswith("videos:"):
-                if promised is not None:
-                    raise ManifestError(f"line {lineno}: second 'videos:' line")
-                promised = _manifest_int(line.split(":", 1)[1].strip(), lineno, "video count")
-                continue
-            if line.startswith("video "):
-                head, colon, tail = line.partition(":")
-                parts = head.split()
-                if len(parts) != 3 or not colon:
-                    raise ManifestError(f"line {lineno}: expected 'video <id> <index> : <sentences>'")
-                vid, idx = parts[1], _manifest_int(parts[2], lineno, "video index")
-                sents = tuple(_manifest_int(s, lineno, "sentence id") for s in tail.split())
-                entries.append((vid, idx, sents))
-                continue
-            raise ManifestError(f"line {lineno}: unrecognized manifest line {line!r}")
-        if split is None:
-            raise ManifestError("manifest missing 'split:' line")
-        if promised is not None and promised != len(entries):
-            raise ManifestError(f"manifest promises {promised} videos, lists {len(entries)}")
-        return Manifest(split=split, entries=entries)
-
     def validate_against(self, ds: Dataset) -> None:
+        """Raise ``ManifestError`` naming the first bad entry: a video id
+        that is not a ``str``, an index or sentence id that is not a
+        non-negative ``int`` (a ``bool`` is not one), a repeated id or index,
+        an index or sentence id outside ``ds``, or an empty sentence."""
         seen: set[tuple[str, str | int]] = set()
-        for vid, idx, sents in self.entries:
-            _check_ids(vid, idx, sents)  # a float or bool would fail inside numpy mid-training
+        for i, (vid, idx, sents) in enumerate(self.entries):
+            if type(vid) is not str:  # frame_rng encodes it, and only when F > N
+                raise ManifestError(f"entry {i}: video id {vid!r} is not a str")
+            for what, n in [("index", idx), *(("sentence id", s) for s in sents)]:
+                if type(n) is not int or n < 0:  # a float or bool would fail inside numpy
+                    raise ManifestError(f"video {vid}: {what} {n!r} is not a non-negative integer")
             for key in (("id", vid), ("index", idx)):
                 if key in seen:
                     raise ManifestError(f"video {vid}: {key[0]} {key[1]!r} is listed twice")

@@ -42,7 +42,7 @@ def _tiny_dataset(rng=None, v=1, f=1) -> Dataset:
     )
 
 
-UNWRITABLE_ENTRIES = {
+INVALID_ID_ENTRIES = {
     "index -1": ("v1", -1, (1,)),
     "index 1.5": ("v1", 1.5, (1,)),
     "index True": ("v1", True, (1,)),
@@ -147,67 +147,9 @@ class TestContainer:
 
 
 class TestManifest:
-    def test_round_trip(self):
-        m = Manifest("train", [("v0000", 0, (0, 1)), ("v0001", 1, (2,)), ("clip-7_a.b", 2, ())])
-        text = m.to_text()
-        back = Manifest.from_text(text)
-        assert back == m
-        assert back.to_text() == text
-
     def test_queries(self):
         m = Manifest("t", [("v0", 0, (0, 1)), ("v1", 1, (5,))])
         assert m.queries() == [("v0", 0, 0), ("v0", 0, 1), ("v1", 1, 5)]
-
-    def test_parse_errors(self):
-        with pytest.raises(ManifestError, match="split"):
-            Manifest.from_text("videos: 0\n")
-        with pytest.raises(ManifestError, match="promises"):
-            Manifest.from_text("split: t\nvideos: 2\nvideo v0 0 : 1\n")
-        with pytest.raises(ManifestError, match="unrecognized"):
-            Manifest.from_text("split: t\nwat\n")
-        with pytest.raises(ManifestError, match="line 2: video index 'x'"):
-            Manifest.from_text("split: t\nvideo v0 x : 1\n")
-        with pytest.raises(ManifestError, match="line 2: sentence id 'a'"):
-            Manifest.from_text("split: t\nvideo v0 0 : 1 a\n")
-        with pytest.raises(ManifestError, match="line 1: video count 'two'"):
-            Manifest.from_text("videos: two\nsplit: t\n")
-        with pytest.raises(ManifestError, match="line 2: expected 'video <id> <index> : "):
-            Manifest.from_text("split: t\nvideo v0000 0\n")
-        with pytest.raises(ManifestError, match="line 3: second 'split:' line"):
-            Manifest.from_text("split: t\nvideo v0 0 : 1\nsplit: u\n")
-        with pytest.raises(ManifestError, match="line 3: second 'videos:' line"):
-            Manifest.from_text("split: t\nvideos: 5\nvideos: 1\nvideo v0 0 : 1\n")
-        # plain ASCII decimal digits only: no '_' digit groups, signs or other scripts' digits
-        with pytest.raises(ManifestError, match="line 2: video count '1_0'"):
-            Manifest.from_text("split: t\nvideos: 1_0\n")
-        with pytest.raises(ManifestError, match="line 2: video index '0_0'"):
-            Manifest.from_text("split: t\nvideo v0 0_0 : 1\n")
-        for text in ("+1", "-1", "\u0663"):
-            with pytest.raises(ManifestError, match=re.escape(f"line 2: sentence id {text!r}")):
-                Manifest.from_text(f"split: t\nvideo v0 0 : {text}\n")
-            with pytest.raises(ManifestError, match=re.escape(f"line 2: video index {text!r}")):
-                Manifest.from_text(f"split: t\nvideo v0 {text} : 1\n")
-
-    @pytest.mark.parametrize("vid", ["", "a:b", "a b", "a\tb", ":"])
-    def test_unwritable_video_id_names_the_id(self, vid):
-        with pytest.raises(ManifestError, match=re.escape(f"video id {vid!r}")):
-            Manifest("t", [("v0", 0, (0,)), (vid, 1, (1,))]).to_text()
-
-    @pytest.mark.parametrize("what", list(UNWRITABLE_ENTRIES))
-    def test_unwritable_index_or_sentence_id_is_refused(self, what):
-        # each would be written as text that from_text rejects as "not an integer"
-        with pytest.raises(ManifestError, match=re.escape(f"video v1: {what} is not a non-negative")):
-            Manifest("t", [("v0", 0, (0,)), UNWRITABLE_ENTRIES[what]]).to_text()
-
-    @pytest.mark.parametrize("split", ["", " ", "a\nb", "a b", "a\tb"])
-    def test_unwritable_split_names_the_split(self, split):
-        with pytest.raises(ManifestError, match=re.escape(f"split {split!r}")):
-            Manifest(split, [("v0", 0, (0,))]).to_text()
-
-    @pytest.mark.parametrize("split", ["train", "test", "test_popA", "test_popB"])
-    def test_split_names_round_trip(self, split):
-        m = Manifest(split, [("v0", 0, (0, 1))])
-        assert Manifest.from_text(m.to_text()) == m
 
     def test_validate_against_dataset(self):
         ds = _tiny_dataset(v=2)
@@ -221,13 +163,21 @@ class TestManifest:
         with pytest.raises(ManifestError, match="index 0 is listed twice"):
             Manifest("t", [("v0000", 0, (0,)), ("v0001", 0, (1,))]).validate_against(ds)
 
-    @pytest.mark.parametrize("what", list(UNWRITABLE_ENTRIES))
+    @pytest.mark.parametrize("what", list(INVALID_ID_ENTRIES))
     def test_non_integer_index_or_sentence_id_fails_validation(self, what):
         # a float or bool index passes the range check, and training would
         # then fail inside numpy in its first batch
         ds = _tiny_dataset(v=2)
         with pytest.raises(ManifestError, match=re.escape(f"video v1: {what} is not a non-negative")):
-            Manifest("t", [("v0", 0, (0,)), UNWRITABLE_ENTRIES[what]]).validate_against(ds)
+            Manifest("t", [("v0", 0, (0,)), INVALID_ID_ENTRIES[what]]).validate_against(ds)
+
+    @pytest.mark.parametrize("vid", [1, None, b"v1"], ids=["int", "None", "bytes"])
+    def test_non_str_video_id_fails_validation(self, vid):
+        # frame_rng encodes the id, and only when a chunk can draw, so
+        # training would fail mid-epoch and only on corpora with F > N
+        ds = _tiny_dataset(v=2)
+        with pytest.raises(ManifestError, match=re.escape(f"entry 1: video id {vid!r} is not a str")):
+            Manifest("t", [("v0", 0, (0,)), (vid, 1, (1,))]).validate_against(ds)
 
     def test_an_empty_sentence_is_refused_by_validation(self):
         # the container stores it, but the GRU cannot encode it: training

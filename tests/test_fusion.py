@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum, reshape, stack
 from mvse.fusion import (

@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 SOURCES = sorted((ROOT / "src" / "mvse").glob("*.py"))
 BENCH = sorted((ROOT / "mvse_bench").glob("*.py"))
-# public functions with no caller in the package or the benchmark, and why
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+# public functions and methods with no caller in the package or the benchmark, and why
 CALLERLESS = {
     "grad_check": "the exported finite-difference gradient oracle",
     "probe_recall_at_1": "a synth probe: the recall a corpus allows",
@@ -64,37 +65,49 @@ def test_unused_import_check_flags_only_unread_names():
     assert _unused_imports(source) == ["line 3: field", "line 4: D"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+# the tests import no pytest fixtures, so a test file has no exempt import
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _loads(node: ast.AST) -> set[str]:
+    """The names ``node`` reads, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
 def _reads(source: str) -> list[tuple[str | None, set[str]]]:
     """Per module-level statement, the function it defines (None if it
-    defines none) and the names it reads, bare or as an attribute."""
+    defines none) and the names it reads. Each method of a public class is
+    an entry of its own, defining "<Class>.<method>"; the rest of that class
+    is one entry defining nothing."""
     stmts = []
     for node in ast.parse(source).body:
-        names = {
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
-        }
-        stmts.append((node.name if isinstance(node, ast.FunctionDef) else None, names))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            stmts += [(f"{node.name}.{m.name}", _loads(m)) for m in methods]
+            node.body = [m for m in node.body if m not in methods]
+        stmts.append((node.name if isinstance(node, ast.FunctionDef) else None, _loads(node)))
     return stmts
 
 
 def _callerless(sources: dict[str, str], defining: list[str]) -> list[str]:
-    """"<file>: <name>" for each public module-level function of the files
-    in ``defining`` whose name no statement of ``sources`` reads, apart from
-    the function's own def."""
+    """"<file>: <name>" for each public module-level function, and each
+    public method of a public class, of the files in ``defining`` whose
+    name no statement of ``sources`` reads, apart from its own def."""
     reads = {path: _reads(text) for path, text in sources.items()}
     found = []
     for path in defining:
         for fn, _ in reads[path]:
-            if fn is None or fn.startswith("_"):
+            if fn is None or fn.rpartition(".")[2].startswith("_"):
                 continue
+            name = fn.rpartition(".")[2]
             if not any(
-                fn in names for p, stmts in reads.items() for owner, names in stmts
+                name in names for p, stmts in reads.items() for owner, names in stmts
                 if (p, owner) != (path, fn)
             ):
                 found.append(f"{path}: {fn}")
@@ -112,6 +125,26 @@ def test_callerless_check_flags_only_functions_nothing_else_reads():
         "b.py": "import a\na.by_attribute()\nf = used\n",
     }
     assert _callerless(sources, ["a.py"]) == ["a.py: recursive"]
+
+
+def test_callerless_check_covers_the_methods_of_public_classes():
+    """The scan matches names, not calls: a method named like anything read
+    elsewhere, such as numpy's ``size`` or ``item``, counts as read."""
+    sources = {
+        "a.py": (
+            "class Box:\n"
+            "    def __init__(self):\n        self.n = 0\n"
+            "    def _helper(self):\n        pass\n"
+            "    def orphan(self):\n        return self.orphan()\n"
+            "    @property\n    def width(self):\n        return self.n\n"
+            "    @classmethod\n    def empty(cls):\n        return cls()\n"
+            "    @staticmethod\n    def unread():\n        pass\n"
+            "    def size(self):\n        pass\n"
+            "class _Hidden:\n    def unread_too(self):\n        pass\n"
+        ),
+        "b.py": "import numpy as np\nimport a\nw = a.Box.empty().width\nn = np.zeros(3).size\n",
+    }
+    assert _callerless(sources, ["a.py"]) == ["a.py: Box.orphan", "a.py: Box.unread"]
 
 
 def test_every_public_function_is_read_by_the_package_or_the_benchmark():

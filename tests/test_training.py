@@ -955,6 +955,20 @@ def test_train_rejects_an_empty_sentence_before_epoch_0():
     assert logged == []
 
 
+def test_train_rejects_a_non_str_video_id_before_epoch_0():
+    # frame_rng encodes the id only where a chunk can draw, so without the
+    # check an int id fails in the first batch, and only on corpora with F > N
+    corpus = _corpus()
+    assert corpus.dataset.n_frames > DIMS.n_chunks
+    entries = [(i, idx, sents) for i, (_, idx, sents) in enumerate(corpus.manifests["train"].entries)]
+    model = Model.new(DIMS, "dual-I", seed=1, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=2, batch_size=4)
+    logged = []
+    with pytest.raises(ManifestError, match="^entry 0: video id 0 is not a str$"):
+        training.train(corpus.dataset, Manifest("train", entries), model, config, log_fn=lambda *e: logged.append(e))
+    assert logged == []
+
+
 @pytest.mark.parametrize("spaces", ["dual-I", "triple"])
 def test_checkpoint_round_trip_scores_bit_identically(corpus, spaces):
     table = corpus.dataset.embedding_table()

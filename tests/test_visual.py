@@ -16,7 +16,6 @@ from mvse.model import init_params
 from mvse.visual import (
     AttentionParams,
     GlobalHeadParams,
-    LstmParams,
     SequentialHeadParams,
     SpaceUnavailableError,
     VideoFeature,
