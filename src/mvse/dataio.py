@@ -14,8 +14,12 @@ Container layout (all little-endian):
 
 Every section length is derivable from the header, so a reader can (and
 does) reject files with trailing bytes. Floats are stored at 32-bit
-precision and widened to 64-bit in memory; generated datasets are rounded
-to 32-bit before use so in-memory values always equal their on-disk form.
+precision and a :class:`Dataset` holds them at 32-bit too, so its
+in-memory values always equal their on-disk form; the visual heads widen
+only the frames they gather to 64-bit. Containers and checkpoints are
+written to and read from binary streams section by section, each section
+straight between the stream and its own array, so no copy of the whole
+file is ever held in memory.
 
 Checkpoints use magic b"MVSC" and their own version, CHECKPOINT_VERSION:
 a JSON config echo followed by the named parameter tensors at full 64-bit
@@ -28,11 +32,13 @@ read with its weights permuted.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -44,6 +50,7 @@ CHECKPOINT_MAGIC = b"MVSC"
 CONTAINER_VERSION = 1
 CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("<10I")
+_SECTIONS = ("global_frames", "grid_frames", "action_vecs", "embedding_vectors")
 
 
 class ContainerError(ValueError):
@@ -70,21 +77,21 @@ class ManifestError(ValueError):
     pass
 
 
-def _f32_round(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float32).astype(np.float64)
-
-
 @dataclass
 class Dataset:
-    """In-memory form of one container file."""
+    """In-memory form of one container file. Every feature section is held
+    as a C-contiguous float32 array, the container's precision; a section
+    of any other dtype is rounded to float32 on construction."""
 
-    global_frames: np.ndarray       # [V, F, C_g]
-    grid_frames: np.ndarray         # [V, F, G, G, C_s]
-    action_vecs: np.ndarray         # [V, C_a]; C_a == 0 when absent
-    embedding_vectors: np.ndarray   # [vocab, E]
+    global_frames: np.ndarray       # [V, F, C_g] float32
+    grid_frames: np.ndarray         # [V, F, G, G, C_s] float32
+    action_vecs: np.ndarray         # [V, C_a] float32; C_a == 0 when absent
+    embedding_vectors: np.ndarray   # [vocab, E] float32
     sentences: list[list[int]]
 
     def __post_init__(self):
+        for name in _SECTIONS:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float32))
         v = self.global_frames.shape[0]
         if self.grid_frames.shape[0] != v or self.action_vecs.shape[0] != v:
             raise ValueError("per-video sections disagree on video count")
@@ -152,53 +159,68 @@ def default_video_id(index: int) -> str:
     return f"v{index:04d}"
 
 
-def write_container(ds: Dataset) -> bytes:
+def write_container(ds: Dataset, out: BinaryIO) -> None:
+    """Write ``ds`` to the binary stream ``out``, each float section straight
+    from its array."""
     total_tokens = sum(len(s) for s in ds.sentences)
-    buf = io.BytesIO()
-    buf.write(CONTAINER_MAGIC)
-    buf.write(struct.pack("<H", CONTAINER_VERSION))
-    buf.write(
+    out.write(CONTAINER_MAGIC + struct.pack("<H", CONTAINER_VERSION))
+    out.write(
         _HEADER.pack(
             ds.n_videos, ds.n_frames, ds.grid, ds.c_global, ds.c_spatial,
             ds.c_action, ds.vocab_size, ds.token_dim, len(ds.sentences), total_tokens,
         )
     )
-    for arr in (ds.global_frames, ds.grid_frames, ds.action_vecs, ds.embedding_vectors):
-        buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    for s in ds.sentences:
-        buf.write(struct.pack("<I", len(s)))
-        buf.write(np.asarray(s, dtype="<u4").tobytes())
-    return buf.getvalue()
+    for name in _SECTIONS:
+        out.write(np.ascontiguousarray(getattr(ds, name), dtype="<f4"))
+    records = itertools.chain.from_iterable((len(s), *s) for s in ds.sentences)
+    out.write(np.fromiter(records, dtype="<u4", count=len(ds.sentences) + total_tokens))
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+    """Reads a container or checkpoint off a seekable binary stream. Each
+    read is checked against the bytes left before anything is allocated for
+    it, so a corrupt length raises ``TruncatedError``, not a huge
+    allocation."""
+
+    def __init__(self, stream: BinaryIO, kind: str):
+        self.stream = stream
+        self.kind = kind
+        self.pos = stream.tell()
+        self.end = stream.seek(0, io.SEEK_END)
+        stream.seek(self.pos)
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
+        return self.array("u1", (n,), what).tobytes()
+
+    def array(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The next ``shape`` elements of ``dtype``, read into a new array:
+        the one copy between the stream and the caller."""
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        if self.pos + n > self.end:
             raise TruncatedError(
-                f"container truncated while reading {what}: "
-                f"need {n} bytes at offset {self.pos}, have {len(self.blob) - self.pos}"
+                f"{self.kind} truncated while reading {what}: "
+                f"need {n} bytes at offset {self.pos}, have {self.end - self.pos}"
             )
-        out = self.blob[self.pos: self.pos + n]
+        try:
+            out = np.empty(shape, dtype)
+        except ValueError as exc:  # zero elements, but the other lengths overflow numpy's size
+            raise ContainerError(f"{self.kind} {what} has shape {shape}, too large to hold") from exc
+        if self.stream.readinto(out) != n:  # the file shrank under the reader
+            raise TruncatedError(f"{self.kind} ended early while reading {what}")
         self.pos += n
         return out
 
-    def floats(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
-
-    def done(self, kind: str) -> None:
-        if self.pos != len(self.blob):
+    def done(self) -> None:
+        if self.pos != self.end:
             raise TrailingBytesError(
-                f"{kind} has {len(self.blob) - self.pos} trailing bytes after last section"
+                f"{self.kind} has {self.end - self.pos} trailing bytes after last section"
             )
 
 
-def read_container(blob: bytes) -> Dataset:
-    r = _Reader(blob)
+def read_container(stream: BinaryIO) -> Dataset:
+    """The dataset a container holds, read from the seekable binary
+    ``stream``, each float section straight into its float32 array."""
+    r = _Reader(stream, "container")
     magic = r.take(4, "magic")
     if magic != CONTAINER_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {CONTAINER_MAGIC!r}")
@@ -208,37 +230,33 @@ def read_container(blob: bytes) -> Dataset:
     v, f, g, c_g, c_s, c_a, vocab, e, n_sent, total_tokens = _HEADER.unpack(
         r.take(_HEADER.size, "header")
     )
-    global_frames = r.floats(v * f * c_g, "global_frames").reshape(v, f, c_g)
-    grid_frames = r.floats(v * f * g * g * c_s, "grid_frames").reshape(v, f, g, g, c_s)
-    action_vecs = r.floats(v * c_a, "action_vecs").reshape(v, c_a)
-    table = r.floats(vocab * e, "embedding_table").reshape(vocab, e)
+    shapes = ((v, f, c_g), (v, f, g, g, c_s), (v, c_a), (vocab, e))
+    sections = {name: r.array("<f4", shape, name) for name, shape in zip(_SECTIONS, shapes)}
     sentences: list[list[int]] = []
     seen_tokens = 0
     for i in range(n_sent):
         (length,) = struct.unpack("<I", r.take(4, f"sentence {i} length"))
-        ids = np.frombuffer(r.take(4 * length, f"sentence {i}"), dtype="<u4")
+        sentences.append(r.array("<u4", (length,), f"sentence {i}").tolist())
         seen_tokens += length
-        sentences.append([int(t) for t in ids])
     if seen_tokens != total_tokens:
         raise TruncatedError(
             f"header promises {total_tokens} sentence tokens, sections carry {seen_tokens}"
         )
-    r.done("container")
+    r.done()
     try:
-        return Dataset(
-            global_frames=global_frames, grid_frames=grid_frames,
-            action_vecs=action_vecs, embedding_vectors=table, sentences=sentences,
-        )
+        return Dataset(**sections, sentences=sentences)
     except ValueError as exc:
         raise ContainerError(f"inconsistent container: {exc}") from exc
 
 
 def save_container(ds: Dataset, path: str | Path) -> None:
-    Path(path).write_bytes(write_container(ds))
+    with open(path, "wb") as out:
+        write_container(ds, out)
 
 
 def load_container(path: str | Path) -> Dataset:
-    return read_container(Path(path).read_bytes())
+    with open(path, "rb") as stream:
+        return read_container(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +310,25 @@ class Manifest:
 # ---------------------------------------------------------------------------
 
 
-def write_checkpoint(params: dict[str, np.ndarray], config: dict) -> bytes:
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
+def write_checkpoint(params: dict[str, np.ndarray], config: dict, out: BinaryIO) -> None:
+    """Write the named tensors and the JSON ``config`` to the binary stream
+    ``out``, each tensor straight from its C-contiguous little-endian
+    float64 array."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<I", len(params)))
+    out.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(blob)) + blob)
+    out.write(struct.pack("<I", len(params)))
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype=np.float64)
+        arr = np.ascontiguousarray(params[name], dtype="<f8")
         encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(arr.astype("<f8").tobytes())
-    return buf.getvalue()
+        out.write(struct.pack("<H", len(encoded)) + encoded)
+        out.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+        out.write(arr)
 
 
-def read_checkpoint(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    r = _Reader(blob)
+def read_checkpoint(stream: BinaryIO) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and config a checkpoint holds, read from the seekable
+    binary ``stream``, each tensor straight into its own array."""
+    r = _Reader(stream, "checkpoint")
     magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -336,15 +352,16 @@ def read_checkpoint(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
             raise ContainerError(f"checkpoint tensor {name} appears twice")
         (rank,) = struct.unpack("<B", r.take(1, "tensor rank"))
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, "tensor shape"))
-        data = np.frombuffer(r.take(8 * math.prod(shape), f"tensor {name}"), dtype="<f8")
-        params[name] = data.reshape(shape).copy()
-    r.done("checkpoint")
+        params[name] = r.array("<f8", shape, f"tensor {name}")
+    r.done()
     return params, config
 
 
 def save_checkpoint(params: dict[str, np.ndarray], config: dict, path: str | Path) -> None:
-    Path(path).write_bytes(write_checkpoint(params, config))
+    with open(path, "wb") as out:
+        write_checkpoint(params, config, out)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    return read_checkpoint(Path(path).read_bytes())
+    with open(path, "rb") as stream:
+        return read_checkpoint(stream)

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvse.config import Dims, _require_integer
-from mvse.dataio import Dataset, Manifest, _f32_round, default_video_id
+from mvse.dataio import Dataset, Manifest, default_video_id
 
 _STREAMS = ("codes", "mix_global", "mix_grid", "mix_action", "noise", "table")
+_GRID_CHUNK_BYTES = 1 << 26  # float64 bytes of grid values per chunk of videos
 
 
 @dataclass
@@ -185,12 +186,27 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     global_frames = np.tile((z_g @ mix_global.T)[:, None, :], (1, f, 1))
     global_frames = global_frames + cfg.noise_sigma * noise.normal(size=global_frames.shape)
 
-    grid_frames = np.zeros((v, f, dims.grid_flat))
-    if l_s:
-        for frame in range(f):
-            shifted = np.roll(z_s, -(frame % l_s), axis=1)
-            grid_frames[:, frame, :] = shifted @ mix_grid.T
-    grid_frames = grid_frames + cfg.noise_sigma * noise.normal(size=grid_frames.shape)
+    # Drawn and rounded to float32 a chunk of videos at a time, so the grid
+    # section never exists at float64 (16 MB per video at Dims()). Chunked
+    # draws consume the noise stream as one whole draw does, and a GEMM of
+    # two or more rows gives each row its bytes in the whole product; one
+    # row would go through gemv, which rounds differently, so a 1-video
+    # tail joins the chunk before it.
+    grid_frames = np.empty((v, f, dims.grid_flat), dtype=np.float32)
+    step = max(2, _GRID_CHUNK_BYTES // (8 * f * dims.grid_flat))
+    starts = list(range(0, v, step))
+    if v - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [v]):
+        signal = np.zeros((hi - lo, f, dims.grid_flat))
+        if l_s:
+            for frame in range(f):
+                shifted = np.roll(z_s[lo:hi], -(frame % l_s), axis=1)
+                signal[:, frame, :] = shifted @ mix_grid.T
+        chunk = noise.normal(size=signal.shape)
+        chunk *= cfg.noise_sigma
+        chunk += signal
+        grid_frames[lo:hi] = chunk
     grid_frames = grid_frames.reshape(v, f, dims.grid, dims.grid, dims.c_spatial)
 
     action_vecs = z_a @ mix_action.T
@@ -210,11 +226,11 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         for s in range(cfg.sentences_per_video):
             sentences.append(_sentence_tokens(truth, i, s))
 
-    dataset = Dataset(
-        global_frames=_f32_round(global_frames),
-        grid_frames=_f32_round(grid_frames),
-        action_vecs=_f32_round(action_vecs),
-        embedding_vectors=_f32_round(table),
+    dataset = Dataset(  # rounds every section to float32
+        global_frames=global_frames,
+        grid_frames=grid_frames,
+        action_vecs=action_vecs,
+        embedding_vectors=table,
         sentences=sentences,
     )
 
@@ -258,10 +274,12 @@ def probe_recall_at_1(result: SynthResult, manifest_name: str = "test", space: s
     g_sl, s_sl, a_sl = truth.slices()
     if space == "global":
         sl, mix = g_sl, truth.mix_global
-        gallery_feats = {idx: ds.global_frames[idx].mean(axis=0) for _, idx, _ in manifest.entries}
+        gallery_feats = {
+            idx: ds.global_frames[idx].astype(np.float64).mean(axis=0) for _, idx, _ in manifest.entries
+        }
     elif space == "action":
         sl, mix = a_sl, truth.mix_action
-        gallery_feats = {idx: ds.action_vecs[idx] for _, idx, _ in manifest.entries}
+        gallery_feats = {idx: ds.action_vecs[idx].astype(np.float64) for _, idx, _ in manifest.entries}
     else:
         raise ValueError(f"probe has no raw-feature reading for space {space!r}")
 

@@ -53,12 +53,14 @@ class SpaceUnavailableError(ValueError):
 
 @dataclass
 class VideoFeature:
-    """Precomputed per-video features as ingested from the container."""
+    """Precomputed per-video features as ingested from the container, in
+    the dtype they are stored in (float32 for a ``Dataset``'s videos): the
+    heads widen them to float64 when they read them."""
 
     video_id: str
-    global_frames: np.ndarray        # [F, C_g]
-    grid_frames: np.ndarray          # [F, G, G, C_s]
-    action_vec: np.ndarray | None    # [C_a]
+    global_frames: np.ndarray        # [F, C_g], any float dtype
+    grid_frames: np.ndarray          # [F, G, G, C_s], any float dtype
+    action_vec: np.ndarray | None    # [C_a], any float dtype
 
     def __post_init__(self):
         if self.global_frames.ndim != 2 or self.grid_frames.ndim != 4:
@@ -104,14 +106,17 @@ def chunk_sample(
 
 def _gather(kind: str, frames: list[np.ndarray], indices: list[list[int]]) -> np.ndarray:
     """Row ``indices[v]`` of ``frames[v]`` for every video, stacked into one
-    [V, N, ...] array. Every video needs the same count N; differing counts
-    raise ``ShapeError`` naming them."""
+    [V, N, ...] float64 array. This is the one place stored frames are
+    widened: only the selected frames are, and f4 -> f8 is exact, so the
+    heads compute on the stored values. Every video needs the same count N;
+    differing counts raise ``ShapeError`` naming them."""
     counts = sorted({len(idx) for idx in indices})
     if len(counts) > 1:
         raise ShapeError(
             kind, *((c,) for c in counts), detail="need the same frame index count for every video"
         )
-    return np.stack([f[np.asarray(idx, dtype=np.int64)] for f, idx in zip(frames, indices)])
+    picked = [f[np.asarray(idx, dtype=np.int64)] for f, idx in zip(frames, indices)]
+    return np.stack(picked, dtype=np.float64)
 
 
 @dataclass
@@ -231,12 +236,13 @@ def sequential_embed(
 
 
 def action_embed(videos: list[VideoFeature]) -> Tensor:
-    """The stored action vectors as one [V, C_a] constant, unchanged; only
-    the text side of this space is learned."""
+    """The stored action vectors as one [V, C_a] float64 constant, widened
+    exactly and otherwise unchanged; only the text side of this space is
+    learned."""
     for video in videos:
         if video.action_vec is None:
             raise SpaceUnavailableError(f"space unavailable: video {video.video_id} has no action features")
-    return Tensor(np.stack([v.action_vec for v in videos]), copy=False)
+    return Tensor(np.stack([v.action_vec for v in videos], dtype=np.float64), copy=False)
 
 
 def space_similarity(f: Tensor, g: Tensor) -> Tensor:

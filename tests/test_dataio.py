@@ -1,5 +1,7 @@
+import io
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,18 +28,39 @@ from mvse.dataio import (
     write_container,
 )
 from mvse.synth import SynthConfig, synth_generate
+from shapes import MID_DIMS
 
 DIMS = Dims.small()
+SECTIONS = ("global_frames", "grid_frames", "action_vecs", "embedding_vectors")
+
+
+def _container(ds: Dataset) -> bytes:
+    out = io.BytesIO()
+    write_container(ds, out)
+    return out.getvalue()
+
+
+def _read(blob: bytes) -> Dataset:
+    return read_container(io.BytesIO(blob))
+
+
+def _checkpoint(params: dict, config: dict) -> bytes:
+    out = io.BytesIO()
+    write_checkpoint(params, config, out)
+    return out.getvalue()
+
+
+def _read_checkpoint(blob: bytes) -> tuple[dict, dict]:
+    return read_checkpoint(io.BytesIO(blob))
 
 
 def _tiny_dataset(rng=None, v=1, f=1) -> Dataset:
     rng = rng or np.random.default_rng(0)
-    f32 = lambda a: a.astype(np.float32).astype(np.float64)
     return Dataset(
-        global_frames=f32(rng.normal(size=(v, f, 3))),
-        grid_frames=f32(rng.normal(size=(v, f, 2, 2, 4))),
-        action_vecs=f32(rng.normal(size=(v, 5))),
-        embedding_vectors=f32(rng.normal(size=(6, 2))),
+        global_frames=rng.normal(size=(v, f, 3)),
+        grid_frames=rng.normal(size=(v, f, 2, 2, 4)),
+        action_vecs=rng.normal(size=(v, 5)),
+        embedding_vectors=rng.normal(size=(6, 2)),
         sentences=[[0, 3, 5], [2]],
     )
 
@@ -60,16 +83,16 @@ class TestContainer:
             embedding_vectors=np.zeros((0, 2)),
             sentences=[],
         )
-        blob = write_container(ds)
-        back = read_container(blob)
+        blob = _container(ds)
+        back = _read(blob)
         assert back.n_videos == 0
-        assert write_container(back) == blob
+        assert _container(back) == blob
 
     def test_single_video_bit_exact(self):
         ds = _tiny_dataset()
-        blob = write_container(ds)
-        back = read_container(blob)
-        assert write_container(back) == blob
+        blob = _container(ds)
+        back = _read(blob)
+        assert _container(back) == blob
         np.testing.assert_array_equal(back.global_frames, ds.global_frames)
         np.testing.assert_array_equal(back.grid_frames, ds.grid_frames)
         np.testing.assert_array_equal(back.action_vecs, ds.action_vecs)
@@ -77,32 +100,38 @@ class TestContainer:
         assert back.sentences == ds.sentences
 
     def test_corrupt_magic(self):
-        blob = bytearray(write_container(_tiny_dataset()))
+        blob = bytearray(_container(_tiny_dataset()))
         blob[:4] = b"XYZW"
         with pytest.raises(BadMagicError, match="bad magic"):
-            read_container(bytes(blob))
+            _read(bytes(blob))
 
     def test_version_mismatch(self):
-        blob = bytearray(write_container(_tiny_dataset()))
+        blob = bytearray(_container(_tiny_dataset()))
         blob[4:6] = (999).to_bytes(2, "little")
         with pytest.raises(VersionMismatchError):
-            read_container(bytes(blob))
+            _read(bytes(blob))
 
     def test_truncation(self):
-        blob = write_container(_tiny_dataset())
+        blob = _container(_tiny_dataset())
         with pytest.raises(TruncatedError):
-            read_container(blob[:-3])
+            _read(blob[:-3])
+
+    def test_empty_section_of_unholdable_shape_is_a_container_error(self):
+        # V = 0, so no bytes are missing, but numpy cannot form [0, F, G, G, C_s]
+        header = struct.pack("<10I", 0, 2**32 - 1, 2**32 - 1, 1, 2**32 - 1, 0, 0, 0, 0, 0)
+        with pytest.raises(ContainerError, match="container grid_frames has shape"):
+            _read(b"MVSE" + struct.pack("<H", 1) + header)
 
     def test_trailing_bytes(self):
-        blob = write_container(_tiny_dataset())
+        blob = _container(_tiny_dataset())
         with pytest.raises(TrailingBytesError):
-            read_container(blob + b"\x00")
+            _read(blob + b"\x00")
 
     def test_file_round_trip(self, tmp_path):
         ds = _tiny_dataset()
         path = tmp_path / "data.mvse"
         save_container(ds, path)
-        assert write_container(load_container(path)) == path.read_bytes()
+        assert _container(load_container(path)) == path.read_bytes()
 
     def test_sentence_vocab_validation(self):
         ds = _tiny_dataset()
@@ -117,10 +146,10 @@ class TestContainer:
 
     def test_out_of_vocabulary_token_is_a_container_error(self):
         ds = _tiny_dataset()
-        blob = bytearray(write_container(ds))
+        blob = bytearray(_container(ds))
         blob[-4:] = (ds.vocab_size).to_bytes(4, "little")  # the last sentence's only token id
         with pytest.raises(ContainerError, match="outside vocabulary"):
-            read_container(bytes(blob))
+            _read(bytes(blob))
 
     def test_video_feature_view(self):
         ds = _tiny_dataset()
@@ -140,8 +169,8 @@ class TestContainer:
             embedding_vectors=ds.embedding_vectors,
             sentences=ds.sentences,
         )
-        blob = write_container(no_action)
-        back = read_container(blob)
+        blob = _container(no_action)
+        back = _read(blob)
         assert not back.has_action
         assert back.video_feature(0).action_vec is None
 
@@ -184,7 +213,7 @@ class TestManifest:
         # would stop with EmptySentenceError in whichever epoch drew it
         ds = _tiny_dataset(v=2)
         ds.sentences = [[0], [1], [2], [3], [4], []]
-        back = read_container(write_container(ds))
+        back = _read(_container(ds))
         assert back.sentences[5] == []
         Manifest("t", [("v0000", 0, (0, 1)), ("v0001", 1, (2,))]).validate_against(back)
         with pytest.raises(ManifestError, match="^video v0001: sentence id 5 is empty$"):
@@ -203,31 +232,31 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self):
         params = self._params()
         config = {"spaces": "dual-S", "seed": 7}
-        blob = write_checkpoint(params, config)
-        back_params, back_config = read_checkpoint(blob)
+        blob = _checkpoint(params, config)
+        back_params, back_config = _read_checkpoint(blob)
         assert back_config == config
         assert set(back_params) == set(params)
         for k in params:
             np.testing.assert_array_equal(back_params[k], params[k])
         # save -> load -> save produces identical bytes
-        assert write_checkpoint(back_params, back_config) == blob
+        assert _checkpoint(back_params, back_config) == blob
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "model.mvsc"
         save_checkpoint(self._params(), {"a": 1}, p)
         params, config = load_checkpoint(p)
         assert config == {"a": 1}
-        assert write_checkpoint(params, config) == p.read_bytes()
+        assert _checkpoint(params, config) == p.read_bytes()
 
     def test_checkpoint_magic_differs_from_container(self):
-        blob = write_checkpoint(self._params(), {})
+        blob = _checkpoint(self._params(), {})
         with pytest.raises(BadMagicError):
-            read_container(blob)
+            _read(blob)
         with pytest.raises(BadMagicError):
-            read_checkpoint(write_container(_tiny_dataset()))
+            _read_checkpoint(_container(_tiny_dataset()))
 
     def test_undecodable_config_or_name_is_a_container_error(self):
-        blob = write_checkpoint(self._params(), {"a": 1})
+        blob = _checkpoint(self._params(), {"a": 1})
         config_at = 4 + 2 + 4  # magic, version, config length
         name_at = config_at + len(b'{"a":1}') + 4 + 2  # config, tensor count, name length
         assert blob[name_at: name_at + 6] == b"gate.w"
@@ -236,12 +265,12 @@ class TestCheckpoint:
             bad = bytearray(blob)
             bad[at] = byte
             with pytest.raises(ContainerError, match="checkpoint"):
-                read_checkpoint(bytes(bad))
+                _read_checkpoint(bytes(bad))
 
     def test_truncated_checkpoint(self):
-        blob = write_checkpoint(self._params(), {})
+        blob = _checkpoint(self._params(), {})
         with pytest.raises(TruncatedError):
-            read_checkpoint(blob[:-5])
+            _read_checkpoint(blob[:-5])
 
     @staticmethod
     def _blob(tensors: list[tuple[str, tuple[int, ...], bytes]]) -> bytes:
@@ -258,12 +287,40 @@ class TestCheckpoint:
     def test_huge_declared_shape_is_truncated(self, shape):
         # the element counts overflow int64: 2**64 (wraps to 0) and (2**32 - 1)**2 (negative)
         with pytest.raises(TruncatedError):
-            read_checkpoint(self._blob([("x", shape, b"\0" * 64)]))
+            _read_checkpoint(self._blob([("x", shape, b"\0" * 64)]))
+
+    def test_save_copies_no_tensor_and_load_copies_each_once(self, tmp_path):
+        rng = np.random.default_rng(0)
+        params = {"big": rng.normal(size=(256, 512)), "small": rng.normal(size=7)}
+        tensors = sum(a.nbytes for a in params.values())  # 1 MiB
+        path = tmp_path / "model.mvsc"
+        save_checkpoint(params, {"a": 1}, path)
+        load_checkpoint(path)  # first-call allocations stay out of the count
+        slack = 64 << 10
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, {"a": 1}, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded, _ = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert save_peak <= slack
+        assert load_peak <= tensors + slack
+        for name, arr in params.items():
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    def test_empty_tensor_of_unholdable_shape_is_a_container_error(self):
+        # zero elements, so no bytes are missing, but numpy cannot form the shape
+        with pytest.raises(ContainerError, match="too large to hold"):
+            _read_checkpoint(self._blob([("x", (0, 2**32 - 1, 2**32 - 1, 2**32 - 1), b"")]))
 
     def test_repeated_tensor_name_is_a_container_error(self):
         one = np.array([1.0]).tobytes()
         with pytest.raises(ContainerError, match="x appears twice"):
-            read_checkpoint(self._blob([("x", (1,), one), ("x", (1,), one)]))
+            _read_checkpoint(self._blob([("x", (1,), one), ("x", (1,), one)]))
 
 
 class TestGeneratedDatasets:
@@ -277,18 +334,57 @@ class TestGeneratedDatasets:
 
     def test_round_trip_bit_exact(self):
         res = synth_generate(self._config())
-        blob = write_container(res.dataset)
-        assert write_container(read_container(blob)) == blob
+        blob = _container(res.dataset)
+        assert _container(_read(blob)) == blob
 
     def test_generator_determinism(self):
-        a = write_container(synth_generate(self._config()).dataset)
-        b = write_container(synth_generate(self._config()).dataset)
+        a = _container(synth_generate(self._config()).dataset)
+        b = _container(synth_generate(self._config()).dataset)
         assert a == b
-        c = write_container(synth_generate(self._config(seed=6)).dataset)
+        c = _container(synth_generate(self._config(seed=6)).dataset)
         assert a != c
 
     def test_memory_values_equal_disk_values(self):
         res = synth_generate(self._config())
-        back = read_container(write_container(res.dataset))
+        back = _read(_container(res.dataset))
         np.testing.assert_array_equal(back.global_frames, res.dataset.global_frames)
         np.testing.assert_array_equal(back.grid_frames, res.dataset.grid_frames)
+
+    def test_sections_stay_float32_through_the_round_trip(self):
+        ds = _tiny_dataset()
+        back = _read(_container(ds))
+        for name in SECTIONS:
+            assert getattr(ds, name).dtype == getattr(back, name).dtype == np.float32, name
+            assert getattr(back, name).flags.c_contiguous, name
+
+    def test_direct_construction_rounds_to_float32(self):
+        values = np.array([[[0.1, 1 / 3, 1e-50]]])
+        ds = Dataset(
+            global_frames=values, grid_frames=np.zeros((1, 1, 1, 1, 2)),
+            action_vecs=np.zeros((1, 0)), embedding_vectors=np.zeros((1, 2)), sentences=[],
+        )
+        assert ds.global_frames.dtype == np.float32
+        assert ds.global_frames.tobytes() == values.astype(np.float32).tobytes()
+        assert _read(_container(ds)).global_frames.tobytes() == ds.global_frames.tobytes()
+
+    def test_load_holds_only_the_float32_sections(self, tmp_path):
+        # seq-train's corpus: 1.7 MiB of float32 sections
+        cfg = SynthConfig(
+            dims=MID_DIMS, n_videos=48, rho=(0.5, 0.5, 0.0), sentence_mode="split",
+            train_fraction=2 / 3, seed=1,
+        )
+        path = tmp_path / "corpus.mvse"
+        save_container(synth_generate(cfg).dataset, path)
+        load_container(path)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            back = load_container(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sections = sum(getattr(back, name).nbytes for name in SECTIONS)
+        slack = 64 << 10
+        assert retained <= sections + slack
+        # each section is read from the file straight into its own array, so
+        # the peak stays under the sections alone, not file + sections
+        assert peak <= sections + slack

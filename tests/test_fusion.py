@@ -81,7 +81,7 @@ def _fuse_one(sims, weights: Tensor) -> float:
     """Fuse one (video, sentence) pair: per-space similarities [M] with the
     sentence's weights [M], as a 1 x 1 grid."""
     stacked = Tensor(np.asarray(sims, dtype=np.float64).reshape(-1, 1, 1))
-    return fuse(stacked, reshape(weights, (1, weights.size))).item()
+    return fuse(stacked, reshape(weights, (1, weights.data.size))).item()
 
 
 class TestFuse:

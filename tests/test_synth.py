@@ -1,17 +1,50 @@
+import hashlib
+import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mvse import synth
 from mvse.config import Dims
+from mvse.dataio import write_container
 from mvse.synth import (
     SynthConfig,
     probe_recall_at_1,
     slice_collision_ceiling,
     synth_generate,
 )
+from shapes import MID_DIMS
 
 DIMS = Dims.small()
+SECTIONS = ("global_frames", "grid_frames", "action_vecs", "embedding_vectors")
+
+# the benchmark's three corpora (mvse_bench/pipeline.py), as SynthConfig
+# fields, with the sha256 of their container at seeds 1 and 2
+BENCH_CORPORA = {
+    "global-train": (
+        dict(dims=DIMS, n_videos=200, rho=(0.5, 0.0, 0.5), sentence_mode="full", train_fraction=0.75),
+        {1: "a350568fee10226e630c6d36d1615767d9561267f45fc9def50eb99d0e6c0a6c",
+         2: "099c8cc5afb18aca3c04a9799bf838c70bab7ea889cd1ec670ff25fb40353e01"},
+    ),
+    "seq-train": (
+        dict(dims=MID_DIMS, n_videos=48, rho=(0.5, 0.5, 0.0), sentence_mode="split", train_fraction=2 / 3),
+        {1: "ede268d9c34c996a966a15ad919b89d151044c4618e6a7e48c756aa9a006094a",
+         2: "c96cd9034fd0aa18efff9baf9848469bc76f21043ffc3768e8c4c196348f9af9"},
+    ),
+    "seq-retrieve": (
+        dict(dims=DIMS, n_videos=128, rho=(0.5, 0.25, 0.25), sentence_mode="full", train_fraction=0.5),
+        {1: "a93d7e1a5b7715083300b3197024f0b12f22a4f366a0957a637a0e358808d069",
+         2: "8ce580a9377f736c84cb6df5f61e10d6ca6a9e46ec8bcab63ca23683370e825d"},
+    ),
+}
+
+
+def _container(ds) -> bytes:
+    out = io.BytesIO()
+    write_container(ds, out)
+    return out.getvalue()
 
 
 def _cfg(**kw) -> SynthConfig:
@@ -168,3 +201,74 @@ class TestManifestsAndDeterminism:
         a = synth_generate(_cfg())
         b = synth_generate(_cfg())
         assert a.manifests and a.manifests == b.manifests  # Manifest equality: split and entries
+
+
+class _RecordingNormal:
+    """A generator stand-in that records the size of every normal draw."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.sizes = rng, []
+
+    def normal(self, *args, size, **kw):
+        self.sizes.append(size)
+        return self.rng.normal(*args, size=size, **kw)
+
+
+class TestFloat32Storage:
+    @pytest.mark.parametrize("workload,seed", [(w, s) for w in BENCH_CORPORA for s in (1, 2)])
+    def test_benchmark_corpora_keep_their_bytes(self, workload, seed):
+        fields, digests = BENCH_CORPORA[workload]
+        blob = _container(synth_generate(SynthConfig(seed=seed, **fields)).dataset)
+        assert hashlib.sha256(blob).hexdigest() == digests[seed]
+
+    def test_sections_are_c_contiguous_float32(self):
+        ds = synth_generate(_cfg(rho=(0.5, 0.25, 0.25), noise_sigma=0.05)).dataset
+        for name in SECTIONS:
+            section = getattr(ds, name)
+            assert section.dtype == np.float32 and section.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("videos_per_chunk,chunks", [(3, [3, 4]), (0, [2, 2, 3]), (7, [7])])
+    def test_grid_chunks_never_hold_one_video_and_keep_the_bytes(
+        self, monkeypatch, videos_per_chunk, chunks
+    ):
+        # a 1-row signal GEMM goes through gemv and rounds differently, so a
+        # 1-video tail joins the chunk before it; a budget under one video
+        # still draws two at a time
+        cfg = _cfg(dims=MID_DIMS, n_videos=7, rho=(0.25, 0.5, 0.25), noise_sigma=0.05)
+        whole = _container(synth_generate(cfg).dataset)
+        spawn = synth._spawn
+        recorders = []
+
+        def recording_spawn(seed):
+            rngs = spawn(seed)
+            rngs["noise"] = _RecordingNormal(rngs["noise"])
+            recorders.append(rngs["noise"])
+            return rngs
+
+        budget = videos_per_chunk * 8 * cfg.frames() * MID_DIMS.grid_flat
+        monkeypatch.setattr(synth, "_GRID_CHUNK_BYTES", budget)
+        monkeypatch.setattr(synth, "_spawn", recording_spawn)
+        assert _container(synth_generate(cfg).dataset) == whole
+        sizes = recorders[0].sizes
+        assert sizes[0] == (7, cfg.frames(), MID_DIMS.c_global)  # all global noise first
+        assert [n for n, *_ in sizes[1:-1]] == chunks
+        assert sizes[-1] == (7, MID_DIMS.c_action)
+
+    def test_synth_retains_the_float32_sections_and_no_float64_grid(self, monkeypatch):
+        # seq-train's corpus: its float64 grid would be 3 MiB, its float32
+        # sections together are 1.7 MiB
+        cfg = SynthConfig(seed=1, **BENCH_CORPORA["seq-train"][0])
+        synth_generate(cfg)  # first-call allocations stay out of the count
+        monkeypatch.setattr(synth, "_GRID_CHUNK_BYTES", 4 * 8 * cfg.frames() * MID_DIMS.grid_flat)
+        tracemalloc.start()
+        try:
+            res = synth_generate(cfg)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sections = sum(getattr(res.dataset, name).nbytes for name in SECTIONS)
+        grid_f64 = 2 * res.dataset.grid_frames.nbytes
+        slack = 256 << 10  # codes, mixers, sentences and manifests: ~80 KiB
+        assert retained <= sections + slack
+        # four-video chunks: the float64 grid never exists whole
+        assert peak <= sections + grid_f64 - slack

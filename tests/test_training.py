@@ -6,6 +6,7 @@ reproducibility of ``train``."""
 
 import collections
 import dataclasses
+import io
 import itertools
 import struct
 import tracemalloc
@@ -139,15 +140,15 @@ def _per_pair_sequential(video, indices, phi, params):
     for idx in indices:
         grid = Tensor(video.grid_frames[idx])
         g1, g2, _ = grid.shape
-        p = tanh(add(matvec(at.w_p, reshape(grid, (grid.size,))), at.b_p))
+        p = tanh(add(matvec(at.w_p, reshape(grid, (grid.data.size,))), at.b_p))
         q = tanh(add(matvec(at.w_q, phi), at.b_q))
         logits = tanh(add(matvec(at.w_a, add(p, q)), at.b_a))
         attended = scale_cells(grid, reshape(softmax(logits), (g1, g2)))
-        x = reshape(attended, (attended.size,))
+        x = reshape(attended, (attended.data.size,))
 
         def gate(n):
             # gate n's blocks of the stacked parameters, w as [G*G*C_s, H]
-            w = reshape(take(lstm.w, n, axis=2), (x.size, hidden))
+            w = reshape(take(lstm.w, n, axis=2), (x.data.size, hidden))
             return add(add(einsum("fh,f->h", w, x), matvec(take(lstm.u, n), h)), take(lstm.b, n))
 
         i, f, g, o = sigmoid(gate(0)), sigmoid(gate(1)), tanh(gate(2)), sigmoid(gate(3))
@@ -157,7 +158,7 @@ def _per_pair_sequential(video, indices, phi, params):
 
 
 def _one_row(t: Tensor) -> Tensor:
-    return reshape(t, (1, t.size))
+    return reshape(t, (1, t.data.size))
 
 
 def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
@@ -174,7 +175,7 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
         idx_seq = chunk_sample(video.n_frames, n)
         statics = {}
         if SPACE_GLOBAL in model.spaces:
-            pooled = Tensor(video.global_frames[idx_global].mean(axis=0))
+            pooled = Tensor(video.global_frames[idx_global].astype(np.float64).mean(axis=0))
             statics[SPACE_GLOBAL] = add(matvec(p.global_head.w, pooled), p.global_head.b)
         if SPACE_ACTION in model.spaces:
             statics[SPACE_ACTION] = Tensor(video.action_vec)
@@ -563,6 +564,34 @@ def test_untaped_scores_are_the_taped_scores_bit_for_bit(dims, spaces):
             grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", FRAME_SEED)
             scores.append(grid.scores.data.tobytes())
     assert scores[0] == scores[1]
+
+
+def _widened(video: VideoFeature) -> VideoFeature:
+    return VideoFeature(
+        video.video_id, video.global_frames.astype(np.float64),
+        video.grid_frames.astype(np.float64), video.action_vec.astype(np.float64),
+    )
+
+
+@pytest.mark.parametrize("dims", [DIMS, MID_DIMS], ids=["small", "mid"])
+def test_float32_features_give_the_bytes_of_their_float64_widening(dims):
+    """A Dataset holds its features at float32 and the heads widen the
+    frames they read; f4 -> f8 is exact, so scores and every parameter
+    gradient, taped or not, are the bytes that float64 features give."""
+    corpus = _corpus(dims=dims)
+    model = Model.new(dims, "triple", seed=1, table=corpus.dataset.embedding_table())
+    videos, sentences = _all_pairs(corpus)
+    assert {v.grid_frames.dtype for v in videos} == {np.dtype(np.float32)}
+    outputs = []
+    for batch in (videos, [_widened(v) for v in videos]):
+        with no_tape():
+            plain = training.fused_similarity_matrix(model, batch, sentences, "weighted", FRAME_SEED)
+        with Tape() as tape:
+            grid = training.fused_similarity_matrix(model, batch, sentences, "weighted", FRAME_SEED)
+            tape.backward(training.loss_from_matrix(grid, 0.2, "sum-all"))
+            grads = {name: tape.grad(t).tobytes() for name, t in model.params.named().items()}
+        outputs.append((plain.scores.data.tobytes(), grid.scores.data.tobytes(), grads))
+    assert outputs[0] == outputs[1]
 
 
 def test_grid_is_videos_by_sentences(corpus):
@@ -974,7 +1003,10 @@ def test_checkpoint_round_trip_scores_bit_identically(corpus, spaces):
     table = corpus.dataset.embedding_table()
     model = Model.new(DIMS, spaces, seed=6, table=table)
     arrays = {name: t.data for name, t in model.params.named().items()}
-    loaded, _ = read_checkpoint(write_checkpoint(arrays, {"spaces": spaces}))
+    blob = io.BytesIO()
+    write_checkpoint(arrays, {"spaces": spaces}, blob)
+    blob.seek(0)
+    loaded, _ = read_checkpoint(blob)
     reloaded = Model(mvse_model.params_from_arrays(DIMS, model.spaces, loaded), table)
     videos, sentences = zip(*_batch(corpus))
     with no_tape():
@@ -1068,10 +1100,12 @@ def test_checkpoint_of_the_gates_first_lstm_layout_is_a_version_mismatch():
     arrays = {name: t.data for name, t in mvse_model.init_params(dims, spaces, seed=0).named().items()}
     arrays["lstm.w"] = arrays["lstm.w"].transpose(2, 3, 0, 1)
     mvse_model.params_from_arrays(dims, spaces, arrays)  # the shapes alone accept it
-    blob = bytearray(write_checkpoint(arrays, {"spaces": "dual-S"}))
-    blob[4:6] = struct.pack("<H", 1)
+    blob = io.BytesIO()
+    write_checkpoint(arrays, {"spaces": "dual-S"}, blob)
+    blob.getbuffer()[4:6] = struct.pack("<H", 1)
+    blob.seek(0)
     with pytest.raises(VersionMismatchError, match="checkpoint version 1, expected 2"):
-        read_checkpoint(bytes(blob))
+        read_checkpoint(blob)
 
 
 def test_loading_a_checkpoint_draws_nothing(monkeypatch):
