@@ -699,10 +699,11 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     laid out as that slab, with the rows of ``u`` and ``b`` halved once per
     call. Either way the step's pre-activations have the same bytes. Every
     step computes into buffers allocated once per call; without a tape,
-    they are one workspace of 10·V·Q·H floats, the activations overwrite
-    the pre-activations, and c and h are updated in place. The [V, Q, H]
-    output is one transposing copy, so it does not keep the workspace
-    alive.
+    they are one workspace of 10·V·Q·H floats over the call's V videos
+    (one block of ``visual.sequential_embed``'s scan), the activations
+    overwrite the pre-activations, and c and h are updated in place. The
+    [V, Q, H] output is one transposing copy, so it does not keep the
+    workspace alive.
 
     The backward propagates through time over the live pairs only, those
     whose output gradient is not all zero (hardest mode's loss reads at

@@ -153,13 +153,13 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
         if gates is None:
             return _init_array(name, shape, fan_in, seed)
         # one block per gate, each drawn from its own name's stream (gru.w_z,
-        # lstm.w_i, ...), filled in place so at most one block is held besides the stack
+        # lstm.w_i, ...), filled in place; no name holds a drawn block, so at
+        # most one is held besides the stack
         out = np.empty(shape)
         for n, gate in enumerate(gates):
             if name == "lstm.w":  # stored [G*G, C_s, 4, H], each block drawn as [H, G*G, C_s]
                 cells, c_s, _, h = shape
-                block = _init_array(f"{name}_{gate}", (h, cells, c_s), fan_in, seed)
-                out[:, :, n] = block.transpose(1, 2, 0)
+                out[:, :, n] = _init_array(f"{name}_{gate}", (h, cells, c_s), fan_in, seed).transpose(1, 2, 0)
             else:
                 out[n] = _init_array(f"{name}_{gate}", shape[1:], fan_in, seed)
         if name == "lstm.b":

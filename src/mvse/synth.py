@@ -30,6 +30,7 @@ import numpy as np
 
 from mvse.config import Dims, _require_integer
 from mvse.dataio import Dataset, Manifest, default_video_id
+from mvse.visual import video_blocks
 
 _STREAMS = ("codes", "mix_global", "mix_grid", "mix_action", "noise", "table")
 _GRID_CHUNK_BYTES = 1 << 26  # float64 bytes of grid values per chunk of videos
@@ -189,15 +190,11 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     # Drawn and rounded to float32 a chunk of videos at a time, so the grid
     # section never exists at float64 (16 MB per video at Dims()). Chunked
     # draws consume the noise stream as one whole draw does, and a GEMM of
-    # two or more rows gives each row its bytes in the whole product; one
-    # row would go through gemv, which rounds differently, so a 1-video
-    # tail joins the chunk before it.
+    # two or more rows gives each row its bytes in the whole product, so no
+    # chunk is one video unless the corpus is.
     grid_frames = np.empty((v, f, dims.grid_flat), dtype=np.float32)
     step = max(2, _GRID_CHUNK_BYTES // (8 * f * dims.grid_flat))
-    starts = list(range(0, v, step))
-    if v - starts[-1] == 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [v]):
+    for lo, hi in video_blocks(v, step):
         signal = np.zeros((hi - lo, f, dims.grid_flat))
         if l_s:
             for frame in range(f):

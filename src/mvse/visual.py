@@ -6,19 +6,27 @@ Every head is batched over the videos: the global and action heads give
 [V, D] and [V, C_a].
 
 The sequential head depends on the sentence, so it yields one embedding
-per (video, sentence) pair. It runs once for a whole V x Q grid, in a
-factored form: the attention's visual branch with its share of the map
-head's logits, and the LSTM's input weights applied to each grid cell, are
-computed once per (video, frame), the textual branch's share of the logits
-once per sentence, and only the sum of the two shares, its softmax over
-the cells and the recurrence run per pair, batched. The
+per (video, sentence) pair. It scores a V x Q grid in a factored form:
+the attention's visual branch with its share of the map head's logits,
+and the LSTM's input weights applied to each grid cell, are computed once
+per (video, frame), the textual branch's share of the logits once per
+sentence, and only the sum of the two shares, its softmax over the cells
+and the recurrence run per pair, batched. The logit shares are formed
+once for all V videos; the per-cell input terms, the maps and the
+recurrence are formed one block of videos at a time, in one loop. Without
+a tape a block is as many videos as keep one recurrence step's working
+set, 10·Q·H + 4·G*G·H + Q·G*G floats per video, within 1 MiB, at least 2,
+and, where ``lstm.w`` is larger than that, at least 256 rows of K's
+product, so the head's transients grow with the block, not with the
+gallery; under a tape the loop runs once, over all V. Every entry of a
+block's terms is computed from that block's rows alone, so the blocks
+give the bytes of one block of all V. The
 recurrence is one ``lstm_recurrence`` tape node that takes the per-cell
 input terms and the maps and forms each step's input terms as it reaches
 that step, so no tensor holds the input terms of every step of the grid.
-It steps the whole grid hidden-major, as [H, V*Q] states and one
-contiguous [H, V*Q] block per gate, and hands back the [V, Q, H]
-embeddings as their own array, not as a view that would keep its step
-buffers alive.
+It steps its block hidden-major, as [H, V*Q] states and one contiguous
+[H, V*Q] block per gate, and hands back the [V, Q, H] embeddings as their
+own array, not as a view that would keep its step buffers alive.
 The LSTM stores its input weights cells first, [G*G, C_s, 4, H], the
 order in which the gradient contraction produces them, and its recurrent
 weights and biases with the four gates stacked first, as the recurrence
@@ -36,6 +44,7 @@ import numpy as np
 from mvse.autodiff import (
     ShapeError,
     Tensor,
+    active_tape,
     broadcast_add,
     cosine,
     einsum,
@@ -45,6 +54,14 @@ from mvse.autodiff import (
     softmax,
     tanh,
 )
+
+
+# bytes that one recurrence step of an untaped block of videos reads and
+# writes: half of a 2 MiB L2, so the step's working set stays in cache
+_SCAN_BLOCK_BYTES = 1 << 20
+# rows of a block's K product, T per video, that keep it bound by arithmetic
+# where it must read lstm.w from memory
+_K_ROWS = 256
 
 
 class SpaceUnavailableError(ValueError):
@@ -151,32 +168,41 @@ class AttentionParams:
     b_a: Tensor  # [G*G]
 
 
-def spatial_attention(grids: np.ndarray, phis: Tensor, params: AttentionParams) -> Tensor:
-    """Sentence-conditioned attention over the G x G grid of every frame,
-    for every sentence.
+def attention_logits(grids: np.ndarray, phis: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:
+    """The map head's logits of the sentence-conditioned attention, in its
+    two shares, which :func:`spatial_attention` adds per (video, sentence,
+    frame).
 
     ``grids`` is [V, T, G, G, C_s], the selected frames of V videos, and
-    ``phis`` is [Q, H], one sentence vector per row. Returns the map
-    [V, Q, T, G*G]: per (video, sentence, frame), a softmax over the cells
-    in row-major order of ``tanh(w_a·(p + q) + b_a)``, with the visual
-    branch ``p = tanh(w_p·vec(grid) + b_p)`` and the textual branch
+    ``phis`` is [Q, H], one sentence vector per row. The logits are
+    ``w_a·(p + q) + b_a``, with the visual branch
+    ``p = tanh(w_p·vec(grid) + b_p)`` and the textual branch
     ``q = tanh(w_q·phi + b_q)``. The map head is linear, so it is applied
-    to each branch on its own, ``w_a·p`` once per (video, frame) and
-    ``w_a·q + b_a`` once per sentence, and only the [V, Q, T, G*G] sum of
-    the two is formed per (video, sentence, frame), not the [Q, V, T, A]
-    p + q. Its logits differ from those of ``w_a·(p + q)`` by rounding
-    only. Grid flattening is row-major (row, column, channel innermost) --
-    the visual-branch weight columns are laid out against that order.
+    to each branch on its own: the visual share ``w_a·p`` [V, T, G*G] once
+    per (video, frame) and the textual share ``w_a·q + b_a`` [Q, G*G] once
+    per sentence, and the [Q, V, T, A] p + q is never formed. Their sum
+    differs from ``w_a·(p + q) + b_a`` by rounding only. Grid flattening is
+    row-major (row, column, channel innermost) -- the visual-branch weight
+    columns are laid out against that order.
     """
     n_v, n_t = grids.shape[:2]
     flat = grids.reshape(n_v, n_t, -1)
     p = tanh(broadcast_add(einsum("af,vtf->vta", params.w_p, flat), params.b_p))
     q = tanh(broadcast_add(einsum("ah,qh->qa", params.w_q, phis), params.b_q))
     p_cells = einsum("ca,vta->vtc", params.w_a, p)
-    q_cells = broadcast_add(einsum("ca,qa->qc", params.w_a, q), params.b_a)
-    n_q, n_c = q_cells.shape
+    return p_cells, broadcast_add(einsum("ca,qa->qc", params.w_a, q), params.b_a)
+
+
+def spatial_attention(p_cells: Tensor, q_cells: Tensor) -> Tensor:
+    """The attention map [V, Q, T, G*G] from the two shares of
+    :func:`attention_logits`, the visual ``p_cells`` [V, T, G*G] and the
+    textual ``q_cells`` [Q, G*G]: per (video, sentence, frame), a softmax
+    over the cells, in row-major order, of ``tanh(p_cells + q_cells)``.
+    Every entry is computed from its own row of each share, so the map of a
+    block of videos is that block's rows of the map of all of them."""
+    n_v, n_t, n_c = p_cells.shape
     p_cells = reshape(p_cells, (n_v, 1, n_t, n_c))
-    q_cells = reshape(q_cells, (n_q, 1, n_c))
+    q_cells = reshape(q_cells, (q_cells.shape[0], 1, n_c))
     # no name holds the [V, Q, T, G*G] logits, so without a tape they are
     # freed as soon as tanh has read them
     return softmax(tanh(broadcast_add(p_cells, q_cells)))
@@ -202,6 +228,36 @@ class SequentialHeadParams:
     lstm: LstmParams
 
 
+def video_blocks(n_videos: int, step: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` runs of ``step`` videos that cover ``n_videos`` once, in
+    order. A 1-video tail joins the run before it, so no run is one video
+    unless all are: a 1-row GEMM goes through gemv and rounds otherwise
+    than the same row of a larger product."""
+    starts = list(range(0, n_videos, step))
+    if len(starts) > 1 and n_videos - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_videos]))
+
+
+def scan_block(n_q: int, n_t: int, n_cells: int, c_s: int, n_h: int) -> int:
+    """How many videos the untaped sequential head scores at a time against
+    Q sentences, at T steps, G*G cells of C_s channels and H hidden units:
+    as many as keep what one step of the recurrence reads and writes within
+    ``_SCAN_BLOCK_BYTES``, and at least 2. Per video that is its share of
+    the recurrence's workspace, 10·Q·H floats, the step's slab of K,
+    G*G·4H floats, and the step's maps, Q·G*G floats. Each block's K is one
+    product with ``lstm.w`` [G*G, C_s, 4, H]; where ``lstm.w`` outgrows
+    that budget, the product reads it from memory once per block, so the
+    block also holds at least ``_K_ROWS`` of its rows, T per video. At
+    ``Dims()`` a 32-video gallery took 1.55x the time of one block in
+    blocks of 2, and 1.08-1.13x in blocks of 13."""
+    per_video = 8 * (10 * n_q * n_h + 4 * n_cells * n_h + n_q * n_cells)
+    block = _SCAN_BLOCK_BYTES // per_video
+    if 8 * n_cells * c_s * 4 * n_h > _SCAN_BLOCK_BYTES:
+        block = max(block, -(-_K_ROWS // n_t))
+    return max(2, block)
+
+
 def sequential_embed(
     videos: list[VideoFeature],
     indices: list[list[int]],
@@ -222,17 +278,43 @@ def sequential_embed(
     steps, batched over [V, Q, H], is one ``lstm_recurrence`` node that
     takes K and the maps, forms each step's input terms from them, and
     reads ``lstm.u`` [4, H, H] and ``lstm.b`` [4, H] as stored.
+
+    The frames are gathered and widened once, and the attention's logit
+    shares (:func:`attention_logits`) formed once, for all V videos. Then
+    one loop scores the videos a block at a time: a block's K, its maps
+    (through :func:`spatial_attention`) and its recurrence. Without a tape
+    a block is :func:`scan_block` videos (:func:`video_blocks`), so what
+    the head holds besides the frames and the [V, Q, H] output grows with
+    the block, not with V; each block's rows equal those of one block of
+    all V byte for byte. Under a tape the loop runs once, over all V, so
+    the backward forms ``lstm.w``'s gradient in one contraction.
     """
     grids = _gather("sequential_embed", [v.grid_frames for v in videos], indices)  # [V, T, G, G, C_s]
     n_v, n_t = grids.shape[:2]
-    amap = spatial_attention(grids, phis, params.attention)  # [V, Q, T, G*G]
-
+    frames = grids.reshape(n_v, n_t, -1, grids.shape[-1])  # [V, T, G*G, C_s]
+    p_cells, q_cells = attention_logits(grids, phis, params.attention)
     lstm = params.lstm
-    # K [G*G, V, T, 4, H] in the order its matmul lays out, so it is not
-    # copied into a transposed layout, and the backward hands lstm.w a
-    # contiguous gradient
-    k = einsum("ncgj,vtnc->nvtgj", lstm.w, grids.reshape(n_v, n_t, -1, grids.shape[-1]))
-    return lstm_recurrence(k, amap, lstm.u, lstm.b)
+    n_q, n_h = phis.shape[0], lstm.b.shape[-1]
+    step = n_v if active_tape() is not None else scan_block(n_q, n_t, *frames.shape[2:], n_h)
+    blocks = video_blocks(n_v, step)
+
+    def block(lo: int, hi: int) -> Tensor:
+        # the taped call's one block reads the shares themselves; an untaped
+        # block's share is a view of its rows
+        p_block = p_cells if hi - lo == n_v else Tensor(p_cells.data[lo:hi], copy=False)
+        amap = spatial_attention(p_block, q_cells)  # [V, Q, T, G*G]
+        # K [G*G, V, T, 4, H] in the order its matmul lays out, so it is not
+        # copied into a transposed layout, and the backward hands lstm.w a
+        # contiguous gradient
+        k = einsum("ncgj,vtnc->nvtgj", lstm.w, frames[lo:hi])
+        return lstm_recurrence(k, amap, lstm.u, lstm.b)
+
+    if len(blocks) == 1:
+        return block(0, n_v)
+    out = np.empty((n_v, n_q, n_h))
+    for lo, hi in blocks:
+        out[lo:hi] = block(lo, hi).data
+    return Tensor(out, copy=False)
 
 
 def action_embed(videos: list[VideoFeature]) -> Tensor:

@@ -113,6 +113,21 @@ class TestPlantedSignal:
         res = synth_generate(_cfg(rho=(0.0, 0.0, 1.0), noise_sigma=0.0))
         assert probe_recall_at_1(res, "test", space="action") == 1.0
 
+    @pytest.mark.parametrize("space, rho", [("global", (1.0, 0.0, 0.0)), ("action", (0.0, 0.0, 1.0))])
+    def test_probe_norms_read_the_float64_widening(self, space, rho, monkeypatch):
+        # the corpus stores float32; the probe's mean and norms run on the
+        # exact float64 widening of the stored values, as the heads' do
+        res = synth_generate(_cfg(rho=rho))
+        norm, dtypes = np.linalg.norm, []
+
+        def spy(x, *args, **kwargs):
+            dtypes.append(np.asarray(x).dtype)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        probe_recall_at_1(res, "test", space=space)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
     def test_partial_information_respects_ceiling(self):
         # only half the code lives in the global slice; a global-only probe
         # cannot beat the collision ceiling computed from the true codes

@@ -16,7 +16,7 @@ import pytest
 
 from mvse import fusion
 from mvse import model as mvse_model
-from mvse import training
+from mvse import training, visual
 from mvse.autodiff import (
     Tape,
     Tensor,
@@ -52,7 +52,7 @@ from mvse.visual import VideoFeature, chunk_sample, global_embed, sequential_emb
 
 import oracle_ops
 from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, take
-from shapes import LSTM_GRIDS, MID_DIMS
+from shapes import EVAL_GRIDS, LSTM_GRIDS, MID_DIMS
 
 DIMS = Dims.small()
 N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
@@ -558,6 +558,27 @@ def test_untaped_scores_are_the_taped_scores_bit_for_bit(dims, spaces):
     corpus = _corpus(dims=dims)
     model = Model.new(dims, spaces, seed=1, table=corpus.dataset.embedding_table())
     videos, sentences = _all_pairs(corpus)
+    scores = []
+    for context in (no_tape, Tape):
+        with context():
+            grid = training.fused_similarity_matrix(model, videos, sentences, "weighted", FRAME_SEED)
+            scores.append(grid.scores.data.tobytes())
+    assert scores[0] == scores[1]
+
+
+@pytest.mark.parametrize("workload", list(EVAL_GRIDS))
+def test_untaped_scores_of_a_blocked_gallery_are_the_taped_scores_bit_for_bit(workload):
+    """Without a tape the sequential head scores the gallery a block of
+    videos at a time, and under one in a single block; over a gallery of
+    three blocks and a 1-video tail, at an eval grid's sentence count, the
+    scores must not change by a bit."""
+    dims, _, n_q = EVAL_GRIDS[workload]
+    block = visual.scan_block(n_q, dims.n_chunks, dims.grid_cells, dims.c_spatial, dims.hidden)
+    corpus = _corpus(n_videos=3 * block + 1, dims=dims)
+    model = Model.new(dims, "triple", seed=1, table=corpus.dataset.embedding_table())
+    videos, _ = _all_pairs(corpus)
+    sentences = corpus.dataset.sentences[:n_q]
+    assert len(sentences) == n_q and len(visual.video_blocks(len(videos), block)) == 3
     scores = []
     for context in (no_tape, Tape):
         with context():

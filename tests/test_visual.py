@@ -20,6 +20,7 @@ from mvse.visual import (
     SpaceUnavailableError,
     VideoFeature,
     action_embed,
+    attention_logits,
     chunk_sample,
     global_embed,
     sequential_embed,
@@ -28,7 +29,7 @@ from mvse.visual import (
 
 import oracle_ops
 from oracle_ops import sum_all, take
-from shapes import LSTM_GRIDS, MID_DIMS
+from shapes import EVAL_GRIDS, LSTM_GRIDS
 
 DIMS = Dims.small()
 EPS = np.finfo(np.float64).eps
@@ -43,13 +44,34 @@ def _video(rng: np.random.Generator, n_frames: int = 4, with_action: bool = True
     )
 
 
+def _videos(rng: np.random.Generator, dims: Dims, n_v: int) -> list[VideoFeature]:
+    """``n_v`` videos of ``dims.n_chunks`` float32 frames and no action vector."""
+    return [
+        VideoFeature(
+            f"v{v}", rng.normal(size=(dims.n_chunks, dims.c_global)).astype(np.float32),
+            rng.normal(size=(dims.n_chunks, dims.grid, dims.grid, dims.c_spatial)).astype(np.float32), None,
+        )
+        for v in range(n_v)
+    ]
+
+
+def _scan_block(dims: Dims, n_q: int) -> int:
+    """The untaped head's block length at ``dims`` against ``n_q`` sentences."""
+    return visual.scan_block(n_q, dims.n_chunks, dims.grid_cells, dims.c_spatial, dims.hidden)
+
+
 def _seq_params(seed: int) -> SequentialHeadParams:
     return init_params(DIMS, ("global", "sequential"), seed).sequential_head
 
 
+def _attend(grids: np.ndarray, phis: Tensor, params: AttentionParams) -> Tensor:
+    """The attention map [V, Q, T, G*G] of every video, sentence and frame."""
+    return spatial_attention(*attention_logits(grids, phis, params))
+
+
 def _map(grid: np.ndarray, phi: Tensor, params: AttentionParams) -> np.ndarray:
     """The attention map of one frame and one sentence, as [G, G]."""
-    amap = spatial_attention(grid[None, None], stack([phi]), params)
+    amap = _attend(grid[None, None], stack([phi]), params)
     return amap.data[0, 0, 0].reshape(grid.shape[:2])
 
 
@@ -253,7 +275,7 @@ class TestSpatialAttention:
         params = _seq_params(10).attention
         grids = rng.normal(size=(2, 3, DIMS.grid, DIMS.grid, DIMS.c_spatial))
         phis = [Tensor(rng.normal(size=DIMS.hidden)) for _ in range(4)]
-        amap = spatial_attention(grids, stack(phis), params)
+        amap = _attend(grids, stack(phis), params)
         assert amap.shape == (2, 4, 3, DIMS.grid * DIMS.grid)
         for v in range(2):
             for q in range(4):
@@ -289,7 +311,7 @@ class TestSpatialAttention:
             params = init_params(dims, ("global", "sequential"), seed=16).sequential_head.attention
             grids = rng.normal(size=(n_v, n_t, DIMS.grid, DIMS.grid, DIMS.c_spatial))
             phis = Tensor(rng.normal(size=(n_q, DIMS.hidden)))
-            peaks[attn] = _untaped_peak(lambda: spatial_attention(grids, phis, params))
+            peaks[attn] = _untaped_peak(lambda: _attend(grids, phis, params))
         assert peaks[64] - peaks[16] <= 2 * (n_v * n_t + n_q) * 48 * 8
 
 
@@ -314,7 +336,7 @@ def _assert_attention_close(dims: Dims, n_v: int, n_q: int, seed: int) -> None:
     weights = rng.normal(size=(n_v, n_q, dims.n_chunks, dims.grid_cells))
     wrt = {**vars(params), "phis": phis}
     runs = []
-    for attend in (spatial_attention, oracle_ops.spatial_attention):
+    for attend in (_attend, oracle_ops.spatial_attention):
         with autodiff.Tape() as tape:
             amap = attend(grids, phis, params)
             tape.backward(einsum("vqtn,vqtn->", amap, weights))
@@ -422,21 +444,26 @@ class TestSequentialEmbed:
                 parts = args[0] if name == "stack" else [args[0]]
                 assert not any(p is t for p in parts for t in lstm), name
 
-    @pytest.mark.parametrize("workload", ["seq-train", "seq-retrieve"])
+    def test_video_blocks_cover_the_videos_once_with_no_one_video_block(self):
+        for n_v, step in itertools.product(range(1, 30), range(2, 8)):
+            blocks = visual.video_blocks(n_v, step)
+            assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n_v))
+            assert all(hi - lo == step for lo, hi in blocks[:-1])
+            lo, hi = blocks[-1]
+            assert hi - lo <= step + 1 and (hi - lo > 1 or n_v == 1), (n_v, step)
+
+    @pytest.mark.parametrize("workload", list(EVAL_GRIDS))
     def test_lstm_input_contractions_return_contiguous_arrays(self, workload, monkeypatch):
-        # K comes out of its product in the layout the head asks for, so
-        # Tensor() takes it without a transposing copy, and no contraction
-        # forms the input terms of every step; the shapes are those of the
-        # benchmark's batch and eval grid
-        dims, n_v, n_t = {"seq-train": (MID_DIMS, 8, 8), "seq-retrieve": (DIMS, 64, 4)}[workload]
+        # each block's K comes out of its product in the layout the head asks
+        # for, so Tensor() takes it without a transposing copy, the blocks'
+        # frames are the gallery's once, in order, and no contraction forms
+        # the input terms of every step; the shapes are those of the
+        # benchmark's eval grids
+        dims, n_v, n_q = EVAL_GRIDS[workload]
         rng = np.random.default_rng(20)
         params = init_params(dims, ("global", "sequential"), seed=14).sequential_head
-        videos = [
-            VideoFeature(f"v{v}", rng.normal(size=(n_t, dims.c_global)),
-                         rng.normal(size=(n_t, dims.grid, dims.grid, dims.c_spatial)), None)
-            for v in range(n_v)
-        ]
-        phis = Tensor(rng.normal(size=(n_v, dims.hidden)))
+        videos = _videos(rng, dims, n_v)
+        phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
         plan, results = autodiff._einsum_plan, []
 
         def spy(spec, shape_a, shape_b):
@@ -444,17 +471,61 @@ class TestSequentialEmbed:
 
             def recorded(a, b):
                 out = forward(a, b)
-                results.append((spec, shape_a, out.flags.c_contiguous))
+                results.append((spec, shape_a, b.copy(), out.flags.c_contiguous))
                 return out
 
             return recorded, grad_a, grad_b
 
         monkeypatch.setattr(autodiff, "_einsum_plan", spy)
         with autodiff.no_tape():
-            sequential_embed(videos, [list(range(n_t))] * n_v, phis, params)
-        head = [(spec, c) for spec, shape_a, c in results if shape_a == params.lstm.w.shape]
-        assert head == [("ncgj,vtnc->nvtgj", True)]
-        assert "nvtgj,vqtn->vtqgj" not in [spec for spec, _, _ in results]
+            sequential_embed(videos, [list(range(dims.n_chunks))] * n_v, phis, params)
+        head = [(spec, frames, c) for spec, shape_a, frames, c in results if shape_a == params.lstm.w.shape]
+        blocks = visual.video_blocks(n_v, _scan_block(dims, n_q))
+        assert len(head) == len(blocks)
+        assert all(spec == "ncgj,vtnc->nvtgj" and c for spec, _, c in head)
+        assert [len(frames) for _, frames, _ in head] == [hi - lo for lo, hi in blocks]
+        gallery = np.stack([v.grid_frames for v in videos], dtype=np.float64)
+        gallery = gallery.reshape(n_v, dims.n_chunks, dims.grid_cells, dims.c_spatial)
+        np.testing.assert_array_equal(np.concatenate([f for _, f, _ in head]), gallery)
+        assert "nvtgj,vqtn->vtqgj" not in [spec for spec, _, _, _ in results]
+
+    @pytest.mark.parametrize("workload", list(EVAL_GRIDS))
+    def test_blocked_untaped_head_is_one_block_bit_for_bit(self, workload, monkeypatch):
+        # the untaped head scores its videos a block at a time; every block
+        # count, a 1-video tail that joins the block before it (2·block + 1)
+        # included, gives the bytes of one block of all V
+        dims, _, n_q = EVAL_GRIDS[workload]
+        block = _scan_block(dims, n_q)
+        rng = np.random.default_rng(24)
+        params = init_params(dims, ("global", "sequential"), seed=16).sequential_head
+        phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
+        for n_v in (1, 2, 3, block + 1, 2 * block + 1):
+            videos = _videos(rng, dims, n_v)
+            indices = [list(range(dims.n_chunks))] * n_v
+            outs = []
+            for step in (block, n_v):
+                monkeypatch.setattr(visual, "scan_block", lambda *shape: step)
+                with autodiff.no_tape():
+                    outs.append(sequential_embed(videos, indices, phis, params).data)
+            assert outs[0].shape == (n_v, n_q, dims.hidden)
+            assert outs[0].tobytes() == outs[1].tobytes(), n_v
+
+    def test_untaped_peak_grows_with_the_block_not_with_the_gallery(self):
+        # Q = 64 at Dims.small(), T = 4: the head holds the widened frames,
+        # the attention's logit shares and the [V, Q, H] output for every
+        # video, and K, the maps and the recurrence's workspace for one
+        # block of 12. Blocked, it peaks at 2,115,688 bytes at V = 64 against
+        # 1,518,952 at V = 16 (1.39x, numpy 2); one block of all V peaked at
+        # 7,234,376 against 1,821,512 (3.97x).
+        n_q = 64
+        params = _seq_params(17)
+        phis = Tensor(np.random.default_rng(25).normal(size=(n_q, DIMS.hidden)))
+        peaks = {}
+        for n_v in (16, 64):
+            videos = _videos(np.random.default_rng(n_v), DIMS, n_v)
+            indices = [list(range(DIMS.n_chunks))] * n_v
+            peaks[n_v] = _untaped_peak(lambda: sequential_embed(videos, indices, phis, params))
+        assert peaks[64] <= 1.6 * peaks[16]
 
     def test_untaped_embedding_owns_its_memory(self):
         # a view into the recurrence's workspace would keep the whole
@@ -472,8 +543,9 @@ class TestSequentialEmbed:
         # V = Q = 32 at Dims.small(), T = 4: the per-step LSTM state that a
         # taped call saves would be 3.7 MB. With its step buffers allocated
         # once, as one workspace, and its state updated in place, the untaped
-        # call peaks at 2,047,072 bytes here (numpy 2); the bound leaves a
-        # 5.0% margin.
+        # call peaked at 2,047,072 bytes here as one block of 32 videos (numpy
+        # 2), which the bound holds with a 5.0% margin; in blocks of 23 and 9
+        # it peaks at 1,650,168.
         rng = np.random.default_rng(19)
         videos = [_video(rng) for _ in range(32)]
         phis = Tensor(rng.normal(size=(32, DIMS.hidden)))
@@ -485,8 +557,10 @@ class TestSequentialEmbed:
         # V = Q = 64 at Dims.small(), the seq-retrieve eval grid. At T = 8 the
         # input terms of every step, [V, T, Q, 4H], are 16.8 MB; a head that
         # built them peaked at 23.2 MB, 9.7 MB above its T = 4 peak. Formed one
-        # step at a time, they leave a peak of 8.53 MB (numpy 2), and doubling
-        # T adds only what holds T: the frames, the maps and K, 1.31 MB.
+        # step at a time, they left a peak of 8.53 MB (numpy 2) in one block
+        # of all 64 videos, and doubling T added only what holds T: the
+        # frames, the maps and K, 1.31 MB. In blocks of 12 the peak is
+        # 2.58 MB, 0.47 MB above T = 4.
         peaks = {}
         for n_t in (4, 8):
             dims = dataclasses.replace(DIMS, n_chunks=n_t)
@@ -519,6 +593,26 @@ class TestLstmParams:
             if gate != "f":
                 np.testing.assert_array_equal(lstm.b.data[n], draw("b", (h,), h))
         np.testing.assert_array_equal(lstm.b.data[1], np.ones(h))  # forget gate starts open
+
+    def test_init_holds_one_gate_block_besides_the_parameters(self):
+        # grid 7, C_s 256, H 128: each of lstm.w's four gate blocks is
+        # 12.8 MB. A name that keeps the last block alive while the next is
+        # drawn held two, 25.9 MB above the parameters; with one, the peak
+        # is 243,865 bytes above parameters + one block (numpy 2). The
+        # stated slack is 1 MB.
+        dims = Dims(
+            n_chunks=4, grid=7, c_global=32, c_spatial=256, c_action=16,
+            hidden=128, embed_dim=128, token_dim=8, attn_dim=16,
+        )
+        tracemalloc.start()
+        try:
+            params = init_params(dims, ("global", "sequential"), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        total = sum(t.data.nbytes for t in params.tensors.values())
+        block = params.tensors["lstm.w"].data.nbytes // 4
+        assert peak <= total + block + 1_000_000
 
 
 class TestActionEmbed:
@@ -590,7 +684,7 @@ class TestHeadGradients:
         weights = rng.normal(size=(2, 2, 2, dims.grid_cells))
 
         def loss(_):
-            return einsum("vqtn,vqtn->", spatial_attention(grids, phis, params), weights)
+            return einsum("vqtn,vqtn->", _attend(grids, phis, params), weights)
 
         for t in (*vars(params).values(), phis):
             assert grad_check(loss, t) < 1e-6
@@ -604,7 +698,7 @@ class TestHeadGradients:
 
         def loss(t):
             # the sum of the attended grid: each cell's channel sum times its weight
-            amap = spatial_attention(grid[None, None], stack([t]), params)
+            amap = _attend(grid[None, None], stack([t]), params)
             return einsum("vqtn,vqtn->", amap, cell_sums)
 
         assert grad_check(loss, phi) < 1e-4
