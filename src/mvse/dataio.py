@@ -19,7 +19,9 @@ in-memory values always equal their on-disk form; the visual heads widen
 only the frames they gather to 64-bit. Containers and checkpoints are
 written to and read from binary streams section by section, each section
 straight between the stream and its own array, so no copy of the whole
-file is ever held in memory.
+file is ever held in memory. The sentence section is read as one u32 run
+and split after the read: a length that runs past it, or records left
+over, raise ``TruncatedError``.
 
 Checkpoints use magic b"MVSC" and their own version, CHECKPOINT_VERSION:
 a JSON config echo followed by the named parameter tensors at full 64-bit
@@ -42,7 +44,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from mvse.text import EmbeddingTable
+from mvse.text import EmbeddingTable, token_ids
 from mvse.visual import VideoFeature
 
 CONTAINER_MAGIC = b"MVSE"
@@ -90,19 +92,19 @@ class Dataset:
     sentences: list[list[int]]
 
     def __post_init__(self):
-        for name in _SECTIONS:
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float32))
+        for name, rank in zip(_SECTIONS, (3, 5, 2, 2)):
+            section = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
+            if section.ndim != rank:
+                raise ValueError(f"{name} must have {rank} axes, got shape {section.shape}")
+            setattr(self, name, section)
         v = self.global_frames.shape[0]
         if self.grid_frames.shape[0] != v or self.action_vecs.shape[0] != v:
             raise ValueError("per-video sections disagree on video count")
         if v and self.global_frames.shape[1] != self.grid_frames.shape[1]:
             raise ValueError("global and grid sections disagree on frame count")
-        if self.grid_frames.ndim != 5 or self.grid_frames.shape[2] != self.grid_frames.shape[3]:
+        if self.grid_frames.shape[2] != self.grid_frames.shape[3]:
             raise ValueError(f"grid section must be [V,F,G,G,C], got {self.grid_frames.shape}")
-        vocab = self.embedding_vectors.shape[0]
-        for i, s in enumerate(self.sentences):
-            if any(not 0 <= t < vocab for t in s):
-                raise ValueError(f"sentence {i} references token outside vocabulary")
+        token_ids(self.sentences, self.vocab_size)
 
     # header accessors -------------------------------------------------
     @property
@@ -232,16 +234,16 @@ def read_container(stream: BinaryIO) -> Dataset:
     )
     shapes = ((v, f, c_g), (v, f, g, g, c_s), (v, c_a), (vocab, e))
     sections = {name: r.array("<f4", shape, name) for name, shape in zip(_SECTIONS, shapes)}
-    sentences: list[list[int]] = []
-    seen_tokens = 0
+    records = r.array("<u4", (n_sent + total_tokens,), "sentences").tolist()
+    sentences, at, n = [], 0, len(records)
     for i in range(n_sent):
-        (length,) = struct.unpack("<I", r.take(4, f"sentence {i} length"))
-        sentences.append(r.array("<u4", (length,), f"sentence {i}").tolist())
-        seen_tokens += length
-    if seen_tokens != total_tokens:
-        raise TruncatedError(
-            f"header promises {total_tokens} sentence tokens, sections carry {seen_tokens}"
-        )
+        end = at + 1 + (records[at] if at < n else 0)
+        if end > n:
+            raise TruncatedError(f"container sentence {i} runs past the sentence section")
+        sentences.append(records[at + 1:end])
+        at = end
+    if at != n:
+        raise TruncatedError(f"container sentences leave {n - at} of the section's {n} records unread")
     r.done()
     try:
         return Dataset(**sections, sentences=sentences)

@@ -12,10 +12,12 @@ action):
 * the action slice is mixed into the per-video action vector.
 
 Sentences are token sequences that spell out the quantized code, one
-token per (dimension, level) pair, prefixed with a marker token. In
-"split" sentence mode, alternating sentences carry only the global or
-only the sequential slice, which creates two query populations whose
-useful evidence lives in different embedding spaces.
+token per (dimension, level) pair, prefixed with a marker token. A slot
+table of (marker, code dims) rows says what each of a video's sentences
+spells: in "full" mode slot s is (s, every dim); in "split" mode it is
+(0, global slice) or (1, sequential slice) as s is even or odd, which
+creates two query populations whose useful evidence lives in different
+embedding spaces.
 
 Because the generative code is known, tests can decode sentences exactly
 and compute information-theoretic ceilings for single-space probes.
@@ -105,12 +107,6 @@ class SynthGroundTruth:
         l_g, l_s, l_a = self.config.slice_sizes()
         return slice(0, l_g), slice(l_g, l_g + l_s), slice(l_g + l_s, l_g + l_s + l_a)
 
-    def content_token(self, dim: int, level_index: int) -> int:
-        return dim * self.config.quant_levels + level_index
-
-    def marker_token(self, which: int) -> int:
-        return self.config.latent_total * self.config.quant_levels + which
-
     def decode_sentence(self, tokens: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """(code estimate, mask of dimensions the sentence mentions)."""
         q = self.config.quant_levels
@@ -139,27 +135,6 @@ def _spawn(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(ss) for name, ss in zip(_STREAMS, children)}
 
 
-def _sentence_tokens(
-    truth: SynthGroundTruth, video: int, which: int
-) -> list[int]:
-    cfg = truth.config
-    levels = truth.levels
-    code = truth.codes[video]
-    level_index = {float(v): i for i, v in enumerate(levels)}
-    g_sl, s_sl, a_sl = truth.slices()
-    if cfg.sentence_mode == "split":
-        population = which % 2
-        dims_covered = range(g_sl.start, g_sl.stop) if population == 0 else range(s_sl.start, s_sl.stop)
-        marker = truth.marker_token(population)
-    else:
-        dims_covered = range(cfg.latent_total)
-        marker = truth.marker_token(which)
-    tokens = [marker]
-    for d in dims_covered:
-        tokens.append(truth.content_token(d, level_index[float(code[d])]))
-    return tokens
-
-
 def synth_generate(cfg: SynthConfig) -> SynthResult:
     """Build the dataset, its train/test manifests, and the ground truth."""
     dims = cfg.dims
@@ -168,7 +143,8 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     l_g, l_s, l_a = cfg.slice_sizes()
     levels = np.linspace(-1.0, 1.0, cfg.quant_levels)
 
-    codes = levels[rngs["codes"].integers(0, cfg.quant_levels, size=(v, cfg.latent_total))]
+    level_ids = rngs["codes"].integers(0, cfg.quant_levels, size=(v, cfg.latent_total))
+    codes = levels[level_ids]
 
     def mixer(rng, rows: int, cols: int) -> np.ndarray:
         if cols == 0:
@@ -218,10 +194,16 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         mix_action=mix_action, levels=levels,
     )
 
-    sentences: list[list[int]] = []
-    for i in range(v):
-        for s in range(cfg.sentences_per_video):
-            sentences.append(_sentence_tokens(truth, i, s))
+    # the slot table: row s is the (marker, code dims) that every video's
+    # sentence s spells; the population manifests select slots by marker
+    g_sl, s_sl, _ = truth.slices()
+    if cfg.sentence_mode == "split":
+        slots = [(s % 2, (g_sl, s_sl)[s % 2]) for s in range(cfg.sentences_per_video)]
+    else:
+        slots = [(s, slice(None)) for s in range(cfg.sentences_per_video)]
+    content = level_ids + cfg.quant_levels * np.arange(cfg.latent_total)  # token of (dim, level)
+    first_marker = cfg.latent_total * cfg.quant_levels
+    sentences = [[first_marker + marker, *content[i, dims].tolist()] for i in range(v) for marker, dims in slots]
 
     dataset = Dataset(  # rounds every section to float32
         global_frames=global_frames,
@@ -248,10 +230,10 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     }
     if cfg.sentence_mode == "split":
         manifests["test_popA"] = Manifest(
-            "test_popA", [entry(i, lambda s: s % 2 == 0) for i in range(n_train, v)]
+            "test_popA", [entry(i, lambda s: slots[s][0] == 0) for i in range(n_train, v)]
         )
         manifests["test_popB"] = Manifest(
-            "test_popB", [entry(i, lambda s: s % 2 == 1) for i in range(n_train, v)]
+            "test_popB", [entry(i, lambda s: slots[s][0] == 1) for i in range(n_train, v)]
         )
     return SynthResult(dataset=dataset, manifests=manifests, truth=truth)
 

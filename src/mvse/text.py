@@ -48,6 +48,20 @@ class GruParams:
     b: Tensor
 
 
+def token_ids(sentences: list[list[int]], vocab: int) -> np.ndarray:
+    """Every sentence's token ids, concatenated into one int64 array; the
+    one check that ids lie in [0, vocab), for the container and the GRU.
+    An id outside raises ``ValueError`` naming it and its sentence."""
+    lengths = [len(s) for s in sentences]
+    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64, count=sum(lengths))
+    outside = (ids < 0) | (ids >= vocab)
+    if outside.any():
+        k = int(outside.argmax())
+        q = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
+        raise ValueError(f"sentence {q}: token id {ids[k]} outside [0, {vocab})")
+    return ids
+
+
 def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams) -> Tensor:
     """Encode every sentence, a list of token ids into ``table`` [vocab, E],
     with one GRU batched over the sentences; return the final hidden states
@@ -58,7 +72,7 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
         r = sigmoid(Wr x + Ur h + br)
         c = tanh(Wc x + Uc (r * h) + bc)
         h_new = (1 - z) * h + z * c
-    A token id outside [0, vocab) raises ``ValueError`` before any compute.
+    A token id outside [0, vocab) raises ``ValueError`` first (:func:`token_ids`).
     The token vectors are gathered into a zero-padded [Q, T, E] constant,
     and the input terms ``W x`` of all gates and steps come from one
     contraction into [Q, T, 3, H] before the recurrence, which adds the
@@ -71,12 +85,7 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     lengths = [len(s) for s in sentences]
     if not lengths or min(lengths) < 1:
         raise EmptySentenceError("empty sentence" if lengths else "no sentences")
-    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64, count=sum(lengths))
-    outside = (ids < 0) | (ids >= table.shape[0])
-    if outside.any():
-        k = int(outside.argmax())
-        q = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
-        raise ValueError(f"sentence {q}: token id {ids[k]} outside [0, {table.shape[0]})")
+    ids = token_ids(sentences, table.shape[0])
     n_q, n_t = len(sentences), max(lengths)
     steps = np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]  # [Q, T]
     tokens = np.zeros((n_q, n_t, table.shape[1]))

@@ -122,18 +122,23 @@ def chunk_sample(
 
 
 def _gather(kind: str, frames: list[np.ndarray], indices: list[list[int]]) -> np.ndarray:
-    """Row ``indices[v]`` of ``frames[v]`` for every video, stacked into one
-    [V, N, ...] float64 array. This is the one place stored frames are
-    widened: only the selected frames are, and f4 -> f8 is exact, so the
-    heads compute on the stored values. Every video needs the same count N;
-    differing counts raise ``ShapeError`` naming them."""
+    """Row ``indices[v]`` of ``frames[v]`` for every video, written one video
+    at a time into a [V, N, ...] float64 array. This is the one place stored
+    frames are widened: only the selected frames are, and f4 -> f8 is exact,
+    so the heads compute on the stored values. Every video needs the same
+    count N and frame shape; differing ones raise ``ShapeError`` naming them."""
     counts = sorted({len(idx) for idx in indices})
     if len(counts) > 1:
         raise ShapeError(
             kind, *((c,) for c in counts), detail="need the same frame index count for every video"
         )
-    picked = [f[np.asarray(idx, dtype=np.int64)] for f, idx in zip(frames, indices)]
-    return np.stack(picked, dtype=np.float64)
+    shapes = sorted({f.shape[1:] for f in frames})
+    if len(shapes) > 1:
+        raise ShapeError(kind, *shapes, detail="need the same frame shape for every video")
+    out = np.empty((len(frames), *counts, *shapes[0]))
+    for row, f, idx in zip(out, frames, indices, strict=True):
+        row[...] = f[np.asarray(idx, dtype=np.int64)]
+    return out
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""The benchmark's shapes that the sequential-head tests run at."""
+"""The benchmark's corpora, and the shapes that the sequential-head tests
+run at."""
 
 from mvse.config import Dims
 
@@ -28,4 +29,24 @@ LSTM_GRIDS = {
     "seq-retrieve-eval": EVAL_GRIDS["seq-retrieve"],
     "one-video": (MID_DIMS, 1, 8),
     "one-sentence": (Dims.small(), 8, 1),
+}
+
+# the benchmark's three corpora (mvse_bench/pipeline.py), as SynthConfig
+# fields, with the sha256 of their container at seeds 1 and 2
+BENCH_CORPORA = {
+    "global-train": (
+        dict(dims=Dims.small(), n_videos=200, rho=(0.5, 0.0, 0.5), sentence_mode="full", train_fraction=0.75),
+        {1: "a350568fee10226e630c6d36d1615767d9561267f45fc9def50eb99d0e6c0a6c",
+         2: "099c8cc5afb18aca3c04a9799bf838c70bab7ea889cd1ec670ff25fb40353e01"},
+    ),
+    "seq-train": (
+        dict(dims=MID_DIMS, n_videos=48, rho=(0.5, 0.5, 0.0), sentence_mode="split", train_fraction=2 / 3),
+        {1: "ede268d9c34c996a966a15ad919b89d151044c4618e6a7e48c756aa9a006094a",
+         2: "c96cd9034fd0aa18efff9baf9848469bc76f21043ffc3768e8c4c196348f9af9"},
+    ),
+    "seq-retrieve": (
+        dict(dims=Dims.small(), n_videos=128, rho=(0.5, 0.25, 0.25), sentence_mode="full", train_fraction=0.5),
+        {1: "a93d7e1a5b7715083300b3197024f0b12f22a4f366a0957a637a0e358808d069",
+         2: "8ce580a9377f736c84cb6df5f61e10d6ca6a9e46ec8bcab63ca23683370e825d"},
+    ),
 }

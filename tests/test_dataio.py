@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvse.autodiff import Tensor
 from mvse.config import Dims
 from mvse.dataio import (
     CHECKPOINT_MAGIC,
@@ -28,7 +29,8 @@ from mvse.dataio import (
     write_container,
 )
 from mvse.synth import SynthConfig, synth_generate
-from shapes import MID_DIMS
+from mvse.text import GruParams, gru_encode
+from shapes import BENCH_CORPORA
 
 DIMS = Dims.small()
 SECTIONS = ("global_frames", "grid_frames", "action_vecs", "embedding_vectors")
@@ -116,6 +118,19 @@ class TestContainer:
         with pytest.raises(TruncatedError):
             _read(blob[:-3])
 
+    # the tiny dataset's sentence section is the six records [3, 0, 3, 5, 1, 2]
+    @pytest.mark.parametrize(
+        "record,value",
+        [(0, 6), (4, 0), (0, 2**32 - 1)],
+        ids=["length-past-the-section", "short-last-length", "length-2**32-1"],
+    )
+    def test_corrupt_sentence_length_is_truncated(self, record, value):
+        blob = bytearray(_container(_tiny_dataset()))
+        at = len(blob) - 4 * (6 - record)
+        blob[at:at + 4] = value.to_bytes(4, "little")
+        with pytest.raises(TruncatedError):
+            _read(bytes(blob))
+
     def test_empty_section_of_unholdable_shape_is_a_container_error(self):
         # V = 0, so no bytes are missing, but numpy cannot form [0, F, G, G, C_s]
         header = struct.pack("<10I", 0, 2**32 - 1, 2**32 - 1, 1, 2**32 - 1, 0, 0, 0, 0, 0)
@@ -135,7 +150,7 @@ class TestContainer:
 
     def test_sentence_vocab_validation(self):
         ds = _tiny_dataset()
-        with pytest.raises(ValueError, match="vocabulary"):
+        with pytest.raises(ValueError, match=re.escape("sentence 0: token id 99 outside [0, 6)")):
             Dataset(
                 global_frames=ds.global_frames,
                 grid_frames=ds.grid_frames,
@@ -148,8 +163,36 @@ class TestContainer:
         ds = _tiny_dataset()
         blob = bytearray(_container(ds))
         blob[-4:] = (ds.vocab_size).to_bytes(4, "little")  # the last sentence's only token id
-        with pytest.raises(ContainerError, match="outside vocabulary"):
+        with pytest.raises(ContainerError, match=re.escape("sentence 1: token id 6 outside [0, 6)")):
             _read(bytes(blob))
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_dataset_and_gru_reject_an_id_with_one_message(self, bad):
+        ds = _tiny_dataset()
+        sentences = [[0, 3], [5, bad, 1]]
+        with pytest.raises(ValueError) as from_dataset:
+            Dataset(
+                global_frames=ds.global_frames, grid_frames=ds.grid_frames, action_vecs=ds.action_vecs,
+                embedding_vectors=ds.embedding_vectors, sentences=sentences,
+            )
+        params = GruParams(w=Tensor(np.zeros((3, 1, 2))), u=Tensor(np.zeros((3, 1, 1))), b=Tensor(np.zeros((3, 1))))
+        with pytest.raises(ValueError) as from_gru:
+            gru_encode(sentences, ds.embedding_table().vectors, params)
+        assert str(from_dataset.value) == str(from_gru.value) == f"sentence 1: token id {bad} outside [0, 6)"
+
+    # a one-axis action or embedding section would pass the video-count
+    # check, and write_container would then fail with a bare IndexError
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("global_frames", (1, 3)), ("grid_frames", (1, 1, 4, 4)), ("action_vecs", (1,)),
+         ("embedding_vectors", (6,))],
+    )
+    def test_a_section_of_the_wrong_rank_is_refused_naming_it(self, name, shape):
+        ds = _tiny_dataset()
+        sections = {s: getattr(ds, s) for s in SECTIONS}
+        sections[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{name} must have \d axes, got shape"):
+            Dataset(**sections, sentences=[])
 
     def test_video_feature_view(self):
         ds = _tiny_dataset()
@@ -369,10 +412,7 @@ class TestGeneratedDatasets:
 
     def test_load_holds_only_the_float32_sections(self, tmp_path):
         # seq-train's corpus: 1.7 MiB of float32 sections
-        cfg = SynthConfig(
-            dims=MID_DIMS, n_videos=48, rho=(0.5, 0.5, 0.0), sentence_mode="split",
-            train_fraction=2 / 3, seed=1,
-        )
+        cfg = SynthConfig(seed=1, **BENCH_CORPORA["seq-train"][0])
         path = tmp_path / "corpus.mvse"
         save_container(synth_generate(cfg).dataset, path)
         load_container(path)  # first-call allocations stay out of the count

@@ -15,31 +15,10 @@ from mvse.synth import (
     slice_collision_ceiling,
     synth_generate,
 )
-from shapes import MID_DIMS
+from shapes import BENCH_CORPORA, MID_DIMS
 
 DIMS = Dims.small()
 SECTIONS = ("global_frames", "grid_frames", "action_vecs", "embedding_vectors")
-
-# the benchmark's three corpora (mvse_bench/pipeline.py), as SynthConfig
-# fields, with the sha256 of their container at seeds 1 and 2
-BENCH_CORPORA = {
-    "global-train": (
-        dict(dims=DIMS, n_videos=200, rho=(0.5, 0.0, 0.5), sentence_mode="full", train_fraction=0.75),
-        {1: "a350568fee10226e630c6d36d1615767d9561267f45fc9def50eb99d0e6c0a6c",
-         2: "099c8cc5afb18aca3c04a9799bf838c70bab7ea889cd1ec670ff25fb40353e01"},
-    ),
-    "seq-train": (
-        dict(dims=MID_DIMS, n_videos=48, rho=(0.5, 0.5, 0.0), sentence_mode="split", train_fraction=2 / 3),
-        {1: "ede268d9c34c996a966a15ad919b89d151044c4618e6a7e48c756aa9a006094a",
-         2: "c96cd9034fd0aa18efff9baf9848469bc76f21043ffc3768e8c4c196348f9af9"},
-    ),
-    "seq-retrieve": (
-        dict(dims=DIMS, n_videos=128, rho=(0.5, 0.25, 0.25), sentence_mode="full", train_fraction=0.5),
-        {1: "a93d7e1a5b7715083300b3197024f0b12f22a4f366a0957a637a0e358808d069",
-         2: "8ce580a9377f736c84cb6df5f61e10d6ca6a9e46ec8bcab63ca23683370e825d"},
-    ),
-}
-
 
 def _container(ds) -> bytes:
     out = io.BytesIO()
@@ -227,6 +206,36 @@ class _RecordingNormal:
     def normal(self, *args, size, **kw):
         self.sizes.append(size)
         return self.rng.normal(*args, size=size, **kw)
+
+
+# (sentence_mode, sentences_per_video, rho) -> sha256 of repr(dataset.sentences)
+# at q = 3 and L = 8; (0.5, 0.5, 0.0) leaves the action slice empty, and
+# full-mode sentences spell every dimension whatever rho is
+SENTENCE_PINS = {
+    ("full", 1, (0.5, 0.25, 0.25)):
+        "b447b9d4a1e3b97f7f3fcd60fa94a1f962bae33f199028b47c8559b180e6f10d",
+    ("full", 3, (0.5, 0.25, 0.25)):
+        "71b6e55d8cd3dc1e7ab2a934818b351dd7694724caceedd82139dde4077aa403",
+    ("full", 1, (0.5, 0.5, 0.0)):
+        "b447b9d4a1e3b97f7f3fcd60fa94a1f962bae33f199028b47c8559b180e6f10d",
+    ("full", 3, (0.5, 0.5, 0.0)):
+        "71b6e55d8cd3dc1e7ab2a934818b351dd7694724caceedd82139dde4077aa403",
+    ("split", 1, (0.5, 0.25, 0.25)):
+        "57369e8b923ec7b51d47b1e994ca4ed055f36f366b7453eab1362f11e686d2b9",
+    ("split", 3, (0.5, 0.25, 0.25)):
+        "c964773967d017c0b0b7b78b08e709c324f743d9b4d96b849458bf3c026a70be",
+    ("split", 1, (0.5, 0.5, 0.0)):
+        "57369e8b923ec7b51d47b1e994ca4ed055f36f366b7453eab1362f11e686d2b9",
+    ("split", 3, (0.5, 0.5, 0.0)):
+        "b741832d33f9839c47bf79c494150c12aa69d9f734cc9a532f3c9be76cffca82",
+}
+
+
+@pytest.mark.parametrize("mode,per_video,rho", list(SENTENCE_PINS))
+def test_sentences_keep_their_tokens(mode, per_video, rho):
+    cfg = _cfg(n_videos=6, sentences_per_video=per_video, rho=rho, sentence_mode=mode, quant_levels=3)
+    sentences = synth_generate(cfg).dataset.sentences
+    assert hashlib.sha256(repr(sentences).encode()).hexdigest() == SENTENCE_PINS[mode, per_video, rho]
 
 
 class TestFloat32Storage:

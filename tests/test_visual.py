@@ -158,6 +158,34 @@ class TestChunkSample:
             chunk_sample(5, 0)
 
 
+class TestGather:
+    @pytest.mark.parametrize("other", [(4,), (1,), (3, 1)])
+    def test_frame_shapes_that_differ_raise_naming_them(self, other):
+        # (1,) would broadcast into a (3,) row if it were written unchecked
+        frames = [np.zeros((5, 3), np.float32), np.zeros((5, *other), np.float32)]
+        shapes = " vs ".join(str(s) for s in sorted([(3,), other]))
+        with pytest.raises(ShapeError, match=re.escape(f"x: incompatible shapes {shapes} (need the same frame")):
+            visual._gather("x", frames, [[0], [1]])
+
+    def test_peak_is_the_output_and_one_video_pick(self):
+        # 8 videos x 20 frames of a 7x7x256 grid, 8 picked per video: the
+        # float64 output is 6.4 MB and one video's float32 pick 0.4 MB;
+        # holding every video's pick at once would add 3.2 MB
+        rng = np.random.default_rng(1)
+        frames = [np.full((20, 7, 7, 256), v, np.float32) for v in range(8)]
+        indices = [sorted(rng.choice(20, 8, replace=False).tolist()) for _ in frames]
+        visual._gather("x", frames, indices)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            out = visual._gather("x", frames, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pick = frames[0][indices[0]].nbytes
+        slack = 64 << 10
+        assert peak <= out.nbytes + pick + slack
+
+
 class TestGlobalEmbed:
     def test_identical_frames_identity_map(self):
         rng = np.random.default_rng(0)
