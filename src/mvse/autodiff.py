@@ -3,8 +3,12 @@
 A deliberately small define-by-run engine: forward values are computed
 eagerly with numpy, and while a :class:`Tape` is active every operation
 appends a node recording its parents and a backward rule. The tape is
-rebuilt on each forward pass. The module holds the operations the model
-runs and the finite-difference oracle :func:`grad_check`. The elementwise
+rebuilt on each forward pass and swept once: :meth:`Tape.backward` drops
+each node's rule as it passes the node, so the forward state the rule
+captured (the LSTM's saved gates and states, its input terms' factor K,
+the gathered frames) is freed as the sweep moves on, while every gradient
+stays on the tape. The module holds the operations the model runs and
+the finite-difference oracle :func:`grad_check`. The elementwise
 primitives of the per-op chains that the tests check the fused nodes
 against are in ``tests/oracle_ops.py`` and record on the same tape.
 
@@ -20,8 +24,10 @@ step runs, since the whole [V, T, Q, 4, H] tensor grows with gallery size
 times queries times steps. Inside the node the LSTM runs hidden-major:
 its state is [H, V*Q] and each gate's pre-activations are one contiguous
 [H, V*Q] block, so every elementwise pass of a step runs over contiguous
-memory rather than over runs of H floats; only its output and, taped, its
-input terms' gradient are turned back into the [V, Q, ...] layout.
+memory rather than over runs of H floats; only its output is turned back
+into the [V, Q, ...] layout. Its backward reads the input terms' gradient
+in place in row layout, [T, V, Q, 4H], and writes K's gradient straight
+into K's layout.
 
 The recurrences compute every sigmoid gate as σ(a) = (1 + tanh(a/2)) / 2,
 so one ``np.tanh`` pass gives all the gates of a step, the tanh gates
@@ -34,15 +40,17 @@ form stays within 2^-52 (one ulp of 1/2 to 1) absolute of the two-branch
 :func:`einsum` is the one contraction with a backward rule: it carries
 the GRU's input terms, the sequential head's attention maps and per-cell
 LSTM input terms, and the fusion, and :func:`matvec` is one ``einsum``
-spec; :func:`lstm_recurrence` contracts its input terms' gradient with
-``einsum``'s cached plans.
-Its forward and both backward contractions are planned once per (spec,
-operand shapes) and the plans kept in a bounded cache. A plan is a
-transpose and reshape of each operand, one ``np.matmul`` (or one
-``np.multiply`` when no index is contracted) and a reshape and transpose
-of the result. It lays out and multiplies the operands as numpy's
-``np.einsum`` does for two operands with ``optimize`` on, so the results
-are byte-equal to numpy's, without numpy's per-call path search.
+spec. :func:`lstm_recurrence` contracts its input terms' gradient with K
+and with the maps by its own ``np.matmul`` calls over strided views, not
+by ``einsum``'s plans, which would copy K and the gradient into their
+layouts first. ``einsum``'s forward and both backward contractions are
+planned once per (spec, operand shapes) and the plans kept in a bounded
+cache. A plan is a transpose and reshape of each operand, one
+``np.matmul`` (or one ``np.multiply`` when no index is contracted) and a
+reshape and transpose of the result. It lays out and multiplies the
+operands as numpy's ``np.einsum`` does for two operands with ``optimize``
+on, so the results are byte-equal to numpy's, without numpy's per-call
+path search.
 
 Broadcasting happens only where an op's name or contract says so:
 :func:`cosine` over its [V, Q] grid, :func:`broadcast_add`, and the
@@ -134,8 +142,9 @@ class Tape:
     """Append-only record of one forward pass.
 
     Node inputs always precede the node itself, so backward is a single
-    reverse sweep. A tape is confined to one logical thread; independent
-    tapes may run concurrently (the active tape is a context variable).
+    reverse sweep, run once per tape. A tape is confined to one logical
+    thread; independent tapes may run concurrently (the active tape is a
+    context variable).
     """
 
     def __init__(self):
@@ -143,6 +152,7 @@ class Tape:
         self._leaf_ids: dict[int, int] = {}
         self._leaf_refs: list[Tensor] = []  # keeps id() keys stable
         self.gradients: dict[int, np.ndarray] = {}
+        self._swept = False
         self._token = None
 
     def __enter__(self) -> "Tape":
@@ -175,7 +185,15 @@ class Tape:
         self._nodes.append(_Node(pids, backward))
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Populate gradients of ``loss`` w.r.t. every ancestor node."""
+        """Populate gradients of ``loss`` w.r.t. every ancestor node.
+
+        A tape is swept once. The sweep drops each node's backward rule as
+        it passes the node, run or not, so the forward state the rule
+        captured is freed as the sweep moves on; the gradients stay in
+        :attr:`gradients` and :meth:`grad`. A second ``backward`` raises
+        ``RuntimeError``."""
+        if self._swept:
+            raise RuntimeError("backward: this tape has been swept already; record a new one")
         if loss.tape is not self:
             nid = self._leaf_ids.get(id(loss))
             if nid is None:
@@ -184,15 +202,15 @@ class Tape:
             nid = loss.node_id
         if loss.data.shape != ():
             raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+        self._swept = True
         grads: dict[int, np.ndarray] = {nid: np.ones((), dtype=np.float64)}
-        for i in range(nid, -1, -1):
-            g = grads.get(i)
-            if g is None:
-                continue
+        for i in range(len(self._nodes) - 1, -1, -1):
             node = self._nodes[i]
-            if node.backward is None:
+            rule, node.backward = node.backward, None
+            g = grads.get(i)
+            if g is None or rule is None:
                 continue
-            for pid, pg in zip(node.parents, node.backward(g)):
+            for pid, pg in zip(node.parents, rule(g)):
                 if pg is None:
                     continue
                 acc = grads.get(pid)
@@ -712,10 +730,14 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     the same contiguous gate blocks, and scatters the result among zeros
     into the input terms' gradient in row layout, [T, V*Q, 4H]. The sums
     that give the gradients of ``u`` and ``b`` read it over every pair, in
-    the order they did when every pair ran, so the zeros change no bit.
-    One copy of it as [V, T, Q, 4H] feeds both cached :func:`einsum`
-    backward plans of that spec, which give the gradients of ``k`` and
-    ``amap``. When every pair is live the gathers are views.
+    the order they did when every pair ran, so the zeros change no bit. The
+    gradients of ``k`` and ``amap`` read it in place too, as [T, V, Q, 4H],
+    one [Q, 4H] matrix per (step, video): one ``np.matmul`` with the maps
+    writes ``k``'s gradient straight into ``k``'s [G*G, V, T, 4H] layout,
+    and one with ``k``'s step slabs, read in place, gives the maps' gradient
+    as a [V, Q, T, G*G] view. Neither copies ``k`` or the input terms'
+    gradient into another layout. When every pair is live the gathers are
+    views.
 
     The forward and every gradient equal those of the recurrence over the
     materialized input terms, ``tests/oracle_ops.lstm_recurrence`` on
@@ -833,12 +855,17 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
         d[:, cols] = d_live.transpose(0, 2, 1)
         h_prev = np.ascontiguousarray(hs[:-1].transpose(0, 2, 1))  # [T, V*Q, H]
         du = d.reshape(-1, 4 * n_h).T @ h_prev.reshape(-1, n_h)
-        # one C-contiguous copy, which the contractions with amap and with k
-        # both read as [V*T, Q, 4H] without copying it again
-        dx = np.ascontiguousarray(d.reshape(n_t, n_v, n_q, 4, n_h).transpose(1, 0, 2, 3, 4))
-        _, grad_k, grad_amap = _einsum_plan("nvtgj,vqtn->vtqgj", kd.shape, ad.shape)
         db = d.reshape(-1, 4, n_h).sum(axis=0)
-        return grad_k(dx, ad), grad_amap(kd, dx), du.reshape(4, n_h, n_h), db
+        # both contractions read d in place as [T, V, Q, 4H], one [Q, 4H]
+        # matrix per (step, video): k's gradient is written straight into
+        # k's [G*G, V, T, 4H] layout, and the maps' gradient reads k's step
+        # slabs in place and is a [V, Q, T, G*G] view of a [T, V, Q, G*G]
+        # array
+        d4 = d.reshape(n_t, n_v, n_q, 4 * n_h)
+        dk = np.empty((n_cells, n_v, n_t, 4 * n_h))
+        np.matmul(amap_steps, d4, out=dk.transpose(2, 1, 0, 3))
+        damap = np.matmul(d4, k_steps).transpose(1, 2, 0, 3)
+        return dk.reshape(kd.shape), damap, du.reshape(4, n_h, n_h), db
 
     # a copy even where H or V*Q is 1 and the transposed view is contiguous
     return _emit(h.T.reshape(n_v, n_q, n_h).copy(), (k, amap, u, b), bk)

@@ -48,17 +48,30 @@ class GruParams:
     b: Tensor
 
 
+def _is_integer_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _sentence_of(sentences: list[list[int]], k: int) -> int:
+    """The index of the sentence that holds token ``k`` of the concatenation."""
+    return int(np.searchsorted(np.cumsum([len(s) for s in sentences]), k, side="right"))
+
+
 def token_ids(sentences: list[list[int]], vocab: int) -> np.ndarray:
     """Every sentence's token ids, concatenated into one int64 array; the
-    one check that ids lie in [0, vocab), for the container and the GRU.
-    An id outside raises ``ValueError`` naming it and its sentence."""
-    lengths = [len(s) for s in sentences]
-    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64, count=sum(lengths))
+    one check on ids, for the container and the GRU. An id that is not an
+    integer (``1.5``, ``True``), which int64 would silently truncate, or
+    that lies outside [0, vocab) raises ``ValueError`` naming it and its
+    sentence."""
+    flat = list(itertools.chain.from_iterable(sentences))
+    if not all(map(_is_integer_type, set(map(type, flat)))):
+        k = next(k for k, t in enumerate(flat) if not _is_integer_type(type(t)))
+        raise ValueError(f"sentence {_sentence_of(sentences, k)}: token id {flat[k]!r} is not an integer")
+    ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
     outside = (ids < 0) | (ids >= vocab)
     if outside.any():
         k = int(outside.argmax())
-        q = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
-        raise ValueError(f"sentence {q}: token id {ids[k]} outside [0, {vocab})")
+        raise ValueError(f"sentence {_sentence_of(sentences, k)}: token id {ids[k]} outside [0, {vocab})")
     return ids
 
 
@@ -72,7 +85,8 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
         r = sigmoid(Wr x + Ur h + br)
         c = tanh(Wc x + Uc (r * h) + bc)
         h_new = (1 - z) * h + z * c
-    A token id outside [0, vocab) raises ``ValueError`` first (:func:`token_ids`).
+    A token id that is not an integer or lies outside [0, vocab) raises
+    ``ValueError`` first (:func:`token_ids`).
     The token vectors are gathered into a zero-padded [Q, T, E] constant,
     and the input terms ``W x`` of all gates and steps come from one
     contraction into [Q, T, 3, H] before the recurrence, which adds the

@@ -180,6 +180,30 @@ class TestContainer:
             gru_encode(sentences, ds.embedding_table().vectors, params)
         assert str(from_dataset.value) == str(from_gru.value) == f"sentence 1: token id {bad} outside [0, 6)"
 
+    # int64 would truncate each of these to an id in range: 1, 1, 2 and 0
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0), np.bool_(False)], ids=repr)
+    def test_dataset_and_gru_reject_a_non_integer_id_with_one_message(self, bad):
+        ds = _tiny_dataset()
+        sentences = [[0, 3], [5, bad, 1]]
+        with pytest.raises(ValueError) as from_dataset:
+            Dataset(
+                global_frames=ds.global_frames, grid_frames=ds.grid_frames, action_vecs=ds.action_vecs,
+                embedding_vectors=ds.embedding_vectors, sentences=sentences,
+            )
+        params = GruParams(w=Tensor(np.zeros((3, 1, 2))), u=Tensor(np.zeros((3, 1, 1))), b=Tensor(np.zeros((3, 1))))
+        with pytest.raises(ValueError) as from_gru:
+            gru_encode(sentences, ds.embedding_table().vectors, params)
+        assert str(from_dataset.value) == str(from_gru.value) == f"sentence 1: token id {bad!r} is not an integer"
+
+    def test_numpy_integer_ids_are_ids(self):
+        ds = _tiny_dataset()
+        sentences = [[np.int64(0), np.uint32(3)], [np.int8(5), 1]]
+        kept = Dataset(
+            global_frames=ds.global_frames, grid_frames=ds.grid_frames, action_vecs=ds.action_vecs,
+            embedding_vectors=ds.embedding_vectors, sentences=sentences,
+        )
+        assert _read(_container(kept)).sentences == [[0, 3], [5, 1]]
+
     # a one-axis action or embedding section would pass the video-count
     # check, and write_container would then fail with a bare IndexError
     @pytest.mark.parametrize(

@@ -901,6 +901,40 @@ def test_score_grid_reads_as_rows_of_scalars():
     assert np.isnan(grid[0][1].item()) and grid[0][2].item() == scores.data[0, 2]
 
 
+# the measured tracemalloc peak of a taped seq-train batch's backward above
+# the memory its forward holds (4,529,512 bytes with numpy 2.4 on Linux),
+# and the slack allowed above it: well under the 1.3 MB that copying k and
+# the input terms' gradient into einsum layouts, and keeping every rule's
+# state to the end of the sweep, add to it
+SEQ_TRAIN_BACKWARD_PEAK = 4_530_000
+SEQ_TRAIN_BACKWARD_SLACK = 256 * 1024
+
+
+def test_seq_train_batch_backward_peak_stays_within_its_pin():
+    """At seq-train's batch shape (mid dims, B = 8, dual-S, hardest) the
+    backward peaks inside the LSTM node's rule: its row-layout input-term
+    gradient, the columns it gathers and k's gradient. The sweep frees each
+    rule's saved state once it has run, so no later node adds to that."""
+    dims, n_v, n_q = LSTM_GRIDS["seq-train-batch"]
+    corpus = _corpus(n_videos=2 * n_v, dims=dims, n_frames=dims.n_chunks)
+    model = Model.new(dims, "dual-S", seed=1, table=corpus.dataset.embedding_table())
+    videos, sentences = _all_pairs(corpus)
+    batch = list(zip(videos[:n_v], sentences[:n_q]))
+    with Tape() as tape:  # fills the einsum plan cache outside the trace
+        tape.backward(training.batch_loss(batch, model, TripletConfig()))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = training.batch_loss(batch, model, TripletConfig())
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= SEQ_TRAIN_BACKWARD_PEAK + SEQ_TRAIN_BACKWARD_SLACK, peak
+
+
 @pytest.mark.parametrize("spaces", ["dual-I", "dual-S"])
 def test_batch_loss_records_a_batch_size_independent_number_of_nodes(corpus, spaces):
     model = Model.new(DIMS, spaces, seed=1, table=corpus.dataset.embedding_table())
