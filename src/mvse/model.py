@@ -47,16 +47,25 @@ from mvse.visual import (
 
 _INIT_SALT = 0x1417
 _FRAME_SALT = 0xF3A3E
+_INIT_CHUNK_BYTES = 64 << 20  # init_params draws an lstm.w gate block this much at a time
 
 
-def _init_array(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np.ndarray:
-    """Uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], independently seeded
-    per name so adding a space never shifts other initializations."""
+def _init_draw(name: str, fan_in: int, seed: int) -> Callable[[tuple[int, ...]], np.ndarray]:
+    """Draws uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] of a given shape
+    from one stream, independently seeded per name so adding a space never
+    shifts other initializations. Each double takes one 64-bit draw of the
+    stream, so drawing an array a chunk of rows at a time gives the bytes
+    of one whole draw."""
     rng = np.random.default_rng(
         np.random.SeedSequence([_INIT_SALT, seed, zlib.crc32(name.encode())])
     )
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return lambda shape: rng.uniform(-bound, bound, size=shape)
+
+
+def _init_array(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np.ndarray:
+    """``name``'s whole draw of ``shape`` (see :func:`_init_draw`)."""
+    return _init_draw(name, fan_in, seed)(shape)
 
 
 def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:
@@ -154,12 +163,16 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
             return _init_array(name, shape, fan_in, seed)
         # one block per gate, each drawn from its own name's stream (gru.w_z,
         # lstm.w_i, ...), filled in place; no name holds a drawn block, so at
-        # most one is held besides the stack
+        # most one is held besides the stack, and of lstm.w's at most one
+        # chunk of _INIT_CHUNK_BYTES (or one row, where a row is larger)
         out = np.empty(shape)
         for n, gate in enumerate(gates):
             if name == "lstm.w":  # stored [G*G, C_s, 4, H], each block drawn as [H, G*G, C_s]
                 cells, c_s, _, h = shape
-                out[:, :, n] = _init_array(f"{name}_{gate}", (h, cells, c_s), fan_in, seed).transpose(1, 2, 0)
+                draw_rows = _init_draw(f"{name}_{gate}", fan_in, seed)
+                rows = max(1, _INIT_CHUNK_BYTES // (8 * cells * c_s))
+                for lo in range(0, h, rows):
+                    out[:, :, n, lo: lo + rows] = draw_rows((min(rows, h - lo), cells, c_s)).transpose(1, 2, 0)
             else:
                 out[n] = _init_array(f"{name}_{gate}", shape[1:], fan_in, seed)
         if name == "lstm.b":

@@ -185,6 +185,12 @@ def train(
     frames derive from the run seed. A manifest with fewer than 2 videos
     that have a sentence never forms a batch, so it raises ``ValueError``
     before epoch 0.
+
+    A step's gradients live as long as its tape: the gradient map exists
+    only inside the :func:`sgd_step` call, and only with a non-zero
+    learning rate. The tape lives until the next step's ``loss`` is
+    bound, after that step's forward and before its backward, so each
+    backward runs with one step's gradients, its own.
     """
     manifest.validate_against(dataset)
     entries = manifest.entries
@@ -225,9 +231,8 @@ def train(
                         f"{start} (videos {[g[0] for g in group]})"
                     )
                 tape.backward(loss)
-                grads = {name: tape.grad(t) for name, t in params.items()}
             if config.learning_rate:
-                sgd_step(params, grads, config.learning_rate)
+                sgd_step(params, {name: tape.grad(t) for name, t in params.items()}, config.learning_rate)
             epoch_loss += value
             pairs_seen += len(group)
 

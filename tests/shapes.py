@@ -9,6 +9,15 @@ MID_DIMS = Dims(
     hidden=64, embed_dim=64, token_dim=32, attn_dim=64,
 )
 
+# a reduced width of the paper's sequential head (``Dims()`` is C_s 2048,
+# H 512): grid 7, C_s 512, H 128, where ``dual-S`` holds 117 MB of
+# parameters, 103 MB of them lstm.w's; the memory pins of init and of a
+# training run read it
+WIDE_DIMS = Dims(
+    n_chunks=4, grid=7, c_global=64, c_spatial=512, c_action=16,
+    hidden=128, embed_dim=128, token_dim=32, attn_dim=64,
+)
+
 # (dims, V, Q): each workload's untaped eval grid, one slot's gallery of V
 # videos against Q sentences at T = dims.n_chunks steps: seq-train's at mid
 # dims (T = 8) and seq-retrieve's at small dims (T = 4)

@@ -10,6 +10,7 @@ import io
 import itertools
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from mvse.visual import VideoFeature, chunk_sample, global_embed, sequential_emb
 
 import oracle_ops
 from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, take
-from shapes import EVAL_GRIDS, LSTM_GRIDS, MID_DIMS
+from shapes import EVAL_GRIDS, LSTM_GRIDS, MID_DIMS, WIDE_DIMS
 
 DIMS = Dims.small()
 N_FRAMES = 7  # more frames than chunks, so random and first sampling differ
@@ -780,6 +781,46 @@ def test_sgd_step_holds_no_parameter_sized_temporary():
     assert peak <= training._SGD_BLOCK_BYTES + 16_384
 
 
+def test_a_steps_gradients_are_dead_when_the_next_backward_starts(monkeypatch):
+    """``train`` hands ``sgd_step`` a gradient map that only the call holds,
+    so step 1's gradients live as long as step 1's tape, which dies when
+    step 2's loss is bound: step 2's backward starts with none of them."""
+    corpus = _corpus(n_videos=16)
+    model = Model.new(DIMS, "dual-S", seed=4, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=1, batch_size=4, learning_rate=0.05, rng_seed=5)
+    stepped = []  # per step, weakrefs to the gradient arrays sgd_step got
+    alive = []  # per backward after the first, how many of the last step's are alive
+    sgd_step, backward = training.sgd_step, Tape.backward
+
+    def spy_sgd(params, grads, lr):
+        stepped.append([weakref.ref(g) for g in grads.values()])
+        sgd_step(params, grads, lr)
+
+    def spy_backward(tape, loss):
+        if stepped:
+            alive.append(sum(ref() is not None for ref in stepped[-1]))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(training, "sgd_step", spy_sgd)
+    monkeypatch.setattr(Tape, "backward", spy_backward)
+    training.train(corpus.dataset, corpus.manifests["train"], model, config)
+    assert len(stepped) == 2 and len(stepped[0]) == len(model.params.tensors)
+    assert alive == [0]
+
+
+def test_train_at_learning_rate_0_reads_no_gradient(corpus, monkeypatch):
+    def no_grad(tape, t):
+        raise AssertionError("a gradient was read at learning rate 0")
+
+    monkeypatch.setattr(Tape, "grad", no_grad)
+    model = Model.new(DIMS, "dual-S", seed=4, table=corpus.dataset.embedding_table())
+    before = {name: t.data.copy() for name, t in model.params.named().items()}
+    config = TripletConfig(epochs=1, batch_size=4, learning_rate=0.0, rng_seed=5)
+    training.train(corpus.dataset, corpus.manifests["train"], model, config)
+    for name, t in model.params.named().items():
+        assert t.data.tobytes() == before[name].tobytes(), name
+
+
 @pytest.mark.parametrize("n_frames", [N_FRAMES, DIMS.n_chunks], ids=["F>N", "F==N"])
 def test_train_builds_frame_generators_only_when_a_chunk_can_draw(n_frames, monkeypatch):
     corpus = _corpus(n_videos=16, n_frames=n_frames)
@@ -933,6 +974,40 @@ def test_seq_train_batch_backward_peak_stays_within_its_pin():
     finally:
         tracemalloc.stop()
     assert peak <= SEQ_TRAIN_BACKWARD_PEAK + SEQ_TRAIN_BACKWARD_SLACK, peak
+
+
+# how far a later training step's tracemalloc peak may sit above the first
+# step's at WIDE_DIMS (dual-S, hardest, B = 4; 117 MB of parameters): step
+# n's tape, with its 117 MB of gradients, lives until step n + 1's loss is
+# bound, so that step peaks at the end of its forward, 4.93 MB above the
+# first step's backward peak (123.06 MB, numpy 2.4 on Linux). Keeping step
+# n's gradient map through step n + 1's backward peaked at 240.1 MB.
+LATER_STEP_SLACK = 8 << 20
+
+
+def test_later_training_steps_peak_like_the_first(monkeypatch):
+    corpus = synth_generate(SynthConfig(
+        dims=WIDE_DIMS, n_videos=16, sentences_per_video=1, rho=(0.5, 0.5, 0.0),
+        seed=3, train_fraction=0.75, n_frames=WIDE_DIMS.n_chunks,
+    ))
+    model = Model.new(WIDE_DIMS, "dual-S", seed=1, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=1, batch_size=4, learning_rate=0.05, rng_seed=5)
+    peaks = []  # per step, from the end of the last step's SGD to the end of its own
+    sgd_step = training.sgd_step
+
+    def spy(params, grads, lr):
+        sgd_step(params, grads, lr)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(training, "sgd_step", spy)
+    tracemalloc.start()
+    try:
+        training.train(corpus.dataset, corpus.manifests["train"], model, config)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(peaks[1:]) <= peaks[0] + LATER_STEP_SLACK, peaks
 
 
 @pytest.mark.parametrize("spaces", ["dual-I", "dual-S"])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -29,7 +30,7 @@ from mvse.visual import (
 
 import oracle_ops
 from oracle_ops import sum_all, take
-from shapes import EVAL_GRIDS, LSTM_GRIDS
+from shapes import EVAL_GRIDS, LSTM_GRIDS, WIDE_DIMS
 
 DIMS = Dims.small()
 EPS = np.finfo(np.float64).eps
@@ -641,6 +642,29 @@ class TestLstmParams:
         total = sum(t.data.nbytes for t in params.tensors.values())
         block = params.tensors["lstm.w"].data.nbytes // 4
         assert peak <= total + block + 1_000_000
+
+    def test_init_draws_lstm_w_a_chunk_of_rows_at_a_time(self, monkeypatch):
+        # at WIDE_DIMS a gate block of lstm.w is 25.7 MB, one chunk under the
+        # default budget; a budget of 16 of its 128 rows (3.2 MB) draws each
+        # block in 8 chunks, and the tensors keep the bytes of whole draws.
+        # The peak is 242,557 bytes above parameters + one chunk (numpy 2.4);
+        # drawing a whole block held 22.7 MB more. The stated slack is 1 MB.
+        spaces = ("global", "sequential")
+        whole = {
+            name: hashlib.sha256(t.data).hexdigest()
+            for name, t in init_params(WIDE_DIMS, spaces, seed=0).tensors.items()
+        }
+        chunk = 16 * 8 * WIDE_DIMS.grid_flat
+        monkeypatch.setattr(mvse_model, "_INIT_CHUNK_BYTES", chunk)
+        tracemalloc.start()
+        try:
+            params = init_params(WIDE_DIMS, spaces, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        total = sum(t.data.nbytes for t in params.tensors.values())
+        assert peak <= total + chunk + 1_000_000, peak - total
+        assert {name: hashlib.sha256(t.data).hexdigest() for name, t in params.tensors.items()} == whole
 
 
 class TestActionEmbed:
