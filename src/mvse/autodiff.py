@@ -7,8 +7,14 @@ rebuilt on each forward pass and swept once: :meth:`Tape.backward` drops
 each node's rule as it passes the node, so the forward state the rule
 captured (the LSTM's saved gates and states, its input terms' factor K,
 the gathered frames) is freed as the sweep moves on, while every gradient
-stays on the tape. The module holds the operations the model runs and
-the finite-difference oracle :func:`grad_check`. The elementwise
+stays on the tape. A tape may be given an update callable instead of
+keeping its leaves' gradients: a leaf is registered at its first use, so
+every node that reads it comes later, and the sweep reaches the leaf only
+once its gradient is final; it hands that gradient to the callable there
+and keeps no array for it. Training applies each parameter's SGD step so,
+and no step holds its parameters' gradients together. The module holds
+the operations the model runs and the finite-difference oracle
+:func:`grad_check`. The elementwise
 primitives of the per-op chains that the tests check the fused nodes
 against are in ``tests/oracle_ops.py`` and record on the same tape.
 
@@ -92,6 +98,11 @@ class DegenerateEmbeddingError(ValueError):
     """A vector with (near-)zero norm reached a similarity computation."""
 
 
+class HandedOffGradientError(LookupError):
+    """The gradient asked for was handed to the tape's update callable, and
+    the tape keeps no array for it."""
+
+
 _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
     "mvse_active_tape", default=None
 )
@@ -145,13 +156,25 @@ class Tape:
     reverse sweep, run once per tape. A tape is confined to one logical
     thread; independent tapes may run concurrently (the active tape is a
     context variable).
+
+    ``update``, if given, is called as ``update(leaf, gradient)`` once for
+    every leaf tensor the loss reaches, when the sweep reaches the leaf's
+    node. A leaf is registered at its first use, so every node that reads
+    it has a higher id and its gradient is final there. The callable may
+    change the leaf's data in place: every node that has the leaf as a
+    parent has run its rule by then. The
+    tape then keeps no array for that gradient; its node id stays in
+    :attr:`gradients`, with ``None``, so :attr:`gradients` still lists
+    every node the loss reached, and :meth:`grad` of the leaf raises
+    :class:`HandedOffGradientError`.
     """
 
-    def __init__(self):
+    def __init__(self, update: Callable[[Tensor, np.ndarray], None] | None = None):
         self._nodes: list[_Node] = []
         self._leaf_ids: dict[int, int] = {}
-        self._leaf_refs: list[Tensor] = []  # keeps id() keys stable
-        self.gradients: dict[int, np.ndarray] = {}
+        self._leaves: dict[int, Tensor] = {}  # by node id; keeps id() keys stable
+        self._update = update
+        self.gradients: dict[int, np.ndarray | None] = {}
         self._swept = False
         self._token = None
 
@@ -175,7 +198,7 @@ class Tape:
             nid = len(self._nodes)
             self._nodes.append(_Node((), None))
             self._leaf_ids[id(t)] = nid
-            self._leaf_refs.append(t)
+            self._leaves[nid] = t
         return nid
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward) -> None:
@@ -184,14 +207,15 @@ class Tape:
         out.tape = self
         self._nodes.append(_Node(pids, backward))
 
-    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
+    def backward(self, loss: Tensor) -> dict[int, np.ndarray | None]:
         """Populate gradients of ``loss`` w.r.t. every ancestor node.
 
         A tape is swept once. The sweep drops each node's backward rule as
         it passes the node, run or not, so the forward state the rule
-        captured is freed as the sweep moves on; the gradients stay in
-        :attr:`gradients` and :meth:`grad`. A second ``backward`` raises
-        ``RuntimeError``."""
+        captured is freed as the sweep moves on. The gradients fill
+        :attr:`gradients` as the sweep forms them and stay there, read by
+        :meth:`grad`, except the leaves' that the tape's update callable
+        took. A second ``backward`` raises ``RuntimeError``."""
         if self._swept:
             raise RuntimeError("backward: this tape has been swept already; record a new one")
         if loss.tape is not self:
@@ -203,19 +227,19 @@ class Tape:
         if loss.data.shape != ():
             raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
         self._swept = True
-        grads: dict[int, np.ndarray] = {nid: np.ones((), dtype=np.float64)}
+        grads = self.gradients = {nid: np.ones((), dtype=np.float64)}
+        update, leaves = self._update, self._leaves
         for i in range(len(self._nodes) - 1, -1, -1):
             node = self._nodes[i]
             rule, node.backward = node.backward, None
             g = grads.get(i)
-            if g is None or rule is None:
+            if g is None:
                 continue
-            for pid, pg in zip(node.parents, rule(g)):
-                if pg is None:
-                    continue
-                acc = grads.get(pid)
-                grads[pid] = pg if acc is None else acc + pg
-        self.gradients = grads
+            if rule is not None:
+                _accumulate(grads, node.parents, rule(g))
+            elif update is not None and i in leaves:
+                grads[i] = None
+                update(leaves[i], g)
         return grads
 
     def grad(self, t: Tensor) -> np.ndarray:
@@ -223,16 +247,29 @@ class Tape:
 
         This is the tape's own array, not a copy: it may be a
         non-contiguous view and may share memory with other gradients, so
-        it is read, never written."""
+        it is read, never written. A leaf whose gradient went to the
+        update callable raises :class:`HandedOffGradientError`."""
         if t.tape is self and t.node_id is not None:
             nid = t.node_id
         else:
             nid = self._leaf_ids.get(id(t))
-        if nid is not None:
-            g = self.gradients.get(nid)
-            if g is not None:
-                return np.asarray(g, dtype=np.float64)
+        if nid in self.gradients:
+            g = self.gradients[nid]
+            if g is None:
+                raise HandedOffGradientError(
+                    f"grad: the gradient of node {nid} went to the tape's update callable"
+                )
+            return np.asarray(g, dtype=np.float64)
         return np.zeros(t.data.shape, dtype=np.float64)
+
+
+def _accumulate(grads: dict, parents: tuple[int, ...], parent_grads) -> None:
+    """Add one rule's parent gradients into ``grads``. A function of its own,
+    so that no local of the sweep holds a gradient past its hand-off."""
+    for pid, pg in zip(parents, parent_grads):
+        if pg is not None:
+            acc = grads.get(pid)
+            grads[pid] = pg if acc is None else acc + pg
 
 
 def active_tape() -> Tape | None:

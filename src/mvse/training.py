@@ -6,7 +6,10 @@ hardest mode, keeping only the strongest violator per anchor and
 direction. The scorer keeps the fused scores as one [V, Q] tensor (a
 :class:`ScoreGrid`), and the two modes differ only in which index pairs
 of it they pick; one ``hinge_sum`` tape node reads those entries and sums
-the hinges of either. Plain SGD; all randomness (shuffling, per-epoch
+the hinges of either. Plain SGD, fused into the backward sweep: the tape
+hands each parameter's gradient to :func:`sgd_step` the moment the sweep
+has made it final, and keeps no array for it, so no step holds its
+parameters' gradients together. All randomness (shuffling, per-epoch
 sentence choice, frame sampling) derives from the run seed, so a run is
 reproducible bit for bit; ``Model.video_embeddings`` picks the frames
 from the run seed and the epoch.
@@ -15,6 +18,7 @@ from the run seed and the epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -132,8 +136,8 @@ def batch_loss(
     return loss_from_matrix(fused, config.margin, config.negative_mode)
 
 
-def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place p <- p - lr * g for every named parameter.
+def sgd_step(param: Tensor, g: np.ndarray, lr: float) -> None:
+    """In-place p <- p - lr * g for one parameter.
 
     ``lr * g`` is formed a block of leading-axis rows at a time in one
     scratch buffer of ``_SGD_BLOCK_BYTES``, or of one row where a row is
@@ -141,25 +145,30 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float)
     gets the two roundings of ``p - lr * g``. The blocks follow the leading
     axis, not a flattened view, since a gradient may be a transposed view
     that flattening would copy."""
-    scratch = np.empty(_SGD_BLOCK_BYTES // 8)
-    for name, tensor in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ValueError(f"missing gradient for parameter {name}")
-        if g.shape != tensor.data.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter {name} {tensor.data.shape}"
-            )
-        p = tensor.data
-        blocks = [(p, g)]
-        if p.size > scratch.size:
-            row = p[0].size
-            if row > scratch.size:
-                scratch = np.empty(row)
-            n = scratch.size // row
-            blocks = ((p[lo: lo + n], g[lo: lo + n]) for lo in range(0, len(p), n))
-        for p_block, g_block in blocks:
-            p_block -= np.multiply(lr, g_block, out=scratch[: p_block.size].reshape(p_block.shape))
+    p = param.data
+    if g.shape != p.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
+    blocks, size = [(p, g)], p.size
+    if size > _SGD_BLOCK_BYTES // 8:
+        row = p[0].size
+        n = max(1, _SGD_BLOCK_BYTES // 8 // row)
+        blocks, size = ((p[lo: lo + n], g[lo: lo + n]) for lo in range(0, len(p), n)), n * row
+    scratch = np.empty(size)
+    for p_block, g_block in blocks:
+        p_block -= np.multiply(lr, g_block, out=scratch[: p_block.size].reshape(p_block.shape))
+
+
+def _sgd_update(params: Iterable[Tensor], lr: float):
+    """A tape update callable that applies :func:`sgd_step` to a parameter
+    as the sweep hands over its gradient; other leaves' gradients are
+    dropped."""
+    ids = {id(t) for t in params}
+
+    def update(leaf: Tensor, g: np.ndarray) -> None:
+        if id(leaf) in ids:
+            sgd_step(leaf, g, lr)
+
+    return update
 
 
 @dataclass
@@ -186,18 +195,25 @@ def train(
     that have a sentence never forms a batch, so it raises ``ValueError``
     before epoch 0.
 
-    A step's gradients live as long as its tape: the gradient map exists
-    only inside the :func:`sgd_step` call, and only with a non-zero
-    learning rate. The tape lives until the next step's ``loss`` is
-    bound, after that step's forward and before its backward, so each
-    backward runs with one step's gradients, its own.
+    With a non-zero learning rate, each parameter is stepped during the
+    backward sweep, as soon as its gradient is final: the tape hands the
+    gradient to :func:`sgd_step` for that one parameter and keeps no
+    array for it. So ``lstm.w``'s gradient, the largest, dies before the
+    sweep forms ``attn.w_p``'s (the forward reads ``attn.w_p`` only before
+    its first read of ``lstm.w``), and a step's parameter gradients are
+    dead when its backward returns, before the next step's forward
+    starts. A parameter the loss does not reach is left as it is, the
+    bytes of ``p - lr * 0``. The tape, with its interior gradients, lives
+    until the next step's ``loss`` is bound. At learning rate 0 no
+    gradient is handed over and no parameter changes.
     """
     manifest.validate_against(dataset)
     entries = manifest.entries
     usable = sum(1 for _, _, sents in entries if sents)
     if usable < 2:
         raise ValueError(f"training manifest has {usable} videos with a sentence; a batch needs 2")
-    params = model.params.named()
+    lr = config.learning_rate
+    update = _sgd_update(model.params.tensors.values(), lr) if lr else None
     loss_log: list[tuple[int, float]] = []
 
     for epoch in range(config.epochs):
@@ -222,7 +238,7 @@ def train(
                 (dataset.video_feature(idx, vid), dataset.sentences[sent])
                 for vid, idx, sent in group
             ]
-            with Tape() as tape:
+            with Tape(update) as tape:
                 loss = batch_loss(batch, model, config, fuse_mode, epoch)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -231,8 +247,6 @@ def train(
                         f"{start} (videos {[g[0] for g in group]})"
                     )
                 tape.backward(loss)
-            if config.learning_rate:
-                sgd_step(params, {name: tape.grad(t) for name, t in params.items()}, config.learning_rate)
             epoch_loss += value
             pairs_seen += len(group)
 

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from mvse import autodiff, training
 from mvse.autodiff import (
     DegenerateEmbeddingError,
+    HandedOffGradientError,
     ShapeError,
     Tape,
     Tensor,
@@ -378,6 +379,40 @@ class TestBackward:
         tape.backward(loss)
         assert held() is None
         np.testing.assert_array_equal(tape.grad(x), [0.0, 1.0, 2.0])
+
+    @staticmethod
+    def _record(tape_of, values):
+        """x and w as leaves, x read by two nodes, and a leaf the loss does
+        not reach; returns the tape, the leaves and the interior y."""
+        with tape_of() as tape:
+            x, w, unreached = (Tensor(v) for v in values)
+            y = mul(x, w)
+            loss = sum_all(tanh(add(y, x)))
+            tanh(unreached)
+        tape.backward(loss)
+        return tape, (x, w, unreached), y
+
+    def test_the_update_gets_each_reached_leaf_once_when_its_gradient_is_final(self):
+        values = ([3.0, -1.0], [0.5, 2.0], [1.0])
+        plain, plain_leaves, plain_y = self._record(Tape, values)
+        handed = []
+
+        def update(leaf, g):
+            handed.append((leaf, g.copy()))
+            leaf.data[...] = np.nan  # any rule that read the leaf after this would give nan
+
+        tape, (x, w, unreached), y = self._record(lambda: Tape(update), values)
+        assert [leaf for leaf, _ in handed] == [w, x]  # in reverse order of first use
+        for leaf, g in handed:
+            ref = plain_leaves[[x, w].index(leaf)]
+            assert g.tobytes() == plain.grad(ref).tobytes()
+        assert set(tape.gradients) == set(plain.gradients)  # every reached node stays listed
+        assert [tape.gradients[tape._leaf_ids[id(t)]] for t in (x, w)] == [None, None]
+        for leaf in (x, w):
+            with pytest.raises(HandedOffGradientError):
+                tape.grad(leaf)
+        assert tape.grad(y).tobytes() == plain.grad(plain_y).tobytes()
+        np.testing.assert_array_equal(tape.grad(unreached), [0.0])
 
     def test_composed_loss_matches_finite_differences(self):
         rng = np.random.default_rng(7)

@@ -2,7 +2,10 @@
 drops or renames one would only show as a zeroed per-layer metric there,
 so this checks, read-only, that every name it patches still resolves, and
 that a traced run actually calls every patched name: a caller that reaches
-a function by another route than the patched one would leave it at zero."""
+a function by another route than the patched one would leave it at zero.
+The tracer's reach count reads ``tape.gradients``, which must list every
+node the loss reached, also those whose gradient went to the tape's update
+callable."""
 
 import importlib
 import importlib.util
@@ -11,12 +14,13 @@ from pathlib import Path
 import pytest
 
 from mvse import training
-from mvse.autodiff import no_tape
+from mvse.autodiff import HandedOffGradientError, Tape, no_tape
 from mvse.config import Dims, TripletConfig
 from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
 
-TRACING = Path(__file__).resolve().parents[1] / "mvse_bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "mvse_bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing_module():
@@ -64,3 +68,43 @@ def test_a_traced_epoch_and_scoring_reach_every_trace_point():
     calls = tracer.totals().calls
     assert {name: calls[name] for _, _, name in tracing.SPAN_POINTS if calls[name] < 1} == {}
     assert tracer.counts["matvec_calls"] > 0 and tracer.counts["backward_calls"] > 0
+
+
+def test_a_tape_with_an_update_lists_every_reached_node_to_the_tracer():
+    dims = Dims.small()
+    corpus = synth_generate(SynthConfig(
+        dims=dims, n_videos=8, sentences_per_video=1, rho=(0.5, 0.5, 0.0), seed=3,
+        train_fraction=0.5,
+    ))
+    ds = corpus.dataset
+    model = Model.new(dims, "dual-S", seed=1, table=ds.embedding_table())
+    batch = [
+        (ds.video_feature(idx, vid), ds.sentences[sents[0]])
+        for vid, idx, sents in corpus.manifests["train"].entries
+    ]
+    config = TripletConfig(negative_mode="hardest")
+    params = model.params.named()
+    with Tape() as plain:
+        plain.backward(training.batch_loss(batch, model, config))
+
+    handed = {}
+    tracer = tracing.Tracer(run_id="update")
+    with tracer.installed(), Tape(lambda leaf, g: handed.setdefault(id(leaf), g.tobytes())) as tape:
+        tape.backward(training.batch_loss(batch, model, config))
+
+    assert set(tape.gradients) == set(plain.gradients)
+    assert tracer.counts["tape_nodes_reached"] == len(plain.gradients)
+    assert tracer.counts["tape_nodes"] == len(plain)
+    for name, t in params.items():
+        assert handed[id(t)] == plain.grad(t).tobytes(), name
+        with pytest.raises(HandedOffGradientError):
+            tape.grad(t)
+
+
+def test_a_traced_seq_train_run_reaches_every_node(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    pipeline = importlib.import_module("pipeline")
+    result = pipeline.per_layer(pipeline.WORKLOADS["seq-train"], 1, tmp_path, None)
+    assert result.correct, result.problems
+    assert result.metrics["autodiff.grad_reach_ratio"][0] == 1.0
+    assert result.metrics["autodiff.tape_nodes_per_batch"][0] == 51
