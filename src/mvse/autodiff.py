@@ -141,14 +141,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tracked})"
 
 
-class _Node:
-    __slots__ = ("parents", "backward")
-
-    def __init__(self, parents: tuple[int, ...], backward):
-        self.parents = parents
-        self.backward = backward
-
-
 class Tape:
     """Append-only record of one forward pass.
 
@@ -170,12 +162,12 @@ class Tape:
     """
 
     def __init__(self, update: Callable[[Tensor, np.ndarray], None] | None = None):
-        self._nodes: list[_Node] = []
+        self._parents: list[tuple[int, ...]] = []  # by node id
+        self._rules: list = []  # by node id; None for a leaf and for a swept node
         self._leaf_ids: dict[int, int] = {}
         self._leaves: dict[int, Tensor] = {}  # by node id; keeps id() keys stable
         self._update = update
-        self.gradients: dict[int, np.ndarray | None] = {}
-        self._swept = False
+        self.gradients: dict[int, np.ndarray | None] = {}  # non-empty once swept
         self._token = None
 
     def __enter__(self) -> "Tape":
@@ -187,25 +179,31 @@ class Tape:
         self._token = None
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._rules)
+
+    def _find(self, t: Tensor) -> int | None:
+        """Node id of ``t`` on this tape, or None if it has none."""
+        if t.tape is self:
+            return t.node_id
+        return self._leaf_ids.get(id(t))
 
     def _node_for(self, t: Tensor) -> int:
         """Node id of ``t`` on this tape, registering a leaf if needed."""
-        if t.tape is self and t.node_id is not None:
-            return t.node_id
-        nid = self._leaf_ids.get(id(t))
+        nid = self._find(t)
         if nid is None:
-            nid = len(self._nodes)
-            self._nodes.append(_Node((), None))
+            nid = len(self._rules)
+            self._parents.append(())
+            self._rules.append(None)
             self._leaf_ids[id(t)] = nid
             self._leaves[nid] = t
         return nid
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward) -> None:
         pids = tuple(self._node_for(p) for p in parents)
-        out.node_id = len(self._nodes)
+        out.node_id = len(self._rules)
         out.tape = self
-        self._nodes.append(_Node(pids, backward))
+        self._parents.append(pids)
+        self._rules.append(backward)
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray | None]:
         """Populate gradients of ``loss`` w.r.t. every ancestor node.
@@ -215,28 +213,24 @@ class Tape:
         captured is freed as the sweep moves on. The gradients fill
         :attr:`gradients` as the sweep forms them and stay there, read by
         :meth:`grad`, except the leaves' that the tape's update callable
-        took. A second ``backward`` raises ``RuntimeError``."""
-        if self._swept:
+        took. A second ``backward`` raises ``RuntimeError``, also after a
+        sweep that raised."""
+        if self.gradients:
             raise RuntimeError("backward: this tape has been swept already; record a new one")
-        if loss.tape is not self:
-            nid = self._leaf_ids.get(id(loss))
-            if nid is None:
-                raise ValueError("backward: loss tensor is not on this tape")
-        else:
-            nid = loss.node_id
+        nid = self._find(loss)
+        if nid is None:
+            raise ValueError("backward: loss tensor is not on this tape")
         if loss.data.shape != ():
             raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-        self._swept = True
         grads = self.gradients = {nid: np.ones((), dtype=np.float64)}
-        update, leaves = self._update, self._leaves
-        for i in range(len(self._nodes) - 1, -1, -1):
-            node = self._nodes[i]
-            rule, node.backward = node.backward, None
+        update, leaves, parents, rules = self._update, self._leaves, self._parents, self._rules
+        for i in range(len(rules) - 1, -1, -1):
+            rule, rules[i] = rules[i], None
             g = grads.get(i)
             if g is None:
                 continue
             if rule is not None:
-                _accumulate(grads, node.parents, rule(g))
+                _accumulate(grads, parents[i], rule(g))
             elif update is not None and i in leaves:
                 grads[i] = None
                 update(leaves[i], g)
@@ -249,10 +243,7 @@ class Tape:
         non-contiguous view and may share memory with other gradients, so
         it is read, never written. A leaf whose gradient went to the
         update callable raises :class:`HandedOffGradientError`."""
-        if t.tape is self and t.node_id is not None:
-            nid = t.node_id
-        else:
-            nid = self._leaf_ids.get(id(t))
+        nid = self._find(t)
         if nid in self.gradients:
             g = self.gradients[nid]
             if g is None:

@@ -12,26 +12,16 @@ baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from mvse.autodiff import ShapeError, Tensor, einsum, matvec, softmax
 
 
-@dataclass
-class GateParams:
-    w: Tensor  # [M, H]; no bias, matching the gate's defining form
-
-    @property
-    def n_spaces(self) -> int:
-        return self.w.data.shape[0]
-
-
-def gate_weights(phis: Tensor, params: GateParams) -> Tensor:
-    """Sentence-dependent softmax weights over the embedding spaces:
+def gate_weights(phis: Tensor, gate: Tensor) -> Tensor:
+    """Sentence-dependent softmax weights over the embedding spaces, from
+    the gate's [M, H] weight (no bias, matching the gate's defining form):
     [Q, H] -> [Q, M]."""
-    return softmax(matvec(params.w, phis))
+    return softmax(matvec(gate, phis))
 
 
 def fuse(similarities: Tensor, weights: Tensor) -> Tensor:
@@ -44,13 +34,14 @@ def fuse(similarities: Tensor, weights: Tensor) -> Tensor:
     return einsum("mvq,qm->vq", similarities, weights)
 
 
-def space_weights(phis: Tensor, gate: GateParams, mode: str) -> Tensor:
-    """The fusion weights of every sentence vector, [Q, H] -> [Q, M]: the
-    gate's softmax in "weighted" mode, uniform in "average" mode."""
+def space_weights(phis: Tensor, gate: Tensor, mode: str) -> Tensor:
+    """The fusion weights of every sentence vector, [Q, H] -> [Q, M], for
+    the gate's [M, H] weight: the gate's softmax in "weighted" mode,
+    uniform in "average" mode."""
     if mode == "weighted":
         return gate_weights(phis, gate)
     if mode == "average":
-        m = gate.n_spaces
+        m = gate.shape[0]
         return Tensor(np.full((*phis.shape[:-1], m), 1.0 / m))
     raise ValueError(f"unknown fuse mode {mode!r}; expected 'weighted' or 'average'")
 

@@ -15,6 +15,7 @@ place that decides which frames each video head reads.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +32,6 @@ from mvse.config import (
     resolve_spaces,
 )
 from mvse.dataio import ContainerError
-from mvse.fusion import GateParams
 from mvse.text import EmbeddingTable, GruParams, gru_encode, project_text
 from mvse.visual import (
     AttentionParams,
@@ -47,7 +47,7 @@ from mvse.visual import (
 
 _INIT_SALT = 0x1417
 _FRAME_SALT = 0xF3A3E
-_INIT_CHUNK_BYTES = 64 << 20  # init_params draws an lstm.w gate block this much at a time
+_INIT_CHUNK_BYTES = 64 << 20  # init_params draws a gate block this much at a time
 
 
 def _init_draw(name: str, fan_in: int, seed: int) -> Callable[[tuple[int, ...]], np.ndarray]:
@@ -63,9 +63,14 @@ def _init_draw(name: str, fan_in: int, seed: int) -> Callable[[tuple[int, ...]],
     return lambda shape: rng.uniform(-bound, bound, size=shape)
 
 
-def _init_array(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np.ndarray:
-    """``name``'s whole draw of ``shape`` (see :func:`_init_draw`)."""
-    return _init_draw(name, fan_in, seed)(shape)
+def _init_fill(view: np.ndarray, name: str, fan_in: int, seed: int) -> None:
+    """Fill ``view`` in place with ``name``'s draw of its shape (see
+    :func:`_init_draw`), at most ``_INIT_CHUNK_BYTES`` of leading-axis rows
+    at a time, or one row where a row is larger."""
+    draw = _init_draw(name, fan_in, seed)
+    rows = max(1, _INIT_CHUNK_BYTES // (8 * math.prod(view.shape[1:])))
+    for lo in range(0, len(view), rows):
+        view[lo: lo + rows] = draw(view[lo: lo + rows].shape)
 
 
 def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:
@@ -89,7 +94,7 @@ class ModelParams:
     projections: dict[str, tuple[Tensor, Tensor]]
     global_head: GlobalHeadParams | None
     sequential_head: SequentialHeadParams | None
-    gate: GateParams
+    gate: Tensor  # [M, H]
     tensors: dict[str, Tensor]
 
     def named(self) -> dict[str, Tensor]:
@@ -139,10 +144,10 @@ def _build_params(
         )
         sequential_head = SequentialHeadParams(attention=attention, lstm=lstm)
 
-    gate = GateParams(w=t("gate.w", (len(spaces), h), h))
     return ModelParams(
         dims=dims, spaces=tuple(spaces), gru=gru, projections=projections,
-        global_head=global_head, sequential_head=sequential_head, gate=gate, tensors=tensors,
+        global_head=global_head, sequential_head=sequential_head,
+        gate=t("gate.w", (len(spaces), h), h), tensors=tensors,
     )
 
 
@@ -160,21 +165,15 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
     def draw(name, shape, fan_in):
         gates = _STACKED_GATES.get(name.partition(".")[0])
         if gates is None:
-            return _init_array(name, shape, fan_in, seed)
-        # one block per gate, each drawn from its own name's stream (gru.w_z,
-        # lstm.w_i, ...), filled in place; no name holds a drawn block, so at
-        # most one is held besides the stack, and of lstm.w's at most one
-        # chunk of _INIT_CHUNK_BYTES (or one row, where a row is larger)
+            return _init_draw(name, fan_in, seed)(shape)
+        # one block per gate, each filled in place from its own name's stream
+        # (gru.w_z, lstm.w_i, ...), so no drawn block is held besides the
+        # stack, only one chunk of _INIT_CHUNK_BYTES (or one row) at a time
         out = np.empty(shape)
         for n, gate in enumerate(gates):
-            if name == "lstm.w":  # stored [G*G, C_s, 4, H], each block drawn as [H, G*G, C_s]
-                cells, c_s, _, h = shape
-                draw_rows = _init_draw(f"{name}_{gate}", fan_in, seed)
-                rows = max(1, _INIT_CHUNK_BYTES // (8 * cells * c_s))
-                for lo in range(0, h, rows):
-                    out[:, :, n, lo: lo + rows] = draw_rows((min(rows, h - lo), cells, c_s)).transpose(1, 2, 0)
-            else:
-                out[n] = _init_array(f"{name}_{gate}", shape[1:], fan_in, seed)
+            # lstm.w is stored [G*G, C_s, 4, H], each block drawn as [H, G*G, C_s]
+            block = out[:, :, n].transpose(2, 0, 1) if name == "lstm.w" else out[n]
+            _init_fill(block, f"{name}_{gate}", fan_in, seed)
         if name == "lstm.b":
             out[1] = 1.0  # forget gate starts open
         return out

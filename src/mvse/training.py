@@ -17,7 +17,6 @@ from the run seed and the epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -171,12 +170,6 @@ def _sgd_update(params: Iterable[Tensor], lr: float):
     return update
 
 
-@dataclass
-class TrainResult:
-    model: Model
-    loss_log: list[tuple[int, float]]
-
-
 def train(
     dataset: Dataset,
     manifest: Manifest,
@@ -184,8 +177,10 @@ def train(
     config: TripletConfig,
     fuse_mode: str = "weighted",
     log_fn=None,
-) -> TrainResult:
-    """Optimize the model on the manifest's (video, sentence) pairs.
+) -> list[tuple[int, float]]:
+    """Optimize the model on the manifest's (video, sentence) pairs, in
+    place, and return the loss log: one (epoch, mean loss) per epoch, the
+    values also passed to ``log_fn``.
 
     Each epoch shuffles the videos, draws one sentence per video, and
     walks mini-batches of distinct videos; short tails (< 2) are dropped.
@@ -254,4 +249,4 @@ def train(
         loss_log.append((epoch, mean_loss))
         if log_fn is not None:
             log_fn(epoch, mean_loss)
-    return TrainResult(model=model, loss_log=loss_log)
+    return loss_log

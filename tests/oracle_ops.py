@@ -13,8 +13,11 @@ amap)``, it is the reference of the streamed one: byte for byte at the
 benchmark's shapes, and within 8 ulp of each array's largest magnitude
 at small or odd lengths. :func:`spatial_attention` is the map
 ``visual.spatial_attention`` formed before it applied its map head to each
-branch on its own.
+branch on its own. :func:`init_draw` is a parameter block's init draw,
+built from the seeding rule alone, so it does not share the fill it checks.
 """
+
+import zlib
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from mvse.autodiff import (
     softmax,
     tanh,
 )
+from mvse.model import _INIT_SALT
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -185,3 +189,12 @@ def spatial_attention(grids: np.ndarray, phis: Tensor, params) -> Tensor:
     q = reshape(q, (q.shape[0], 1, 1, q.shape[1]))
     logits = einsum("ca,qvta->vqtc", params.w_a, broadcast_add(p, q))
     return softmax(tanh(broadcast_add(logits, params.b_a)))
+
+
+def init_draw(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np.ndarray:
+    """``name``'s whole draw of ``shape`` under init ``seed``: one ``uniform``
+    call in [-1/sqrt(fan_in), 1/sqrt(fan_in)] on the stream seeded by
+    ``SeedSequence([_INIT_SALT, seed, crc32(name)])``."""
+    rng = np.random.default_rng(np.random.SeedSequence([_INIT_SALT, seed, zlib.crc32(name.encode())]))
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)

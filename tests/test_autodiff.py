@@ -350,9 +350,9 @@ class TestBackward:
             y = mul(x, x)
             loss = sum_all(tanh(y))
             tanh(x)  # recorded after the loss, so the sweep never runs it
-        ops = [i for i, node in enumerate(tape._nodes) if node.backward is not None]
+        ops = [i for i, rule in enumerate(tape._rules) if rule is not None]
         tape.backward(loss)
-        assert len(ops) == 4 and all(node.backward is None for node in tape._nodes)
+        assert len(ops) == 4 and all(rule is None for rule in tape._rules)
         assert set(ops[:3]) <= set(tape.gradients)  # the interior gradients stay
         np.testing.assert_array_equal(tape.grad(y), 1.0 - np.tanh(y.data) ** 2)
         np.testing.assert_array_equal(tape.grad(x), (1.0 - np.tanh(y.data) ** 2) * 2.0 * x.data)
@@ -365,6 +365,18 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="swept already"):
             tape.backward(loss)
         np.testing.assert_allclose(tape.grad(x), [6.0])
+
+    def test_a_sweep_that_raised_cannot_run_again(self):
+        def failing_rule(g):
+            raise FloatingPointError("rule failed")
+
+        with Tape() as tape:
+            x = Tensor([3.0])
+            loss = sum_all(autodiff._emit(x.data * 2.0, (x,), failing_rule))
+        with pytest.raises(FloatingPointError, match="rule failed"):
+            tape.backward(loss)
+        with pytest.raises(RuntimeError, match="swept already"):
+            tape.backward(loss)
 
     def test_the_sweep_frees_what_a_rule_captured(self):
         # einsum's rule captures its operands' arrays; once the sweep has
@@ -872,6 +884,26 @@ def test_independent_tapes_do_not_interfere():
     t2.backward(l2)
     np.testing.assert_allclose(t1.grad(x), 2 * x.data)
     np.testing.assert_allclose(t2.grad(x), 3 * x.data**2)
+
+
+def test_one_leaf_read_on_two_live_tapes_in_turn():
+    """Each tape finds a leaf it did not make in its own registry, so a leaf
+    read on tape 1, then tape 2, then tape 1 again is one node on each
+    tape, and each tape's gradient sums only its own reads."""
+    x = Tensor([1.0, 2.0])
+    t1, t2 = Tape(), Tape()
+    with t1:
+        a = mul(x, x)
+    with t2:
+        l2 = sum_all(mul(mul(x, x), x))
+    with t1:
+        l1 = sum_all(add(a, scale(x, 3.0)))
+    assert [sum(leaf is x for leaf in t._leaves.values()) for t in (t1, t2)] == [1, 1]
+    t1.backward(l1)
+    t2.backward(l2)
+    np.testing.assert_array_equal(t1.grad(x), 2 * x.data + 3.0)
+    np.testing.assert_array_equal(t2.grad(x), 3 * x.data**2)
+    assert x.tape is None and x.node_id is None
 
 
 def test_grad_of_unreached_tensor_is_zeros():

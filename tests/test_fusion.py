@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum, reshape, stack
-from mvse.fusion import (
-    GateParams,
-    fuse,
-    gate_weights,
-    space_weights,
-)
+from mvse.fusion import fuse, gate_weights, space_weights
 
 from oracle_ops import take
 
@@ -20,14 +15,14 @@ sims_list = st.lists(
 )
 
 
-def _gate(m: int, seed: int = 0) -> GateParams:
-    rng = np.random.default_rng(seed)
-    return GateParams(w=Tensor(rng.normal(size=(m, H))))
+def _gate(m: int, seed: int = 0) -> Tensor:
+    """A gate weight [M, H]."""
+    return Tensor(np.random.default_rng(seed).normal(size=(m, H)))
 
 
 class TestGateWeights:
     def test_zero_gate_is_uniform(self):
-        gate = GateParams(w=Tensor(np.zeros((3, H))))
+        gate = Tensor(np.zeros((3, H)))
         w = gate_weights(Tensor(np.random.default_rng(0).normal(size=H)), gate)
         np.testing.assert_allclose(w.data, 1.0 / 3, atol=1e-15)
 
@@ -41,7 +36,7 @@ class TestGateWeights:
         rng = np.random.default_rng(3)
         gate = _gate(3, seed=3)
         phi = rng.normal(size=H)
-        logits = gate.w.data @ phi
+        logits = gate.data @ phi
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(
             gate_weights(Tensor(phi), gate).data, e / e.sum(), atol=1e-12
@@ -54,10 +49,8 @@ class TestGateWeights:
         gate = _gate(3, seed=9)
         phi = Tensor(rng.normal(size=H))
         base = gate_weights(phi, gate).data
-        # shifting every gate row by the same vector adds a constant to all logits
-        shifted = GateParams(w=Tensor(gate.w.data.copy()))
-        shifted.w.data += shift * np.ones((3, H)) * 0  # keep rows; shift via bias-free trick below
-        logits = gate.w.data @ phi.data + shift
+        # adding a constant to all logits leaves the softmax as it is
+        logits = gate.data @ phi.data + shift
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(e / e.sum(), base, atol=1e-9)
 
@@ -144,7 +137,7 @@ class TestFuseMode:
     def test_zero_gate_weighted_equals_average(self, sims, seed):
         m = len(sims)
         phi = Tensor(np.random.default_rng(seed).normal(size=H))
-        zero_gate = GateParams(w=Tensor(np.zeros((m, H))))
+        zero_gate = Tensor(np.zeros((m, H)))
         weighted = _fuse_one(sims, space_weights(phi, zero_gate, "weighted"))
         average = _fuse_one(sims, space_weights(phi, zero_gate, "average"))
         assert weighted == pytest.approx(average, abs=1e-12)
@@ -154,7 +147,7 @@ class TestFuseMode:
         gate = _gate(3, seed=17)
         phi = rng.normal(size=H)
         sims = [0.3, -0.2, 0.85]
-        logits = gate.w.data @ phi
+        logits = gate.data @ phi
         e = np.exp(logits - logits.max())
         expected = float((e / e.sum()) @ np.array(sims))
         value = _fuse_one(sims, space_weights(Tensor(phi), gate, "weighted"))
@@ -179,7 +172,7 @@ def test_gate_and_fusion_gradients():
         # a fused score differs from another by less than 2, so the hinge is active
         return hinge_sum(value, ([1], [0]), ([0], [0]), 2.0)
 
-    assert grad_check(loss, gate.w) < 1e-4
+    assert grad_check(loss, gate) < 1e-4
     assert grad_check(loss, phi) < 1e-4
     assert grad_check(loss, a) < 1e-4
 

@@ -81,33 +81,41 @@ def _loads(node: ast.AST) -> set[str]:
 
 
 def _reads(source: str) -> list[tuple[str | None, set[str]]]:
-    """Per module-level statement, the function it defines (None if it
-    defines none) and the names it reads. Each method of a public class is
-    an entry of its own, defining "<Class>.<method>"; the rest of that class
-    is one entry defining nothing."""
+    """Per module-level statement, the function or class it defines (None
+    if it defines neither) and the names it reads. Each method of a public
+    class is an entry of its own, defining "<Class>.<method>"; the rest of
+    that class is one entry defining nothing."""
     stmts = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
             stmts += [(f"{node.name}.{m.name}", _loads(m)) for m in methods]
             node.body = [m for m in node.body if m not in methods]
-        stmts.append((node.name if isinstance(node, ast.FunctionDef) else None, _loads(node)))
+            stmts.append((None, _loads(node)))
+        else:
+            defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            stmts.append((node.name if defines else None, _loads(node)))
     return stmts
 
 
 def _callerless(sources: dict[str, str], defining: list[str]) -> list[str]:
-    """"<file>: <name>" for each public module-level function, and each
-    public method of a public class, of the files in ``defining`` whose
-    name no statement of ``sources`` reads, apart from its own def."""
+    """"<file>: <name>" for each module-level function, each private
+    module-level class, and each public method of a public class, of the
+    files in ``defining`` whose name no other statement reads: a statement
+    of ``sources`` for a public name, of the files in ``defining`` for a
+    private one, so a private helper that only a test reads is flagged."""
     reads = {path: _reads(text) for path, text in sources.items()}
     found = []
     for path in defining:
         for fn, _ in reads[path]:
-            if fn is None or fn.rpartition(".")[2].startswith("_"):
+            if fn is None:
                 continue
-            name = fn.rpartition(".")[2]
+            cls, _, name = fn.rpartition(".")
+            if cls and name.startswith("_"):
+                continue
+            readers = defining if name.startswith("_") else reads
             if not any(
-                name in names for p, stmts in reads.items() for owner, names in stmts
+                name in names for p in readers for owner, names in reads[p]
                 if (p, owner) != (path, fn)
             ):
                 found.append(f"{path}: {fn}")
@@ -124,7 +132,7 @@ def test_callerless_check_flags_only_functions_nothing_else_reads():
         ),
         "b.py": "import a\na.by_attribute()\nf = used\n",
     }
-    assert _callerless(sources, ["a.py"]) == ["a.py: recursive"]
+    assert _callerless(sources, ["a.py"]) == ["a.py: recursive", "a.py: _private"]
 
 
 def test_callerless_check_covers_the_methods_of_public_classes():
@@ -144,14 +152,41 @@ def test_callerless_check_covers_the_methods_of_public_classes():
         ),
         "b.py": "import numpy as np\nimport a\nw = a.Box.empty().width\nn = np.zeros(3).size\n",
     }
-    assert _callerless(sources, ["a.py"]) == ["a.py: Box.orphan", "a.py: Box.unread"]
+    assert _callerless(sources, ["a.py"]) == ["a.py: Box.orphan", "a.py: Box.unread", "a.py: _Hidden"]
+
+
+def test_callerless_check_wants_private_names_read_inside_the_defining_files():
+    """A private function or class passes only with a reader among the files
+    checked, not in a test or in the benchmark."""
+    sources = {
+        "a.py": (
+            "def _helper():\n    pass\n"
+            "class _Box:\n    pass\n"
+            "box = _Box()\n"
+            "def _oracle():\n    pass\n"
+            "class _Unread:\n    pass\n"
+        ),
+        "b.py": "from a import _helper\n_helper()\n",
+        "test_a.py": "from a import _Unread, _oracle\n_oracle()\n_Unread()\n",
+    }
+    assert _callerless(sources, ["a.py", "b.py"]) == ["a.py: _oracle", "a.py: _Unread"]
+
+
+def _package_callerless() -> list[str]:
+    """The package's names that :func:`_callerless` flags against the
+    package and the benchmark."""
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES + BENCH}
+    return _callerless(sources, [str(p.relative_to(ROOT)) for p in SOURCES])
 
 
 def test_every_public_function_is_read_by_the_package_or_the_benchmark():
-    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES + BENCH}
-    unread = _callerless(sources, [str(p.relative_to(ROOT)) for p in SOURCES])
+    unread = [u for u in _package_callerless() if not u.rpartition(": ")[2].startswith("_")]
     assert [u for u in unread if u.rpartition(": ")[2] not in CALLERLESS] == []
     assert {u.rpartition(": ")[2] for u in unread} == set(CALLERLESS), "drop exemptions that gained a caller"
+
+
+def test_every_private_function_and_class_is_read_by_the_package():
+    assert [u for u in _package_callerless() if u.rpartition(": ")[2].startswith("_")] == []
 
 
 def test_the_per_op_oracle_is_not_shipped():

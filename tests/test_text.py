@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mvse import text as mvse_text
 from mvse.autodiff import Tape, Tensor, grad_check
 from mvse.config import Dims
-from mvse.model import _init_array, init_params
+from mvse.model import init_params
 from mvse.text import (
     EmbeddingTable,
     EmptySentenceError,
@@ -15,7 +15,7 @@ from mvse.text import (
     project_text,
 )
 
-from oracle_ops import sum_all, take
+from oracle_ops import init_draw, sum_all, take
 
 DIMS = Dims.small()
 
@@ -146,7 +146,7 @@ class TestGruParams:
         for n, gate in enumerate("zrc"):
             # the draw each gate's tensor had under its own name
             def draw(kind, shape, fan_in):
-                return _init_array(f"gru.{kind}_{gate}", shape, fan_in, seed)
+                return init_draw(f"gru.{kind}_{gate}", shape, fan_in, seed)
 
             np.testing.assert_array_equal(gru.w.data[n], draw("w", (h, e), e))
             np.testing.assert_array_equal(gru.u.data[n], draw("u", (h, h), h))

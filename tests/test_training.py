@@ -542,7 +542,7 @@ def test_each_recurrence_records_a_length_independent_number_of_nodes():
     def op_nodes(run):
         with Tape() as tape:
             run()
-        return sum(node.backward is not None for node in tape._nodes)
+        return sum(rule is not None for rule in tape._rules)
 
     gru = [op_nodes(lambda: gru_encode([[1] * n, [2] * n], table, p.gru)) for n in (3, 15)]
     head = p.sequential_head
@@ -692,11 +692,11 @@ def _train_once(corpus, monkeypatch):
     def log_fn(e, _loss):
         epoch[0] = e + 1
 
-    result = training.train(
+    loss_log = training.train(
         corpus.dataset, corpus.manifests["train"], model, config, "weighted", log_fn
     )
     params = {name: t.data.copy() for name, t in model.params.named().items()}
-    return result.loss_log, params, frames
+    return loss_log, params, frames
 
 
 def test_train_is_bit_reproducible_from_the_seed(monkeypatch):
@@ -741,8 +741,8 @@ def test_an_epoch_on_uncopied_gradients_matches_contiguous_copies(monkeypatch):
 
     def one_epoch():
         model = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
-        result = training.train(corpus.dataset, corpus.manifests["train"], model, config)
-        return result.loss_log, {name: t.data.tobytes() for name, t in model.params.named().items()}
+        loss_log = training.train(corpus.dataset, corpus.manifests["train"], model, config)
+        return loss_log, {name: t.data.tobytes() for name, t in model.params.named().items()}
 
     uncopied = one_epoch()
     sgd_step = training.sgd_step
@@ -1265,11 +1265,11 @@ def test_named_parameters_are_the_checkpoint_contract(spaces):
 
 def _head_tensors(params: mvse_model.ModelParams) -> list[Tensor]:
     """Every tensor the heads read, walked through the parameter groups."""
-    groups = [params.gru, params.global_head, params.gate]
+    groups = [params.gru, params.global_head]
     if params.sequential_head is not None:
         groups += [params.sequential_head.attention, params.sequential_head.lstm]
     out = [t for group in groups if group is not None for t in vars(group).values()]
-    return out + [t for pair in params.projections.values() for t in pair]
+    return out + [params.gate] + [t for pair in params.projections.values() for t in pair]
 
 
 @pytest.mark.parametrize("build", ["init_params", "params_from_arrays"])
@@ -1336,9 +1336,10 @@ def test_loading_a_checkpoint_draws_nothing(monkeypatch):
     arrays = {name: t.data for name, t in mvse_model.init_params(DIMS, spaces, seed=3).named().items()}
 
     def no_draw(*args):
-        raise AssertionError(f"params_from_arrays drew {args[0]}")
+        raise AssertionError(f"params_from_arrays drew {args}")
 
-    monkeypatch.setattr(mvse_model, "_init_array", no_draw)
+    monkeypatch.setattr(mvse_model, "_init_draw", no_draw)
+    monkeypatch.setattr(mvse_model, "_init_fill", no_draw)
     loaded = mvse_model.params_from_arrays(DIMS, spaces, arrays).named()
     assert list(loaded) == list(arrays)
     for name, t in loaded.items():

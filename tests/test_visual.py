@@ -29,7 +29,7 @@ from mvse.visual import (
 )
 
 import oracle_ops
-from oracle_ops import sum_all, take
+from oracle_ops import init_draw, sum_all, take
 from shapes import EVAL_GRIDS, LSTM_GRIDS, WIDE_DIMS
 
 DIMS = Dims.small()
@@ -614,7 +614,7 @@ class TestLstmParams:
         for n, gate in enumerate("ifgo"):
             # the draw each gate's tensor had under its own name, [H, G*G*C_s] for w
             def draw(kind, shape, fan_in):
-                return mvse_model._init_array(f"lstm.{kind}_{gate}", shape, fan_in, seed)
+                return init_draw(f"lstm.{kind}_{gate}", shape, fan_in, seed)
 
             block = lstm.w.data[:, :, n].reshape(flat, h).T
             np.testing.assert_array_equal(block, draw("w", (h, flat), flat))
@@ -665,6 +665,14 @@ class TestLstmParams:
         total = sum(t.data.nbytes for t in params.tensors.values())
         assert peak <= total + chunk + 1_000_000, peak - total
         assert {name: hashlib.sha256(t.data).hexdigest() for name, t in params.tensors.items()} == whole
+
+    def test_every_gate_block_keeps_its_bytes_filled_a_row_at_a_time(self, monkeypatch):
+        # gru.*, lstm.u and lstm.b take the same chunked fill as lstm.w
+        spaces = ("global", "sequential", "action")
+        whole = {name: t.data.tobytes() for name, t in init_params(DIMS, spaces, seed=1).tensors.items()}
+        monkeypatch.setattr(mvse_model, "_INIT_CHUNK_BYTES", 1)
+        rows = {name: t.data.tobytes() for name, t in init_params(DIMS, spaces, seed=1).tensors.items()}
+        assert rows == whole
 
 
 class TestActionEmbed:
