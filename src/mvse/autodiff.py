@@ -112,19 +112,18 @@ class Tensor:
     """N-dimensional float64 array, optionally tracked on a gradient tape.
 
     ``data`` is always a C-contiguous float64 ndarray (row-major flat
-    layout). ``node_id``/``tape`` are set only on tensors produced by an
-    operation while a tape was recording.
+    layout). A C-contiguous float64 array passed in is shared, not copied,
+    so a caller that later writes to its source passes a copy; anything
+    else is converted. ``node_id``/``tape`` are set only on tensors
+    produced by an operation while a tape was recording.
     """
 
     __slots__ = ("data", "node_id", "tape")
 
-    def __init__(self, data, copy: bool = True):
-        if copy:
-            arr = np.array(data, dtype=np.float64, order="C")
-        else:
-            arr = np.asarray(data, dtype=np.float64)
-            if not arr.flags.c_contiguous:  # 0-d arrays are always contiguous
-                arr = np.ascontiguousarray(arr)
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64)
+        if not arr.flags.c_contiguous:  # 0-d arrays are always contiguous
+            arr = np.ascontiguousarray(arr)
         self.data = arr
         self.node_id: int | None = None
         self.tape: "Tape | None" = None
@@ -278,7 +277,7 @@ def no_tape():
 
 
 def _emit(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(out_data, copy=False)
+    out = Tensor(out_data)
     tape = _ACTIVE_TAPE.get()
     if tape is not None:
         tape._record(out, parents, backward_fn)
@@ -371,7 +370,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != a.data.size:
         raise ShapeError("reshape", a.data.shape, shape)
     old = a.data.shape
-    return _emit(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),))
+    return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def hinge_sum(

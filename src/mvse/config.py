@@ -42,9 +42,7 @@ class Dims:
 
     def __post_init__(self):
         for name, value in dataclasses.asdict(self).items():
-            _require_integer(f"Dims.{name}", value)
-            if value < 1:
-                raise ValueError(f"Dims.{name} must be positive, got {value}")
+            _require_integer(f"Dims.{name}", value, 1)
         # the sequential head emits its LSTM hidden state directly
         if self.embed_dim != self.hidden:
             raise ValueError(
@@ -67,11 +65,19 @@ class Dims:
         )
 
 
-def _require_integer(field: str, value) -> None:
-    """Reject a count or seed that is not an integer, which would otherwise
-    fail later, inside training or numpy."""
-    if not isinstance(value, numbers.Integral):
+def _is_integer_type(kind: type) -> bool:
+    """The one rule for what counts as an integer: ``int`` and numpy's
+    integer types, but not ``bool`` or ``np.bool_``."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def _require_integer(field: str, value, least: int) -> None:
+    """Reject a count or seed that is not an integer or is below ``least``,
+    which would otherwise fail later, inside training or numpy."""
+    if not _is_integer_type(type(value)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{field} must be >= {least}, got {value}")
 
 
 def resolve_spaces(name: str) -> tuple[str, ...]:
@@ -98,18 +104,13 @@ class TripletConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "rng_seed"):
-            _require_integer(name, getattr(self, name))
+        # batch_size >= 2: a batch needs a negative
+        for name, least in (("epochs", 0), ("batch_size", 2), ("rng_seed", 0)):
+            _require_integer(name, getattr(self, name), least)
         # a NaN or infinite rate or margin makes the loss non-finite after one step
         if not (math.isfinite(self.margin) and self.margin > 0):
             raise ValueError(f"margin must be finite and > 0, got {self.margin}")
         if self.negative_mode not in ("sum-all", "hardest"):
             raise ValueError(f"negative_mode must be 'sum-all' or 'hardest', got {self.negative_mode!r}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2 (a batch needs a negative), got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")

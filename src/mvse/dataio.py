@@ -44,6 +44,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from mvse.config import _is_integer_type
 from mvse.text import EmbeddingTable, token_ids
 from mvse.visual import VideoFeature
 
@@ -143,11 +144,11 @@ class Dataset:
     def has_action(self) -> bool:
         return self.c_action > 0
 
-    def video_feature(self, index: int, video_id: str | None = None) -> VideoFeature:
+    def video_feature(self, index: int, video_id: str) -> VideoFeature:
         if not 0 <= index < self.n_videos:
             raise IndexError(f"video index {index} out of range [0, {self.n_videos})")
         return VideoFeature(
-            video_id=video_id if video_id is not None else default_video_id(index),
+            video_id=video_id,
             global_frames=self.global_frames[index],
             grid_frames=self.grid_frames[index],
             action_vec=self.action_vecs[index] if self.has_action else None,
@@ -285,14 +286,15 @@ class Manifest:
     def validate_against(self, ds: Dataset) -> None:
         """Raise ``ManifestError`` naming the first bad entry: a video id
         that is not a ``str``, an index or sentence id that is not a
-        non-negative ``int`` (a ``bool`` is not one), a repeated id or index,
+        non-negative integer by :func:`mvse.config._is_integer_type` (a
+        numpy integer is one, a ``bool`` is not), a repeated id or index,
         an index or sentence id outside ``ds``, or an empty sentence."""
         seen: set[tuple[str, str | int]] = set()
         for i, (vid, idx, sents) in enumerate(self.entries):
             if type(vid) is not str:  # frame_rng encodes it, and only when F > N
                 raise ManifestError(f"entry {i}: video id {vid!r} is not a str")
             for what, n in [("index", idx), *(("sentence id", s) for s in sents)]:
-                if type(n) is not int or n < 0:  # a float or bool would fail inside numpy
+                if not _is_integer_type(type(n)) or n < 0:  # a float or bool would fail inside numpy
                     raise ManifestError(f"video {vid}: {what} {n!r} is not a non-negative integer")
             for key in (("id", vid), ("index", idx)):
                 if key in seen:

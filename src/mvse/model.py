@@ -113,7 +113,7 @@ def _build_params(
     tensors: dict[str, Tensor] = {}
 
     def t(name, shape, fan_in):
-        tensors[name] = Tensor(source(name, shape, fan_in), copy=False)
+        tensors[name] = Tensor(source(name, shape, fan_in))
         return tensors[name]
 
     gru = GruParams(w=t("gru.w", (3, h, e), e), u=t("gru.u", (3, h, h), h), b=t("gru.b", (3, h), h))
@@ -158,9 +158,7 @@ _STACKED_GATES = {"gru": "zrc", "lstm": "ifgo"}
 def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
     """Every tensor drawn from its own name's stream of the init ``seed``, a
     non-negative integer; any other seed raises ``ValueError`` naming it."""
-    _require_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _require_integer("seed", seed, 0)
 
     def draw(name, shape, fan_in):
         gates = _STACKED_GATES.get(name.partition(".")[0])

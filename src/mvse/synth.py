@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvse.config import Dims, _require_integer
+from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, Dims, _require_integer
 from mvse.dataio import Dataset, Manifest, default_video_id
 from mvse.visual import video_blocks
 
@@ -56,11 +56,8 @@ class SynthConfig:
         minimum = {"n_videos": 2, "sentences_per_video": 1, "latent_total": 1, "quant_levels": 2, "seed": 0}
         if self.n_frames is not None:
             minimum["n_frames"] = 1
-        for name, low in minimum.items():
-            value = getattr(self, name)
-            _require_integer(name, value)
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
+        for name, least in minimum.items():
+            _require_integer(name, getattr(self, name), least)
         if len(self.rho) != 3 or not all(math.isfinite(r) and r >= 0 for r in self.rho):
             raise ValueError(f"invalid signal split {self.rho}: weights must be finite and nonnegative")
         if abs(sum(self.rho) - 1.0) > 1e-9:
@@ -243,63 +240,50 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
 # ---------------------------------------------------------------------------
 
 
-def probe_recall_at_1(result: SynthResult, manifest_name: str = "test", space: str = "global") -> float:
+def probe_recall_at_1(result: SynthResult, manifest_name: str = "test", space: str = SPACE_GLOBAL) -> float:
     """Retrieval accuracy of an untrained probe that decodes each sentence
     with the generator's own codebook and nearest-neighbors against the raw
-    features of one space."""
+    features of one space: one [Q, V] cosine grid over the manifest's
+    gallery in ascending index order, where a zero norm scores 0 and the
+    first maximum wins."""
     truth = result.truth
     ds = result.dataset
     manifest = result.manifests[manifest_name]
-    g_sl, s_sl, a_sl = truth.slices()
-    if space == "global":
+    gallery = np.array(sorted({idx for _, idx, _ in manifest.entries}))
+    g_sl, _, a_sl = truth.slices()
+    if space == SPACE_GLOBAL:
         sl, mix = g_sl, truth.mix_global
-        gallery_feats = {
-            idx: ds.global_frames[idx].astype(np.float64).mean(axis=0) for _, idx, _ in manifest.entries
-        }
-    elif space == "action":
+        feats = ds.global_frames[gallery].astype(np.float64).mean(axis=1)
+    elif space == SPACE_ACTION:
         sl, mix = a_sl, truth.mix_action
-        gallery_feats = {idx: ds.action_vecs[idx].astype(np.float64) for _, idx, _ in manifest.entries}
+        feats = ds.action_vecs[gallery].astype(np.float64)
     else:
         raise ValueError(f"probe has no raw-feature reading for space {space!r}")
 
-    hits = 0
+    # equal features are scored once, so their scores tie exactly
+    feats, copies = np.unique(feats, axis=0, return_inverse=True)
     queries = manifest.queries()
-    gallery = sorted(gallery_feats)  # ascending index: first strict max wins ties
-    for vid, idx, sent in queries:
-        z_hat, _ = truth.decode_sentence(ds.sentences[sent])
-        predicted = mix @ z_hat[sl]
-        pn = np.linalg.norm(predicted)
-        best_idx, best_sim = None, -np.inf
-        for g_idx in gallery:
-            feat = gallery_feats[g_idx]
-            fn = np.linalg.norm(feat)
-            sim = float(predicted @ feat / (pn * fn)) if pn > 0 and fn > 0 else 0.0
-            if sim > best_sim:
-                best_idx, best_sim = g_idx, sim
-        if best_idx == idx:
-            hits += 1
-    return hits / len(queries)
+    codes = np.array([truth.decode_sentence(ds.sentences[sent])[0] for _, _, sent in queries])
+    predicted = codes[:, sl] @ mix.T  # [Q, C]
+    pn, fn = np.linalg.norm(predicted, axis=1), np.linalg.norm(feats, axis=1)
+    scored = (pn[:, None] > 0) & (fn > 0)
+    sims = np.divide(predicted @ feats.T, pn[:, None] * fn, out=np.zeros(scored.shape), where=scored)
+    best = gallery[sims[:, copies].argmax(axis=1)]
+    return float(np.mean(best == [idx for _, idx, _ in queries]))
 
 
-def slice_collision_ceiling(result: SynthResult, manifest_name: str = "test", space: str = "global") -> float:
+def slice_collision_ceiling(result: SynthResult, manifest_name: str = "test", space: str = SPACE_GLOBAL) -> float:
     """Best possible R@1 for a decision rule that sees only one slice of
     the code: when several gallery videos share the query's slice value,
     ties break by ascending index, so only the first of each collision
     group can be retrieved."""
     truth = result.truth
     manifest = result.manifests[manifest_name]
-    sl = dict(zip(("global", "sequential", "action"), truth.slices())).get(space)
+    sl = dict(zip((SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_ACTION), truth.slices())).get(space)
     if sl is None:
         raise ValueError(f"ceiling has no code slice for space {space!r}")
-    hits = 0
+    first: dict[tuple[float, ...], int] = {}  # slice value -> its lowest gallery index
+    for idx in sorted(idx for _, idx, _ in manifest.entries):
+        first.setdefault(tuple(truth.codes[idx, sl].tolist()), idx)
     queries = manifest.queries()
-    for vid, idx, sent in queries:
-        key = truth.codes[idx, sl]
-        first = min(
-            g_idx
-            for _, g_idx, _ in manifest.entries
-            if np.array_equal(truth.codes[g_idx, sl], key)
-        )
-        if first == idx:
-            hits += 1
-    return hits / len(queries)
+    return sum(first[tuple(truth.codes[idx, sl].tolist())] == idx for _, idx, _ in queries) / len(queries)

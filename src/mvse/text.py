@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvse.autodiff import Tensor, broadcast_add, einsum, gru_recurrence, matvec
-from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL
+from mvse.config import _is_integer_type
 
 
 class EmptySentenceError(ValueError):
@@ -48,10 +48,6 @@ class GruParams:
     b: Tensor
 
 
-def _is_integer_type(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-
-
 def _sentence_of(sentences: list[list[int]], k: int) -> int:
     """The index of the sentence that holds token ``k`` of the concatenation."""
     return int(np.searchsorted(np.cumsum([len(s) for s in sentences]), k, side="right"))
@@ -60,9 +56,9 @@ def _sentence_of(sentences: list[list[int]], k: int) -> int:
 def token_ids(sentences: list[list[int]], vocab: int) -> np.ndarray:
     """Every sentence's token ids, concatenated into one int64 array; the
     one check on ids, for the container and the GRU. An id that is not an
-    integer (``1.5``, ``True``), which int64 would silently truncate, or
-    that lies outside [0, vocab) raises ``ValueError`` naming it and its
-    sentence."""
+    integer by :func:`mvse.config._is_integer_type` (``1.5``, ``True``,
+    ``np.bool_``), which int64 would silently truncate, or that lies
+    outside [0, vocab) raises ``ValueError`` naming it and its sentence."""
     flat = list(itertools.chain.from_iterable(sentences))
     if not all(map(_is_integer_type, set(map(type, flat)))):
         k = next(k for k, t in enumerate(flat) if not _is_integer_type(type(t)))
@@ -109,16 +105,13 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     return gru_recurrence(x, params.u, params.b, mask)
 
 
-_VALID_SPACES = (SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_ACTION)
-
-
 def project_text(phis: Tensor, space: str, projections: dict[str, tuple[Tensor, Tensor]]) -> Tensor:
     """g_space(y) = W phi + b for every sentence vector: [Q, H] -> [Q, D]
     in the requested embedding space; ``projections`` maps each configured
-    space to its (W, b)."""
-    if space not in _VALID_SPACES:
-        raise ValueError(f"unknown embedding space {space!r}; expected one of {_VALID_SPACES}")
-    if space not in projections:
-        raise ValueError(f"space {space!r} has no configured text projection")
-    w, b = projections[space]
+    space to its (W, b). A space it lacks, unknown or not configured,
+    raises ``ValueError``."""
+    try:
+        w, b = projections[space]
+    except KeyError:
+        raise ValueError(f"space {space!r} has no text projection; configured: {list(projections)}") from None
     return broadcast_add(matvec(w, phis), b)

@@ -160,7 +160,7 @@ def global_embed(
     parameters; the map is one [V, C_g] -> [V, D] node."""
     frames = _gather("global_embed", [v.global_frames for v in videos], indices)
     pooled = frames.mean(axis=1)
-    return broadcast_add(matvec(params.w, Tensor(pooled, copy=False)), params.b)
+    return broadcast_add(matvec(params.w, Tensor(pooled)), params.b)
 
 
 @dataclass
@@ -306,7 +306,7 @@ def sequential_embed(
     def block(lo: int, hi: int) -> Tensor:
         # the taped call's one block reads the shares themselves; an untaped
         # block's share is a view of its rows
-        p_block = p_cells if hi - lo == n_v else Tensor(p_cells.data[lo:hi], copy=False)
+        p_block = p_cells if hi - lo == n_v else Tensor(p_cells.data[lo:hi])
         amap = spatial_attention(p_block, q_cells)  # [V, Q, T, G*G]
         # K [G*G, V, T, 4, H] in the order its matmul lays out, so it is not
         # copied into a transposed layout, and the backward hands lstm.w a
@@ -319,7 +319,7 @@ def sequential_embed(
     out = np.empty((n_v, n_q, n_h))
     for lo, hi in blocks:
         out[lo:hi] = block(lo, hi).data
-    return Tensor(out, copy=False)
+    return Tensor(out)
 
 
 def action_embed(videos: list[VideoFeature]) -> Tensor:
@@ -329,7 +329,7 @@ def action_embed(videos: list[VideoFeature]) -> Tensor:
     for video in videos:
         if video.action_vec is None:
             raise SpaceUnavailableError(f"space unavailable: video {video.video_id} has no action features")
-    return Tensor(np.stack([v.action_vec for v in videos], dtype=np.float64), copy=False)
+    return Tensor(np.stack([v.action_vec for v in videos], dtype=np.float64))
 
 
 def space_similarity(f: Tensor, g: Tensor) -> Tensor:

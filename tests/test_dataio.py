@@ -220,12 +220,12 @@ class TestContainer:
 
     def test_video_feature_view(self):
         ds = _tiny_dataset()
-        feat = ds.video_feature(0)
+        feat = ds.video_feature(0, "v0000")
         assert feat.video_id == "v0000"
         np.testing.assert_array_equal(feat.global_frames, ds.global_frames[0])
         assert feat.action_vec is not None
         with pytest.raises(IndexError):
-            ds.video_feature(5)
+            ds.video_feature(5, "v0005")
 
     def test_actionless_dataset(self):
         ds = _tiny_dataset()
@@ -239,7 +239,7 @@ class TestContainer:
         blob = _container(no_action)
         back = _read(blob)
         assert not back.has_action
-        assert back.video_feature(0).action_vec is None
+        assert back.video_feature(0, "v0000").action_vec is None
 
 
 class TestManifest:

@@ -189,6 +189,56 @@ def test_every_private_function_and_class_is_read_by_the_package():
     assert [u for u in _package_callerless() if u.rpartition(": ")[2].startswith("_")] == []
 
 
+def _integer_predicates(source: str) -> list[str]:
+    """Each place ``source`` spells what an integer is, as "line <n>:
+    <spelling>": ``numbers.Integral``, ``np.integer``, ``type(x) is int``
+    (or ``==``, ``is not``, ``!=``) and ``isinstance(x, int)`` or
+    ``issubclass(t, int)``, also with ``int`` in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("Integral", "integer"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(n, ast.Call) and _loads(n.func) == {"type"} for n in sides) and any(
+                isinstance(n, ast.Name) and n.id == "int" for n in sides
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2
+            and "int" in _loads(node.args[1])
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_integer_predicate_check_flags_each_spelling():
+    source = (
+        "import numbers\nimport numpy as np\n"
+        "a = isinstance(x, numbers.Integral)\n"
+        "b = issubclass(t, (int, np.integer))\n"
+        "c = type(n) is not int\n"
+        "d = isinstance(x, int)\n"
+        "e = isinstance(x, str) and type(x) is float and int(x) > 0\n"
+    )
+    assert _integer_predicates(source) == [
+        "line 3: numbers.Integral",
+        "line 4: issubclass(t, (int, np.integer))",
+        "line 4: np.integer",
+        "line 5: type(n) is not int",
+        "line 6: isinstance(x, int)",
+    ]
+
+
+def test_only_config_spells_what_an_integer_is():
+    """``config._is_integer_type`` is the one integer rule: every other
+    module calls it rather than spelling its own."""
+    spelled = {p.name: _integer_predicates(p.read_text()) for p in SOURCES}
+    assert spelled.pop("config.py"), "the check no longer sees config's own predicate"
+    assert {name: found for name, found in spelled.items() if found} == {}
+
+
 def test_the_per_op_oracle_is_not_shipped():
     autodiff = importlib.import_module("mvse.autodiff")
     assert [name for name in ORACLE_OPS if hasattr(autodiff, name)] == []

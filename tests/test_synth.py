@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import re
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 
 from mvse import synth
 from mvse.config import Dims
-from mvse.dataio import write_container
+from mvse.dataio import Manifest, write_container
 from mvse.synth import (
     SynthConfig,
     probe_recall_at_1,
@@ -38,18 +39,53 @@ def _cfg(**kw) -> SynthConfig:
 # each would otherwise build a frameless corpus or NaN features, or fail
 # inside numpy, round() or a dict lookup without naming what was wrong
 BAD_INPUTS = {
-    "n_frames must be at least 1": lambda: _cfg(n_frames=0),
+    "n_frames must be >= 1, got 0": lambda: _cfg(n_frames=0),
     "n_frames must be an integer": lambda: _cfg(n_frames=2.5),
     "n_videos must be an integer": lambda: _cfg(n_videos=10.5),
     "sentences_per_video must be an integer": lambda: _cfg(sentences_per_video=2.0),
     "latent_total must be an integer": lambda: _cfg(latent_total=8.0),
     "quant_levels must be an integer": lambda: _cfg(quant_levels=4.0),
     "seed must be an integer": lambda: _cfg(seed=1.5),
-    "seed must be at least 0": lambda: _cfg(seed=-1),
+    "seed must be >= 0, got -1": lambda: _cfg(seed=-1),
     "noise_sigma must be finite": lambda: _cfg(noise_sigma=float("nan")),
     "weights must be finite": lambda: _cfg(rho=(float("nan"), 0.5, 0.5)),
     "space 'motion'": lambda: slice_collision_ceiling(synth_generate(_cfg()), "test", "motion"),
 }
+
+
+def _loop_probe(res, manifest_name: str, space: str) -> float:
+    """The probe's rule one (query, gallery video) pair at a time: the first
+    strict maximum in ascending gallery order, and 0 for a zero norm."""
+    truth, ds, manifest = res.truth, res.dataset, res.manifests[manifest_name]
+    sl, mix, section = {
+        "global": (truth.slices()[0], truth.mix_global, ds.global_frames),
+        "action": (truth.slices()[2], truth.mix_action, ds.action_vecs),
+    }[space]
+    gallery = sorted(idx for _, idx, _ in manifest.entries)
+    hits = 0
+    for _, idx, sent in manifest.queries():
+        predicted = mix @ truth.decode_sentence(ds.sentences[sent])[0][sl]
+        best_idx, best_sim = None, -np.inf
+        for g_idx in gallery:
+            feat = section[g_idx].astype(np.float64)
+            feat = feat.mean(axis=0) if space == "global" else feat
+            pn, fn = np.linalg.norm(predicted), np.linalg.norm(feat)
+            sim = float(predicted @ feat / (pn * fn)) if pn > 0 and fn > 0 else 0.0
+            if sim > best_sim:
+                best_idx, best_sim = g_idx, sim
+        hits += best_idx == idx
+    return hits / len(manifest.queries())
+
+
+def _loop_ceiling(res, manifest_name: str, space: str) -> float:
+    """The ceiling's rule one (query, gallery video) pair at a time."""
+    codes, manifest = res.truth.codes, res.manifests[manifest_name]
+    sl = dict(zip(("global", "sequential", "action"), res.truth.slices()))[space]
+    hits = 0
+    for _, idx, _ in manifest.queries():
+        first = min(g for _, g, _ in manifest.entries if np.array_equal(codes[g, sl], codes[idx, sl]))
+        hits += first == idx
+    return hits / len(manifest.queries())
 
 
 class TestConfigValidation:
@@ -62,7 +98,7 @@ class TestConfigValidation:
             _cfg(rho=(0.5, 0.4, 0.0))
 
     def test_too_few_videos(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="^n_videos must be >= 2, got 1$"):
             _cfg(n_videos=1)
 
     def test_split_mode_needs_both_slices(self):
@@ -119,6 +155,31 @@ class TestPlantedSignal:
         probe = probe_recall_at_1(res, "test", space="global")
         assert ceiling < 1.0  # 2 dims with 2 levels collide heavily over 15 videos
         assert probe <= ceiling + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_probes_match_a_pair_loop_where_gallery_videos_tie(self, seed):
+        # noiseless, with 4 global and 4 action slice values over 15 test
+        # videos: several share a slice value and so an exact feature vector;
+        # at seed 1 a plain [Q, V] product scores two equal ones unequally
+        res = synth_generate(_cfg(rho=(0.5, 0.0, 0.5), n_videos=60, latent_total=4, quant_levels=2, seed=seed))
+        gallery = [idx for _, idx, _ in res.manifests["test"].entries]
+        means = res.dataset.global_frames[gallery].astype(np.float64).mean(axis=1)
+        assert len(np.unique(means, axis=0)) < len(gallery)
+        # with one sentence on every other video, which video of a tie
+        # wins changes the ceiling, not only how many do
+        entries = res.manifests["test"].entries
+        res.manifests["ragged"] = Manifest("ragged", [(v, i, s[: 1 + k % 2]) for k, (v, i, s) in enumerate(entries)])
+        for name, space in itertools.product(("test", "ragged"), ("global", "action")):
+            assert probe_recall_at_1(res, name, space) == _loop_probe(res, name, space)
+            assert slice_collision_ceiling(res, name, space) == _loop_ceiling(res, name, space)
+
+    def test_an_empty_action_slice_scores_zero_and_retrieves_the_first_video(self):
+        # rho leaves the action slice empty: every prediction has zero norm,
+        # so every video scores 0 and each query retrieves the first
+        res = synth_generate(_cfg(rho=(0.5, 0.5, 0.0), n_videos=40, latent_total=4, noise_sigma=0.05))
+        first_only = 1 / len(res.manifests["test"].entries)
+        assert probe_recall_at_1(res, "test", "action") == _loop_probe(res, "test", "action") == first_only
+        assert slice_collision_ceiling(res, "test", "action") == _loop_ceiling(res, "test", "action") == first_only
 
     def test_sequence_slice_is_order_keyed(self):
         # the same code produces different grid payloads at different frame

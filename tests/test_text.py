@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,10 +181,12 @@ class TestProjectText:
             np.testing.assert_allclose(batch.data[q], w @ phis[q] + b, atol=1e-14)
 
     def test_unknown_space_rejected(self):
-        with pytest.raises(ValueError, match="unknown embedding space"):
-            project_text(Tensor([1.0]), "audio", {})
-        with pytest.raises(ValueError, match="no configured"):
-            project_text(Tensor([1.0]), "action", {})
+        # an unknown space and a known but unconfigured one fail alike
+        proj = self._projections(np.eye(1), np.zeros(1))
+        for space in ("audio", "action"):
+            message = f"space '{space}' has no text projection; configured: ['global']"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                project_text(Tensor([1.0]), space, proj)
 
     @given(alpha=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30)
