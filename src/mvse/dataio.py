@@ -145,6 +145,12 @@ class Dataset:
         return self.c_action > 0
 
     def video_feature(self, index: int, video_id: str) -> VideoFeature:
+        """The features of video ``index`` as views of the dataset's arrays.
+        An index that is not an integer by :func:`mvse.config._is_integer_type`
+        (a numpy integer is one, a ``bool`` is not) raises ``TypeError``, and
+        one outside [0, n_videos) ``IndexError``, each naming it."""
+        if not _is_integer_type(type(index)):
+            raise TypeError(f"video index {index!r} is not an integer")
         if not 0 <= index < self.n_videos:
             raise IndexError(f"video index {index} out of range [0, {self.n_videos})")
         return VideoFeature(

@@ -16,13 +16,14 @@ once for all V videos; the per-cell input terms, the maps and the
 recurrence are formed one block of videos at a time, in one loop. Without
 a tape a block is as many videos as keep one recurrence step's working
 set, 10·Q·H + 4·G*G·H + Q·G*G floats per video, within 1 MiB, at least 2,
-and, where ``lstm.w`` is larger than that, at least 256 rows of K's
-product, so the head's transients grow with the block, not with the
-gallery; under a tape the loop runs once, over all V. Every entry of a
-block's terms is computed from that block's rows alone, so the blocks
-give the bytes of one block of all V. The
-recurrence is one ``lstm_recurrence`` tape node that takes the per-cell
-input terms and the maps and forms each step's input terms as it reaches
+and, where ``lstm.w`` is larger than 8 MiB, at least 256 rows of K's
+product (a floor measured to save time from a 12.2 MiB ``lstm.w`` up,
+and to cost time at 3.1 MiB and below, mid dims' 2 MiB included), so
+the head's transients grow with the block, not with the gallery; under a
+tape the loop runs once, over all V. Every entry of a block's terms is
+computed from that block's rows alone, so the blocks give the bytes of
+one block of all V. The recurrence is one ``lstm_recurrence`` tape node
+that takes the per-cell input terms and the maps and forms each step's input terms as it reaches
 that step, so no tensor holds the input terms of every step of the grid.
 It steps its block hidden-major, as [H, V*Q] states and one contiguous
 [H, V*Q] block per gate, and hands back the [V, Q, H] embeddings as their
@@ -62,6 +63,10 @@ _SCAN_BLOCK_BYTES = 1 << 20
 # rows of a block's K product, T per video, that keep it bound by arithmetic
 # where it must read lstm.w from memory
 _K_ROWS = 256
+# bytes of lstm.w above which every block's K product is taken to read it
+# from memory, so the block is raised to _K_ROWS rows (measured in
+# scan_block's docstring)
+_K_FLOOR_BYTES = 8 << 20
 
 
 class SpaceUnavailableError(ValueError):
@@ -251,14 +256,22 @@ def scan_block(n_q: int, n_t: int, n_cells: int, c_s: int, n_h: int) -> int:
     ``_SCAN_BLOCK_BYTES``, and at least 2. Per video that is its share of
     the recurrence's workspace, 10·Q·H floats, the step's slab of K,
     G*G·4H floats, and the step's maps, Q·G*G floats. Each block's K is one
-    product with ``lstm.w`` [G*G, C_s, 4, H]; where ``lstm.w`` outgrows
-    that budget, the product reads it from memory once per block, so the
-    block also holds at least ``_K_ROWS`` of its rows, T per video. At
+    product with ``lstm.w`` [G*G, C_s, 4, H]; where ``lstm.w`` is larger
+    than ``_K_FLOOR_BYTES`` (8 MiB), the product reads it from memory once
+    per block, so the block also holds at least ``_K_ROWS`` of its rows, T
+    per video. On an untaped 32 x 8 gallery at grid 7, H 128 and T 4
+    (``WIDE_DIMS`` with C_s from 8 to 512; medians of 7 calls, one BLAS
+    thread), one floored block took 1.3x and 1.6x the time of step-budget
+    blocks of 3 at a 1.5 and a 3.1 MiB ``lstm.w``, and the blocks of 3
+    took 1.1x, 1.7-1.9x, 1.7x and 1.7x the floored block's time at 12.2,
+    24.5, 49 and 98 MiB. At mid dims (2 MiB) one block of 32 took 1.0-1.2x
+    the time of blocks of 14. So mid dims score in the step budget's
+    blocks, each block's K freed once its recurrence has run. At
     ``Dims()`` a 32-video gallery took 1.55x the time of one block in
     blocks of 2, and 1.08-1.13x in blocks of 13."""
     per_video = 8 * (10 * n_q * n_h + 4 * n_cells * n_h + n_q * n_cells)
     block = _SCAN_BLOCK_BYTES // per_video
-    if 8 * n_cells * c_s * 4 * n_h > _SCAN_BLOCK_BYTES:
+    if 8 * n_cells * c_s * 4 * n_h > _K_FLOOR_BYTES:
         block = max(block, -(-_K_ROWS // n_t))
     return max(2, block)
 

@@ -20,7 +20,9 @@ WIDE_DIMS = Dims(
 
 # (dims, V, Q): each workload's untaped eval grid, one slot's gallery of V
 # videos against Q sentences at T = dims.n_chunks steps: seq-train's at mid
-# dims (T = 8) and seq-retrieve's at small dims (T = 4)
+# dims (T = 8), scored in two blocks of 8 videos, and seq-retrieve's at
+# small dims (T = 4), in five blocks of 12 and one of 4 (visual.scan_block;
+# neither lstm.w is large enough for its K-row floor)
 EVAL_GRIDS = {
     "seq-train": (MID_DIMS, 16, 16),
     "seq-retrieve": (Dims.small(), 64, 64),

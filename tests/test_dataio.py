@@ -227,6 +227,19 @@ class TestContainer:
         with pytest.raises(IndexError):
             ds.video_feature(5, "v0005")
 
+    @pytest.mark.parametrize("index", [True, np.True_, 0.0, "0"])
+    def test_video_feature_refuses_an_index_that_is_not_an_integer_naming_it(self, index):
+        # a bool passed the range check and indexed as a new axis, so the
+        # error blamed the feature ranks, not the index
+        ds = _tiny_dataset()
+        with pytest.raises(TypeError, match=re.escape(f"video index {index!r} is not an integer")):
+            ds.video_feature(index, "v")
+
+    @pytest.mark.parametrize("index", [np.int64(0), np.uint8(0), np.int32(0)])
+    def test_video_feature_takes_a_numpy_integer_index(self, index):
+        ds = _tiny_dataset()
+        np.testing.assert_array_equal(ds.video_feature(index, "v").grid_frames, ds.grid_frames[0])
+
     def test_actionless_dataset(self):
         ds = _tiny_dataset()
         no_action = Dataset(

@@ -53,6 +53,7 @@ from mvse.visual import VideoFeature, chunk_sample, global_embed, sequential_emb
 
 import oracle_ops
 from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, take
+from peaks import backward_peak, untaped_peak
 from shapes import EVAL_GRIDS, LSTM_GRIDS, MID_DIMS, WIDE_DIMS
 
 DIMS = Dims.small()
@@ -779,12 +780,7 @@ def test_sgd_step_holds_no_parameter_sized_temporary():
     # step's peak is one block and the few views that index it
     rng = np.random.default_rng(22)
     param, g = Tensor(rng.normal(size=(1024, 1024))), rng.normal(size=(1024, 1024))
-    tracemalloc.start()
-    try:
-        training.sgd_step(param, g, 0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = untaped_peak(lambda: training.sgd_step(param, g, 0.05))
     assert peak <= training._SGD_BLOCK_BYTES + 16_384
 
 
@@ -1031,36 +1027,25 @@ def test_score_grid_reads_as_rows_of_scalars():
 
 
 # the measured tracemalloc peak of a taped seq-train batch's backward above
-# the memory its forward holds (4,529,512 bytes with numpy 2.4 on Linux),
-# and the slack allowed above it: well under the 1.3 MB that copying k and
-# the input terms' gradient into einsum layouts, and keeping every rule's
-# state to the end of the sweep, add to it
-SEQ_TRAIN_BACKWARD_PEAK = 4_530_000
+# the memory its forward holds (1,105,160 bytes with numpy 2.4 on Linux),
+# and the slack allowed above it: well under the 3.4 MB that forming k's
+# gradient while k and the LSTM's saved gates and states are alive adds
+SEQ_TRAIN_BACKWARD_PEAK = 1_110_000
 SEQ_TRAIN_BACKWARD_SLACK = 256 * 1024
 
 
 def test_seq_train_batch_backward_peak_stays_within_its_pin():
     """At seq-train's batch shape (mid dims, B = 8, dual-S, hardest) the
     backward peaks inside the LSTM node's rule: its row-layout input-term
-    gradient, the columns it gathers and k's gradient. The sweep frees each
-    rule's saved state once it has run, so no later node adds to that."""
+    gradient and k's gradient, which the rule allocates once it has let go
+    of k and the saved gates and states. The sweep frees each rule's saved
+    state once it has run, so no later node adds to that."""
     dims, n_v, n_q = LSTM_GRIDS["seq-train-batch"]
     corpus = _corpus(n_videos=2 * n_v, dims=dims, n_frames=dims.n_chunks)
     model = Model.new(dims, "dual-S", seed=1, table=corpus.dataset.embedding_table())
     videos, sentences = _all_pairs(corpus)
     batch = list(zip(videos[:n_v], sentences[:n_q]))
-    with Tape() as tape:  # fills the einsum plan cache outside the trace
-        tape.backward(training.batch_loss(batch, model, TripletConfig()))
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            loss = training.batch_loss(batch, model, TripletConfig())
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            tape.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    peak = backward_peak(lambda: training.batch_loss(batch, model, TripletConfig()))
     assert peak <= SEQ_TRAIN_BACKWARD_PEAK + SEQ_TRAIN_BACKWARD_SLACK, peak
 
 

@@ -30,7 +30,8 @@ from mvse.visual import (
 
 import oracle_ops
 from oracle_ops import init_draw, sum_all, take
-from shapes import EVAL_GRIDS, LSTM_GRIDS, WIDE_DIMS
+from peaks import untaped_peak
+from shapes import EVAL_GRIDS, LSTM_GRIDS, MID_DIMS, WIDE_DIMS
 
 DIMS = Dims.small()
 EPS = np.finfo(np.float64).eps
@@ -175,16 +176,11 @@ class TestGather:
         rng = np.random.default_rng(1)
         frames = [np.full((20, 7, 7, 256), v, np.float32) for v in range(8)]
         indices = [sorted(rng.choice(20, 8, replace=False).tolist()) for _ in frames]
-        visual._gather("x", frames, indices)  # first-call allocations stay out of the count
-        tracemalloc.start()
-        try:
-            out = visual._gather("x", frames, indices)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = untaped_peak(lambda: visual._gather("x", frames, indices))
+        out_bytes = 8 * 8 * 7 * 7 * 256 * 8
         pick = frames[0][indices[0]].nbytes
         slack = 64 << 10
-        assert peak <= out.nbytes + pick + slack
+        assert peak <= out_bytes + pick + slack
 
 
 class TestGlobalEmbed:
@@ -340,7 +336,7 @@ class TestSpatialAttention:
             params = init_params(dims, ("global", "sequential"), seed=16).sequential_head.attention
             grids = rng.normal(size=(n_v, n_t, DIMS.grid, DIMS.grid, DIMS.c_spatial))
             phis = Tensor(rng.normal(size=(n_q, DIMS.hidden)))
-            peaks[attn] = _untaped_peak(lambda: _attend(grids, phis, params))
+            peaks[attn] = untaped_peak(lambda: _attend(grids, phis, params))
         assert peaks[64] - peaks[16] <= 2 * (n_v * n_t + n_q) * 48 * 8
 
 
@@ -377,17 +373,12 @@ def _assert_attention_close(dims: Dims, n_v: int, n_q: int, seed: int) -> None:
         assert new.shape == ref.shape and np.max(np.abs(new - ref)) <= bound, (name, dims, n_v, n_q)
 
 
-def _untaped_peak(run) -> int:
-    """The tracemalloc peak of one untaped call of ``run``, with its caches
-    warmed by a call outside the trace."""
-    with autodiff.no_tape():
-        run()
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+# the measured untaped tracemalloc peak of seq-train's eval grid (4,155,616
+# bytes with numpy 2.4 on Linux), and the slack allowed above it: well under
+# the 2.8 MB that scoring the grid as one floored block of 16 videos added
+# (6,972,088 bytes)
+SEQ_TRAIN_EVAL_PEAK = 4_160_000
+SEQ_TRAIN_EVAL_SLACK = 256 * 1024
 
 
 class TestSequentialEmbed:
@@ -481,6 +472,14 @@ class TestSequentialEmbed:
             lo, hi = blocks[-1]
             assert hi - lo <= step + 1 and (hi - lo > 1 or n_v == 1), (n_v, step)
 
+    def test_scan_block_floors_k_rows_only_for_an_lstm_w_above_8_mib(self):
+        # mid dims' lstm.w is 2 MiB, where the floor cost time, so Q = 16
+        # scores in the step budget's blocks of 8 videos; WIDE_DIMS' 98 MiB
+        # and Dims()' 1.5 GiB keep at least 256 rows of K, T per video
+        assert _scan_block(MID_DIMS, 16) == 8
+        for dims in (WIDE_DIMS, Dims()):
+            assert _scan_block(dims, 16) >= -(-256 // dims.n_chunks), dims
+
     @pytest.mark.parametrize("workload", list(EVAL_GRIDS))
     def test_lstm_input_contractions_return_contiguous_arrays(self, workload, monkeypatch):
         # each block's K comes out of its product in the layout the head asks
@@ -553,8 +552,21 @@ class TestSequentialEmbed:
         for n_v in (16, 64):
             videos = _videos(np.random.default_rng(n_v), DIMS, n_v)
             indices = [list(range(DIMS.n_chunks))] * n_v
-            peaks[n_v] = _untaped_peak(lambda: sequential_embed(videos, indices, phis, params))
+            peaks[n_v] = untaped_peak(lambda: sequential_embed(videos, indices, phis, params))
         assert peaks[64] <= 1.6 * peaks[16]
+
+    def test_seq_train_eval_grid_peak_stays_within_its_pin(self):
+        # mid dims, 16 videos x 16 sentences, scored in two blocks of 8: K,
+        # the maps and the recurrence's workspace are one block's, freed
+        # before the next block forms its own
+        dims, n_v, n_q = EVAL_GRIDS["seq-train"]
+        rng = np.random.default_rng(26)
+        params = init_params(dims, ("global", "sequential"), seed=16).sequential_head
+        phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
+        videos = _videos(rng, dims, n_v)
+        indices = [list(range(dims.n_chunks))] * n_v
+        peak = untaped_peak(lambda: sequential_embed(videos, indices, phis, params))
+        assert peak <= SEQ_TRAIN_EVAL_PEAK + SEQ_TRAIN_EVAL_SLACK, peak
 
     def test_untaped_embedding_owns_its_memory(self):
         # a view into the recurrence's workspace would keep the whole
@@ -579,7 +591,7 @@ class TestSequentialEmbed:
         videos = [_video(rng) for _ in range(32)]
         phis = Tensor(rng.normal(size=(32, DIMS.hidden)))
         params = _seq_params(13)
-        peak = _untaped_peak(lambda: sequential_embed(videos, [[0, 1, 2, 3]] * 32, phis, params))
+        peak = untaped_peak(lambda: sequential_embed(videos, [[0, 1, 2, 3]] * 32, phis, params))
         assert peak <= 2_150_000
 
     def test_untaped_peak_stays_below_the_input_terms_of_every_step(self):
@@ -597,7 +609,7 @@ class TestSequentialEmbed:
             params = init_params(dims, ("global", "sequential"), seed=15).sequential_head
             videos = [_video(rng, n_frames=n_t) for _ in range(64)]
             phis = Tensor(rng.normal(size=(64, DIMS.hidden)))
-            peaks[n_t] = _untaped_peak(
+            peaks[n_t] = untaped_peak(
                 lambda: sequential_embed(videos, [list(range(n_t))] * 64, phis, params)
             )
         assert peaks[8] < 64 * 8 * 64 * 4 * DIMS.hidden * 8
