@@ -11,16 +11,12 @@ stays on the tape. The LSTM's rule lets go of its own state sooner, while
 it runs: the saved gates and cell states once it has formed the gate
 factors, the hidden states once it has copied them, and K once the maps'
 gradient is formed, so K's gradient is allocated after K is freed. A tape
-may be given an update callable instead of keeping its leaves'
-gradients: a leaf is registered at its first use, so
-every node that reads it comes later, and the sweep reaches the leaf only
-once its gradient is final; it hands that gradient to the callable there
-and keeps no array for it. Training applies each parameter's SGD step so,
-and no step holds its parameters' gradients together. The module holds
-the operations the model runs and the finite-difference oracle
-:func:`grad_check`. The elementwise
-primitives of the per-op chains that the tests check the fused nodes
-against are in ``tests/oracle_ops.py`` and record on the same tape.
+may hand each leaf's gradient, once final, to an update callable in place
+of keeping it (:class:`Tape`); training applies its SGD steps so. The
+module holds the operations the model runs and the finite-difference
+oracle :func:`grad_check`. The elementwise primitives of the per-op
+chains that the tests check the fused nodes against are in
+``tests/oracle_ops.py`` and record on the same tape.
 
 The two recurrences, :func:`gru_recurrence` and :func:`lstm_recurrence`,
 are one node each, whatever their length, with a hand-written
@@ -54,13 +50,9 @@ spec. :func:`lstm_recurrence` contracts its input terms' gradient with K
 and with the maps by its own ``np.matmul`` calls over strided views, not
 by ``einsum``'s plans, which would copy K and the gradient into their
 layouts first. ``einsum``'s forward and both backward contractions are
-planned once per (spec, operand shapes) and the plans kept in a bounded
-cache. A plan is a transpose and reshape of each operand, one
-``np.matmul`` (or one ``np.multiply`` when no index is contracted) and a
-reshape and transpose of the result. It lays out and multiplies the
-operands as numpy's ``np.einsum`` does for two operands with ``optimize``
-on, so the results are byte-equal to numpy's, without numpy's per-call
-path search.
+planned once per (spec, operand shapes) and cached (:class:`_Contraction`),
+byte-equal to numpy's ``np.einsum`` with ``optimize`` on, without its
+per-call path search.
 
 Broadcasting happens only where an op's name or contract says so:
 :func:`cosine` over its [V, Q] grid, :func:`broadcast_add`, and the
@@ -80,11 +72,15 @@ import contextlib
 import contextvars
 import functools
 import math
+from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 NORM_GUARD = 1e-12  # below this an embedding is considered degenerate
+_FLOAT64 = np.dtype(np.float64)
+# matvec's einsum spec by the number of leading axes of its vector operand
+_MATVEC_SPECS = tuple(f"mn,{lead}n->{lead}m" for lead in ("qrstuvwxyz"[:k] for k in range(11)))
 
 class ShapeError(ValueError):
     """Operands do not conform to an operation's shape contract."""
@@ -115,9 +111,9 @@ _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
 class Tensor:
     """N-dimensional float64 array, optionally tracked on a gradient tape.
 
-    ``data`` is always a C-contiguous float64 ndarray (row-major flat
-    layout). A C-contiguous float64 array passed in is shared, not copied,
-    so a caller that later writes to its source passes a copy; anything
+    ``data`` is always a C-contiguous float64 ``np.ndarray`` of the base
+    class. Such an array, what almost every op hands over, is held as it
+    is, so a caller that later writes to its source passes a copy; anything
     else is converted. ``node_id``/``tape`` are set only on tensors
     produced by an operation while a tape was recording.
     """
@@ -125,10 +121,11 @@ class Tensor:
     __slots__ = ("data", "node_id", "tape")
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags.c_contiguous:  # 0-d arrays are always contiguous
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64 or not data.flags.c_contiguous:
+            data = np.asarray(data, dtype=np.float64)
+            if not data.flags.c_contiguous:  # 0-d arrays are always contiguous
+                data = np.ascontiguousarray(data)
+        self.data = data
         self.node_id: int | None = None
         self.tape: "Tape | None" = None
 
@@ -190,19 +187,20 @@ class Tape:
             return t.node_id
         return self._leaf_ids.get(id(t))
 
-    def _node_for(self, t: Tensor) -> int:
-        """Node id of ``t`` on this tape, registering a leaf if needed."""
-        nid = self._find(t)
+    def _leaf_for(self, t: Tensor) -> int:
+        """Node id of ``t``, not made on this tape: a leaf, registered at its first use."""
+        nid = self._leaf_ids.get(id(t))
         if nid is None:
-            nid = len(self._rules)
+            nid = self._leaf_ids[id(t)] = len(self._rules)
             self._parents.append(())
             self._rules.append(None)
-            self._leaf_ids[id(t)] = nid
             self._leaves[nid] = t
         return nid
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward) -> None:
-        pids = tuple(self._node_for(p) for p in parents)
+        """Append the node that made ``out``; a parent not made on this tape
+        is a leaf (:meth:`_leaf_for`), registered in parent order."""
+        pids = tuple([p.node_id if p.tape is self else self._leaf_for(p) for p in parents])
         out.node_id = len(self._rules)
         out.tape = self
         self._parents.append(pids)
@@ -387,34 +385,39 @@ def hinge_sum(
     whose only parent is the [V, Q] grid ``scores``.
 
     ``negatives`` and ``positives`` are (rows, columns) index arrays, one
-    entry pair per term. An active term (above 0) passes +g to its negative
-    entry and -g to its positive entry; both entries of an inactive term get
-    0, the subgradient at the kink. An entry read by several terms gets the
-    sum of their contributions, added in term order, the negatives' terms
-    before the positives'.
+    entry pair per term, of an integer dtype; a float or bool one (which
+    indexing would truncate, or read as 0 and 1) raises naming its dtype.
+    One ``np.ravel_multi_index`` call checks the range and flattens the
+    entries, and one ``take`` reads them. An active term (above 0) passes
+    +g to its negative entry and -g to its positive entry; both entries of
+    an inactive term get 0, the subgradient at the kink. The backward's
+    ``np.bincount`` scatters in term order, the negatives' terms before the
+    positives', from 0.0: the additions of ``np.add.at`` into zeros.
     """
     sd = scores.data
     if sd.ndim != 2:
         raise ShapeError("hinge_sum", sd.shape, detail="expected a [V,Q] grid")
-    index = [np.asarray(i, dtype=np.intp) for i in (*negatives, *positives)]
+    index = [np.asarray(i) for i in (*negatives, *positives)]
     shapes = [i.shape for i in index]
     if len(index) != 4 or any(s != shapes[0] for s in shapes) or len(shapes[0]) != 1:
         raise ShapeError("hinge_sum", *shapes, detail="expected (rows, columns) index arrays of one length")
     if not shapes[0][0]:
         raise ShapeError("hinge_sum", sd.shape, detail="no terms")
-    if any(i.min() < 0 or i.max() >= n for i, n in zip(index, sd.shape * 2)):
-        raise ShapeError("hinge_sum", sd.shape, detail="index out of range")
-    neg_rows, neg_cols, pos_rows, pos_cols = index
-    terms = sd[neg_rows, neg_cols] - sd[pos_rows, pos_cols] + margin
-    rows, cols = np.concatenate([neg_rows, pos_rows]), np.concatenate([neg_cols, pos_cols])
+    for i in index:
+        if i.dtype.kind not in "iu":
+            raise ShapeError("hinge_sum", sd.shape, detail=f"index arrays must be integers, got dtype {i.dtype}")
+    try:  # rows, then columns, each [2, terms]: the negatives', then the positives'
+        flat = np.ravel_multi_index((index[::2], index[1::2]), sd.shape)
+    except ValueError:
+        raise ShapeError("hinge_sum", sd.shape, detail="index out of range") from None
+    picked = sd.take(flat)
+    terms = picked[0] - picked[1] + margin
     active = terms > 0
-    shape = sd.shape
+    flat, size, shape = flat.ravel(), sd.size, sd.shape
 
     def bk(g):
         g_terms = g * active
-        out = np.zeros(shape)
-        np.add.at(out, (rows, cols), np.concatenate([g_terms, -g_terms]))
-        return (out,)
+        return (np.bincount(flat, np.concatenate([g_terms, -g_terms]), size).reshape(shape),)
 
     return _emit(np.maximum(terms, 0.0).sum(), (scores,), bk)
 
@@ -467,14 +470,19 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _layout(sub: str, order: list[str], sizes: dict[str, int], merged) -> tuple:
-    """How operand ``sub`` enters the product: the lengths left once the
-    indices not in ``order`` (all of length 1) are dropped, the transpose
-    into ``order``, and the shape ``merged`` it is then reshaped to; each
-    is None where it changes nothing."""
+    """Bound method calls (they also take a numpy scalar) that drop the
+    indices of ``sub`` not in ``order`` (all of length 1), transpose into
+    ``order`` and reshape to ``merged``, each left out where it changes
+    nothing. Dropping length-1 axes copies, as numpy's sum does: -0.0 reads +0.0."""
     kept = "".join(c for c in sub if c in order)
-    squeezed = tuple(sizes[c] for c in kept) if kept != sub else None
-    perm = tuple(kept.index(c) for c in order) if kept != "".join(order) else None
-    return squeezed, perm, merged
+    steps = []
+    if kept != sub:
+        steps += [methodcaller("reshape", tuple(sizes[c] for c in kept)), methodcaller("__add__", 0.0)]
+    if kept != "".join(order):
+        steps.append(methodcaller("transpose", tuple(kept.index(c) for c in order)))
+    if merged is not None:
+        steps.append(methodcaller("reshape", merged))
+    return tuple(steps)
 
 
 def _merged(groups: list[list[str]], sizes: dict[str, int]) -> tuple[int, ...] | None:
@@ -482,18 +490,6 @@ def _merged(groups: list[list[str]], sizes: dict[str, int]) -> tuple[int, ...] |
     if all(len(g) == 1 for g in groups):
         return None
     return tuple(math.prod(sizes[c] for c in g) for g in groups)
-
-
-def _ready(x: np.ndarray, squeezed, perm, merged) -> np.ndarray:
-    """Apply a :func:`_layout`. Dropping length-1 axes is numpy's sum over
-    them, so it copies, and -0.0 reads +0.0 (the ``+ 0.0``)."""
-    if squeezed is not None:
-        x = x.reshape(squeezed) + 0.0
-    if perm is not None:
-        x = x.transpose(perm)
-    if merged is not None:
-        x = x.reshape(merged)
-    return x
 
 
 class _Contraction:
@@ -509,41 +505,46 @@ class _Contraction:
     of the operand it comes from. With an index to contract, the product is
     one ``np.matmul`` of [batch, kept-left, contracted] by [batch,
     contracted, kept-right]; without one, it is one broadcast
-    ``np.multiply`` of both operands laid out in output order.
+    ``np.multiply`` of both operands laid out in output order. The layout
+    steps of both operands and the result are bound when the plan is built.
     """
 
-    __slots__ = ("ready_y", "ready_x", "product", "shape", "perm")
+    __slots__ = ("y_steps", "x_steps", "product", "out_steps")
 
     def __init__(self, x_sub: str, y_sub: str, out: str, sizes: dict[str, int]):
         long = {c for c, n in sizes.items() if n != 1}
         con = [c for c in y_sub if c in long and c in x_sub and c not in out]
         if not con:
-            self.ready_y, self.ready_x = (
+            self.y_steps, self.x_steps = (
                 _layout(sub, [c for c in out if c in sub], sizes,
                         tuple(sizes[c] if c in sub else 1 for c in out))
                 for sub in (y_sub, x_sub)
             )
-            self.product, self.shape, self.perm = np.multiply, None, None
+            self.product, self.out_steps = np.multiply, ()
             return
         bat = [c for c in y_sub if c in long and c in x_sub and c in out]
         y_keep = [c for c in y_sub if c in long and c not in x_sub]
         x_keep = [c for c in x_sub if c in long and c not in y_sub]
         ones = [c for c in out if c not in long]
         batch = [bat] if bat else []
-        self.ready_y = _layout(y_sub, bat + y_keep + con, sizes, _merged(batch + [y_keep, con], sizes))
-        self.ready_x = _layout(x_sub, bat + con + x_keep, sizes, _merged(batch + [con, x_keep], sizes))
+        self.y_steps = _layout(y_sub, bat + y_keep + con, sizes, _merged(batch + [y_keep, con], sizes))
+        self.x_steps = _layout(x_sub, bat + con + x_keep, sizes, _merged(batch + [con, x_keep], sizes))
         self.product = np.matmul
         produced = ones + bat + y_keep + x_keep
-        split = ones or _merged(batch + [y_keep, x_keep], sizes) is not None
-        self.shape = tuple(sizes[c] for c in produced) if split else None
-        self.perm = tuple(produced.index(c) for c in out) if "".join(produced) != out else None
+        self.out_steps = ()
+        if ones or _merged(batch + [y_keep, x_keep], sizes) is not None:
+            self.out_steps += (methodcaller("reshape", tuple(sizes[c] for c in produced)),)
+        if "".join(produced) != out:
+            self.out_steps += (methodcaller("transpose", tuple(produced.index(c) for c in out)),)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self.product(_ready(y, *self.ready_y), _ready(x, *self.ready_x))
-        if self.shape is not None:
-            out = out.reshape(self.shape)
-        if self.perm is not None:
-            out = out.transpose(self.perm)
+        for step in self.y_steps:
+            y = step(y)
+        for step in self.x_steps:
+            x = step(x)
+        out = self.product(y, x)
+        for step in self.out_steps:
+            out = step(out)
         return out
 
 
@@ -600,7 +601,7 @@ def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     ad = a.data if a_tracked else a
     bd = b.data if b_tracked else b
     forward, grad_a, grad_b = _einsum_plan(spec, ad.shape, bd.shape)
-    parents = tuple(t for t, tracked in ((a, a_tracked), (b, b_tracked)) if tracked)
+    parents = (a, b)[1 - a_tracked: 1 + b_tracked]  # the tracked ones
 
     def bk(g):
         grads = []
@@ -616,10 +617,10 @@ def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
 def matvec(w: Tensor, x: Tensor) -> Tensor:
     """``w`` [m, n] applied to every row of ``x`` [..., n]: [..., m], as one
     :func:`einsum` node (``"mn,qn->qm"`` for a 2-D ``x``)."""
-    if w.data.ndim != 2 or x.data.ndim < 1 or w.data.shape[1] != x.data.shape[-1]:
-        raise ShapeError("matvec", w.data.shape, x.data.shape, detail="expected [m,n] x [...,n]")
-    lead = "qrstuvwxyz"[: x.data.ndim - 1]
-    return einsum(f"mn,{lead}n->{lead}m", w, x)
+    wd, xd = w.data, x.data
+    if wd.ndim != 2 or not 0 < xd.ndim <= len(_MATVEC_SPECS) or wd.shape[1] != xd.shape[-1]:
+        raise ShapeError("matvec", wd.shape, xd.shape, detail="expected [m,n] x [...,n]")
+    return einsum(_MATVEC_SPECS[xd.ndim - 1], w, x)
 
 
 # ---------------------------------------------------------------------------

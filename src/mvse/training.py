@@ -29,7 +29,7 @@ from mvse.model import Model
 from mvse.visual import VideoFeature, space_similarity
 
 _SHUFFLE_SALT = 0xB47C
-_SGD_BLOCK_BYTES = 1 << 16  # sgd_step's scratch for lr * g
+_SGD_BLOCK_BYTES = 1 << 16  # sgd_step's scratch for lr * g, and the size it steps whole
 
 
 class TrainingDivergedError(RuntimeError):
@@ -44,7 +44,7 @@ class ScoreGrid(list):
     __slots__ = ("scores",)
 
     def __init__(self, scores: Tensor):
-        super().__init__(list(row) for row in scores.data)
+        super().__init__([list(row) for row in scores.data])
         self.scores = scores
 
 
@@ -75,9 +75,7 @@ def loss_from_matrix(fused: ScoreGrid | list[list[Tensor]], alpha: float, mode: 
         np.fill_diagonal(values, -np.inf)
         anchor, j_sentence, j_video = np.arange(b), values.argmax(axis=1), values.argmax(axis=0)
     # per pick, the wrong sentence (i, j_sentence) then the wrong video (j_video, i)
-    negatives = (
-        np.stack([anchor, j_video], axis=1).ravel(), np.stack([j_sentence, anchor], axis=1).ravel()
-    )
+    negatives = np.array([anchor, j_video]).T.ravel(), np.array([j_sentence, anchor]).T.ravel()
     diagonal = np.repeat(anchor, 2)
     return hinge_sum(scores, negatives, (diagonal, diagonal), alpha)
 
@@ -138,23 +136,24 @@ def batch_loss(
 def sgd_step(param: Tensor, g: np.ndarray, lr: float) -> None:
     """In-place p <- p - lr * g for one parameter.
 
-    ``lr * g`` is formed a block of leading-axis rows at a time in one
-    scratch buffer of ``_SGD_BLOCK_BYTES``, or of one row where a row is
-    larger, so no parameter-sized temporary is made; every element still
-    gets the two roundings of ``p - lr * g``. The blocks follow the leading
-    axis, not a flattened view, since a gradient may be a transposed view
-    that flattening would copy."""
+    A parameter of at most ``_SGD_BLOCK_BYTES`` takes ``p -= lr * g`` whole,
+    with no scratch. A larger one forms ``lr * g`` a block of leading-axis
+    rows at a time in one scratch buffer of ``_SGD_BLOCK_BYTES``, or of one
+    row where a row is larger, so no parameter-sized temporary is made. The
+    blocks follow the leading axis, not a flattened view, since a gradient
+    may be a transposed view that flattening would copy. Either way every
+    element gets the two roundings of ``p - lr * g``."""
     p = param.data
     if g.shape != p.shape:
         raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-    blocks, size = [(p, g)], p.size
-    if size > _SGD_BLOCK_BYTES // 8:
-        row = p[0].size
-        n = max(1, _SGD_BLOCK_BYTES // 8 // row)
-        blocks, size = ((p[lo: lo + n], g[lo: lo + n]) for lo in range(0, len(p), n)), n * row
-    scratch = np.empty(size)
-    for p_block, g_block in blocks:
-        p_block -= np.multiply(lr, g_block, out=scratch[: p_block.size].reshape(p_block.shape))
+    if p.nbytes <= _SGD_BLOCK_BYTES:
+        p -= lr * g
+        return
+    n = max(1, _SGD_BLOCK_BYTES // p[0].nbytes)
+    scratch = np.empty((n, *p.shape[1:]))
+    for lo in range(0, len(p), n):
+        p_block = p[lo: lo + n]
+        p_block -= np.multiply(lr, g[lo: lo + n], out=scratch[: len(p_block)])
 
 
 def _sgd_update(params: Iterable[Tensor], lr: float):

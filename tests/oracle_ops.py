@@ -15,6 +15,9 @@ at small or odd lengths. :func:`spatial_attention` is the map
 ``visual.spatial_attention`` formed before it applied its map head to each
 branch on its own. :func:`init_draw` is a parameter block's init draw,
 built from the seeding rule alone, so it does not share the fill it checks.
+:func:`hinge_grid_grad` is the grid gradient of ``autodiff.hinge_sum`` as
+its backward formed it with ``np.add.at`` before it scattered with
+``np.bincount``.
 """
 
 import zlib
@@ -198,3 +201,16 @@ def init_draw(name: str, shape: tuple[int, ...], fan_in: int, seed: int) -> np.n
     rng = np.random.default_rng(np.random.SeedSequence([_INIT_SALT, seed, zlib.crc32(name.encode())]))
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def hinge_grid_grad(scores: np.ndarray, negatives, positives, margin: float, g: float) -> np.ndarray:
+    """The [V, Q] grid gradient of ``autodiff.hinge_sum`` for the output
+    gradient ``g``: +g to the negative and -g to the positive entry of each
+    active term, 0 for an inactive one, added by ``np.add.at`` into zeros in
+    term order, the negatives' terms before the positives'."""
+    (neg_rows, neg_cols), (pos_rows, pos_cols) = negatives, positives
+    g_terms = g * (scores[neg_rows, neg_cols] - scores[pos_rows, pos_cols] + margin > 0)
+    out = np.zeros(scores.shape)
+    rows, cols = np.concatenate([neg_rows, pos_rows]), np.concatenate([neg_cols, pos_cols])
+    np.add.at(out, (rows, cols), np.concatenate([g_terms, -g_terms]))
+    return out

@@ -919,6 +919,31 @@ def test_add_rejects_shape_mismatch():
         add(Tensor([1.0]), Tensor([1.0, 2.0]))
 
 
+class TestTensorConstruction:
+    def test_a_float64_c_contiguous_ndarray_is_held_by_identity(self):
+        for a in (np.arange(6.0).reshape(2, 3), np.zeros(()), np.ones(4)[::1]):
+            assert Tensor(a).data is a
+
+    @pytest.mark.parametrize("kind", [
+        "non-contiguous view", "float32", "list", "python float", "np.float64", "memmap",
+    ])
+    def test_anything_else_becomes_a_contiguous_float64_ndarray(self, kind, tmp_path):
+        base = np.arange(12.0).reshape(3, 4)
+        if kind == "memmap":
+            source = np.memmap(tmp_path / "m.f8", dtype=np.float64, mode="w+", shape=base.shape)
+            source[...] = base
+        else:
+            source = {
+                "non-contiguous view": base[:, ::2], "float32": base.astype(np.float32),
+                "list": base.tolist(), "python float": 2.5, "np.float64": np.float64(2.5),
+            }[kind]
+        data = Tensor(source).data
+        assert type(data) is np.ndarray and data.dtype == np.float64 and data.flags.c_contiguous
+        expected = np.asarray(source, dtype=np.float64)
+        assert data.shape == expected.shape and np.array_equal(data, expected)
+        assert data is not source
+
+
 class TestHingeSum:
     def test_value_and_gradients(self):
         # 0.5 - 0.2 + 0.1 = 0.4 is active; 0.1 - 0.9 + 0.1 = -0.7 is not
@@ -950,6 +975,31 @@ class TestHingeSum:
         ]:
             with pytest.raises(ShapeError, match="hinge_sum.*out of range"):
                 hinge_sum(grid, negatives, positives, 0.2)
+
+    @pytest.mark.parametrize(
+        "bad, dtype", [([0.7], "float64"), ([True], "bool"), (np.array([1.0], np.float32), "float32")],
+        ids=["float", "bool", "float32"],
+    )
+    @pytest.mark.parametrize("slot", range(4))
+    def test_index_arrays_that_are_not_integers_raise(self, bad, dtype, slot):
+        # indexing would truncate 0.7 to entry 0, and read True as 1
+        index = [[0], [0], [0], [1]]
+        index[slot] = bad
+        with pytest.raises(ShapeError, match=f"hinge_sum.*integers, got dtype {dtype}"):
+            hinge_sum(Tensor(np.zeros((2, 2))), index[:2], index[2:], 0.1)
+
+    def test_an_entry_read_by_negatives_and_positives_gets_add_at_bytes(self):
+        # every term active, each entry read many times, both as a negative
+        # and as a positive, with the output gradient 0.1: a sum of +-0.1s
+        # whose bits depend on the order of its additions
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(3, 3))
+        negatives, positives = tuple(rng.integers(0, 3, size=(2, 2, 40)))
+        grid = Tensor(values)
+        with Tape() as tape:
+            tape.backward(scale(hinge_sum(grid, tuple(negatives), tuple(positives), 100.0), 0.1))
+        expected = oracle_ops.hinge_grid_grad(values, negatives, positives, 100.0, 0.1)
+        assert tape.grad(grid).tobytes() == expected.tobytes()
 
 
 def test_taped_scalar_results_are_ndarrays():

@@ -101,10 +101,16 @@ def test_a_tape_with_an_update_lists_every_reached_node_to_the_tracer():
             tape.grad(t)
 
 
-def test_a_traced_seq_train_run_reaches_every_node(tmp_path, monkeypatch):
+# each workload's training graph: a change to the tape's bookkeeping must
+# record the same nodes, and the loss must reach every one of them
+NODES_PER_BATCH = {"global-train": 27, "seq-train": 51, "seq-retrieve": 57}
+
+
+@pytest.mark.parametrize("workload", list(NODES_PER_BATCH))
+def test_a_traced_run_reaches_every_node(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     pipeline = importlib.import_module("pipeline")
-    result = pipeline.per_layer(pipeline.WORKLOADS["seq-train"], 1, tmp_path, None)
+    result = pipeline.per_layer(pipeline.WORKLOADS[workload], 1, tmp_path, None)
     assert result.correct, result.problems
     assert result.metrics["autodiff.grad_reach_ratio"][0] == 1.0
-    assert result.metrics["autodiff.tape_nodes_per_batch"][0] == 51
+    assert result.metrics["autodiff.tape_nodes_per_batch"][0] == NODES_PER_BATCH[workload]

@@ -17,7 +17,7 @@ import pytest
 
 from mvse import fusion
 from mvse import model as mvse_model
-from mvse import training, visual
+from mvse import autodiff, training, visual
 from mvse.autodiff import (
     Tape,
     Tensor,
@@ -1013,6 +1013,30 @@ def test_loss_is_one_hinge_node_over_the_picked_entries(b, mode):
         for j in range(b):
             assert (grad[i, j] != 0) == ((i, j) in active), (i, j)
     assert grad_check(lambda t: training.loss_from_matrix(grid_of(t), MARGIN, mode), x) < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["sum-all", "hardest"])
+def test_hinge_grid_gradient_has_the_add_at_scatter_bytes(mode, monkeypatch):
+    """The loss's grid gradient, on ``loss_from_matrix``'s own picks over a
+    B = 8 grid with tied scores and a -0.0 entry, equals the ``np.add.at``
+    scatter of the hinge terms byte for byte, under an output gradient of
+    0.1, so each entry's sum is of 0.1s, not of ones."""
+    values = np.round(np.random.default_rng(8).uniform(-0.2, 0.2, size=(8, 8)), 1)  # five levels
+    values[0, 1] = values[5, 5] = -0.0
+    picks = []
+
+    def spy(scores, negatives, positives, margin):
+        picks.append((negatives, positives, margin))
+        return autodiff.hinge_sum(scores, negatives, positives, margin)
+
+    monkeypatch.setattr(training, "hinge_sum", spy)
+    grid = Tensor(values)
+    with Tape() as tape:
+        tape.backward(scale(training.loss_from_matrix(training.ScoreGrid(grid), 0.2, mode), 0.1))
+    (negatives, positives, margin), = picks
+    expected = oracle_ops.hinge_grid_grad(values, negatives, positives, margin, 0.1)
+    assert np.count_nonzero(expected) > 8
+    assert tape.grad(grid).tobytes() == expected.tobytes()
 
 
 def test_score_grid_reads_as_rows_of_scalars():
