@@ -52,7 +52,10 @@ by ``einsum``'s plans, which would copy K and the gradient into their
 layouts first. ``einsum``'s forward and both backward contractions are
 planned once per (spec, operand shapes) and cached (:class:`_Contraction`),
 byte-equal to numpy's ``np.einsum`` with ``optimize`` on, without its
-per-call path search.
+per-call path search. Only parameters are tape leaves: a constant (token
+vectors, pooled frames, action vectors, "average" weights) enters
+:func:`einsum`, :func:`matvec` or :func:`cosine` as a plain ndarray,
+which gets no node and no gradient.
 
 Broadcasting happens only where an op's name or contract says so:
 :func:`cosine` over its [V, Q] grid, :func:`broadcast_add`, and the
@@ -76,6 +79,8 @@ from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from mvse.config import _require_integer
 
 NORM_GUARD = 1e-12  # below this an embedding is considered degenerate
 _FLOAT64 = np.dtype(np.float64)
@@ -422,20 +427,29 @@ def hinge_sum(
     return _emit(np.maximum(terms, 0.0).sum(), (scores,), bk)
 
 
-def cosine(a: Tensor, b: Tensor) -> Tensor:
+def _operands(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> tuple:
+    """Each operand's array; whether each is a :class:`Tensor`, not a constant
+    ndarray; and the Tensors in order, the parents of the op's node."""
+    a_tracked, b_tracked = isinstance(a, Tensor), isinstance(b, Tensor)
+    parents = (a, b)[1 - a_tracked: 1 + b_tracked]
+    return a.data if a_tracked else a, b.data if b_tracked else b, a_tracked, b_tracked, parents
+
+
+def cosine(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Cosine similarities against the rows of ``b`` [Q, D] as a [V, Q] grid,
     recorded as one tape node: for ``a`` [V, D], ``out[v, q] = cos(a[v], b[q])``;
     for ``a`` [V, Q, D], ``out[v, q] = cos(a[v, q], b[q])``.
 
     The backward is the closed form ``ga = g·(b/den − c·a/|a|²)``,
     ``gb = g·(a/den − c·b/|b|²)`` per entry, with ``den = |a|·|b|``, summed
-    over the entries a row takes part in. For finite inputs the only error
-    is :class:`DegenerateEmbeddingError`, raised when any norm is below
-    1e-12 -- in training that is a bug signal, never a value to silently
-    clamp -- or when a squared norm or a dot product is not finite, which
-    for finite inputs means it overflowed float64.
+    over the entries a row takes part in, for each operand that is not a
+    plain ndarray, a constant. For finite inputs the only error is
+    :class:`DegenerateEmbeddingError`, raised when any norm is below 1e-12
+    -- in training that is a bug signal, never a value to silently clamp --
+    or when a squared norm or a dot product is not finite, which for finite
+    inputs means it overflowed float64.
     """
-    ad, bd = a.data, b.data
+    ad, bd, a_tracked, b_tracked, parents = _operands(a, b)
     paired = ad.ndim == 3
     if (
         bd.ndim != 2 or ad.ndim not in (2, 3) or bd.shape[1] < 1
@@ -458,15 +472,16 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
 
     def bk(g):
         gd, gc = g / den, g * c
-        if paired:
-            ga = gd[..., None] * bd - (gc / na2)[..., None] * ad
-            gb = np.einsum("vq,vqd->qd", gd, ad)
-        else:
-            ga = gd @ bd - (gc.sum(axis=1) / na2)[:, None] * ad
-            gb = gd.T @ ad
-        return ga, gb - (gc.sum(axis=0) / nb2)[:, None] * bd
+        grads = []
+        if a_tracked:
+            ga = gd[..., None] * bd if paired else gd @ bd
+            grads.append(ga - ((gc if paired else gc.sum(axis=1)) / na2)[..., None] * ad)
+        if b_tracked:
+            gb = np.einsum("vq,vqd->qd", gd, ad) if paired else gd.T @ ad
+            grads.append(gb - (gc.sum(axis=0) / nb2)[:, None] * bd)
+        return grads
 
-    return _emit(c, (a, b), bk)
+    return _emit(c, parents, bk)
 
 
 def _layout(sub: str, order: list[str], sizes: dict[str, int], merged) -> tuple:
@@ -597,11 +612,8 @@ def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     and no gradient is computed for it. An index must have the same length
     in both operands; unlike ``np.einsum``, length 1 does not broadcast.
     """
-    a_tracked, b_tracked = isinstance(a, Tensor), isinstance(b, Tensor)
-    ad = a.data if a_tracked else a
-    bd = b.data if b_tracked else b
+    ad, bd, a_tracked, b_tracked, parents = _operands(a, b)
     forward, grad_a, grad_b = _einsum_plan(spec, ad.shape, bd.shape)
-    parents = (a, b)[1 - a_tracked: 1 + b_tracked]  # the tracked ones
 
     def bk(g):
         grads = []
@@ -614,10 +626,10 @@ def einsum(spec: str, a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     return _emit(forward(ad, bd), parents, bk)
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
+def matvec(w: Tensor | np.ndarray, x: Tensor | np.ndarray) -> Tensor:
     """``w`` [m, n] applied to every row of ``x`` [..., n]: [..., m], as one
     :func:`einsum` node (``"mn,qn->qm"`` for a 2-D ``x``)."""
-    wd, xd = w.data, x.data
+    wd, xd, *_ = _operands(w, x)
     if wd.ndim != 2 or not 0 < xd.ndim <= len(_MATVEC_SPECS) or wd.shape[1] != xd.shape[-1]:
         raise ShapeError("matvec", wd.shape, xd.shape, detail="expected [m,n] x [...,n]")
     return einsum(_MATVEC_SPECS[xd.ndim - 1], w, x)
@@ -934,11 +946,13 @@ def grad_check(
 
     ``f`` must be a deterministic Tensor -> scalar function. The relative
     error at each coordinate is |analytic - numeric| / max(1, |analytic|,
-    |numeric|). When ``max_coords`` is given, a seeded subset of coordinates
-    of that size is checked instead of all of them.
+    |numeric|). Given ``max_coords``, an integer >= 1 (none would pass any
+    rule), a seeded subset of coordinates of that size is checked.
     """
     if not 0 < eps <= 1e-2:
         raise ValueError(f"grad_check: eps must be in (0, 1e-2], got {eps}")
+    if max_coords is not None:
+        _require_integer("grad_check: max_coords", max_coords, 1)
     with Tape() as tape:
         out = f(x)
         if out.data.shape != ():

@@ -198,6 +198,15 @@ class _Reader:
         self.end = stream.seek(0, io.SEEK_END)
         stream.seek(self.pos)
 
+    def preamble(self, magic: bytes, version: int) -> None:
+        """Read and check the magic and the u16 version that open the file."""
+        found = self.take(4, "magic")
+        if found != magic:
+            raise BadMagicError(f"bad magic {found!r}, expected {magic!r}")
+        (found,) = struct.unpack("<H", self.take(2, "version"))
+        if found != version:
+            raise VersionMismatchError(f"{self.kind} version {found}, expected {version}")
+
     def take(self, n: int, what: str) -> bytes:
         return self.array("u1", (n,), what).tobytes()
 
@@ -230,12 +239,7 @@ def read_container(stream: BinaryIO) -> Dataset:
     """The dataset a container holds, read from the seekable binary
     ``stream``, each float section straight into its float32 array."""
     r = _Reader(stream, "container")
-    magic = r.take(4, "magic")
-    if magic != CONTAINER_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {CONTAINER_MAGIC!r}")
-    (version,) = struct.unpack("<H", r.take(2, "version"))
-    if version != CONTAINER_VERSION:
-        raise VersionMismatchError(f"container version {version}, expected {CONTAINER_VERSION}")
+    r.preamble(CONTAINER_MAGIC, CONTAINER_VERSION)
     v, f, g, c_g, c_s, c_a, vocab, e, n_sent, total_tokens = _HEADER.unpack(
         r.take(_HEADER.size, "header")
     )
@@ -339,12 +343,7 @@ def read_checkpoint(stream: BinaryIO) -> tuple[dict[str, np.ndarray], dict]:
     """The tensors and config a checkpoint holds, read from the seekable
     binary ``stream``, each tensor straight into its own array."""
     r = _Reader(stream, "checkpoint")
-    magic = r.take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<H", r.take(2, "version"))
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    r.preamble(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     (json_len,) = struct.unpack("<I", r.take(4, "config length"))
     try:
         config = json.loads(r.take(json_len, "config").decode("utf-8"))

@@ -7,7 +7,7 @@ sentence, [Q, M] for a batch of Q sentences and M spaces, and reused
 across a whole gallery. :func:`fuse` merges the stacked [M, V, Q]
 similarity grids with them into the [V, Q] score grid as one tape node.
 "average" mode bypasses the gate with uniform weights (the ablation
-baseline).
+baseline), a constant ndarray that gets no tape node.
 """
 
 from __future__ import annotations
@@ -24,24 +24,24 @@ def gate_weights(phis: Tensor, gate: Tensor) -> Tensor:
     return softmax(matvec(gate, phis))
 
 
-def fuse(similarities: Tensor, weights: Tensor) -> Tensor:
+def fuse(similarities: Tensor, weights: Tensor | np.ndarray) -> Tensor:
     """Weighted sum over the spaces, one tape node:
     ``out[v, q] = Σ_m similarities[m, v, q] · weights[q, m]`` for the
-    stacked per-space grids [M, V, Q] and the weights [Q, M]."""
-    s, w = similarities.data.shape, weights.data.shape
+    stacked per-space grids [M, V, Q] and the weights [Q, M], a tensor or an ndarray."""
+    s, w = similarities.shape, weights.shape
     if len(s) != 3 or len(w) != 2 or (s[0], s[2]) != (w[1], w[0]):
         raise ShapeError("fuse", s, w, detail="expected [M,V,Q] similarities and [Q,M] weights")
     return einsum("mvq,qm->vq", similarities, weights)
 
 
-def space_weights(phis: Tensor, gate: Tensor, mode: str) -> Tensor:
+def space_weights(phis: Tensor, gate: Tensor, mode: str) -> Tensor | np.ndarray:
     """The fusion weights of every sentence vector, [Q, H] -> [Q, M], for
-    the gate's [M, H] weight: the gate's softmax in "weighted" mode,
-    uniform in "average" mode."""
+    the gate's [M, H] weight: the gate's softmax in "weighted" mode, and in
+    "average" mode uniform, as a constant ndarray."""
     if mode == "weighted":
         return gate_weights(phis, gate)
     if mode == "average":
         m = gate.shape[0]
-        return Tensor(np.full((*phis.shape[:-1], m), 1.0 / m))
+        return np.full((*phis.shape[:-1], m), 1.0 / m)
     raise ValueError(f"unknown fuse mode {mode!r}; expected 'weighted' or 'average'")
 

@@ -244,15 +244,16 @@ class Model:
 
     def video_embeddings(
         self, videos: list[VideoFeature], phis: Tensor, frame_seed: tuple[int, int] | None = None
-    ) -> dict[str, Tensor]:
-        """Every space's video embeddings: [V, D], or [V, Q, H] for the
-        sequential head, which attends with the sentence vectors ``phis``.
-        Each head reads each chunk's first frame, except that with
-        ``frame_seed = (run seed, epoch)`` the global head draws one per
-        chunk from :func:`frame_rng`, built only where a chunk can draw."""
+    ) -> dict[str, Tensor | np.ndarray]:
+        """Every space's video embeddings: [V, D] (a constant ndarray for
+        the action space), or [V, Q, H] for the sequential head, which
+        attends with the sentence vectors ``phis``. Each head reads each
+        chunk's first frame, except that with ``frame_seed = (run seed,
+        epoch)`` the global head draws one per chunk from
+        :func:`frame_rng`, built only where a chunk can draw."""
         n = self.dims.n_chunks
         starts = [chunk_sample(v.n_frames, n) for v in videos]
-        out: dict[str, Tensor] = {}
+        out: dict[str, Tensor | np.ndarray] = {}
         if SPACE_GLOBAL in self.spaces:
             drawn = [
                 chunk_sample(v.n_frames, n, frame_rng(*frame_seed, v.video_id))

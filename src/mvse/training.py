@@ -17,8 +17,6 @@ from the run seed and the epoch.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from mvse import fusion
@@ -156,19 +154,6 @@ def sgd_step(param: Tensor, g: np.ndarray, lr: float) -> None:
         p_block -= np.multiply(lr, g[lo: lo + n], out=scratch[: len(p_block)])
 
 
-def _sgd_update(params: Iterable[Tensor], lr: float):
-    """A tape update callable that applies :func:`sgd_step` to a parameter
-    as the sweep hands over its gradient; other leaves' gradients are
-    dropped."""
-    ids = {id(t) for t in params}
-
-    def update(leaf: Tensor, g: np.ndarray) -> None:
-        if id(leaf) in ids:
-            sgd_step(leaf, g, lr)
-
-    return update
-
-
 def train(
     dataset: Dataset,
     manifest: Manifest,
@@ -192,14 +177,15 @@ def train(
     With a non-zero learning rate, each parameter is stepped during the
     backward sweep, as soon as its gradient is final: the tape hands the
     gradient to :func:`sgd_step` for that one parameter and keeps no
-    array for it. So ``lstm.w``'s gradient, the largest, dies before the
-    sweep forms ``attn.w_p``'s (the forward reads ``attn.w_p`` only before
-    its first read of ``lstm.w``), and a step's parameter gradients are
-    dead when its backward returns, before the next step's forward
-    starts. A parameter the loss does not reach is left as it is, the
-    bytes of ``p - lr * 0``. The tape, with its interior gradients, lives
-    until the next step's ``loss`` is bound. At learning rate 0 no
-    gradient is handed over and no parameter changes.
+    array for it; the tape's leaves are the parameters, as constants
+    enter their ops as ndarrays. So ``lstm.w``'s gradient, the largest,
+    dies before the sweep forms ``attn.w_p``'s (the forward reads
+    ``attn.w_p`` only before its first read of ``lstm.w``), and a step's
+    parameter gradients are dead when its backward returns, before the
+    next step's forward starts. A parameter the loss does not reach is
+    left as it is, the bytes of ``p - lr * 0``. The tape, with its
+    interior gradients, lives until the next step's ``loss`` is bound. At
+    learning rate 0 no gradient is handed over and no parameter changes.
     """
     manifest.validate_against(dataset)
     entries = manifest.entries
@@ -207,7 +193,7 @@ def train(
     if usable < 2:
         raise ValueError(f"training manifest has {usable} videos with a sentence; a batch needs 2")
     lr = config.learning_rate
-    update = _sgd_update(model.params.tensors.values(), lr) if lr else None
+    update = (lambda param, g: sgd_step(param, g, lr)) if lr else None
     loss_log: list[tuple[int, float]] = []
 
     for epoch in range(config.epochs):

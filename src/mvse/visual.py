@@ -2,8 +2,8 @@
 (sentence-conditioned spatial attention feeding an LSTM), and the action
 space, whose video side is an externally extracted vector passed through
 unchanged. Per-space similarity is cosine, as one [V, Q] grid per space.
-Every head is batched over the videos: the global and action heads give
-[V, D] and [V, C_a].
+Every head is batched over the videos: the global head gives a [V, D]
+tensor, and the action space its [V, C_a] constant ndarray.
 
 The sequential head depends on the sentence, so it yields one embedding
 per (video, sentence) pair. It scores a V x Q grid in a factored form:
@@ -162,10 +162,9 @@ def global_embed(
     :func:`sequential_embed`; differing counts raise ``ShapeError`` naming
     them. The selected frames are gathered into one [V, N, C_g] array and
     pooled by one mean over N, in numpy, since frames are data, not
-    parameters; the map is one [V, C_g] -> [V, D] node."""
+    parameters; the map is one [V, C_g] -> [V, D] node over that constant."""
     frames = _gather("global_embed", [v.global_frames for v in videos], indices)
-    pooled = frames.mean(axis=1)
-    return broadcast_add(matvec(params.w, Tensor(pooled)), params.b)
+    return broadcast_add(matvec(params.w, frames.mean(axis=1)), params.b)
 
 
 @dataclass
@@ -335,18 +334,18 @@ def sequential_embed(
     return Tensor(out)
 
 
-def action_embed(videos: list[VideoFeature]) -> Tensor:
-    """The stored action vectors as one [V, C_a] float64 constant, widened
-    exactly and otherwise unchanged; only the text side of this space is
-    learned."""
+def action_embed(videos: list[VideoFeature]) -> np.ndarray:
+    """The stored action vectors as one [V, C_a] float64 ndarray, widened
+    exactly and otherwise unchanged: a constant, which :func:`cosine` gives
+    no node, since only the text side of this space is learned."""
     for video in videos:
         if video.action_vec is None:
             raise SpaceUnavailableError(f"space unavailable: video {video.video_id} has no action features")
-    return Tensor(np.stack([v.action_vec for v in videos], dtype=np.float64))
+    return np.stack([v.action_vec for v in videos], dtype=np.float64)
 
 
-def space_similarity(f: Tensor, g: Tensor) -> Tensor:
+def space_similarity(f: Tensor | np.ndarray, g: Tensor) -> Tensor:
     """One space's [V, Q] cosine grid between the video embeddings ``f``
-    ([V, D], or [V, Q, D] for the sequential space) and the sentence
-    embeddings ``g`` [Q, D]."""
+    ([V, D], or [V, Q, D] for the sequential space; the action space's is a
+    constant ndarray) and the sentence embeddings ``g`` [Q, D]."""
     return cosine(f, g)

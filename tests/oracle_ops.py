@@ -17,7 +17,9 @@ branch on its own. :func:`init_draw` is a parameter block's init draw,
 built from the seeding rule alone, so it does not share the fill it checks.
 :func:`hinge_grid_grad` is the grid gradient of ``autodiff.hinge_sum`` as
 its backward formed it with ``np.add.at`` before it scattered with
-``np.bincount``.
+``np.bincount``. :func:`sweep` runs an op with one operand given as a
+constant ndarray, the form the model passes its fixed inputs in, so that
+the tests can hold it to the all-tensor form.
 """
 
 import zlib
@@ -27,6 +29,7 @@ import numpy as np
 from mvse.autodiff import (
     _ACTIVE_TAPE,
     ShapeError,
+    Tape,
     Tensor,
     _emit,
     _tanh_to_sigmoid,
@@ -78,6 +81,21 @@ def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=np.float64)
     shape = a.data.shape
     return _emit(out, (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def sweep(op, operands: dict[str, np.ndarray], constant: str | None, g: np.ndarray):
+    """``op`` over ``operands``, each as a tensor except the one named
+    ``constant``, given as its plain ndarray, swept on a new tape with the
+    output gradient ``g``: the output array, the number of nodes the op's
+    call recorded, and the gradient bytes of each tensor operand by name."""
+    inputs = {name: a if name == constant else Tensor(a) for name, a in operands.items()}
+    with Tape() as tape:
+        out = op(*inputs.values())
+        nodes = len(tape)
+        tape.backward(sum_all(mul(out, Tensor(g))))  # out's gradient is g, bit for bit
+    return out.data, nodes, {
+        name: tape.grad(t).tobytes() for name, t in inputs.items() if name != constant
+    }
 
 
 def take(a: Tensor, index: int, axis: int = 0) -> Tensor:

@@ -34,7 +34,7 @@ from mvse.model import Model
 from mvse.synth import SynthConfig, synth_generate
 
 import oracle_ops
-from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, sum_all, take
+from oracle_ops import add, add_scalar, mul, scale, scale_cells, sigmoid, sum_all, sweep, take
 
 finite_vec = arrays(
     np.float64,
@@ -209,10 +209,21 @@ class TestCosine:
         scaled = cosine(_row(alpha * v), _row(beta * w)).item()
         assert scaled == pytest.approx(base, abs=1e-9)
 
-    def test_records_one_tape_node(self):
-        with Tape() as tape:
-            cosine(Tensor(np.ones((3, 2))), Tensor([[3.0, -1.0], [1.0, 1.0]]))
-        assert len(tape) == 3  # two leaves and the cosine node
+    @pytest.mark.parametrize("constant", [None, "a", "b"])
+    @pytest.mark.parametrize("a_shape", [(3, 2), (3, 2, 2)], ids=["rows", "paired"])
+    def test_records_one_tape_node(self, a_shape, constant):
+        """One node over the tensor operands: an operand given as a plain
+        ndarray is a constant that gets no node, and the output and the
+        other operand's gradient keep the bytes of the all-tensor form."""
+        rng = np.random.default_rng(len(a_shape))
+        operands = {"a": rng.normal(size=a_shape), "b": rng.normal(size=(2, 2))}
+        g = rng.normal(size=(3, 2))
+        out, nodes, grads = sweep(cosine, operands, None, g)
+        assert nodes == 3  # two leaves and the cosine node
+        const_out, const_nodes, const_grads = sweep(cosine, operands, constant, g)
+        assert const_nodes == nodes - (constant is not None)
+        assert _same_bytes(const_out, out)
+        assert const_grads == {name: b for name, b in grads.items() if name != constant}
 
     @given(uw=direction_pairs, log_sa=log_norm, log_sb=log_norm)
     @settings(max_examples=200)
@@ -453,6 +464,12 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="eps"):
             grad_check(lambda v: sum_all(v), Tensor([1.0]), eps=0.5)
 
+    @pytest.mark.parametrize("max_coords", [0, -1, 1.0, True, "2"])
+    def test_max_coords_below_1_or_not_an_integer_is_rejected(self, max_coords):
+        # at 0 no coordinate would be checked, so a wrong rule would pass
+        with pytest.raises(ValueError, match="max_coords"):
+            grad_check(lambda v: sum_all(v), Tensor([1.0, 2.0]), max_coords=max_coords)
+
     def test_restores_input_bit_exactly(self):
         x = Tensor([0.1, 0.2, 0.3])
         before = x.data.copy()
@@ -548,19 +565,20 @@ def test_matvec_gradients_both_sides():
     assert grad_check(lambda t: sum_all(tanh(matvec(w, t))), x) < 1e-4
 
 
+@pytest.mark.parametrize("constant", [None, "w", "x"])
 @pytest.mark.parametrize("m, n, q", [(16, 32, 8), (3, 16, 50), (64, 128, 8), (64, 64, 128), (512, 2048, 8)])
-def test_matvec_gives_the_bytes_of_its_former_products(m, n, q):
+def test_matvec_gives_the_bytes_of_its_former_products(m, n, q, constant):
     # w [m, n] on x [q, n] at the model's shapes, from small to paper dims:
-    # x @ w.T forward, g.T @ x and g @ w backward, as before it was an einsum
+    # x @ w.T forward, g.T @ x and g @ w backward, as before it was an
+    # einsum; an operand given as a plain ndarray is a constant that gets
+    # no node, and the other keeps its gradient's bytes
     rng = np.random.default_rng(m * n * q)
     w, x, g = rng.normal(size=(m, n)), rng.normal(size=(q, n)), rng.normal(size=(q, m))
-    tw, tx = Tensor(w), Tensor(x)
-    with Tape() as tape:
-        y = matvec(tw, tx)
-        tape.backward(sum_all(mul(y, Tensor(g))))  # y's gradient is g, bit for bit
-    assert _same_bytes(y.data, x @ w.T)
-    assert _same_bytes(tape.grad(tw), g.T @ x)
-    assert _same_bytes(tape.grad(tx), g @ w)
+    out, nodes, grads = sweep(matvec, {"w": w, "x": x}, constant, g)
+    assert nodes == 3 - (constant is not None)  # the tensor leaves and the matvec node
+    assert _same_bytes(out, x @ w.T)
+    expected = {"w": g.T @ x, "x": g @ w}
+    assert grads == {name: e.tobytes() for name, e in expected.items() if name != constant}
 
 
 def test_scale_cells_gradients_and_values():

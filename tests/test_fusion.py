@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum, reshape, stack
 from mvse.fusion import fuse, gate_weights, space_weights
 
-from oracle_ops import take
+from oracle_ops import sweep, take
 
 H = 8
 
@@ -70,11 +70,13 @@ class TestGateWeights:
         assert np.array_equal(a, b)  # bit-identical: cacheable per query
 
 
-def _fuse_one(sims, weights: Tensor) -> float:
+def _fuse_one(sims, weights: Tensor | np.ndarray) -> float:
     """Fuse one (video, sentence) pair: per-space similarities [M] with the
-    sentence's weights [M], as a 1 x 1 grid."""
+    sentence's weights [M], a tensor or a constant ndarray, as a 1 x 1 grid."""
     stacked = Tensor(np.asarray(sims, dtype=np.float64).reshape(-1, 1, 1))
-    return fuse(stacked, reshape(weights, (1, weights.data.size))).item()
+    if isinstance(weights, Tensor):
+        return fuse(stacked, reshape(weights, (1, weights.data.size))).item()
+    return fuse(stacked, weights.reshape(1, -1)).item()
 
 
 class TestFuse:
@@ -99,14 +101,23 @@ class TestFuse:
         with pytest.raises(ShapeError, match="fuse"):
             fuse(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
-    def test_grid_matches_every_pair(self):
+    @pytest.mark.parametrize("constant", [None, "weights"])
+    def test_grid_matches_every_pair(self, constant):
+        """Weights given as a plain ndarray, as "average" mode gives them, are
+        a constant that gets no node; the scores and the grids' gradient
+        keep the bytes of tensor weights."""
         rng = np.random.default_rng(2)
         sims, w = rng.uniform(-1, 1, size=(3, 4, 5)), rng.dirichlet(np.ones(3), size=5)
-        out = fuse(Tensor(sims), Tensor(w))
+        operands, g = {"similarities": sims, "weights": w}, rng.normal(size=(4, 5))
+        out, nodes, grads = sweep(fuse, operands, constant, g)
         assert out.shape == (4, 5)
         for v in range(4):
             for q in range(5):
-                assert out.data[v, q] == pytest.approx(sims[:, v, q] @ w[q], abs=1e-15)
+                assert out[v, q] == pytest.approx(sims[:, v, q] @ w[q], abs=1e-15)
+        ref_out, ref_nodes, ref_grads = sweep(fuse, operands, None, g)
+        assert out.tobytes() == ref_out.tobytes()
+        assert nodes == ref_nodes - (constant is not None) == 3 - (constant is not None)
+        assert grads == {name: b for name, b in ref_grads.items() if name != constant}
         assert grad_check(lambda t: take(take(fuse(t, Tensor(w)), 1), 2), Tensor(sims)) < 1e-6
         assert grad_check(lambda t: take(take(fuse(Tensor(sims), t), 3), 0), Tensor(w)) < 1e-6
 
@@ -125,9 +136,10 @@ class TestFuseMode:
         phi = Tensor(np.random.default_rng(0).normal(size=H))
         w = space_weights(phi, _gate(2), "average")
         assert _fuse_one([0.4, 0.6], w) == pytest.approx(0.5, abs=1e-15)
-        np.testing.assert_allclose(w.data, [0.5, 0.5])
+        assert type(w) is np.ndarray  # a constant, not a tape leaf
+        np.testing.assert_allclose(w, [0.5, 0.5])
         phis = Tensor(np.random.default_rng(1).normal(size=(3, H)))
-        np.testing.assert_array_equal(space_weights(phis, _gate(2), "average").data, np.full((3, 2), 0.5))
+        np.testing.assert_array_equal(space_weights(phis, _gate(2), "average"), np.full((3, 2), 0.5))
 
     @given(
         sims=st.lists(st.floats(min_value=-1, max_value=1), min_size=2, max_size=3),

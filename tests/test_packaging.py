@@ -239,6 +239,56 @@ def test_only_config_spells_what_an_integer_is():
     assert {name: found for name, found in spelled.items() if found} == {}
 
 
+def _tensor_sites(source: str) -> list[str]:
+    """The scope of each ``Tensor(...)`` or ``autodiff.Tensor(...)`` call in
+    ``source``, in source order: the dotted names of the functions and
+    classes around it, or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and (
+                (isinstance(child.func, ast.Name) and child.func.id == "Tensor")
+                or (isinstance(child.func, ast.Attribute) and child.func.attr == "Tensor")
+            ):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_tensor_site_check_names_each_call_by_its_scope():
+    source = (
+        "from mvse import autodiff\nfrom mvse.autodiff import Tensor\n"
+        "x = Tensor(1.0)\n"
+        "def f():\n"
+        "    def g():\n        return autodiff.Tensor(2.0)\n"
+        "    return Tensor(g())\n"
+        "class C:\n"
+        "    def m(self) -> Tensor:\n        return [Tensor(0.0), isinstance(self, Tensor)]\n"
+    )
+    assert _tensor_sites(source) == ["<module>", "f.g", "f", "C.m"]
+
+
+# where the package makes a Tensor: op outputs, parameters, and the untaped
+# sequential head's blocks. A constant input enters its op as an ndarray,
+# so it is never a tape leaf
+TENSOR_SITES = {
+    "autodiff.py": ["_emit"],
+    "model.py": ["_build_params.t"],
+    "visual.py": ["sequential_embed.block", "sequential_embed"],
+}
+
+
+def test_only_op_outputs_parameters_and_untaped_blocks_are_tensors():
+    sites = {p.name: _tensor_sites(p.read_text()) for p in SOURCES}
+    assert {name: found for name, found in sites.items() if found} == TENSOR_SITES
+
+
 def test_the_per_op_oracle_is_not_shipped():
     autodiff = importlib.import_module("mvse.autodiff")
     assert [name for name in ORACLE_OPS if hasattr(autodiff, name)] == []

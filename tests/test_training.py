@@ -159,8 +159,9 @@ def _per_pair_sequential(video, indices, phi, params):
     return h
 
 
-def _one_row(t: Tensor) -> Tensor:
-    return reshape(t, (1, t.data.size))
+def _one_row(t: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    """``t`` as one row: a tensor, or an ndarray for a constant ndarray (the "average" weights)."""
+    return reshape(t, (1, t.data.size)) if isinstance(t, Tensor) else t.reshape(1, -1)
 
 
 def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
@@ -818,6 +819,38 @@ def test_a_steps_gradients_are_dead_when_the_next_backward_starts(monkeypatch):
     training.train(corpus.dataset, corpus.manifests["train"], model, config)
     assert at_end == [(len(model.params.tensors), 0)] * 2
     assert alive_in_sweep == [0] * 2 * len(model.params.tensors)
+
+
+@pytest.mark.parametrize("negative_mode", ["sum-all", "hardest"])
+@pytest.mark.parametrize("fuse_mode", ["weighted", "average"])
+@pytest.mark.parametrize("spaces", ["dual-I", "dual-S", "triple"])
+def test_every_leaf_a_training_step_hands_over_is_a_parameter(spaces, fuse_mode, negative_mode, monkeypatch):
+    """The pooled frames, the action vectors and the "average" weights enter
+    their ops as ndarrays, so the tape of a ``train`` step hands its update
+    callable parameters only, each once."""
+    corpus = _corpus()
+    model = Model.new(DIMS, spaces, seed=4, table=corpus.dataset.embedding_table())
+    names = {id(t): name for name, t in model.params.named().items()}
+    handed, strays = [], []
+
+    class SpyTape(Tape):
+        def __init__(self, update):
+            def spy(leaf, g):
+                if id(leaf) in names:
+                    handed.append(names[id(leaf)])
+                else:
+                    strays.append(leaf.shape)
+                update(leaf, g)
+
+            super().__init__(spy)
+
+    monkeypatch.setattr(training, "Tape", SpyTape)
+    config = TripletConfig(
+        negative_mode=negative_mode, epochs=1, batch_size=4, learning_rate=0.05, rng_seed=5
+    )
+    training.train(corpus.dataset, corpus.manifests["train"], model, config, fuse_mode)
+    assert strays == []
+    assert handed and len(handed) == len(set(handed))
 
 
 def _two_phase_step(model, batch_args, lr):
