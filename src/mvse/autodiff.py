@@ -237,7 +237,7 @@ class Tape:
                 continue
             if rule is not None:
                 _accumulate(grads, parents[i], rule(g))
-            elif update is not None and i in leaves:
+            elif update is not None:  # an op node has its rule until here, so i is a leaf
                 grads[i] = None
                 update(leaves[i], g)
         return grads

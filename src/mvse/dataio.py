@@ -15,11 +15,11 @@ Container layout (all little-endian):
 Every section length is derivable from the header, so a reader can (and
 does) reject files with trailing bytes. Floats are stored at 32-bit
 precision and a :class:`Dataset` holds them at 32-bit too, so its
-in-memory values always equal their on-disk form; the visual heads widen
-only the frames they gather to 64-bit. Containers and checkpoints are
-written to and read from binary streams section by section, each section
-straight between the stream and its own array, so no copy of the whole
-file is ever held in memory. The sentence section is read as one u32 run
+in-memory values always equal their on-disk form; the heads widen only
+what they gather to 64-bit: frames, action vectors and token rows.
+Containers and checkpoints are written to and read from binary streams
+section by section, each section straight between the stream and its own
+array, so no copy of the whole file is ever held in memory. The sentence section is read as one u32 run
 and split after the read: a length that runs past it, or records left
 over, raise ``TruncatedError``.
 
@@ -45,7 +45,7 @@ from typing import BinaryIO
 import numpy as np
 
 from mvse.config import _is_integer_type
-from mvse.text import EmbeddingTable, token_ids
+from mvse.text import token_ids
 from mvse.visual import VideoFeature
 
 CONTAINER_MAGIC = b"MVSE"
@@ -160,8 +160,9 @@ class Dataset:
             action_vec=self.action_vecs[index] if self.has_action else None,
         )
 
-    def embedding_table(self) -> EmbeddingTable:
-        return EmbeddingTable(vectors=self.embedding_vectors)
+    def embedding_table(self) -> np.ndarray:
+        """The stored float32 [vocab, E] token table itself, not a copy."""
+        return self.embedding_vectors
 
 
 def default_video_id(index: int) -> str:

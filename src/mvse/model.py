@@ -32,7 +32,7 @@ from mvse.config import (
     resolve_spaces,
 )
 from mvse.dataio import ContainerError
-from mvse.text import EmbeddingTable, GruParams, gru_encode, project_text
+from mvse.text import GruParams, gru_encode, project_text
 from mvse.visual import (
     AttentionParams,
     GlobalHeadParams,
@@ -47,30 +47,23 @@ from mvse.visual import (
 
 _INIT_SALT = 0x1417
 _FRAME_SALT = 0xF3A3E
-_INIT_CHUNK_BYTES = 64 << 20  # init_params draws a gate block this much at a time
+_INIT_CHUNK_BYTES = 64 << 20  # init_params fills a tensor or gate block this much at a time
 
 
-def _init_draw(name: str, fan_in: int, seed: int) -> Callable[[tuple[int, ...]], np.ndarray]:
-    """Draws uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] of a given shape
-    from one stream, independently seeded per name so adding a space never
+def _init_fill(view: np.ndarray, name: str, fan_in: int, seed: int) -> None:
+    """Fill ``view`` in place, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)],
+    from one stream independently seeded per name, so adding a space never
     shifts other initializations. Each double takes one 64-bit draw of the
-    stream, so drawing an array a chunk of rows at a time gives the bytes
-    of one whole draw."""
+    stream, so filling at most ``_INIT_CHUNK_BYTES`` of leading-axis rows at
+    a time, or one row where a row is larger, gives the bytes of one whole
+    draw of the view's shape."""
     rng = np.random.default_rng(
         np.random.SeedSequence([_INIT_SALT, seed, zlib.crc32(name.encode())])
     )
     bound = 1.0 / np.sqrt(fan_in)
-    return lambda shape: rng.uniform(-bound, bound, size=shape)
-
-
-def _init_fill(view: np.ndarray, name: str, fan_in: int, seed: int) -> None:
-    """Fill ``view`` in place with ``name``'s draw of its shape (see
-    :func:`_init_draw`), at most ``_INIT_CHUNK_BYTES`` of leading-axis rows
-    at a time, or one row where a row is larger."""
-    draw = _init_draw(name, fan_in, seed)
     rows = max(1, _INIT_CHUNK_BYTES // (8 * math.prod(view.shape[1:])))
     for lo in range(0, len(view), rows):
-        view[lo: lo + rows] = draw(view[lo: lo + rows].shape)
+        view[lo: lo + rows] = rng.uniform(-bound, bound, size=view[lo: lo + rows].shape)
 
 
 def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:
@@ -161,13 +154,14 @@ def init_params(dims: Dims, spaces: tuple[str, ...], seed: int) -> ModelParams:
     _require_integer("seed", seed, 0)
 
     def draw(name, shape, fan_in):
+        # filled in place, so besides the tensor only one chunk of
+        # _INIT_CHUNK_BYTES (or one row) of its draw is held at a time
+        out = np.empty(shape)
         gates = _STACKED_GATES.get(name.partition(".")[0])
         if gates is None:
-            return _init_draw(name, fan_in, seed)(shape)
-        # one block per gate, each filled in place from its own name's stream
-        # (gru.w_z, lstm.w_i, ...), so no drawn block is held besides the
-        # stack, only one chunk of _INIT_CHUNK_BYTES (or one row) at a time
-        out = np.empty(shape)
+            _init_fill(out, name, fan_in, seed)
+            return out
+        # one block per gate, each from its own name's stream (gru.w_z, lstm.w_i, ...)
         for n, gate in enumerate(gates):
             # lstm.w is stored [G*G, C_s, 4, H], each block drawn as [H, G*G, C_s]
             block = out[:, :, n].transpose(2, 0, 1) if name == "lstm.w" else out[n]
@@ -208,12 +202,15 @@ def params_from_arrays(
 
 
 class Model:
-    """Bundles parameters with the embedding table and exposes the batched
+    """Bundles parameters with the token table and exposes the batched
     embeddings that training and retrieval score: sentence vectors [Q, H],
     per-space text embeddings [Q, D], sentence-independent video
-    embeddings [V, D] and the sequential head's [V, Q, H]."""
+    embeddings [V, D] and the sequential head's [V, Q, H]. The [vocab, E]
+    ``table`` is held by reference, as the videos' frames are: the
+    corpus's float32 array is never copied, and the GRU widens only the
+    rows it gathers."""
 
-    def __init__(self, params: ModelParams, table: EmbeddingTable):
+    def __init__(self, params: ModelParams, table: np.ndarray):
         self.params = params
         self.table = table
 
@@ -226,7 +223,7 @@ class Model:
         return self.params.spaces
 
     @classmethod
-    def new(cls, dims: Dims, spaces: str, seed: int, table: EmbeddingTable) -> "Model":
+    def new(cls, dims: Dims, spaces: str, seed: int, table: np.ndarray) -> "Model":
         """A freshly initialised model for the named space set (e.g. "triple")."""
         return cls(init_params(dims, resolve_spaces(spaces), seed), table)
 
@@ -234,11 +231,11 @@ class Model:
 
     def encode_sentences(self, sentences: list[list[int]]) -> Tensor:
         """The GRU's final hidden state of every sentence: [Q, H]."""
-        return gru_encode(sentences, self.table.vectors, self.params.gru)
+        return gru_encode(sentences, self.table, self.params.gru)
 
     def text_embeddings(self, phis: Tensor) -> dict[str, Tensor]:
         """Each space's projection of the sentence vectors [Q, H]: [Q, D]."""
-        return {space: project_text(phis, space, self.params.projections) for space in self.spaces}
+        return {space: project_text(phis, *self.params.projections[space]) for space in self.spaces}
 
     # -- video side ----------------------------------------------------
 

@@ -4,10 +4,12 @@ sentences ([Q, H] in, [Q, D] out). The GRU stores its three gates
 stacked, like the sequential head's LSTM: its input terms are one
 contraction, and its recurrence is one ``gru_recurrence`` tape node.
 
-Sentences arrive as lists of token ids into a frozen float table, which
-is what a container stores; there is no tokenizer and no word
-vocabulary. The table stands in for a pre-trained word-vector model;
-lookups produce plain constants, so it never appears on a gradient tape.
+Sentences arrive as lists of token ids into a frozen [vocab, E] float
+table, which is what a container stores; there is no tokenizer and no
+word vocabulary. The table stands in for a pre-trained word-vector model.
+The GRU reads it as it is handed, the corpus's float32 array in place,
+and widens only the rows it gathers; they enter the tape as plain
+constants, so the table never appears on it.
 """
 
 from __future__ import annotations
@@ -23,18 +25,6 @@ from mvse.config import _is_integer_type
 
 class EmptySentenceError(ValueError):
     pass
-
-
-@dataclass
-class EmbeddingTable:
-    """Frozen token-vector table, one row per token id."""
-
-    vectors: np.ndarray  # [V, E]
-
-    def __post_init__(self):
-        self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ValueError(f"embedding table must be [V, E], got {self.vectors.shape}")
 
 
 @dataclass
@@ -81,10 +71,12 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
         r = sigmoid(Wr x + Ur h + br)
         c = tanh(Wc x + Uc (r * h) + bc)
         h_new = (1 - z) * h + z * c
-    A token id that is not an integer or lies outside [0, vocab) raises
-    ``ValueError`` first (:func:`token_ids`).
-    The token vectors are gathered into a zero-padded [Q, T, E] constant,
-    and the input terms ``W x`` of all gates and steps come from one
+    A table that is not 2-D, or a token id that is not an integer or lies
+    outside [0, vocab) (:func:`token_ids`), raises ``ValueError`` first.
+    The table is read in place at its own dtype: only the gathered token
+    rows are widened, into a zero-padded float64 [Q, T, E] constant (f4 ->
+    f8 is exact, so a float32 table gives the bytes of its float64
+    widening). The input terms ``W x`` of all gates and steps come from one
     contraction into [Q, T, 3, H] before the recurrence, which adds the
     biases. A mask m in {0, 1} [Q] per step stops each sentence at its own
     last token: h' = m·h_new + (1 − m)·h, computed
@@ -92,6 +84,8 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     h. The recurrence over all steps is one ``gru_recurrence`` node, so the
     tape holds the same number of nodes for any sentence length.
     """
+    if table.ndim != 2:
+        raise ValueError(f"embedding table must be [V, E], got {table.shape}")
     lengths = [len(s) for s in sentences]
     if not lengths or min(lengths) < 1:
         raise EmptySentenceError("empty sentence" if lengths else "no sentences")
@@ -105,13 +99,7 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     return gru_recurrence(x, params.u, params.b, mask)
 
 
-def project_text(phis: Tensor, space: str, projections: dict[str, tuple[Tensor, Tensor]]) -> Tensor:
-    """g_space(y) = W phi + b for every sentence vector: [Q, H] -> [Q, D]
-    in the requested embedding space; ``projections`` maps each configured
-    space to its (W, b). A space it lacks, unknown or not configured,
-    raises ``ValueError``."""
-    try:
-        w, b = projections[space]
-    except KeyError:
-        raise ValueError(f"space {space!r} has no text projection; configured: {list(projections)}") from None
+def project_text(phis: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """g(y) = W phi + b for every sentence vector, with one space's
+    projection (W, b): [Q, H] -> [Q, D]."""
     return broadcast_add(matvec(w, phis), b)

@@ -10,7 +10,7 @@ from mvse.config import Dims, TripletConfig
 from mvse.dataio import Dataset, Manifest, ManifestError
 from mvse.model import Model, init_params
 from mvse.synth import SynthConfig
-from mvse.text import EmbeddingTable, GruParams, gru_encode
+from mvse.text import GruParams, gru_encode
 
 # each would reach train and fail there: as a non-finite loss that blames
 # the model, or as a TypeError from range() or numpy
@@ -49,7 +49,7 @@ BAD_INIT_SEEDS = [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an inte
 @pytest.mark.parametrize("seed, message", BAD_INIT_SEEDS, ids=[str(s) for s, _ in BAD_INIT_SEEDS])
 @pytest.mark.parametrize("build", ["init_params", "Model.new"])
 def test_model_init_rejects_a_seed_numpy_would(build, seed, message):
-    table = EmbeddingTable(np.zeros((3, Dims.small().token_dim)))
+    table = np.zeros((3, Dims.small().token_dim))
     make = {
         "init_params": lambda: init_params(Dims.small(), ("global",), seed),
         "Model.new": lambda: Model.new(Dims.small(), "single", seed, table),
@@ -88,7 +88,7 @@ def _manifest(index, sentence_id):
 
 _SYNTH = dict(dims=Dims.small(), n_videos=20, sentences_per_video=2, latent_total=8, quant_levels=4, seed=11)
 _SYNTH_LEAST = dict(n_videos=2, sentences_per_video=1, latent_total=1, quant_levels=2, seed=0, n_frames=1)
-_TABLE = EmbeddingTable(np.zeros((3, Dims.small().token_dim)))
+_TABLE = np.zeros((3, Dims.small().token_dim))
 _TOKEN = "sentence 1: token id {!r} is not an integer", "sentence 1: token id {} outside [0, 6)"
 _INDEX = "video v1: index {!r} is not a non-negative integer"
 _SENTENCE_ID = "video v1: sentence id {!r} is not a non-negative integer"

@@ -177,7 +177,7 @@ class TestContainer:
             )
         params = GruParams(w=Tensor(np.zeros((3, 1, 2))), u=Tensor(np.zeros((3, 1, 1))), b=Tensor(np.zeros((3, 1))))
         with pytest.raises(ValueError) as from_gru:
-            gru_encode(sentences, ds.embedding_table().vectors, params)
+            gru_encode(sentences, ds.embedding_table(), params)
         assert str(from_dataset.value) == str(from_gru.value) == f"sentence 1: token id {bad} outside [0, 6)"
 
     # int64 would truncate each of these to an id in range: 1, 1, 2 and 0
@@ -192,7 +192,7 @@ class TestContainer:
             )
         params = GruParams(w=Tensor(np.zeros((3, 1, 2))), u=Tensor(np.zeros((3, 1, 1))), b=Tensor(np.zeros((3, 1))))
         with pytest.raises(ValueError) as from_gru:
-            gru_encode(sentences, ds.embedding_table().vectors, params)
+            gru_encode(sentences, ds.embedding_table(), params)
         assert str(from_dataset.value) == str(from_gru.value) == f"sentence 1: token id {bad!r} is not an integer"
 
     def test_numpy_integer_ids_are_ids(self):

@@ -9,13 +9,7 @@ from mvse import text as mvse_text
 from mvse.autodiff import Tape, Tensor, grad_check
 from mvse.config import Dims
 from mvse.model import init_params
-from mvse.text import (
-    EmbeddingTable,
-    EmptySentenceError,
-    GruParams,
-    gru_encode,
-    project_text,
-)
+from mvse.text import EmptySentenceError, GruParams, gru_encode, project_text
 
 from oracle_ops import init_draw, sum_all, take
 
@@ -51,24 +45,24 @@ class TestLookup:
     """The GRU gathers the table rows of the token ids it is given."""
 
     def _table(self):
-        return EmbeddingTable(vectors=np.arange(12, dtype=np.float64).reshape(3, 4) / 12.0)
+        return np.arange(12, dtype=np.float64).reshape(3, 4) / 12.0
 
     def test_known_token_verbatim(self):
         table, params = self._table(), _random_gru(4, 3, seed=4)
-        out = gru_encode([[1, 0]], table.vectors, params)
-        np.testing.assert_allclose(out.data[0], _reference_gru(table.vectors[[1, 0]], params), atol=1e-12)
+        out = gru_encode([[1, 0]], table, params)
+        np.testing.assert_allclose(out.data[0], _reference_gru(table[[1, 0]], params), atol=1e-12)
 
     def test_index_lookup(self):
         table, params = self._table(), _random_gru(4, 3, seed=5)
-        out = gru_encode([[2, 0], [1], [0, 2, 2]], table.vectors, params)
+        out = gru_encode([[2, 0], [1], [0, 2, 2]], table, params)
         for q, ids in enumerate([[2, 0], [1], [0, 2, 2]]):
-            np.testing.assert_allclose(out.data[q], _reference_gru(table.vectors[ids], params), atol=1e-12)
+            np.testing.assert_allclose(out.data[q], _reference_gru(table[ids], params), atol=1e-12)
 
     def test_empty_raises(self):
         table, params = self._table(), _random_gru(4, 3, seed=6)
         for batch in ([[]], [[1, 2], []], [[0], [], [2]], []):
             with pytest.raises(EmptySentenceError):
-                gru_encode(batch, table.vectors, params)
+                gru_encode(batch, table, params)
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_token_id_outside_the_table_raises_before_any_compute(self, bad, monkeypatch):
@@ -78,6 +72,14 @@ class TestLookup:
         monkeypatch.setattr(mvse_text, "einsum", lambda *a: pytest.fail("computed before the id check"))
         with pytest.raises(ValueError, match=rf"^sentence 1: token id {bad} outside \[0, 5\)$"):
             gru_encode([[0, 1], [2, bad, 3]], table, params)
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 2, 2)], ids=["1-D", "3-D"])
+    def test_a_table_that_is_not_2d_raises_before_any_compute(self, shape, monkeypatch):
+        params = _random_gru(4, 3, seed=8)
+        monkeypatch.setattr(mvse_text, "einsum", lambda *a: pytest.fail("computed before the table check"))
+        message = f"embedding table must be [V, E], got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gru_encode([[0, 1]], np.zeros(shape), params)
 
 
 class TestGru:
@@ -127,13 +129,13 @@ class TestGru:
             assert err < 1e-4
 
     def test_embedding_table_stays_frozen(self):
-        table = EmbeddingTable(vectors=np.random.default_rng(0).normal(size=(6, 4)))
-        before = table.vectors.copy()
+        table = np.random.default_rng(0).normal(size=(6, 4))
+        before = table.copy()
         params = _random_gru(4, 4, seed=2)
         with Tape() as tape:
-            loss = sum_all(gru_encode([[0, 3]], table.vectors, params))
+            loss = sum_all(gru_encode([[0, 3]], table, params))
             tape.backward(loss)
-        np.testing.assert_array_equal(table.vectors, before)
+        np.testing.assert_array_equal(table, before)
         # the gradient reaches the GRU's input weights through the token
         # constants, while the table array itself is untouched by it
         assert np.all(tape.grad(params.w) != 0)
@@ -156,49 +158,34 @@ class TestGruParams:
 
 
 class TestProjectText:
-    def _projections(self, w, b):
-        return {"global": (Tensor(w), Tensor(b))}
-
     def test_identity(self):
         phi = Tensor([1.0, -2.0, 3.0])
-        proj = self._projections(np.eye(3), np.zeros(3))
-        np.testing.assert_allclose(project_text(phi, "global", proj).data, phi.data)
+        np.testing.assert_allclose(project_text(phi, Tensor(np.eye(3)), Tensor(np.zeros(3))).data, phi.data)
 
     def test_constant_map(self):
-        proj = self._projections(np.zeros((2, 3)), np.array([5.0, -1.0]))
+        w, b = Tensor(np.zeros((2, 3))), Tensor([5.0, -1.0])
         for v in ([1.0, 2.0, 3.0], [0.0, 0.0, 9.0]):
-            np.testing.assert_allclose(project_text(Tensor(v), "global", proj).data, [5.0, -1.0])
+            np.testing.assert_allclose(project_text(Tensor(v), w, b).data, [5.0, -1.0])
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(31)
         w, b, phi = rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=3)
-        out = project_text(Tensor(phi), "global", self._projections(w, b))
+        out = project_text(Tensor(phi), Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, w @ phi + b, atol=1e-14)
         phis = rng.normal(size=(5, 3))
-        batch = project_text(Tensor(phis), "global", self._projections(w, b))
+        batch = project_text(Tensor(phis), Tensor(w), Tensor(b))
         assert batch.shape == (5, 4)
         for q in range(5):
             np.testing.assert_allclose(batch.data[q], w @ phis[q] + b, atol=1e-14)
-
-    def test_unknown_space_rejected(self):
-        # an unknown space and a known but unconfigured one fail alike
-        proj = self._projections(np.eye(1), np.zeros(1))
-        for space in ("audio", "action"):
-            message = f"space '{space}' has no text projection; configured: ['global']"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                project_text(Tensor([1.0]), space, proj)
 
     @given(alpha=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30)
     def test_projection_is_affine(self, alpha):
         rng = np.random.default_rng(8)
-        proj = self._projections(rng.normal(size=(3, 3)), rng.normal(size=3))
+        w, b = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=3))
         u, v = rng.normal(size=3), rng.normal(size=3)
-        mixed = project_text(Tensor(alpha * u + (1 - alpha) * v), "global", proj).data
-        combo = (
-            alpha * project_text(Tensor(u), "global", proj).data
-            + (1 - alpha) * project_text(Tensor(v), "global", proj).data
-        )
+        mixed = project_text(Tensor(alpha * u + (1 - alpha) * v), w, b).data
+        combo = alpha * project_text(Tensor(u), w, b).data + (1 - alpha) * project_text(Tensor(v), w, b).data
         np.testing.assert_allclose(mixed, combo, atol=1e-9)
 
 
@@ -207,4 +194,4 @@ def test_init_params_projection_dims():
     assert params.projections["global"][0].shape == (DIMS.embed_dim, DIMS.hidden)
     assert params.projections["action"][0].shape == (DIMS.c_action, DIMS.hidden)
     phi = Tensor(np.random.default_rng(0).normal(size=DIMS.hidden))
-    assert project_text(phi, "action", params.projections).shape == (DIMS.c_action,)
+    assert project_text(phi, *params.projections["action"]).shape == (DIMS.c_action,)

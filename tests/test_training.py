@@ -170,7 +170,7 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
     static embeddings on their own, the sequential head per pair, and a
     1 x 1 cosine and fusion per pair."""
     n, p = model.dims.n_chunks, model.params
-    phis = [_per_sentence_gru(s, model.table.vectors, p.gru) for s in sentences]
+    phis = [_per_sentence_gru(s, model.table, p.gru) for s in sentences]
     grid = []
     for video in videos:
         rng = mvse_model.frame_rng(*frame_seed, video.video_id)
@@ -190,7 +190,7 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
                     f = _per_pair_sequential(video, idx_seq, phi, p.sequential_head)
                 else:
                     f = statics[space]
-                g = project_text(phi, space, p.projections)
+                g = project_text(phi, *p.projections[space])
                 sims.append(cosine(_one_row(f), _one_row(g)))
             w = space_weights(phi, p.gate, fuse_mode)
             row.append(take(take(fuse(stack(sims), _one_row(w)), 0), 0))
@@ -599,15 +599,18 @@ def _widened(video: VideoFeature) -> VideoFeature:
 
 @pytest.mark.parametrize("dims", [DIMS, MID_DIMS], ids=["small", "mid"])
 def test_float32_features_give_the_bytes_of_their_float64_widening(dims):
-    """A Dataset holds its features at float32 and the heads widen the
-    frames they read; f4 -> f8 is exact, so scores and every parameter
-    gradient, taped or not, are the bytes that float64 features give."""
+    """A Dataset holds its features and token table at float32, and the
+    heads widen the frames and token rows they read; f4 -> f8 is exact, so
+    scores and every parameter gradient, taped or not, are the bytes that
+    float64 features and a float64 table give."""
     corpus = _corpus(dims=dims)
-    model = Model.new(dims, "triple", seed=1, table=corpus.dataset.embedding_table())
+    table = corpus.dataset.embedding_table()
+    params = Model.new(dims, "triple", seed=1, table=table).params
     videos, sentences = _all_pairs(corpus)
-    assert {v.grid_frames.dtype for v in videos} == {np.dtype(np.float32)}
+    assert {v.grid_frames.dtype for v in videos} | {table.dtype} == {np.dtype(np.float32)}
     outputs = []
-    for batch in (videos, [_widened(v) for v in videos]):
+    for batch, tokens in ((videos, table), ([_widened(v) for v in videos], table.astype(np.float64))):
+        model = Model(params, tokens)
         with no_tape():
             plain = training.fused_similarity_matrix(model, batch, sentences, "weighted", FRAME_SEED)
         with Tape() as tape:
@@ -616,6 +619,13 @@ def test_float32_features_give_the_bytes_of_their_float64_widening(dims):
             grads = {name: tape.grad(t).tobytes() for name, t in model.params.named().items()}
         outputs.append((plain.scores.data.tobytes(), grid.scores.data.tobytes(), grads))
     assert outputs[0] == outputs[1]
+
+
+def test_a_model_holds_the_corpus_token_table_itself(corpus):
+    # the float32 table is read in place, as the frames are: no model copy
+    ds = corpus.dataset
+    model = Model.new(DIMS, "triple", seed=1, table=ds.embedding_table())
+    assert model.table is ds.embedding_vectors
 
 
 def test_grid_is_videos_by_sentences(corpus):
@@ -1380,7 +1390,6 @@ def test_loading_a_checkpoint_draws_nothing(monkeypatch):
     def no_draw(*args):
         raise AssertionError(f"params_from_arrays drew {args}")
 
-    monkeypatch.setattr(mvse_model, "_init_draw", no_draw)
     monkeypatch.setattr(mvse_model, "_init_fill", no_draw)
     loaded = mvse_model.params_from_arrays(DIMS, spaces, arrays).named()
     assert list(loaded) == list(arrays)

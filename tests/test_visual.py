@@ -686,6 +686,21 @@ class TestLstmParams:
         rows = {name: t.data.tobytes() for name, t in init_params(DIMS, spaces, seed=1).tensors.items()}
         assert rows == whole
 
+    def test_every_tensor_without_gate_blocks_is_its_name_s_whole_draw(self):
+        # filled in place by the same chunked fill as the gate blocks, whose
+        # row-at-a-time bytes the test above compares with these
+        spaces = ("global", "sequential", "action")
+        h, a, flat, c_g = DIMS.hidden, DIMS.attn_dim, DIMS.grid_flat, DIMS.c_global
+        fan_ins = {
+            **{f"proj.{space}.{k}": h for space in spaces for k in "wb"},
+            "head.global.w": c_g, "head.global.b": c_g, "attn.w_p": flat, "attn.b_p": flat,
+            "attn.w_q": h, "attn.b_q": h, "attn.w_a": a, "attn.b_a": a, "gate.w": h,
+        }
+        tensors = init_params(DIMS, spaces, seed=2).tensors
+        assert set(fan_ins) == {n for n in tensors if n.partition(".")[0] not in ("gru", "lstm")}
+        for name, fan_in in fan_ins.items():
+            np.testing.assert_array_equal(tensors[name].data, init_draw(name, tensors[name].shape, fan_in, 2))
+
 
 class TestActionEmbed:
     def test_pass_through(self):
