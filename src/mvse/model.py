@@ -35,9 +35,7 @@ from mvse.dataio import ContainerError
 from mvse.text import GruParams, gru_encode, project_text
 from mvse.visual import (
     AttentionParams,
-    GlobalHeadParams,
     LstmParams,
-    SequentialHeadParams,
     VideoFeature,
     action_embed,
     chunk_sample,
@@ -76,17 +74,21 @@ def frame_rng(seed: int, epoch: int, video_id: str) -> np.random.Generator:
 @dataclass
 class ModelParams:
     """All learnable tensors of the configured architecture, grouped by the
-    head that reads them (``projections`` maps each space to its text
-    projection's weight and bias). ``tensors`` holds the same tensor
-    objects by checkpoint name, in the order ``_build_params`` made and
-    named them; no other code names a tensor."""
+    head that reads them. Each affine map is a bare (w, b) pair:
+    ``projections`` maps each space to its text projection's, and
+    ``global_head`` is the global head's (w [D, C_g], b [D]). A group of
+    three or more tensors is a record (``gru``, ``attention``, ``lstm``).
+    A head's fields are None unless its space is configured. ``tensors``
+    holds the same tensor objects by checkpoint name, in the order
+    ``_build_params`` made and named them; no other code names a tensor."""
 
     dims: Dims
     spaces: tuple[str, ...]
     gru: GruParams
     projections: dict[str, tuple[Tensor, Tensor]]
-    global_head: GlobalHeadParams | None
-    sequential_head: SequentialHeadParams | None
+    global_head: tuple[Tensor, Tensor] | None
+    attention: AttentionParams | None
+    lstm: LstmParams | None
     gate: Tensor  # [M, H]
     tensors: dict[str, Tensor]
 
@@ -118,12 +120,10 @@ def _build_params(
 
     global_head = None
     if SPACE_GLOBAL in spaces:
-        global_head = GlobalHeadParams(
-            w=t("head.global.w", (d, dims.c_global), dims.c_global),
-            b=t("head.global.b", (d,), dims.c_global),
-        )
+        c = dims.c_global
+        global_head = (t("head.global.w", (d, c), c), t("head.global.b", (d,), c))
 
-    sequential_head = None
+    attention = lstm = None
     if SPACE_SEQUENTIAL in spaces:
         attention = AttentionParams(
             w_p=t("attn.w_p", (a, flat), flat), b_p=t("attn.b_p", (a,), flat),
@@ -135,11 +135,10 @@ def _build_params(
             u=t("lstm.u", (4, h, h), h),
             b=t("lstm.b", (4, h), h),
         )
-        sequential_head = SequentialHeadParams(attention=attention, lstm=lstm)
 
     return ModelParams(
         dims=dims, spaces=tuple(spaces), gru=gru, projections=projections,
-        global_head=global_head, sequential_head=sequential_head,
+        global_head=global_head, attention=attention, lstm=lstm,
         gate=t("gate.w", (len(spaces), h), h), tensors=tensors,
     )
 
@@ -208,9 +207,14 @@ class Model:
     embeddings [V, D] and the sequential head's [V, Q, H]. The [vocab, E]
     ``table`` is held by reference, as the videos' frames are: the
     corpus's float32 array is never copied, and the GRU widens only the
-    rows it gathers."""
+    rows it gathers. A table of any other shape than [vocab,
+    dims.token_dim] raises ``ValueError`` naming both."""
 
     def __init__(self, params: ModelParams, table: np.ndarray):
+        if table.ndim != 2 or table.shape[1] != params.dims.token_dim:
+            raise ValueError(
+                f"token table must be [vocab, {params.dims.token_dim}] (dims.token_dim), got {table.shape}"
+            )
         self.params = params
         self.table = table
 
@@ -257,9 +261,9 @@ class Model:
                 if frame_seed is not None and v.n_frames > n else idx
                 for v, idx in zip(videos, starts)
             ]
-            out[SPACE_GLOBAL] = global_embed(videos, drawn, self.params.global_head)
+            out[SPACE_GLOBAL] = global_embed(videos, drawn, *self.params.global_head)
         if SPACE_ACTION in self.spaces:
             out[SPACE_ACTION] = action_embed(videos)
         if SPACE_SEQUENTIAL in self.spaces:
-            out[SPACE_SEQUENTIAL] = sequential_embed(videos, starts, phis, self.params.sequential_head)
+            out[SPACE_SEQUENTIAL] = sequential_embed(videos, starts, phis, self.params.attention, self.params.lstm)
         return out

@@ -146,17 +146,13 @@ def _gather(kind: str, frames: list[np.ndarray], indices: list[list[int]]) -> np
     return out
 
 
-@dataclass
-class GlobalHeadParams:
-    w: Tensor  # [D, C_g]
-    b: Tensor  # [D]
-
-
-def global_embed(
-    videos: list[VideoFeature], indices: list[list[int]], params: GlobalHeadParams
-) -> Tensor:
+def global_embed(videos: list[VideoFeature], indices: list[list[int]], w: Tensor, b: Tensor) -> Tensor:
     """Mean-pool each video's selected frame vectors (``indices[v]`` for
-    video v), then map affinely into the joint space: [V, D].
+    video v), then map affinely into the joint space by ``w`` [D, C_g] and
+    ``b`` [D]: [V, D]. The map is a bare (w, b) pair, as each text
+    projection is; a head's parameters form a record only where they are a
+    group of three or more tensors (:class:`AttentionParams`,
+    :class:`LstmParams`).
 
     ``indices[v]`` holds the same count N for every video, as in
     :func:`sequential_embed`; differing counts raise ``ShapeError`` naming
@@ -164,7 +160,7 @@ def global_embed(
     pooled by one mean over N, in numpy, since frames are data, not
     parameters; the map is one [V, C_g] -> [V, D] node over that constant."""
     frames = _gather("global_embed", [v.global_frames for v in videos], indices)
-    return broadcast_add(matvec(params.w, frames.mean(axis=1)), params.b)
+    return broadcast_add(matvec(w, frames.mean(axis=1)), b)
 
 
 @dataclass
@@ -231,12 +227,6 @@ class LstmParams:
     b: Tensor
 
 
-@dataclass
-class SequentialHeadParams:
-    attention: AttentionParams
-    lstm: LstmParams
-
-
 def video_blocks(n_videos: int, step: int) -> list[tuple[int, int]]:
     """``[lo, hi)`` runs of ``step`` videos that cover ``n_videos`` once, in
     order. A 1-video tail joins the run before it, so no run is one video
@@ -279,11 +269,15 @@ def sequential_embed(
     videos: list[VideoFeature],
     indices: list[list[int]],
     phis: Tensor,
-    params: SequentialHeadParams,
+    attention: AttentionParams,
+    lstm: LstmParams,
 ) -> Tensor:
     """Attend each selected frame of every video with every sentence vector
     of ``phis`` [Q, H], then run the attended features through the LSTM;
-    the final hidden states [V, Q, H] are the sequential embeddings.
+    the final hidden states [V, Q, H] are the sequential embeddings. The
+    head reads its two parameter groups, ``attention`` and ``lstm``, as
+    they are handed in: each is a record because it groups three or more
+    tensors, while an affine map is a bare (w, b) pair.
 
     ``indices[v]`` are video v's frames, the same count for every video;
     differing counts raise ``ShapeError`` naming them, as in
@@ -309,8 +303,7 @@ def sequential_embed(
     grids = _gather("sequential_embed", [v.grid_frames for v in videos], indices)  # [V, T, G, G, C_s]
     n_v, n_t = grids.shape[:2]
     frames = grids.reshape(n_v, n_t, -1, grids.shape[-1])  # [V, T, G*G, C_s]
-    p_cells, q_cells = attention_logits(grids, phis, params.attention)
-    lstm = params.lstm
+    p_cells, q_cells = attention_logits(grids, phis, attention)
     n_q, n_h = phis.shape[0], lstm.b.shape[-1]
     step = n_v if active_tape() is not None else scan_block(n_q, n_t, *frames.shape[2:], n_h)
     blocks = video_blocks(n_v, step)

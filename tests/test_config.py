@@ -58,6 +58,24 @@ def test_model_init_rejects_a_seed_numpy_would(build, seed, message):
         make()
 
 
+# tables the GRU cannot read: one of the wrong width would otherwise fail at
+# the first batch, with an einsum ShapeError that names neither it nor the dims
+BAD_TABLES = [(3, 5), (3,), (2, 3, 8)]
+
+
+@pytest.mark.parametrize("shape", BAD_TABLES, ids=[str(s) for s in BAD_TABLES])
+@pytest.mark.parametrize("build", ["Model.new", "Model"])
+def test_model_rejects_a_token_table_of_the_wrong_shape(build, shape):
+    table = np.zeros(shape, np.float32)
+    make = {
+        "Model.new": lambda: Model.new(Dims.small(), "single", 1, table),
+        "Model": lambda: Model(init_params(Dims.small(), ("global",), 1), table),
+    }[build]
+    message = f"token table must be [vocab, {Dims.small().token_dim}] (dims.token_dim), got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 # The one integer rule, config._is_integer_type, at every entry point that
 # takes a count, a seed, a token id or a manifest index or sentence id: an
 # int or a numpy integer is one, a bool, np.bool_ or float is not. Each

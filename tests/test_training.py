@@ -131,11 +131,10 @@ def _per_op_lstm(x, u, b):
     return h
 
 
-def _per_pair_sequential(video, indices, phi, params):
+def _per_pair_sequential(video, indices, phi, at, lstm):
     """The sequential head of one (video, sentence) pair, unfactored: per
-    frame, attention over the grid, then an LSTM step on the flattened
-    attended grid."""
-    at, lstm = params.attention, params.lstm
+    frame, attention over the grid (``at``), then an LSTM step on the
+    flattened attended grid."""
     hidden = lstm.b.shape[1]
     h = Tensor(np.zeros(hidden))
     c = Tensor(np.zeros(hidden))
@@ -179,7 +178,8 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
         statics = {}
         if SPACE_GLOBAL in model.spaces:
             pooled = Tensor(video.global_frames[idx_global].astype(np.float64).mean(axis=0))
-            statics[SPACE_GLOBAL] = add(matvec(p.global_head.w, pooled), p.global_head.b)
+            w, b = p.global_head
+            statics[SPACE_GLOBAL] = add(matvec(w, pooled), b)
         if SPACE_ACTION in model.spaces:
             statics[SPACE_ACTION] = Tensor(video.action_vec)
         row = []
@@ -187,7 +187,7 @@ def _reference_grid(model, videos, sentences, fuse_mode, frame_seed):
             sims = []
             for space in model.spaces:
                 if space == SPACE_SEQUENTIAL:
-                    f = _per_pair_sequential(video, idx_seq, phi, p.sequential_head)
+                    f = _per_pair_sequential(video, idx_seq, phi, p.attention, p.lstm)
                 else:
                     f = statics[space]
                 g = project_text(phi, *p.projections[space])
@@ -241,14 +241,14 @@ def _all_pairs(corpus):
     return videos, [ds.sentences[sents[0]] for _, _, sents in entries]
 
 
-def test_sequential_head_runs_once_with_a_grid_independent_tape(corpus, monkeypatch):
+def test_sequential_embed_runs_once_with_a_grid_independent_tape(corpus, monkeypatch):
     model = Model.new(DIMS, "triple", seed=1, table=corpus.dataset.embedding_table())
     calls = []
 
-    def spy(videos, indices, phis, params):
+    def spy(videos, indices, phis, attention, lstm):
         tape = active_tape()
         before = len(tape)
-        out = sequential_embed(videos, indices, phis, params)
+        out = sequential_embed(videos, indices, phis, attention, lstm)
         calls.append((len(videos), phis.shape[0], len(tape) - before))
         return out
 
@@ -354,7 +354,7 @@ def _lstm_inputs(rng, dims, n_v, n_q):
     G*G] (each a distribution over the cells) as ``sequential_embed`` hands
     them to ``lstm_recurrence``, with the model's recurrent weights and
     biases."""
-    lstm = mvse_model.init_params(dims, ("global", "sequential"), seed=4).sequential_head.lstm
+    lstm = mvse_model.init_params(dims, ("global", "sequential"), seed=4).lstm
     cells, n_t = dims.grid_cells, dims.n_chunks
     k = Tensor(rng.normal(size=(cells, n_v, n_t, 4, dims.hidden)))
     amap = Tensor(rng.dirichlet(np.ones(cells), size=(n_v, n_q, n_t)))
@@ -547,8 +547,9 @@ def test_each_recurrence_records_a_length_independent_number_of_nodes():
         return sum(rule is not None for rule in tape._rules)
 
     gru = [op_nodes(lambda: gru_encode([[1] * n, [2] * n], table, p.gru)) for n in (3, 15)]
-    head = p.sequential_head
-    seq = [op_nodes(lambda: sequential_embed([video], [list(range(n))], phis, head)) for n in (2, 8)]
+    seq = [
+        op_nodes(lambda: sequential_embed([video], [list(range(n))], phis, p.attention, p.lstm)) for n in (2, 8)
+    ]
     assert gru == [2, 2]  # the input-term contraction and the recurrence
     assert seq[0] == seq[1]
 
@@ -688,13 +689,13 @@ def _train_once(corpus, monkeypatch):
     epoch = [0]
     frames = {"global": [], "sequential": []}
 
-    def spy_global(videos, indices, params):
+    def spy_global(videos, indices, w, b):
         frames["global"] += [(epoch[0], v.video_id, tuple(idx)) for v, idx in zip(videos, indices)]
-        return global_embed(videos, indices, params)
+        return global_embed(videos, indices, w, b)
 
-    def spy_sequential(videos, indices, phis, params):
+    def spy_sequential(videos, indices, phis, attention, lstm):
         frames["sequential"] += [(v.video_id, tuple(idx)) for v, idx in zip(videos, indices)]
-        return sequential_embed(videos, indices, phis, params)
+        return sequential_embed(videos, indices, phis, attention, lstm)
 
     monkeypatch.setattr(mvse_model, "global_embed", spy_global)
     monkeypatch.setattr(mvse_model, "sequential_embed", spy_sequential)
@@ -1316,12 +1317,12 @@ def test_named_parameters_are_the_checkpoint_contract(spaces):
 
 
 def _head_tensors(params: mvse_model.ModelParams) -> list[Tensor]:
-    """Every tensor the heads read, walked through the parameter groups."""
-    groups = [params.gru, params.global_head]
-    if params.sequential_head is not None:
-        groups += [params.sequential_head.attention, params.sequential_head.lstm]
+    """Every tensor the heads read, walked through the parameter groups and
+    the (w, b) pairs."""
+    groups = [params.gru, params.attention, params.lstm]
     out = [t for group in groups if group is not None for t in vars(group).values()]
-    return out + [params.gate] + [t for pair in params.projections.values() for t in pair]
+    pairs = [*params.projections.values(), params.global_head]
+    return out + [params.gate] + [t for pair in pairs if pair is not None for t in pair]
 
 
 @pytest.mark.parametrize("build", ["init_params", "params_from_arrays"])

@@ -16,8 +16,6 @@ from mvse.config import Dims
 from mvse.model import init_params
 from mvse.visual import (
     AttentionParams,
-    GlobalHeadParams,
-    SequentialHeadParams,
     SpaceUnavailableError,
     VideoFeature,
     action_embed,
@@ -62,8 +60,10 @@ def _scan_block(dims: Dims, n_q: int) -> int:
     return visual.scan_block(n_q, dims.n_chunks, dims.grid_cells, dims.c_spatial, dims.hidden)
 
 
-def _seq_params(seed: int) -> SequentialHeadParams:
-    return init_params(DIMS, ("global", "sequential"), seed).sequential_head
+def _seq_params(seed: int) -> mvse_model.ModelParams:
+    """A small-dims model whose ``attention`` and ``lstm`` groups the
+    sequential-head tests read."""
+    return init_params(DIMS, ("global", "sequential"), seed)
 
 
 def _attend(grids: np.ndarray, phis: Tensor, params: AttentionParams) -> Tensor:
@@ -79,7 +79,7 @@ def _map(grid: np.ndarray, phi: Tensor, params: AttentionParams) -> np.ndarray:
 
 def _embed(video: VideoFeature, indices: list[int], phi: Tensor, params) -> Tensor:
     """The sequential embedding of one (video, sentence) pair."""
-    return take(take(sequential_embed([video], [indices], stack([phi]), params), 0), 0)
+    return take(take(sequential_embed([video], [indices], stack([phi]), params.attention, params.lstm), 0), 0)
 
 
 def _numpy_unroll(video: VideoFeature, indices: list[int], phi: np.ndarray, params) -> np.ndarray:
@@ -193,63 +193,54 @@ class TestGlobalEmbed:
             grid_frames=np.zeros((4, DIMS.grid, DIMS.grid, DIMS.c_spatial)),
             action_vec=None,
         )
-        params = GlobalHeadParams(w=Tensor(np.eye(DIMS.c_global)), b=Tensor(np.zeros(DIMS.c_global)))
-        out = global_embed([video], [[0, 1, 2, 3]], params)
+        w, b = Tensor(np.eye(DIMS.c_global)), Tensor(np.zeros(DIMS.c_global))
+        out = global_embed([video], [[0, 1, 2, 3]], w, b)
         np.testing.assert_allclose(out.data, [v], atol=1e-12)
 
     def test_constant_map(self):
         rng = np.random.default_rng(1)
         video = _video(rng)
         c = rng.normal(size=DIMS.embed_dim)
-        params = GlobalHeadParams(
-            w=Tensor(np.zeros((DIMS.embed_dim, DIMS.c_global))), b=Tensor(c)
-        )
-        np.testing.assert_allclose(global_embed([video], [[0, 2]], params).data, [c])
+        w, b = Tensor(np.zeros((DIMS.embed_dim, DIMS.c_global))), Tensor(c)
+        np.testing.assert_allclose(global_embed([video], [[0, 2]], w, b).data, [c])
 
     def test_matches_mean_then_matvec_oracle(self):
         rng = np.random.default_rng(2)
         video = _video(rng)
-        params = GlobalHeadParams(
-            w=Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global))),
-            b=Tensor(rng.normal(size=DIMS.embed_dim)),
-        )
+        w = Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global)))
+        b = Tensor(rng.normal(size=DIMS.embed_dim))
         other = _video(rng, n_frames=6)
         indices = [[0, 1, 3], [5, 2, 4]]
-        out = global_embed([video, other], indices, params)
+        out = global_embed([video, other], indices, w, b)
         assert out.shape == (2, DIMS.embed_dim)
         for row, v, idx in zip(out.data, (video, other), indices):
-            expected = params.w.data @ v.global_frames[idx].mean(axis=0) + params.b.data
+            expected = w.data @ v.global_frames[idx].mean(axis=0) + b.data
             np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_pooled_frames_equal_the_per_video_mean_bit_for_bit(self):
         rng = np.random.default_rng(5)
         videos = [_video(rng, n_frames=f) for f in (3, 4, 9)]
         indices = [[0, 0, 1, 2], [3, 1, 2, 0], [8, 2, 2, 5]]
-        params = GlobalHeadParams(w=Tensor(np.eye(DIMS.c_global)), b=Tensor(np.zeros(DIMS.c_global)))
-        out = global_embed(videos, indices, params)
+        w, b = Tensor(np.eye(DIMS.c_global)), Tensor(np.zeros(DIMS.c_global))
+        out = global_embed(videos, indices, w, b)
         for row, v, idx in zip(out.data, videos, indices):
             assert np.array_equal(row, v.global_frames[idx].mean(axis=0))
 
     def test_index_counts_that_differ_raise(self):
         rng = np.random.default_rng(2)
-        params = GlobalHeadParams(
-            w=Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global))),
-            b=Tensor(rng.normal(size=DIMS.embed_dim)),
-        )
+        w = Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global)))
+        b = Tensor(rng.normal(size=DIMS.embed_dim))
         videos = [_video(rng), _video(rng, n_frames=6)]
         with pytest.raises(ShapeError, match=re.escape("global_embed: incompatible shapes (2,) vs (3,)")):
-            global_embed(videos, [[0, 1, 3], [5, 2]], params)
+            global_embed(videos, [[0, 1, 3], [5, 2]], w, b)
 
     def test_permutation_invariant_over_indices(self):
         rng = np.random.default_rng(3)
         video = _video(rng)
-        params = GlobalHeadParams(
-            w=Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global))),
-            b=Tensor(rng.normal(size=DIMS.embed_dim)),
-        )
-        a = global_embed([video], [[0, 1, 2, 3]], params).data
-        b = global_embed([video], [[3, 1, 0, 2]], params).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        head = Tensor(rng.normal(size=(DIMS.embed_dim, DIMS.c_global))), Tensor(rng.normal(size=DIMS.embed_dim))
+        fwd = global_embed([video], [[0, 1, 2, 3]], *head).data
+        perm = global_embed([video], [[3, 1, 0, 2]], *head).data
+        np.testing.assert_allclose(fwd, perm, atol=1e-12)
 
 
 class TestSpatialAttention:
@@ -333,7 +324,7 @@ class TestSpatialAttention:
         for attn in (16, 64):
             dims = dataclasses.replace(DIMS, attn_dim=attn)
             rng = np.random.default_rng(attn)
-            params = init_params(dims, ("global", "sequential"), seed=16).sequential_head.attention
+            params = init_params(dims, ("global", "sequential"), seed=16).attention
             grids = rng.normal(size=(n_v, n_t, DIMS.grid, DIMS.grid, DIMS.c_spatial))
             phis = Tensor(rng.normal(size=(n_q, DIMS.hidden)))
             peaks[attn] = untaped_peak(lambda: _attend(grids, phis, params))
@@ -355,7 +346,7 @@ def _assert_attention_close(dims: Dims, n_v: int, n_q: int, seed: int) -> None:
     gradient is held to 8·eps·sqrt(n) times the largest magnitude of the
     reference's."""
     rng = np.random.default_rng(seed)
-    params = init_params(dims, ("global", "sequential"), seed).sequential_head.attention
+    params = init_params(dims, ("global", "sequential"), seed).attention
     grids = rng.normal(size=(n_v, dims.n_chunks, dims.grid, dims.grid, dims.c_spatial))
     phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
     weights = rng.normal(size=(n_v, n_q, dims.n_chunks, dims.grid_cells))
@@ -420,7 +411,7 @@ class TestSequentialEmbed:
         videos = [_video(rng, n_frames=5) for _ in range(3)]
         indices = [[0, 2, 4], [1, 1, 3], [4, 3, 0]]
         phis = [rng.normal(size=DIMS.hidden) for _ in range(2)]
-        out = sequential_embed(videos, indices, stack([Tensor(p) for p in phis]), params)
+        out = sequential_embed(videos, indices, stack([Tensor(p) for p in phis]), params.attention, params.lstm)
         assert out.shape == (3, 2, DIMS.hidden)
         for v, video in enumerate(videos):
             for q, phi in enumerate(phis):
@@ -431,8 +422,9 @@ class TestSequentialEmbed:
         rng = np.random.default_rng(19)
         videos = [_video(rng), _video(rng)]
         phis = stack([Tensor(rng.normal(size=DIMS.hidden)) for _ in range(2)])
+        params = _seq_params(13)
         with pytest.raises(ShapeError, match=re.escape("sequential_embed: incompatible shapes (2,) vs (3,)")):
-            sequential_embed(videos, [[0, 1, 2], [0, 1]], phis, _seq_params(13))
+            sequential_embed(videos, [[0, 1, 2], [0, 1]], phis, params.attention, params.lstm)
 
     def test_lstm_parameters_enter_the_contractions_as_stored(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -452,7 +444,8 @@ class TestSequentialEmbed:
         for name in ("einsum", "lstm_recurrence", "stack", "reshape"):
             monkeypatch.setattr(visual, name, spy(name), raising=False)
         phis = stack([Tensor(rng.normal(size=DIMS.hidden)) for _ in range(2)])
-        visual.sequential_embed([_video(rng), _video(rng)], [[0, 1, 2, 3]] * 2, phis, params)
+        videos = [_video(rng), _video(rng)]
+        visual.sequential_embed(videos, [[0, 1, 2, 3]] * 2, phis, params.attention, params.lstm)
 
         operands = [arg for name, args in calls if name == "einsum" for arg in args[1:]]
         assert any(a is params.lstm.w for a in operands)
@@ -489,7 +482,7 @@ class TestSequentialEmbed:
         # benchmark's eval grids
         dims, n_v, n_q = EVAL_GRIDS[workload]
         rng = np.random.default_rng(20)
-        params = init_params(dims, ("global", "sequential"), seed=14).sequential_head
+        params = init_params(dims, ("global", "sequential"), seed=14)
         videos = _videos(rng, dims, n_v)
         phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
         plan, results = autodiff._einsum_plan, []
@@ -506,7 +499,7 @@ class TestSequentialEmbed:
 
         monkeypatch.setattr(autodiff, "_einsum_plan", spy)
         with autodiff.no_tape():
-            sequential_embed(videos, [list(range(dims.n_chunks))] * n_v, phis, params)
+            sequential_embed(videos, [list(range(dims.n_chunks))] * n_v, phis, params.attention, params.lstm)
         head = [(spec, frames, c) for spec, shape_a, frames, c in results if shape_a == params.lstm.w.shape]
         blocks = visual.video_blocks(n_v, _scan_block(dims, n_q))
         assert len(head) == len(blocks)
@@ -525,7 +518,7 @@ class TestSequentialEmbed:
         dims, _, n_q = EVAL_GRIDS[workload]
         block = _scan_block(dims, n_q)
         rng = np.random.default_rng(24)
-        params = init_params(dims, ("global", "sequential"), seed=16).sequential_head
+        params = init_params(dims, ("global", "sequential"), seed=16)
         phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
         for n_v in (1, 2, 3, block + 1, 2 * block + 1):
             videos = _videos(rng, dims, n_v)
@@ -534,7 +527,7 @@ class TestSequentialEmbed:
             for step in (block, n_v):
                 monkeypatch.setattr(visual, "scan_block", lambda *shape: step)
                 with autodiff.no_tape():
-                    outs.append(sequential_embed(videos, indices, phis, params).data)
+                    outs.append(sequential_embed(videos, indices, phis, params.attention, params.lstm).data)
             assert outs[0].shape == (n_v, n_q, dims.hidden)
             assert outs[0].tobytes() == outs[1].tobytes(), n_v
 
@@ -552,7 +545,9 @@ class TestSequentialEmbed:
         for n_v in (16, 64):
             videos = _videos(np.random.default_rng(n_v), DIMS, n_v)
             indices = [list(range(DIMS.n_chunks))] * n_v
-            peaks[n_v] = untaped_peak(lambda: sequential_embed(videos, indices, phis, params))
+            peaks[n_v] = untaped_peak(
+                lambda: sequential_embed(videos, indices, phis, params.attention, params.lstm)
+            )
         assert peaks[64] <= 1.6 * peaks[16]
 
     def test_seq_train_eval_grid_peak_stays_within_its_pin(self):
@@ -561,11 +556,11 @@ class TestSequentialEmbed:
         # before the next block forms its own
         dims, n_v, n_q = EVAL_GRIDS["seq-train"]
         rng = np.random.default_rng(26)
-        params = init_params(dims, ("global", "sequential"), seed=16).sequential_head
+        params = init_params(dims, ("global", "sequential"), seed=16)
         phis = Tensor(rng.normal(size=(n_q, dims.hidden)))
         videos = _videos(rng, dims, n_v)
         indices = [list(range(dims.n_chunks))] * n_v
-        peak = untaped_peak(lambda: sequential_embed(videos, indices, phis, params))
+        peak = untaped_peak(lambda: sequential_embed(videos, indices, phis, params.attention, params.lstm))
         assert peak <= SEQ_TRAIN_EVAL_PEAK + SEQ_TRAIN_EVAL_SLACK, peak
 
     def test_untaped_embedding_owns_its_memory(self):
@@ -575,8 +570,9 @@ class TestSequentialEmbed:
         n_v, n_q = 3, 5
         videos = [_video(rng) for _ in range(n_v)]
         phis = Tensor(rng.normal(size=(n_q, DIMS.hidden)))
+        params = _seq_params(14)
         with autodiff.no_tape():
-            out = sequential_embed(videos, [[0, 1, 2, 3]] * n_v, phis, _seq_params(14)).data
+            out = sequential_embed(videos, [[0, 1, 2, 3]] * n_v, phis, params.attention, params.lstm).data
         assert out.shape == (n_v, n_q, DIMS.hidden)
         assert out.base is None or out.base.size == n_v * n_q * DIMS.hidden
 
@@ -591,7 +587,9 @@ class TestSequentialEmbed:
         videos = [_video(rng) for _ in range(32)]
         phis = Tensor(rng.normal(size=(32, DIMS.hidden)))
         params = _seq_params(13)
-        peak = untaped_peak(lambda: sequential_embed(videos, [[0, 1, 2, 3]] * 32, phis, params))
+        peak = untaped_peak(
+            lambda: sequential_embed(videos, [[0, 1, 2, 3]] * 32, phis, params.attention, params.lstm)
+        )
         assert peak <= 2_150_000
 
     def test_untaped_peak_stays_below_the_input_terms_of_every_step(self):
@@ -606,11 +604,11 @@ class TestSequentialEmbed:
         for n_t in (4, 8):
             dims = dataclasses.replace(DIMS, n_chunks=n_t)
             rng = np.random.default_rng(n_t)
-            params = init_params(dims, ("global", "sequential"), seed=15).sequential_head
+            params = init_params(dims, ("global", "sequential"), seed=15)
             videos = [_video(rng, n_frames=n_t) for _ in range(64)]
             phis = Tensor(rng.normal(size=(64, DIMS.hidden)))
             peaks[n_t] = untaped_peak(
-                lambda: sequential_embed(videos, [list(range(n_t))] * 64, phis, params)
+                lambda: sequential_embed(videos, [list(range(n_t))] * 64, phis, params.attention, params.lstm)
             )
         assert peaks[8] < 64 * 8 * 64 * 4 * DIMS.hidden * 8
         assert peaks[8] - peaks[4] <= 2_000_000
@@ -723,9 +721,9 @@ class TestHeadGradients:
         target = Tensor(rng.normal(size=(1, DIMS.embed_dim)))
 
         def loss(_):
-            return sum_all(cosine(global_embed([video], [[0, 1, 2, 3]], params.global_head), target))
+            return sum_all(cosine(global_embed([video], [[0, 1, 2, 3]], *params.global_head), target))
 
-        for t in (params.global_head.w, params.global_head.b):
+        for t in params.global_head:
             assert grad_check(loss, t) < 1e-4
 
     def test_attention_and_lstm_through_cosine(self):
@@ -742,13 +740,14 @@ class TestHeadGradients:
             grid_frames=rng.normal(size=(2, dims.grid, dims.grid, dims.c_spatial)),
             action_vec=None,
         )
-        params = init_params(dims, ("global", "sequential"), seed=8).sequential_head
+        params = init_params(dims, ("global", "sequential"), seed=8)
         phi = Tensor(rng.normal(size=dims.hidden))
         target = Tensor(rng.normal(size=(1, dims.hidden)))
 
         def loss(_):
             # the paired [V, Q, H] x [Q, H] form of the cosine grid
-            return sum_all(cosine(sequential_embed([video], [[0, 1]], stack([phi]), params), target))
+            embedded = sequential_embed([video], [[0, 1]], stack([phi]), params.attention, params.lstm)
+            return sum_all(cosine(embedded, target))
 
         check = [
             params.attention.w_a, params.attention.b_p, params.attention.w_q,
@@ -765,7 +764,7 @@ class TestHeadGradients:
             hidden=3, embed_dim=3, token_dim=4, attn_dim=5,
         )
         rng = np.random.default_rng(21)
-        params = init_params(dims, ("global", "sequential"), seed=17).sequential_head.attention
+        params = init_params(dims, ("global", "sequential"), seed=17).attention
         grids = rng.normal(size=(2, 2, dims.grid, dims.grid, dims.c_spatial))
         phis = Tensor(rng.normal(size=(2, dims.hidden)))
         weights = rng.normal(size=(2, 2, 2, dims.grid_cells))
