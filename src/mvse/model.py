@@ -251,9 +251,13 @@ class Model:
         attends with the sentence vectors ``phis``. Each head reads each
         chunk's first frame, except that with ``frame_seed = (run seed,
         epoch)`` the global head draws one per chunk from
-        :func:`frame_rng`, built only where a chunk can draw."""
+        :func:`frame_rng`, built only where a chunk can draw. The first
+        frames depend on the frame count alone, so they are picked once per
+        distinct count in the call, and videos of one count share that
+        list."""
         n = self.dims.n_chunks
-        starts = [chunk_sample(v.n_frames, n) for v in videos]
+        firsts = {f: chunk_sample(f, n) for f in {v.n_frames for v in videos}}
+        starts = [firsts[v.n_frames] for v in videos]
         out: dict[str, Tensor | np.ndarray] = {}
         if SPACE_GLOBAL in self.spaces:
             drawn = [

@@ -240,15 +240,26 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
 # ---------------------------------------------------------------------------
 
 
+def _probe_queries(result: SynthResult, manifest_name: str) -> tuple[Manifest, list[tuple[str, int, int]]]:
+    """The named manifest and its queries. A manifest without a query has
+    no recall to report, so it raises ``ValueError`` naming it."""
+    manifest = result.manifests[manifest_name]
+    queries = manifest.queries()
+    if not queries:
+        raise ValueError(f"manifest {manifest_name!r} has no queries to probe")
+    return manifest, queries
+
+
 def probe_recall_at_1(result: SynthResult, manifest_name: str = "test", space: str = SPACE_GLOBAL) -> float:
     """Retrieval accuracy of an untrained probe that decodes each sentence
     with the generator's own codebook and nearest-neighbors against the raw
     features of one space: one [Q, V] cosine grid over the manifest's
     gallery in ascending index order, where a zero norm scores 0 and the
-    first maximum wins."""
+    first maximum wins. A manifest without a query raises ``ValueError``
+    naming it."""
+    manifest, queries = _probe_queries(result, manifest_name)
     truth = result.truth
     ds = result.dataset
-    manifest = result.manifests[manifest_name]
     gallery = np.array(sorted({idx for _, idx, _ in manifest.entries}))
     g_sl, _, a_sl = truth.slices()
     if space == SPACE_GLOBAL:
@@ -262,7 +273,6 @@ def probe_recall_at_1(result: SynthResult, manifest_name: str = "test", space: s
 
     # equal features are scored once, so their scores tie exactly
     feats, copies = np.unique(feats, axis=0, return_inverse=True)
-    queries = manifest.queries()
     codes = np.array([truth.decode_sentence(ds.sentences[sent])[0] for _, _, sent in queries])
     predicted = codes[:, sl] @ mix.T  # [Q, C]
     pn, fn = np.linalg.norm(predicted, axis=1), np.linalg.norm(feats, axis=1)
@@ -276,14 +286,14 @@ def slice_collision_ceiling(result: SynthResult, manifest_name: str = "test", sp
     """Best possible R@1 for a decision rule that sees only one slice of
     the code: when several gallery videos share the query's slice value,
     ties break by ascending index, so only the first of each collision
-    group can be retrieved."""
+    group can be retrieved. A manifest without a query raises
+    ``ValueError`` naming it."""
+    manifest, queries = _probe_queries(result, manifest_name)
     truth = result.truth
-    manifest = result.manifests[manifest_name]
     sl = dict(zip((SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_ACTION), truth.slices())).get(space)
     if sl is None:
         raise ValueError(f"ceiling has no code slice for space {space!r}")
     first: dict[tuple[float, ...], int] = {}  # slice value -> its lowest gallery index
     for idx in sorted(idx for _, idx, _ in manifest.entries):
         first.setdefault(tuple(truth.codes[idx, sl].tolist()), idx)
-    queries = manifest.queries()
     return sum(first[tuple(truth.codes[idx, sl].tolist())] == idx for _, idx, _ in queries) / len(queries)

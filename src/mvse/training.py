@@ -17,6 +17,9 @@ from the run seed and the epoch.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from mvse import fusion
@@ -57,7 +60,9 @@ def loss_from_matrix(fused: ScoreGrid | list[list[Tensor]], alpha: float, mode: 
     wrong sentence and wrong video (ties to the lowest index). All hinges,
     in that order, are one ``hinge_sum`` node over index pairs of the
     [B, B] scores: a :class:`ScoreGrid`'s ``scores``, or, for a plain grid
-    of 0-d tensors, its rows stacked into one tensor.
+    of 0-d tensors, its rows stacked into one tensor. Sum-all's index
+    pairs depend on B alone, so they are formed once per B and shared,
+    read-only; hardest mode's are formed from each grid's values.
     """
     b = len(fused)
     if b < 2 or any(len(row) != b for row in fused):
@@ -66,16 +71,33 @@ def loss_from_matrix(fused: ScoreGrid | list[list[Tensor]], alpha: float, mode: 
         raise ValueError(f"unknown negative mode {mode!r}")
     scores = fused.scores if isinstance(fused, ScoreGrid) else stack([stack(row) for row in fused])
     if mode == "sum-all":
-        anchor, other = np.nonzero(~np.eye(b, dtype=bool))  # row-major: by anchor, then j
-        j_sentence = j_video = other
+        picks = _sum_all_picks(b)
     else:
         values = scores.data.copy()
         np.fill_diagonal(values, -np.inf)
-        anchor, j_sentence, j_video = np.arange(b), values.argmax(axis=1), values.argmax(axis=0)
-    # per pick, the wrong sentence (i, j_sentence) then the wrong video (j_video, i)
+        picks = _picks(np.arange(b), values.argmax(axis=1), values.argmax(axis=0))
+    return hinge_sum(scores, *picks, alpha)
+
+
+def _picks(anchor: np.ndarray, j_sentence: np.ndarray, j_video: np.ndarray) -> tuple:
+    """The (negatives, positives) index pairs of :func:`hinge_sum` for picks
+    (anchor, j_sentence, j_video): per pick, the wrong sentence (i,
+    j_sentence) then the wrong video (j_video, i), each against (i, i)."""
     negatives = np.array([anchor, j_video]).T.ravel(), np.array([j_sentence, anchor]).T.ravel()
     diagonal = np.repeat(anchor, 2)
-    return hinge_sum(scores, negatives, (diagonal, diagonal), alpha)
+    return negatives, (diagonal, diagonal)
+
+
+@functools.lru_cache(maxsize=8)
+def _sum_all_picks(b: int) -> tuple:
+    """Sum-all mode's picks for a B x B grid, every j != i for both hinges,
+    formed once per B. The arrays are shared by every batch of that size,
+    so they are read-only."""
+    anchor, other = np.nonzero(~np.eye(b, dtype=bool))  # row-major: by anchor, then j
+    negatives, positives = _picks(anchor, other, other)
+    for index in (*negatives, *positives):
+        index.setflags(write=False)
+    return negatives, positives
 
 
 def fused_similarity_matrix(
@@ -166,8 +188,13 @@ def train(
     place, and return the loss log: one (epoch, mean loss) per epoch, the
     values also passed to ``log_fn``.
 
-    Each epoch shuffles the videos, draws one sentence per video, and
-    walks mini-batches of distinct videos; short tails (< 2) are dropped.
+    Each entry's :class:`VideoFeature` is formed once per call, right
+    after ``validate_against``, and every batch reads it from there. Each
+    epoch shuffles the videos, draws one sentence per video that has one,
+    and walks mini-batches of distinct videos; short tails (< 2) are
+    dropped. The epoch's sentence draws are one ``integers`` call over the
+    shuffled videos' sentence counts, which gives the draws of one scalar
+    call per video in that order.
     The logged value is total batch loss divided by pairs processed. Each
     batch passes its epoch to :func:`batch_loss`, so the global head's
     frames derive from the run seed. A manifest with fewer than 2 videos
@@ -189,7 +216,9 @@ def train(
     """
     manifest.validate_against(dataset)
     entries = manifest.entries
-    usable = sum(1 for _, _, sents in entries if sents)
+    features = [dataset.video_feature(idx, vid) for vid, idx, _ in entries]
+    n_sentences = np.array([len(sents) for _, _, sents in entries], dtype=np.int64)
+    usable = int(np.count_nonzero(n_sentences))
     if usable < 2:
         raise ValueError(f"training manifest has {usable} videos with a sentence; a batch needs 2")
     lr = config.learning_rate
@@ -201,34 +230,31 @@ def train(
             np.random.SeedSequence([_SHUFFLE_SALT, config.rng_seed, epoch])
         )
         order = rng.permutation(len(entries))
-        chosen: list[tuple[str, int, int]] = []
-        for e in order:
-            vid, idx, sents = entries[e]
-            if not sents:
-                continue
-            chosen.append((vid, idx, sents[int(rng.integers(len(sents)))]))
+        order = order[n_sentences[order] > 0]
+        # one call draws, in order, what one scalar call per video would
+        drawn = rng.integers(n_sentences[order])
+        chosen = [
+            (features[e], dataset.sentences[entries[e][2][k]])
+            for e, k in zip(order.tolist(), drawn.tolist())
+        ]
 
         epoch_loss = 0.0
         pairs_seen = 0
         for start in range(0, len(chosen), config.batch_size):
-            group = chosen[start: start + config.batch_size]
-            if len(group) < 2:
+            batch = chosen[start: start + config.batch_size]
+            if len(batch) < 2:
                 break
-            batch = [
-                (dataset.video_feature(idx, vid), dataset.sentences[sent])
-                for vid, idx, sent in group
-            ]
             with Tape(update) as tape:
                 loss = batch_loss(batch, model, config, fuse_mode, epoch)
                 value = loss.item()
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise TrainingDivergedError(
                         f"non-finite loss {value} in epoch {epoch}, batch starting at "
-                        f"{start} (videos {[g[0] for g in group]})"
+                        f"{start} (videos {[video.video_id for video, _ in batch]})"
                     )
                 tape.backward(loss)
             epoch_loss += value
-            pairs_seen += len(group)
+            pairs_seen += len(batch)
 
         mean_loss = epoch_loss / pairs_seen
         loss_log.append((epoch, mean_loss))

@@ -110,6 +110,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=re.escape(named)):
             BAD_INPUTS[named]()
 
+    @pytest.mark.parametrize("probe", [probe_recall_at_1, slice_collision_ceiling])
+    def test_a_manifest_without_queries_raises_a_value_error_naming_it(self, probe):
+        # without the check the probe fails inside numpy (IndexError) or divides by zero
+        res = synth_generate(_cfg())
+        res.manifests["empty"] = Manifest("empty", [])
+        res.manifests["silent"] = Manifest("silent", [("v0000", 0, [])])
+        res.truth = None  # any compute before the check would fail on it
+        for name in ("empty", "silent"):
+            with pytest.raises(ValueError, match=f"manifest '{name}' has no queries"):
+                probe(res, name)
+
     def test_slice_sizes_follow_rho(self):
         assert _cfg(rho=(1.0, 0.0, 0.0)).slice_sizes() == (8, 0, 0)
         assert _cfg(rho=(0.5, 0.5, 0.0)).slice_sizes() == (4, 4, 0)

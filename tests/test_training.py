@@ -39,6 +39,7 @@ from mvse.autodiff import (
 from mvse.config import SPACE_ACTION, SPACE_GLOBAL, SPACE_SEQUENTIAL, SPACE_SETS, Dims, TripletConfig
 from mvse.dataio import (
     ContainerError,
+    Dataset,
     Manifest,
     ManifestError,
     VersionMismatchError,
@@ -994,6 +995,140 @@ def test_frame_generators_change_nothing_when_no_chunk_can_draw(monkeypatch):
     assert with_loss == without_loss
     for name in params:
         assert with_grads[name].tobytes() == without_grads[name].tobytes(), name
+
+
+def test_train_forms_each_entrys_video_feature_once_per_call(corpus, monkeypatch):
+    formed = []
+    video_feature = Dataset.video_feature
+
+    def spy(self, index, video_id):
+        formed.append(video_id)
+        return video_feature(self, index, video_id)
+
+    monkeypatch.setattr(Dataset, "video_feature", spy)
+    manifest = corpus.manifests["train"]
+    model = Model.new(DIMS, "dual-I", seed=4, table=corpus.dataset.embedding_table())
+    config = TripletConfig(epochs=3, batch_size=2, learning_rate=0.05, rng_seed=5)
+    training.train(corpus.dataset, manifest, model, config)
+    assert formed == [vid for vid, _, _ in manifest.entries]
+
+
+def test_an_epochs_sentence_draws_are_one_scalar_draw_per_video(monkeypatch):
+    corpus = _corpus(n_videos=16)
+    ds = corpus.dataset
+    # sentence counts 0-4, so a shuffled video may draw nothing or from up to 4
+    videos = corpus.manifests["train"].entries + corpus.manifests["test"].entries
+    entries = [
+        (vid, idx, tuple((3 * k + j) % len(ds.sentences) for j in range(k % 5)))
+        for k, (vid, idx, _) in enumerate(videos)
+    ]
+    fed, batch_loss = [], training.batch_loss
+
+    def spy(batch, model, config, fuse_mode, epoch):
+        fed.extend((epoch, video.video_id, sentence) for video, sentence in batch)
+        return batch_loss(batch, model, config, fuse_mode, epoch)
+
+    monkeypatch.setattr(training, "batch_loss", spy)
+    model = Model.new(DIMS, "dual-I", seed=4, table=ds.embedding_table())
+    config = TripletConfig(epochs=3, batch_size=4, learning_rate=0.0, rng_seed=5)
+    training.train(ds, Manifest("train", entries), model, config)
+
+    expected = []
+    for epoch in range(config.epochs):
+        rng = np.random.default_rng(np.random.SeedSequence([training._SHUFFLE_SALT, 5, epoch]))
+        for e in rng.permutation(len(entries)):
+            vid, _, sents = entries[e]
+            if sents:
+                expected.append((epoch, vid, ds.sentences[sents[int(rng.integers(len(sents)))]]))
+    assert len(expected) == 3 * 12  # 12 videos with a sentence: three whole batches an epoch
+    assert fed == expected
+
+
+@pytest.mark.parametrize("frame_seed", [None, (5, 1)], ids=["first frames", "drawn"])
+def test_video_embeddings_pick_first_frames_once_per_frame_count(corpus, frame_seed, monkeypatch):
+    ds = corpus.dataset
+    counts = [N_FRAMES, 5, N_FRAMES, 3, 5, N_FRAMES]
+    videos = [
+        VideoFeature(f"v{i}", ds.global_frames[i, :f], ds.grid_frames[i, :f], ds.action_vecs[i])
+        for i, f in enumerate(counts)
+    ]
+    picked, given = [], {}
+
+    def spy_sample(n_frames, n_chunks, rng=None):
+        if rng is None:
+            picked.append(n_frames)
+        return chunk_sample(n_frames, n_chunks, rng)
+
+    def spy_sequential(videos, indices, phis, attention, lstm):
+        given["sequential"] = [list(idx) for idx in indices]
+        return sequential_embed(videos, indices, phis, attention, lstm)
+
+    monkeypatch.setattr(mvse_model, "chunk_sample", spy_sample)
+    monkeypatch.setattr(mvse_model, "sequential_embed", spy_sequential)
+    model = Model.new(DIMS, "triple", seed=4, table=ds.embedding_table())
+    phis = model.encode_sentences([ds.sentences[0], ds.sentences[1]])
+    for _ in range(2):
+        picked.clear()
+        model.video_embeddings(videos, phis, frame_seed)
+        assert sorted(picked) == sorted(set(counts))
+    assert given["sequential"] == [chunk_sample(f, DIMS.n_chunks) for f in counts]
+
+
+# the loss log of triple models trained on 7-frame videos (more frames than
+# chunks, so the global head draws from frame_rng), in batches of 3 and a
+# tail of 2, recorded when every batch formed its own video features, first
+# frames and sum-all picks
+FRAME_RNG_LOSS_HEX = {
+    "sum-all": ["0x1.729c3286d45b2p-1", "0x1.104041cfd2ed6p-1", "0x1.2323b711a7397p-2"],
+    "hardest": ["0x1.cf5fe3b21180cp-2", "0x1.8332163926cd0p-2", "0x1.2afa393958cbcp-2"],
+}
+
+
+@pytest.mark.parametrize("mode", list(FRAME_RNG_LOSS_HEX))
+def test_a_run_that_draws_frames_keeps_its_loss_bytes(mode):
+    corpus = _corpus(n_videos=16)
+    assert N_FRAMES > DIMS.n_chunks
+    model = Model.new(DIMS, "triple", seed=4, table=corpus.dataset.embedding_table())
+    config = TripletConfig(negative_mode=mode, epochs=3, batch_size=3, learning_rate=0.05, rng_seed=5)
+    log = training.train(corpus.dataset, corpus.manifests["train"], model, config)
+    assert [loss.hex() for _, loss in log] == FRAME_RNG_LOSS_HEX[mode]
+
+
+def _per_batch_sum_all_picks(b):
+    """Sum-all's (negatives, positives) as every batch once formed them."""
+    anchor, other = np.nonzero(~np.eye(b, dtype=bool))
+    negatives = np.array([anchor, other]).T.ravel(), np.array([other, anchor]).T.ravel()
+    diagonal = np.repeat(anchor, 2)
+    return negatives, (diagonal, diagonal)
+
+
+@pytest.mark.parametrize("b", range(2, 10))
+def test_sum_all_picks_give_the_bytes_of_the_per_batch_construction(b, monkeypatch):
+    values = np.random.default_rng(b).uniform(-0.3, 0.3, size=(b, b))
+    picks = []
+
+    def spy(scores, negatives, positives, margin):
+        picks.append((negatives, positives))
+        return autodiff.hinge_sum(scores, negatives, positives, margin)
+
+    monkeypatch.setattr(training, "hinge_sum", spy)
+    results = []
+    for loss_of in (
+        lambda s: training.loss_from_matrix(training.ScoreGrid(s), 0.2, "sum-all"),
+        lambda s: autodiff.hinge_sum(s, *_per_batch_sum_all_picks(b), 0.2),
+        lambda s: training.loss_from_matrix(training.ScoreGrid(s), 0.2, "sum-all"),
+    ):
+        scores = Tensor(values)
+        with Tape() as tape:
+            loss = loss_of(scores)
+            tape.backward(loss)
+        results.append((loss.data.tobytes(), tape.grad(scores).tobytes()))
+    assert results[0] == results[1] == results[2]
+    first, again = picks
+    for cached, repeated in zip((*first[0], *first[1]), (*again[0], *again[1])):
+        assert cached is repeated
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
 
 
 def test_hardest_mode_breaks_ties_to_the_lowest_index():
