@@ -380,49 +380,73 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def hinge_sum(
-    scores: Tensor,
-    negatives: tuple[Sequence[int], Sequence[int]],
-    positives: tuple[Sequence[int], Sequence[int]],
-    margin: float,
-) -> Tensor:
-    """Sum over k of max(0, scores[n_k] - scores[p_k] + margin), one tape node
-    whose only parent is the [V, Q] grid ``scores``.
+class HingePicks:
+    """The entries of a [V, Q] grid that :func:`hinge_sum` reads, checked and
+    flattened once for the grid ``shape``, so picks shared by many grids of
+    one shape (training's sum-all picks, one set per batch size) are
+    checked once, not per grid.
 
     ``negatives`` and ``positives`` are (rows, columns) index arrays, one
     entry pair per term, of an integer dtype; a float or bool one (which
     indexing would truncate, or read as 0 and 1) raises naming its dtype.
-    One ``np.ravel_multi_index`` call checks the range and flattens the
-    entries, and one ``take`` reads them. An active term (above 0) passes
-    +g to its negative entry and -g to its positive entry; both entries of
-    an inactive term get 0, the subgradient at the kink. The backward's
-    ``np.bincount`` scatters in term order, the negatives' terms before the
-    positives', from 0.0: the additions of ``np.add.at`` into zeros.
+    One ``np.ravel_multi_index`` call checks that every entry lies in
+    ``shape``, negative indices included, and flattens them into ``flat``
+    [2, terms], the negatives' row then the positives', read-only. Every
+    error is a ``ShapeError`` of kind ``hinge_sum``."""
+
+    __slots__ = ("shape", "flat")
+
+    def __init__(
+        self,
+        shape: tuple[int, int],
+        negatives: tuple[Sequence[int], Sequence[int]],
+        positives: tuple[Sequence[int], Sequence[int]],
+    ):
+        shape = tuple(shape)
+        if len(shape) != 2:
+            raise ShapeError("hinge_sum", shape, detail="expected a [V,Q] grid")
+        index = [np.asarray(i) for i in (*negatives, *positives)]
+        shapes = [i.shape for i in index]
+        if len(index) != 4 or any(s != shapes[0] for s in shapes) or len(shapes[0]) != 1:
+            raise ShapeError("hinge_sum", *shapes, detail="expected (rows, columns) index arrays of one length")
+        if not shapes[0][0]:
+            raise ShapeError("hinge_sum", shape, detail="no terms")
+        for i in index:
+            if i.dtype.kind not in "iu":
+                raise ShapeError("hinge_sum", shape, detail=f"index arrays must be integers, got dtype {i.dtype}")
+        try:  # rows, then columns, each [2, terms]: the negatives', then the positives'
+            self.flat = np.ravel_multi_index((index[::2], index[1::2]), shape)
+        except ValueError:
+            raise ShapeError("hinge_sum", shape, detail="index out of range") from None
+        self.flat.setflags(write=False)
+        self.shape = shape
+
+
+def hinge_sum(scores: Tensor, picks: HingePicks, margin: float) -> Tensor:
+    """Sum over k of max(0, scores[n_k] - scores[p_k] + margin), one tape node
+    whose only parent is the [V, Q] grid ``scores``, over the negative and
+    positive entries of :class:`HingePicks`.
+
+    The picks were range-checked against their own [V, Q] shape, so the
+    one check here is that ``scores`` has that shape; any other, a grid of
+    another rank included, raises ``ShapeError``. One ``take`` reads the
+    entries. An active term (above 0) passes +g to its negative entry and
+    -g to its positive entry; both entries of an inactive term get 0, the
+    subgradient at the kink. The backward's ``np.bincount`` scatters in
+    term order, the negatives' terms before the positives', from 0.0: the
+    additions of ``np.add.at`` into zeros.
     """
     sd = scores.data
-    if sd.ndim != 2:
-        raise ShapeError("hinge_sum", sd.shape, detail="expected a [V,Q] grid")
-    index = [np.asarray(i) for i in (*negatives, *positives)]
-    shapes = [i.shape for i in index]
-    if len(index) != 4 or any(s != shapes[0] for s in shapes) or len(shapes[0]) != 1:
-        raise ShapeError("hinge_sum", *shapes, detail="expected (rows, columns) index arrays of one length")
-    if not shapes[0][0]:
-        raise ShapeError("hinge_sum", sd.shape, detail="no terms")
-    for i in index:
-        if i.dtype.kind not in "iu":
-            raise ShapeError("hinge_sum", sd.shape, detail=f"index arrays must be integers, got dtype {i.dtype}")
-    try:  # rows, then columns, each [2, terms]: the negatives', then the positives'
-        flat = np.ravel_multi_index((index[::2], index[1::2]), sd.shape)
-    except ValueError:
-        raise ShapeError("hinge_sum", sd.shape, detail="index out of range") from None
+    if sd.shape != picks.shape:
+        raise ShapeError("hinge_sum", sd.shape, picks.shape, detail="picks formed for another grid")
+    flat, size, shape = picks.flat, sd.size, sd.shape
     picked = sd.take(flat)
     terms = picked[0] - picked[1] + margin
     active = terms > 0
-    flat, size, shape = flat.ravel(), sd.size, sd.shape
 
     def bk(g):
         g_terms = g * active
-        return (np.bincount(flat, np.concatenate([g_terms, -g_terms]), size).reshape(shape),)
+        return (np.bincount(flat.ravel(), np.concatenate([g_terms, -g_terms]), size).reshape(shape),)
 
     return _emit(np.maximum(terms, 0.0).sum(), (scores,), bk)
 
@@ -443,11 +467,16 @@ def cosine(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     The backward is the closed form ``ga = g·(b/den − c·a/|a|²)``,
     ``gb = g·(a/den − c·b/|b|²)`` per entry, with ``den = |a|·|b|``, summed
     over the entries a row takes part in, for each operand that is not a
-    plain ndarray, a constant. For finite inputs the only error is
-    :class:`DegenerateEmbeddingError`, raised when any norm is below 1e-12
-    -- in training that is a bug signal, never a value to silently clamp --
-    or when a squared norm or a dot product is not finite, which for finite
-    inputs means it overflowed float64.
+    plain ndarray, a constant. Past the shape check the only error is
+    :class:`DegenerateEmbeddingError`. It is raised first when a squared
+    norm or a dot product is not finite: a NaN or infinite input, or, for
+    finite inputs, a float64 overflow. Only then is it raised when any norm
+    is below 1e-12 -- in training that is a bug signal, never a value to
+    silently clamp. A NaN or infinite entry, or an overflow, gives its
+    row's squared norm as NaN or +inf, which reaches its operand's largest
+    squared norm, so the first check reads the two largest squared norms
+    and one ``isfinite`` pass over the dot products, and the second the two
+    smallest squared norms.
     """
     ad, bd, a_tracked, b_tracked, parents = _operands(a, b)
     paired = ad.ndim == 3
@@ -458,14 +487,16 @@ def cosine(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
         raise ShapeError("cosine", ad.shape, bd.shape, detail="expected [V,D] or [V,Q,D] against [Q,D]")
     # an overflow shows as the non-finite value checked next, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        na2 = (ad * ad).sum(axis=-1)  # [V, Q] if paired, else [V]
-        nb2 = (bd * bd).sum(axis=-1)
+        na2 = np.add.reduce(ad * ad, axis=-1)  # [V, Q] if paired, else [V]
+        nb2 = np.add.reduce(bd * bd, axis=-1)
         ab = np.einsum("vqd,qd->vq", ad, bd) if paired else ad @ bd.T
-    if not (np.isfinite(na2).all() and np.isfinite(nb2).all() and np.isfinite(ab).all()):
+    # NaN fails the comparison, as +inf does; the initial values let an empty
+    # operand through, as it has no norm to check
+    if not (na2.max(initial=0.0) < math.inf and nb2.max(initial=0.0) < math.inf and np.isfinite(ab).all()):
         raise DegenerateEmbeddingError(
             "degenerate embedding: squared norm or dot product is not finite (float64 overflow)"
         )
-    if (na2 < NORM_GUARD * NORM_GUARD).any() or (nb2 < NORM_GUARD * NORM_GUARD).any():
+    if na2.min(initial=math.inf) < NORM_GUARD * NORM_GUARD or nb2.min(initial=math.inf) < NORM_GUARD * NORM_GUARD:
         raise DegenerateEmbeddingError("degenerate embedding: norm below 1e-12")
     den = (np.sqrt(na2) if paired else np.sqrt(na2)[:, None]) * np.sqrt(nb2)
     c = ab / den

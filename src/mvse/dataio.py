@@ -328,11 +328,31 @@ class Manifest:
 def write_checkpoint(params: dict[str, np.ndarray], config: dict, out: BinaryIO) -> None:
     """Write the named tensors and the JSON ``config`` to the binary stream
     ``out``, each tensor straight from its C-contiguous little-endian
-    float64 array."""
+    float64 array.
+
+    Everything the format cannot hold raises ``ContainerError`` before any
+    byte is written: a ``config`` that is not a dict, and a tensor whose
+    name is more than 65,535 UTF-8 bytes, whose rank is above 255, or with
+    a dimension of 2**32 or more, each naming the tensor."""
+    if not isinstance(config, dict):
+        raise ContainerError(f"checkpoint config must be a dict, got {type(config).__name__}")
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    names = sorted(params)
+    for name in names:
+        n_bytes, shape = len(name.encode("utf-8")), np.shape(params[name])
+        if n_bytes > 0xFFFF:
+            problem = f"its name is {n_bytes} UTF-8 bytes, above 65535"
+        elif len(shape) > 0xFF:
+            problem = f"its rank is {len(shape)}, above 255"
+        elif max(shape, default=0) >> 32:
+            problem = f"its shape {shape} has a dimension of 2**32 or more"
+        else:
+            continue
+        shown = name if len(name) <= 64 else f"{name[:64]}..."
+        raise ContainerError(f"checkpoint tensor {shown} cannot be written: {problem}")
     out.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(blob)) + blob)
     out.write(struct.pack("<I", len(params)))
-    for name in sorted(params):
+    for name in names:
         arr = np.ascontiguousarray(params[name], dtype="<f8")
         encoded = name.encode("utf-8")
         out.write(struct.pack("<H", len(encoded)) + encoded)
@@ -350,6 +370,8 @@ def read_checkpoint(stream: BinaryIO) -> tuple[dict[str, np.ndarray], dict]:
         config = json.loads(r.take(json_len, "config").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"checkpoint config is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ContainerError(f"checkpoint config is JSON but not an object: {type(config).__name__}")
     (count,) = struct.unpack("<I", r.take(4, "tensor count"))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -40,6 +40,7 @@ from mvse.visual import (
     action_embed,
     chunk_sample,
     global_embed,
+    require_action,
     sequential_embed,
 )
 
@@ -243,6 +244,14 @@ class Model:
 
     # -- video side ----------------------------------------------------
 
+    def check_features(self, videos: list[VideoFeature]) -> None:
+        """Raise ``SpaceUnavailableError`` naming the space and the first
+        video that lacks a feature one of the model's spaces reads. Every
+        video has its frames, so only the action space's vectors can be
+        missing (:func:`mvse.visual.require_action`)."""
+        if SPACE_ACTION in self.spaces:
+            require_action(videos)
+
     def video_embeddings(
         self, videos: list[VideoFeature], phis: Tensor, frame_seed: tuple[int, int] | None = None
     ) -> dict[str, Tensor | np.ndarray]:
@@ -256,14 +265,15 @@ class Model:
         distinct count in the call, and videos of one count share that
         list."""
         n = self.dims.n_chunks
-        firsts = {f: chunk_sample(f, n) for f in {v.n_frames for v in videos}}
-        starts = [firsts[v.n_frames] for v in videos]
+        counts = [v.n_frames for v in videos]
+        firsts = {f: chunk_sample(f, n) for f in set(counts)}
+        starts = [firsts[f] for f in counts]
         out: dict[str, Tensor | np.ndarray] = {}
         if SPACE_GLOBAL in self.spaces:
             drawn = [
-                chunk_sample(v.n_frames, n, frame_rng(*frame_seed, v.video_id))
-                if frame_seed is not None and v.n_frames > n else idx
-                for v, idx in zip(videos, starts)
+                chunk_sample(f, n, frame_rng(*frame_seed, v.video_id))
+                if frame_seed is not None and f > n else idx
+                for v, f, idx in zip(videos, counts, starts)
             ]
             out[SPACE_GLOBAL] = global_embed(videos, drawn, *self.params.global_head)
         if SPACE_ACTION in self.spaces:

@@ -48,15 +48,20 @@ def token_ids(sentences: list[list[int]], vocab: int) -> np.ndarray:
     one check on ids, for the container and the GRU. An id that is not an
     integer by :func:`mvse.config._is_integer_type` (``1.5``, ``True``,
     ``np.bool_``), which int64 would silently truncate, or that lies
-    outside [0, vocab) raises ``ValueError`` naming it and its sentence."""
+    outside [0, vocab) raises ``ValueError`` naming it and its sentence,
+    the first such id if there are several.
+
+    The type check reads the set of the ids' types, one per distinct type.
+    The range check is one reduction: read as uint64, a negative id is at
+    least 2**63, so the ids are all in range when the largest is below
+    ``vocab``; only then is each id tested, to name the first outside."""
     flat = list(itertools.chain.from_iterable(sentences))
     if not all(map(_is_integer_type, set(map(type, flat)))):
         k = next(k for k, t in enumerate(flat) if not _is_integer_type(type(t)))
         raise ValueError(f"sentence {_sentence_of(sentences, k)}: token id {flat[k]!r} is not an integer")
     ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    outside = (ids < 0) | (ids >= vocab)
-    if outside.any():
-        k = int(outside.argmax())
+    if flat and ids.view(np.uint64).max() >= vocab:
+        k = int(((ids < 0) | (ids >= vocab)).argmax())
         raise ValueError(f"sentence {_sentence_of(sentences, k)}: token id {ids[k]} outside [0, {vocab})")
     return ids
 
@@ -76,11 +81,14 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
     The table is read in place at its own dtype: only the gathered token
     rows are widened, into a zero-padded float64 [Q, T, E] constant (f4 ->
     f8 is exact, so a float32 table gives the bytes of its float64
-    widening). The input terms ``W x`` of all gates and steps come from one
-    contraction into [Q, T, 3, H] before the recurrence, which adds the
-    biases. A mask m in {0, 1} [Q] per step stops each sentence at its own
-    last token: h' = m·h_new + (1 − m)·h, computed
-    as ``(1 − m·z)·h + m·z·c``, which for m in {0, 1} gives exactly h_new or
+    widening). Where every sentence has the same length, as in a corpus of
+    one sentence mode, nothing is padded: the rows are gathered straight
+    into [Q, T, E] and the mask is all ones, with no step mask formed and
+    no masked scatter. The input terms ``W x`` of all gates and steps come
+    from one contraction into [Q, T, 3, H] before the recurrence, which
+    adds the biases. A mask m in {0, 1} [Q] per step stops each sentence
+    at its own last token: h' = m·h_new + (1 − m)·h, computed as
+    ``(1 − m·z)·h + m·z·c``, which for m in {0, 1} gives exactly h_new or
     h. The recurrence over all steps is one ``gru_recurrence`` node, so the
     tape holds the same number of nodes for any sentence length.
     """
@@ -91,10 +99,14 @@ def gru_encode(sentences: list[list[int]], table: np.ndarray, params: GruParams)
         raise EmptySentenceError("empty sentence" if lengths else "no sentences")
     ids = token_ids(sentences, table.shape[0])
     n_q, n_t = len(sentences), max(lengths)
-    steps = np.arange(n_t)[None, :] < np.asarray(lengths)[:, None]  # [Q, T]
-    tokens = np.zeros((n_q, n_t, table.shape[1]))
-    tokens[steps] = table[ids]
-    mask = steps.astype(np.float64)
+    if len(ids) == n_q * n_t:  # no sentence is shorter than the longest
+        tokens = table[ids.reshape(n_q, n_t)].astype(np.float64, copy=False)
+        mask = np.ones((n_q, n_t))
+    else:
+        steps = np.arange(n_t) < np.asarray(lengths)[:, None]  # [Q, T]
+        tokens = np.zeros((n_q, n_t, table.shape[1]))
+        tokens[steps] = table[ids]
+        mask = steps.astype(np.float64)
     x = einsum("gje,qte->qtgj", params.w, tokens)  # [Q, T, 3, H]
     return gru_recurrence(x, params.u, params.b, mask)
 

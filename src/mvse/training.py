@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from mvse import fusion
-from mvse.autodiff import Tape, Tensor, hinge_sum, stack
+from mvse.autodiff import HingePicks, Tape, Tensor, hinge_sum, stack
 from mvse.config import TripletConfig
 from mvse.dataio import Dataset, Manifest
 from mvse.model import Model
@@ -60,9 +60,11 @@ def loss_from_matrix(fused: ScoreGrid | list[list[Tensor]], alpha: float, mode: 
     wrong sentence and wrong video (ties to the lowest index). All hinges,
     in that order, are one ``hinge_sum`` node over index pairs of the
     [B, B] scores: a :class:`ScoreGrid`'s ``scores``, or, for a plain grid
-    of 0-d tensors, its rows stacked into one tensor. Sum-all's index
-    pairs depend on B alone, so they are formed once per B and shared,
-    read-only; hardest mode's are formed from each grid's values.
+    of 0-d tensors, its rows stacked into one tensor. Both modes hand it
+    their index pairs as one :class:`HingePicks`, checked and flattened
+    where it is formed. Sum-all's depend on B alone, so they are formed
+    once per B and shared, read-only; hardest mode's are formed from each
+    grid's values.
     """
     b = len(fused)
     if b < 2 or any(len(row) != b for row in fused):
@@ -75,29 +77,26 @@ def loss_from_matrix(fused: ScoreGrid | list[list[Tensor]], alpha: float, mode: 
     else:
         values = scores.data.copy()
         np.fill_diagonal(values, -np.inf)
-        picks = _picks(np.arange(b), values.argmax(axis=1), values.argmax(axis=0))
-    return hinge_sum(scores, *picks, alpha)
+        picks = _picks(b, np.arange(b), values.argmax(axis=1), values.argmax(axis=0))
+    return hinge_sum(scores, picks, alpha)
 
 
-def _picks(anchor: np.ndarray, j_sentence: np.ndarray, j_video: np.ndarray) -> tuple:
-    """The (negatives, positives) index pairs of :func:`hinge_sum` for picks
-    (anchor, j_sentence, j_video): per pick, the wrong sentence (i,
-    j_sentence) then the wrong video (j_video, i), each against (i, i)."""
+def _picks(b: int, anchor: np.ndarray, j_sentence: np.ndarray, j_video: np.ndarray) -> HingePicks:
+    """The :class:`HingePicks` of a ``b`` x ``b`` grid for picks (anchor,
+    j_sentence, j_video): per pick, the wrong sentence (i, j_sentence) then
+    the wrong video (j_video, i), each against (i, i)."""
     negatives = np.array([anchor, j_video]).T.ravel(), np.array([j_sentence, anchor]).T.ravel()
     diagonal = np.repeat(anchor, 2)
-    return negatives, (diagonal, diagonal)
+    return HingePicks((b, b), negatives, (diagonal, diagonal))
 
 
 @functools.lru_cache(maxsize=8)
-def _sum_all_picks(b: int) -> tuple:
+def _sum_all_picks(b: int) -> HingePicks:
     """Sum-all mode's picks for a B x B grid, every j != i for both hinges,
-    formed once per B. The arrays are shared by every batch of that size,
-    so they are read-only."""
+    formed and checked once per B and shared, read-only, by every batch of
+    that size."""
     anchor, other = np.nonzero(~np.eye(b, dtype=bool))  # row-major: by anchor, then j
-    negatives, positives = _picks(anchor, other, other)
-    for index in (*negatives, *positives):
-        index.setflags(write=False)
-    return negatives, positives
+    return _picks(b, anchor, other, other)
 
 
 def fused_similarity_matrix(
@@ -189,7 +188,11 @@ def train(
     values also passed to ``log_fn``.
 
     Each entry's :class:`VideoFeature` is formed once per call, right
-    after ``validate_against``, and every batch reads it from there. Each
+    after ``validate_against``, and every batch reads it from there. A
+    video that lacks a feature one of the model's spaces reads (a dataset
+    without action vectors under a model with the action space) raises
+    ``SpaceUnavailableError`` naming the space and the first such video
+    (``Model.check_features``), before epoch 0. Each
     epoch shuffles the videos, draws one sentence per video that has one,
     and walks mini-batches of distinct videos; short tails (< 2) are
     dropped. The epoch's sentence draws are one ``integers`` call over the
@@ -217,6 +220,7 @@ def train(
     manifest.validate_against(dataset)
     entries = manifest.entries
     features = [dataset.video_feature(idx, vid) for vid, idx, _ in entries]
+    model.check_features(features)
     n_sentences = np.array([len(sents) for _, _, sents in entries], dtype=np.int64)
     usable = int(np.count_nonzero(n_sentences))
     if usable < 2:

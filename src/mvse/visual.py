@@ -55,6 +55,7 @@ from mvse.autodiff import (
     softmax,
     tanh,
 )
+from mvse.config import _is_integer_type
 
 
 # bytes that one recurrence step of an untaped block of videos reads and
@@ -126,12 +127,32 @@ def chunk_sample(
     return indices
 
 
+def _frame_index(idx: list[int], n_frames: int) -> slice | np.ndarray:
+    """``idx`` as a numpy index of rows: a slice where it is a run of
+    consecutive ints inside the first ``n_frames`` rows, such as the chunk
+    starts of a video with as many frames as chunks, else an int64 array.
+    Both read the same rows, and the slice reads them as a view, with no
+    fancy-index copy and no index array to form."""
+    lo = idx[0] if isinstance(idx, list) and idx else None
+    if _is_integer_type(type(lo)) and 0 <= lo and (hi := lo + len(idx)) <= n_frames and idx == list(range(lo, hi)):
+        return slice(lo, hi)
+    return np.asarray(idx, dtype=np.int64)
+
+
 def _gather(kind: str, frames: list[np.ndarray], indices: list[list[int]]) -> np.ndarray:
     """Row ``indices[v]`` of ``frames[v]`` for every video, written one video
     at a time into a [V, N, ...] float64 array. This is the one place stored
     frames are widened: only the selected frames are, and f4 -> f8 is exact,
     so the heads compute on the stored values. Every video needs the same
-    count N and frame shape; differing ones raise ``ShapeError`` naming them."""
+    count N and frame shape; differing ones raise ``ShapeError`` naming them.
+
+    Videos of one frame count share one index list (``Model.video_embeddings``),
+    so each distinct list object is made into a numpy index
+    (:func:`_frame_index`) once per call and read for every video that
+    holds it. The index is a slice where the list is a run inside the
+    shortest video, so it reads every video's rows in range; an index past
+    a video's last frame raises numpy's ``IndexError``, as the int64 array
+    does."""
     counts = sorted({len(idx) for idx in indices})
     if len(counts) > 1:
         raise ShapeError(
@@ -141,8 +162,13 @@ def _gather(kind: str, frames: list[np.ndarray], indices: list[list[int]]) -> np
     if len(shapes) > 1:
         raise ShapeError(kind, *shapes, detail="need the same frame shape for every video")
     out = np.empty((len(frames), *counts, *shapes[0]))
+    n_frames = min(map(len, frames), default=0)
+    picks: dict[int, slice | np.ndarray] = {}
     for row, f, idx in zip(out, frames, indices, strict=True):
-        row[...] = f[np.asarray(idx, dtype=np.int64)]
+        pick = picks.get(id(idx))
+        if pick is None:
+            pick = picks[id(idx)] = _frame_index(idx, n_frames)
+        row[...] = f[pick]
     return out
 
 
@@ -158,9 +184,11 @@ def global_embed(videos: list[VideoFeature], indices: list[list[int]], w: Tensor
     :func:`sequential_embed`; differing counts raise ``ShapeError`` naming
     them. The selected frames are gathered into one [V, N, C_g] array and
     pooled by one mean over N, in numpy, since frames are data, not
-    parameters; the map is one [V, C_g] -> [V, D] node over that constant."""
+    parameters; the map is one [V, C_g] -> [V, D] node over that constant.
+    The mean is taken as ``np.add.reduce`` over N divided by N, the two
+    steps of ``mean(axis=1)`` and so its bytes, without its dispatch."""
     frames = _gather("global_embed", [v.global_frames for v in videos], indices)
-    return broadcast_add(matvec(w, frames.mean(axis=1)), b)
+    return broadcast_add(matvec(w, np.add.reduce(frames, axis=1) / frames.shape[1]), b)
 
 
 @dataclass
@@ -327,14 +355,24 @@ def sequential_embed(
     return Tensor(out)
 
 
+def require_action(videos: list[VideoFeature]) -> None:
+    """Raise ``SpaceUnavailableError`` naming the action space and the first
+    video without an action vector, the one feature a video may lack."""
+    for video in videos:
+        if video.action_vec is None:
+            raise SpaceUnavailableError(
+                f"space unavailable: the action space reads action features, and video {video.video_id} has none"
+            )
+
+
 def action_embed(videos: list[VideoFeature]) -> np.ndarray:
     """The stored action vectors as one [V, C_a] float64 ndarray, widened
     exactly and otherwise unchanged: a constant, which :func:`cosine` gives
-    no node, since only the text side of this space is learned."""
-    for video in videos:
-        if video.action_vec is None:
-            raise SpaceUnavailableError(f"space unavailable: video {video.video_id} has no action features")
-    return np.stack([v.action_vec for v in videos], dtype=np.float64)
+    no node, since only the text side of this space is learned. A video
+    without one raises (:func:`require_action`). The vectors are widened by
+    one ``np.array`` call over them, which needs no stacking step."""
+    require_action(videos)
+    return np.array([v.action_vec for v in videos], dtype=np.float64)
 
 
 def space_similarity(f: Tensor | np.ndarray, g: Tensor) -> Tensor:

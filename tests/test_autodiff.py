@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 import zlib
 
@@ -13,6 +14,7 @@ from mvse import autodiff, training
 from mvse.autodiff import (
     DegenerateEmbeddingError,
     HandedOffGradientError,
+    HingePicks,
     ShapeError,
     Tape,
     Tensor,
@@ -310,6 +312,47 @@ class TestCosine:
         with pytest.raises(DegenerateEmbeddingError, match="overflow"):
             cosine(Tensor(a), Tensor(bad_b))
 
+    @pytest.mark.parametrize("paired", [False, True], ids=["rows", "paired"])
+    @pytest.mark.parametrize("operand", ["a", "b"])
+    @pytest.mark.parametrize(
+        "defect, tiny_in",
+        [("nan", None), ("+inf", None), ("overflow", None), ("tiny", None),
+         ("nan", "same"), ("nan", "other"), ("+inf", "same"), ("+inf", "other"),
+         ("overflow", "same"), ("overflow", "other")],
+    )
+    def test_degenerate_operands_raise_the_non_finite_error_first(self, defect, tiny_in, operand, paired):
+        """A NaN, an infinite entry or a squared norm that overflows float64
+        raises the non-finite error, and a norm below 1e-12 the norm error,
+        in either operand and layout. A non-finite value wins over a tiny
+        norm in the same call, in another row of its operand or in the
+        other operand."""
+        rng = np.random.default_rng(24)
+        arrays = {"a": rng.normal(size=(3, 2, 4) if paired else (3, 4)), "b": rng.normal(size=(2, 4))}
+
+        def row(name, k):  # a view of one embedding: row k, or of a paired a, its pair (k, 0)
+            return arrays[name][(k, 0) if name == "a" and paired else k]
+
+        def make_tiny(r):
+            r[:] = 0.0
+            r[0] = 1e-13
+
+        if defect == "tiny":
+            make_tiny(row(operand, 1))
+        else:
+            row(operand, 1)[2] = {"nan": np.nan, "+inf": np.inf, "overflow": 1e200}[defect]
+        if tiny_in is not None:
+            make_tiny(row(operand if tiny_in == "same" else "ab".replace(operand, ""), 0))
+        message = "norm below 1e-12" if defect == "tiny" else "squared norm or dot product is not finite (float64 overflow)"
+        with pytest.raises(DegenerateEmbeddingError, match=f"^degenerate embedding: {re.escape(message)}$"):
+            cosine(Tensor(arrays["a"]), Tensor(arrays["b"]))
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["rows", "paired"])
+    def test_an_empty_operand_gives_an_empty_grid(self, paired):
+        a, b = np.ones((0, 2, 3) if paired else (0, 3)), np.ones((2, 3))
+        assert cosine(Tensor(a), Tensor(b)).shape == (0, 2)
+        if not paired:
+            assert cosine(Tensor(np.ones((2, 3))), Tensor(np.ones((0, 3)))).shape == (2, 0)
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -501,7 +544,7 @@ def _hinges(v):
     # v as a [1, 5] grid; entry (0, 0) is a negative in one term and a positive in another
     negatives = ([0, 0, 0], [0, 1, 2])
     positives = ([0, 0, 0], [3, 0, 4])
-    return hinge_sum(reshape(v, (1, 5)), negatives, positives, 0.3)
+    return hinge_sum(reshape(v, (1, 5)), HingePicks((1, 5), negatives, positives), 0.3)
 
 
 MIXED_LENGTHS = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -829,7 +872,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
             seq = lstm_recurrence(k, reshape(take(h, 0, axis=1), (1, 1, 2, 1)), stack([u, u, u, u]), v)
             s = add(s, add(sum_all(phi), sum_all(seq)))
             pair = reshape(stack([take(take(cosine(v, h), 3), 1), s]), (1, 2))
-            loss = hinge_sum(pair, ([0], [0]), ([0], [1]), 0.1)
+            loss = hinge_sum(pair, HingePicks((1, 2), ([0], [0]), ([0], [1])), 0.1)
             tape.backward(loss)
         ref = weakref.ref(tape)
         del tape, loss, x, h, grid, v, gram, s, u, xs, phi, k, seq, pair
@@ -967,24 +1010,32 @@ class TestHingeSum:
         # 0.5 - 0.2 + 0.1 = 0.4 is active; 0.1 - 0.9 + 0.1 = -0.7 is not
         with Tape() as tape:
             grid = Tensor([[0.5, 0.2], [0.1, 0.9]])
-            out = hinge_sum(grid, ([0, 1], [0, 0]), ([0, 1], [1, 1]), 0.1)
+            out = hinge_sum(grid, HingePicks((2, 2), ([0, 1], [0, 0]), ([0, 1], [1, 1])), 0.1)
             tape.backward(out)
         assert out.item() == pytest.approx(0.4, abs=1e-15)
         np.testing.assert_array_equal(tape.grad(grid), [[1.0, -1.0], [0.0, 0.0]])
         assert len(tape) == 2  # the grid leaf and the hinge_sum node
 
     def test_shape_errors(self):
-        grid = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="hinge_sum.*index arrays"):
-            hinge_sum(grid, ([0, 1], [0, 1]), ([0], [0]), 0.2)
+            HingePicks((2, 3), ([0, 1], [0, 1]), ([0], [0]))
         with pytest.raises(ShapeError, match="hinge_sum.*index arrays"):
-            hinge_sum(grid, ([0, 1], [0]), ([0, 1], [0, 1]), 0.2)
+            HingePicks((2, 3), ([0, 1], [0]), ([0, 1], [0, 1]))
         with pytest.raises(ShapeError, match="hinge_sum.*no terms"):
-            hinge_sum(grid, ([], []), ([], []), 0.2)
+            HingePicks((2, 3), ([], []), ([], []))
+        for shape in [(3,), (1, 2, 3)]:
+            with pytest.raises(ShapeError, match="hinge_sum.*grid"):
+                HingePicks(shape, ([0], [0]), ([0], [1]))
+        picks = HingePicks((2, 3), ([0], [0]), ([0], [1]))
         with pytest.raises(ShapeError, match="hinge_sum.*grid"):
-            hinge_sum(Tensor(np.zeros(3)), ([0], [0]), ([0], [1]), 0.2)
+            hinge_sum(Tensor(np.zeros(6)), picks, 0.2)
         with pytest.raises(ShapeError, match="hinge_sum.*grid"):
-            hinge_sum(Tensor(np.zeros((1, 2, 3))), ([0], [0]), ([0], [1]), 0.2)
+            hinge_sum(Tensor(np.zeros((1, 2, 3))), picks, 0.2)
+        # the picks' range was checked against (2, 3), so on any other grid,
+        # the [3, 2] transpose included, hinge_sum refuses them
+        for shape in [(3, 2), (2, 2), (2, 4)]:
+            with pytest.raises(ShapeError, match=re.escape(f"hinge_sum: incompatible shapes {shape} vs (2, 3)")):
+                hinge_sum(Tensor(np.zeros(shape)), picks, 0.2)
         # a row or column outside the [2, 3] grid, in either index pair, negative
         # indices included: a ShapeError, never numpy's IndexError or wrap-around
         for negatives, positives in [
@@ -992,7 +1043,13 @@ class TestHingeSum:
             (([0], [0]), ([2], [0])), (([0], [0]), ([0], [-1])),
         ]:
             with pytest.raises(ShapeError, match="hinge_sum.*out of range"):
-                hinge_sum(grid, negatives, positives, 0.2)
+                HingePicks((2, 3), negatives, positives)
+
+    def test_picks_are_flattened_once_and_read_only(self):
+        picks = HingePicks((2, 3), ([0, 1], [2, 0]), ([0, 1], [0, 1]))
+        assert picks.flat.tolist() == [[2, 3], [0, 4]]
+        with pytest.raises(ValueError, match="read-only"):
+            picks.flat[0, 0] = 1
 
     @pytest.mark.parametrize(
         "bad, dtype", [([0.7], "float64"), ([True], "bool"), (np.array([1.0], np.float32), "float32")],
@@ -1004,7 +1061,7 @@ class TestHingeSum:
         index = [[0], [0], [0], [1]]
         index[slot] = bad
         with pytest.raises(ShapeError, match=f"hinge_sum.*integers, got dtype {dtype}"):
-            hinge_sum(Tensor(np.zeros((2, 2))), index[:2], index[2:], 0.1)
+            HingePicks((2, 2), index[:2], index[2:])
 
     def test_an_entry_read_by_negatives_and_positives_gets_add_at_bytes(self):
         # every term active, each entry read many times, both as a negative
@@ -1015,7 +1072,7 @@ class TestHingeSum:
         negatives, positives = tuple(rng.integers(0, 3, size=(2, 2, 40)))
         grid = Tensor(values)
         with Tape() as tape:
-            tape.backward(scale(hinge_sum(grid, tuple(negatives), tuple(positives), 100.0), 0.1))
+            tape.backward(scale(hinge_sum(grid, HingePicks((3, 3), tuple(negatives), tuple(positives)), 100.0), 0.1))
         expected = oracle_ops.hinge_grid_grad(values, negatives, positives, 100.0, 0.1)
         assert tape.grad(grid).tobytes() == expected.tobytes()
 

@@ -2,6 +2,7 @@ import io
 import re
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -401,6 +402,47 @@ class TestCheckpoint:
         one = np.array([1.0]).tobytes()
         with pytest.raises(ContainerError, match="x appears twice"):
             _read_checkpoint(self._blob([("x", (1,), one), ("x", (1,), one)]))
+
+    @pytest.mark.parametrize("config", [[1, 2], "a", 3, None])
+    def test_a_config_that_is_not_a_dict_is_refused_before_any_byte(self, config):
+        # [1, 2] would read back as [1, 2]
+        out = io.BytesIO()
+        with pytest.raises(ContainerError, match=f"^checkpoint config must be a dict, got {type(config).__name__}$"):
+            write_checkpoint(self._params(), config, out)
+        assert out.getvalue() == b""
+
+    @pytest.mark.parametrize("config", [b"[1,2]", b"3", b'"a"', b"null"])
+    def test_a_config_that_is_json_but_not_an_object_is_a_container_error(self, config):
+        blob = CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(config)) + config
+        with pytest.raises(ContainerError, match="config is JSON but not an object"):
+            _read_checkpoint(blob + struct.pack("<I", 0))
+
+    @pytest.mark.parametrize(
+        "name, tensor, problem",
+        [
+            # the name's length field is a u16
+            ("é" * 35_000, np.zeros(1), "its name is 70000 UTF-8 bytes, above 65535"),
+            # the rank field is a u8; numpy cannot form such an array, so an
+            # object that declares the shape stands in for one
+            ("deep", types.SimpleNamespace(shape=(1,) * 256), "its rank is 256, above 255"),
+            # each dimension is a u32; a broadcast view declares it without holding it
+            ("wide", np.broadcast_to(np.zeros(1), (2, 2**32)), f"its shape {(2, 2**32)} has a dimension"),
+        ],
+        ids=["name", "rank", "dimension"],
+    )
+    def test_a_tensor_the_format_cannot_hold_is_refused_before_any_byte(self, name, tensor, problem):
+        params = {**self._params(), name: tensor}
+        shown = name if len(name) <= 64 else f"{name[:64]}..."
+        out = io.BytesIO()
+        with pytest.raises(ContainerError, match=re.escape(f"checkpoint tensor {shown} cannot be written: {problem}")):
+            write_checkpoint(params, {"a": 1}, out)
+        assert out.getvalue() == b""
+
+    def test_the_largest_name_and_dimension_the_format_holds_are_written(self):
+        name = "n" * 0xFFFF
+        params = {name: np.zeros(1), "wide": np.zeros((2**32 - 1, 0))}
+        back, _ = _read_checkpoint(_checkpoint(params, {}))
+        assert back.keys() == params.keys() and back["wide"].shape == (2**32 - 1, 0)
 
 
 class TestGeneratedDatasets:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvse.autodiff import ShapeError, Tensor, cosine, grad_check, hinge_sum, reshape, stack
+from mvse.autodiff import HingePicks, ShapeError, Tensor, cosine, grad_check, hinge_sum, reshape, stack
 from mvse.fusion import fuse, gate_weights, space_weights
 
 from oracle_ops import sweep, take
@@ -182,7 +182,7 @@ def test_gate_and_fusion_gradients():
         sims = stack([cosine(a, b), cosine(c, d)])
         value = fuse(sims, space_weights(phi, gate, "weighted"))  # [2, 1]
         # a fused score differs from another by less than 2, so the hinge is active
-        return hinge_sum(value, ([1], [0]), ([0], [0]), 2.0)
+        return hinge_sum(value, HingePicks((2, 1), ([1], [0]), ([0], [0])), 2.0)
 
     assert grad_check(loss, gate) < 1e-4
     assert grad_check(loss, phi) < 1e-4

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvse import text as mvse_text
-from mvse.autodiff import Tape, Tensor, grad_check
+from mvse.autodiff import Tape, Tensor, einsum, grad_check, gru_recurrence
 from mvse.config import Dims
 from mvse.model import init_params
 from mvse.text import EmptySentenceError, GruParams, gru_encode, project_text
 
-from oracle_ops import init_draw, sum_all, take
+from oracle_ops import init_draw, mul, sum_all, take
 
 DIMS = Dims.small()
 
@@ -139,6 +139,45 @@ class TestGru:
         # the gradient reaches the GRU's input weights through the token
         # constants, while the table array itself is untouched by it
         assert np.all(tape.grad(params.w) != 0)
+
+
+def _padded_batch_encode(sentences, table, params):
+    """``gru_encode`` with its token batch built as it was for every batch:
+    a step mask, a zero [Q, T, E] array and one masked scatter of the
+    gathered rows, whatever the lengths."""
+    lengths = [len(s) for s in sentences]
+    ids = np.fromiter((t for s in sentences for t in s), dtype=np.int64)
+    steps = np.arange(max(lengths))[None, :] < np.asarray(lengths)[:, None]
+    tokens = np.zeros((len(sentences), max(lengths), table.shape[1]))
+    tokens[steps] = table[ids]
+    return gru_recurrence(einsum("gje,qte->qtgj", params.w, tokens), params.u, params.b, steps.astype(np.float64))
+
+
+class TestTokenBatch:
+    @pytest.mark.parametrize(
+        "sentences",
+        [[[3, 1, 4, 1, 5]] * 3 + [[9, 2, 6, 5, 3]], [[3, 1, 4], [1, 5, 9, 2, 6], [5], [3, 5, 8, 9]], [[7]]],
+        ids=["equal", "mixed", "one-token"],
+    )
+    def test_bytes_and_gradients_match_the_padded_batch(self, sentences):
+        table = np.random.default_rng(3).normal(size=(10, 4)).astype(np.float32)
+        params = _random_gru(4, 3, seed=13)
+        weights = np.random.default_rng(4).normal(size=(len(sentences), 3))
+        runs = []
+        for encode in (gru_encode, _padded_batch_encode):
+            with Tape() as tape:
+                out = encode(sentences, table, params)
+                tape.backward(sum_all(mul(out, Tensor(weights))))
+            runs.append([out.data.tobytes()] + [tape.grad(p).tobytes() for p in (params.w, params.u, params.b)])
+        assert runs[0] == runs[1]
+
+    def test_the_first_of_several_bad_ids_is_named(self):
+        # a negative id reads as at least 2**63 in the one-reduction range check
+        with pytest.raises(ValueError, match=r"^sentence 1: token id -2 outside \[0, 10\)$"):
+            mvse_text.token_ids([[0, 1], [2, -2, 10], [-1]], 10)
+        with pytest.raises(ValueError, match=r"^sentence 0: token id 10 outside \[0, 10\)$"):
+            mvse_text.token_ids([[10, -1]], 10)
+        assert mvse_text.token_ids([], 0).tolist() == []
 
 
 class TestGruParams:

@@ -1107,15 +1107,15 @@ def test_sum_all_picks_give_the_bytes_of_the_per_batch_construction(b, monkeypat
     values = np.random.default_rng(b).uniform(-0.3, 0.3, size=(b, b))
     picks = []
 
-    def spy(scores, negatives, positives, margin):
-        picks.append((negatives, positives))
-        return autodiff.hinge_sum(scores, negatives, positives, margin)
+    def spy(scores, hinge_picks, margin):
+        picks.append(hinge_picks)
+        return autodiff.hinge_sum(scores, hinge_picks, margin)
 
     monkeypatch.setattr(training, "hinge_sum", spy)
     results = []
     for loss_of in (
         lambda s: training.loss_from_matrix(training.ScoreGrid(s), 0.2, "sum-all"),
-        lambda s: autodiff.hinge_sum(s, *_per_batch_sum_all_picks(b), 0.2),
+        lambda s: autodiff.hinge_sum(s, autodiff.HingePicks((b, b), *_per_batch_sum_all_picks(b)), 0.2),
         lambda s: training.loss_from_matrix(training.ScoreGrid(s), 0.2, "sum-all"),
     ):
         scores = Tensor(values)
@@ -1125,10 +1125,9 @@ def test_sum_all_picks_give_the_bytes_of_the_per_batch_construction(b, monkeypat
         results.append((loss.data.tobytes(), tape.grad(scores).tobytes()))
     assert results[0] == results[1] == results[2]
     first, again = picks
-    for cached, repeated in zip((*first[0], *first[1]), (*again[0], *again[1])):
-        assert cached is repeated
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0] = 0
+    assert first is again and first.shape == (b, b)
+    with pytest.raises(ValueError, match="read-only"):
+        first.flat[0, 0] = 0
 
 
 def test_hardest_mode_breaks_ties_to_the_lowest_index():
@@ -1204,15 +1203,17 @@ def test_hinge_grid_gradient_has_the_add_at_scatter_bytes(mode, monkeypatch):
     values[0, 1] = values[5, 5] = -0.0
     picks = []
 
-    def spy(scores, negatives, positives, margin):
-        picks.append((negatives, positives, margin))
-        return autodiff.hinge_sum(scores, negatives, positives, margin)
+    def spy(scores, hinge_picks, margin):
+        picks.append((hinge_picks, margin))
+        return autodiff.hinge_sum(scores, hinge_picks, margin)
 
     monkeypatch.setattr(training, "hinge_sum", spy)
     grid = Tensor(values)
     with Tape() as tape:
         tape.backward(scale(training.loss_from_matrix(training.ScoreGrid(grid), 0.2, mode), 0.1))
-    (negatives, positives, margin), = picks
+    (hinge_picks, margin), = picks
+    rows, cols = np.unravel_index(hinge_picks.flat, hinge_picks.shape)
+    negatives, positives = (rows[0], cols[0]), (rows[1], cols[1])
     expected = oracle_ops.hinge_grid_grad(values, negatives, positives, margin, 0.1)
     assert np.count_nonzero(expected) > 8
     assert tape.grad(grid).tobytes() == expected.tobytes()
@@ -1407,6 +1408,24 @@ def test_train_rejects_a_non_str_video_id_before_epoch_0():
     with pytest.raises(ManifestError, match="^entry 0: video id 0 is not a str$"):
         training.train(corpus.dataset, Manifest("train", entries), model, config, log_fn=lambda *e: logged.append(e))
     assert logged == []
+
+
+@pytest.mark.parametrize("spaces", ["dual-I", "triple"])
+def test_train_rejects_a_dataset_without_a_feature_a_space_reads_before_epoch_0(corpus, spaces, monkeypatch):
+    # without the check the action head raises inside the first batch, after the GRU has run
+    ds = dataclasses.replace(corpus.dataset, action_vecs=np.zeros((corpus.dataset.n_videos, 0)))
+    manifest = corpus.manifests["train"]
+    model = Model.new(DIMS, spaces, seed=1, table=ds.embedding_table())
+    monkeypatch.setattr(model, "encode_sentences", lambda *a: pytest.fail("a batch ran"))
+    logged = []
+    first = manifest.entries[0][0]
+    message = f"^space unavailable: the action space reads action features, and video {first} has none$"
+    with pytest.raises(visual.SpaceUnavailableError, match=message):
+        training.train(ds, manifest, model, TripletConfig(epochs=2, batch_size=4), log_fn=lambda *e: logged.append(e))
+    assert logged == []
+    # a model without the action space trains on the same dataset
+    model = Model.new(DIMS, "dual-S", seed=1, table=ds.embedding_table())
+    assert len(training.train(ds, manifest, model, TripletConfig(epochs=1, batch_size=4))) == 1
 
 
 @pytest.mark.parametrize("spaces", ["dual-I", "triple"])

@@ -169,6 +169,43 @@ class TestGather:
         with pytest.raises(ShapeError, match=re.escape(f"x: incompatible shapes {shapes} (need the same frame")):
             visual._gather("x", frames, [[0], [1]])
 
+    @staticmethod
+    def _reference(frames, indices):
+        """The per-video fancy-index gather, widened after the pick."""
+        return np.stack([f[np.asarray(idx, dtype=np.int64)] for f, idx in zip(frames, indices)]).astype(np.float64)
+
+    @pytest.mark.parametrize(
+        "counts, indices",
+        [
+            # contiguous: chunk_sample's starts at F = N, one list shared by every video
+            ((4, 4, 4), [visual.chunk_sample(4, 4)] * 3),
+            # contiguous from a later frame, each video its own equal list
+            ((6, 6, 6), [[2, 3, 4, 5], [2, 3, 4, 5], [2, 3, 4, 5]]),
+            # a run inside the longer videos but past the shortest one's end
+            ((4, 7, 7), [[0, 1, 2, 3], [3, 4, 5, 6], [3, 4, 5, 6]]),
+            # strided: chunk_sample's starts at F > N
+            ((8, 8, 8), [visual.chunk_sample(8, 4)] * 3),
+            # repeated: chunk_sample's starts at F < N
+            ((3, 3, 3), [visual.chunk_sample(3, 4)] * 3),
+            # drawn: each video's own random pick per chunk
+            ((9, 9, 9), [visual.chunk_sample(9, 4, np.random.default_rng(v)) for v in range(3)]),
+            # a negative index reads from the end, as numpy's fancy index does
+            ((5, 5, 5), [[-1, 0, 1, 2]] * 3),
+        ],
+        ids=["first-frames", "offset-run", "past-the-shortest", "strided", "repeated", "drawn", "negative"],
+    )
+    def test_bytes_match_the_per_video_fancy_index(self, counts, indices):
+        rng = np.random.default_rng(sum(counts))
+        frames = [rng.normal(size=(f, 2, 3)).astype(np.float32) for f in counts]
+        out = visual._gather("x", frames, indices)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.tobytes() == self._reference(frames, indices).tobytes()
+
+    def test_an_index_past_a_videos_last_frame_raises_index_error(self):
+        frames = [np.zeros((4, 3), np.float32), np.zeros((3, 3), np.float32)]
+        with pytest.raises(IndexError):
+            visual._gather("x", frames, [[1, 2, 3]] * 2)
+
     def test_peak_is_the_output_and_one_video_pick(self):
         # 8 videos x 20 frames of a 7x7x256 grid, 8 picked per video: the
         # float64 output is 6.4 MB and one video's float32 pick 0.4 MB;
