@@ -752,9 +752,9 @@ def gru_recurrence(x: Tensor, u: Tensor, b: Tensor, mask: np.ndarray) -> Tensor:
         for t in range(n_t - 1, -1, -1):
             d[t, :, 0] *= dh
             d[t, :, 2] *= dh
-            d_rh = d[t, :, 2] @ ucd
-            d[t, :, 1] *= d_rh
-            if t:
+            if t:  # at t = 0 the r-gate factor is zero, h_0 being the zero state
+                d_rh = d[t, :, 2] @ ucd
+                d[t, :, 1] *= d_rh
                 dh = dh * keep[t] + d_rh * rs[t] + d[t, :, :2].reshape(q, 2 * n_h) @ u_zr
         du = np.empty((3, n_h, n_h))
         du[:2] = (d[:, :, :2].reshape(-1, 2 * n_h).T @ hs_prev.reshape(-1, n_h)).reshape(2, n_h, n_h)
@@ -785,18 +785,14 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     [V, 4H, Q] view of a [4H, V*Q] buffer, so neither the [V, T, Q, 4, H]
     input terms nor a transposed copy of ``k`` is built. The sigmoids are
     (1 + tanh(a/2)) / 2, so one ``np.tanh`` over a, with a_i, a_f and a_o
-    halved (exact), gives all four gates. The halving is one pass per step
-    over whichever is smaller: the [4H, V*Q] pre-activations, or, where
-    the grid has fewer cells than there are sentences (G*G < Q), the
-    [V, 4H, G*G] slab of ``k`` that the step reads, halved into a buffer
-    laid out as that slab, with the rows of ``u`` and ``b`` halved once per
-    call. Either way the step's pre-activations have the same bytes. Every
-    step computes into buffers allocated once per call; without a tape,
-    they are one workspace of 10·V·Q·H floats over the call's V videos
-    (one block of ``visual.sequential_embed``'s scan), the activations
-    overwrite the pre-activations, and c and h are updated in place. The
-    [V, Q, H] output is one transposing copy, so it does not keep the
-    workspace alive.
+    halved (exact), gives all four gates. Each step halves them once the
+    bias is added, in one contiguous pass over the i and f rows [0, 2H)
+    and one over the o rows [3H, 4H). Every step computes into buffers
+    allocated once per call; without a tape, they are one workspace of
+    10·V·Q·H floats over the call's V videos (one block of
+    ``visual.sequential_embed``'s scan), the activations overwrite the
+    pre-activations, and c and h are updated in place. The [V, Q, H] output
+    is one transposing copy, so it does not keep the workspace alive.
 
     The backward propagates through time over the live pairs only, those
     whose output gradient is not all zero (hardest mode's loss reads at
@@ -856,16 +852,6 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     amap_steps = ad.transpose(2, 0, 3, 1)  # [T, V, G*G, Q]
     u4 = ud.reshape(4 * n_h, n_h)
     bias = bd.reshape(4 * n_h, 1)
-    half = np.repeat([0.5, 0.5, 1.0, 0.5], n_h)[:, None]  # the sigmoid gates enter tanh halved
-    # with fewer cells than sentences, halving each step's K slab touches
-    # fewer floats than halving its pre-activations; elsewhere the slab's
-    # strided pass costs more than the contiguous one it would replace. The
-    # slab's buffer has the slab's layout, so its product with the maps
-    # rounds as before
-    fold = n_cells < n_q
-    u_act, b_act = (u4 * half, bias * half) if fold else (u4, bias)
-    if fold:
-        k_half = np.empty((n_cells, n_v, 4 * n_h)).transpose(1, 2, 0)
     taped = _ACTIVE_TAPE.get() is not None
     # one workspace for the step buffer x_t, whose first H rows take i·g once
     # x_t is added in, and, without a tape, the pre-activations, h and c:
@@ -892,13 +878,12 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
     for t in range(n_t):
         if taped:
             act = acts[t]
-        np.matmul(u_act, h, out=act)
-        k_step = np.multiply(k_steps[t], half, out=k_half) if fold else k_steps[t]
-        np.matmul(k_step, amap_steps[t], out=xt_steps)
+        np.matmul(u4, h, out=act)
+        np.matmul(k_steps[t], amap_steps[t], out=xt_steps)
         act += xt
-        act += b_act
-        if not fold:
-            act *= half
+        act += bias
+        act[: 2 * n_h] *= 0.5  # the sigmoid gates i, f and o enter tanh halved
+        act[3 * n_h:] *= 0.5
         np.tanh(act, out=act)
         _tanh_to_sigmoid(act[: 2 * n_h])
         _tanh_to_sigmoid(act[3 * n_h:])
@@ -933,8 +918,8 @@ def lstm_recurrence(k: Tensor, amap: Tensor, u: Tensor, b: Tensor) -> Tensor:
             d_ifg = d_live[t, : 3 * n_h].reshape(3, n_h, d_live.shape[2])
             d_ifg *= dc
             d_live[t, 3 * n_h:] *= dh
-            dc = dc * f[t]
             if t:
+                dc = dc * f[t]
                 dh = u4.T @ d_live[t]
         # the sums over steps and pairs read d and the states each step
         # started from in row layout, zero on the pairs that are not live,

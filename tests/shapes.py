@@ -31,8 +31,9 @@ EVAL_GRIDS = {
 # (dims, V, Q): the benchmark's seq-train batch and eval grid at mid dims and
 # seq-retrieve's at small dims, then a single video and a single sentence,
 # whose length-1 index the materialized contraction drops from its product.
-# The seq-retrieve grids have fewer cells than sentences, so the recurrence
-# halves U, b and K's step slabs there, and its pre-activations elsewhere.
+# The seq-retrieve grids have fewer cells than sentences (G*G < Q) and the
+# others do not, so the step's input-term product, [4H, G*G] by [G*G, Q],
+# is checked on both sides of G*G = Q.
 LSTM_GRIDS = {
     "seq-train-batch": (MID_DIMS, 8, 8),
     "seq-train-eval": EVAL_GRIDS["seq-train"],

@@ -572,8 +572,8 @@ class TestSequentialEmbed:
         # Q = 64 at Dims.small(), T = 4: the head holds the widened frames,
         # the attention's logit shares and the [V, Q, H] output for every
         # video, and K, the maps and the recurrence's workspace for one
-        # block of 12. Blocked, it peaks at 2,115,688 bytes at V = 64 against
-        # 1,518,952 at V = 16 (1.39x, numpy 2); one block of all V peaked at
+        # block of 12. Blocked, it peaks at 2,079,520 bytes at V = 64 against
+        # 1,482,912 at V = 16 (1.40x, numpy 2); one block of all V peaked at
         # 7,234,376 against 1,821,512 (3.97x).
         n_q = 64
         params = _seq_params(17)
@@ -619,7 +619,7 @@ class TestSequentialEmbed:
         # once, as one workspace, and its state updated in place, the untaped
         # call peaked at 2,047,072 bytes here as one block of 32 videos (numpy
         # 2), which the bound holds with a 5.0% margin; in blocks of 23 and 9
-        # it peaks at 1,650,168.
+        # it peaks at 1,590,720.
         rng = np.random.default_rng(19)
         videos = [_video(rng) for _ in range(32)]
         phis = Tensor(rng.normal(size=(32, DIMS.hidden)))
