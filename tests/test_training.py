@@ -378,6 +378,10 @@ def test_lstm_recurrence_matches_the_per_op_chain(dims):
     _assert_close(new, _values_and_grads(_materialized_lstm(_per_op_lstm), inputs, weights))
 
 
+def test_lstm_grids_have_fewer_and_not_fewer_cells_than_sentences():
+    assert {dims.grid_cells < n_q for dims, _, n_q in LSTM_GRIDS.values()} == {True, False}
+
+
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
 @pytest.mark.parametrize("grid", list(LSTM_GRIDS))
 def test_streamed_input_terms_give_the_materialized_bytes(grid, taped):
